@@ -11,6 +11,7 @@ from .market import (
     Market,
     MarketError,
     Matching,
+    acceptable_set_family,
     acceptable_sets,
     choose,
     find_block,
@@ -22,6 +23,7 @@ from .prefs import (
     ComplementarityGraph,
     DecomposedMarket,
     complementarity_graph,
+    complementarity_witness,
     decompose_by_components,
     decompose_by_sets,
     demand_type,

@@ -18,9 +18,9 @@ from .hypergraphs import (
     check_hypergraph_balanced,
     firm_worker_hypergraph,
 )
-from .market import Market, MarketError, acceptable_sets
+from .market import Market, MarketError, acceptable_set_family
 from .matrices import FAIL, INCONCLUSIVE, PASS, is_balanced, is_totally_balanced, is_totally_unimodular, matrix_of_sets
-from .prefs import decompose_by_components, decompose_by_sets, is_additive, is_complementary
+from .prefs import complementarity_witness, decompose_by_components, decompose_by_sets, is_additive
 from .solve import solve
 from .techtree import check_neighbour_condition, engagement, find_neighbour_ordering, worker_set_matrix
 
@@ -36,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _acceptable_set_matrix(m: Market):
-    sets, seen = [], set()
-    for f in m.firms:
-        for s in acceptable_sets(f, m):
-            if s not in seen:
-                seen.add(s)
-                sets.append(s)
-    return matrix_of_sets(sets, m.workers)
 
 
 def _emit(reports: list[tuple[str, object]], as_json: bool):
@@ -75,19 +65,21 @@ def cmd_check(args) -> int:
     reports: list[tuple[str, object]] = []
     verdicts: list[str] = []
     any_flag = False
+    if args.balanced or args.tu or args.totally_balanced:
+        sets_matrix = matrix_of_sets(acceptable_set_family(m), m.workers)
     if args.balanced:
         any_flag = True
-        cert = is_balanced(_acceptable_set_matrix(m), cap)
+        cert = is_balanced(sets_matrix, cap)
         reports.append(("balanced", cert))
         verdicts.append(cert.verdict)
     if args.tu:
         any_flag = True
-        cert = is_totally_unimodular(_acceptable_set_matrix(m), cap)
+        cert = is_totally_unimodular(sets_matrix, cap)
         reports.append(("totally-unimodular", cert))
         verdicts.append(cert.verdict)
     if args.totally_balanced:
         any_flag = True
-        cert = is_totally_balanced(_acceptable_set_matrix(m), cap)
+        cert = is_totally_balanced(sets_matrix, cap)
         reports.append(("totally-balanced", cert))
         verdicts.append(cert.verdict)
     if args.odd_cycles:
@@ -102,9 +94,13 @@ def cmd_check(args) -> int:
         verdicts.append(cert.verdict)
     if args.complementary:
         any_flag = True
-        bad = [f for f in m.firms if not is_complementary(f, m)]
-        verdict = PASS if not bad else FAIL
-        detail = "" if not bad else f"non-complementary firms: {', '.join(bad)}"
+        lines = [
+            _witness_line(f, m, *w)
+            for f in m.firms
+            if (w := complementarity_witness(f, m)) is not None
+        ]
+        verdict = PASS if not lines else FAIL
+        detail = "\n".join(lines)
         reports.append(("complementary", _Plain(verdict, detail)))
         verdicts.append(verdict)
     if args.additive:
@@ -119,6 +115,13 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
     _emit(reports, args.json)
     return _verdict_exit(verdicts)
+
+
+def _witness_line(f: str, m: Market, s: frozenset[str], x: str) -> str:
+    """One line naming f's witness, workers in market order, in ASCII so any
+    terminal encoding can print it."""
+    inner = ",".join(w for w in m.workers if w in s)
+    return f"{f}: choose({{{inner}}}) is not a subset of choose({{{inner}}}+{x})"
 
 
 class _Plain:

@@ -18,20 +18,48 @@ class ParseError(ValueError):
 
 # -- markets -----------------------------------------------------------------
 
-def parse_market(text: str) -> Market:
-    """JSON market: workers list, firm chains (best first), worker lists."""
+def _load_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply") from e
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object")
+    return value
+
+
+def _names(value, what: str) -> list[str]:
+    """A JSON list of strings; a bare string is rejected, not split."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"{what} must be a list of strings")
+    return value
+
+
+def parse_market(text: str) -> Market:
+    """JSON market: workers list, firm chains (best first), worker lists."""
+    data = _object(_load_json(text), "market")
     for key in ("workers", "firms", "worker_prefs"):
         if key not in data:
             raise ParseError(f"missing key: {key}")
+    chains = {}
+    for f, chain in _object(data["firms"], "firms").items():
+        if not isinstance(chain, list):
+            raise ParseError(f"chain of firm {f} must be a list of worker lists")
+        chains[f] = [set(_names(s, f"a set in the chain of firm {f}")) for s in chain]
+    worker_prefs = {
+        w: tuple(_names(lst, f"preference list of {w}"))
+        for w, lst in _object(data["worker_prefs"], "worker_prefs").items()
+    }
     try:
         return Market.build(
-            workers=data["workers"],
-            firm_chains={f: [set(s) for s in chain] for f, chain in data["firms"].items()},
-            worker_prefs={w: tuple(lst) for w, lst in data["worker_prefs"].items()},
+            workers=_names(data["workers"], "workers"),
+            firm_chains=chains,
+            worker_prefs=worker_prefs,
         )
     except MarketError as e:
         raise ParseError(str(e)) from e
@@ -191,26 +219,27 @@ def tree_to_json(t: TechnologyTree) -> str:
 
 
 def tree_from_json(text: str) -> TechnologyTree:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    """JSON tree: nested ``{"name", "workers", "children"}`` objects."""
     worker_sets: dict[str, frozenset[str]] = {}
     children: dict[str, tuple[str, ...]] = {}
 
-    def walk(node):
-        name = node["name"]
+    def walk(node) -> str:
+        node = _object(node, "tree node")
+        name = node.get("name")
+        if not isinstance(name, str):
+            raise ParseError(f"tree node without a string name: {sorted(node)}")
         if name in worker_sets:
             raise ParseError(f"duplicate vertex: {name}")
-        worker_sets[name] = frozenset(node.get("workers", []))
+        worker_sets[name] = frozenset(_names(node.get("workers", []), f"workers of {name}"))
         kids = node.get("children", [])
-        children[name] = tuple(k["name"] for k in kids)
-        for k in kids:
-            walk(k)
+        if not isinstance(kids, list):
+            raise ParseError(f"children of {name} must be a list")
+        children[name] = tuple(map(walk, kids))
+        return name
 
-    walk(data)
+    root = walk(_load_json(text))
     try:
-        return TechnologyTree(root=data["name"], worker_sets=worker_sets, children=children)
+        return TechnologyTree(root=root, worker_sets=worker_sets, children=children)
     except TreeError as e:
         raise ParseError(str(e)) from e
 

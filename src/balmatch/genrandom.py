@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction  # noqa: F401  (re-exported convenience)
 
-from .market import FirmPreference, Market, acceptable_sets
+from .market import FirmPreference, Market, acceptable_set_family, acceptable_sets
 from .matrices import is_balanced, matrix_of_sets
 from .prefs import is_complementary
 from .techtree import TechnologyTree
@@ -81,14 +81,7 @@ def random_complementary_balanced_profile(
             continue
         if not all(acceptable_sets(f, probe) for f in firms):
             continue
-        sets = []
-        seen_sets: set[frozenset[str]] = set()
-        for f in firms:
-            for s in acceptable_sets(f, probe):
-                if s not in seen_sets:
-                    seen_sets.add(s)
-                    sets.append(s)
-        if not is_balanced(matrix_of_sets(sets, workers)).ok:
+        if not is_balanced(matrix_of_sets(acceptable_set_family(probe), workers)).ok:
             continue
         space = 1
         for w in workers:

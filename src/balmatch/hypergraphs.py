@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .market import Market, acceptable_sets
+from .market import Market, acceptable_set_family, acceptable_sets
 from .matrices import set_label
 
 
@@ -81,14 +81,8 @@ class HypergraphCertificate:
 
 def acceptable_set_hypergraph(m: Market) -> Hypergraph:
     """Workers as vertices; non-singleton acceptable sets as edges."""
-    seen: set[frozenset[str]] = set()
-    edges = []
-    for f in m.firms:
-        for s in acceptable_sets(f, m):
-            if len(s) >= 2 and s not in seen:
-                seen.add(s)
-                edges.append((set_label(s), s))
-    return Hypergraph(vertices=m.workers, edges=tuple(edges))
+    edges = tuple((set_label(s), s) for s in acceptable_set_family(m) if len(s) >= 2)
+    return Hypergraph(vertices=m.workers, edges=edges)
 
 
 def firm_worker_hypergraph(m: Market) -> Hypergraph:

@@ -180,6 +180,15 @@ def acceptable_sets(f: str, m: Market) -> list[frozenset[str]]:
     return [s for s in m.firm_prefs[f].chain if choose(f, s, m) == s]
 
 
+def acceptable_set_family(m: Market) -> list[frozenset[str]]:
+    """Every firm's acceptable sets, each once: firm order, then chain order.
+
+    A set acceptable to several firms keeps its first position, so matrix
+    columns and the witness indices that name them are stable.
+    """
+    return list(dict.fromkeys(s for f in m.firms for s in acceptable_sets(f, m)))
+
+
 def _check_matching(mu: Matching, m: Market):
     if set(mu.assignment) != set(m.workers):
         raise MarketError("matching must assign every worker exactly once")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .market import (
     FirmPreference,
@@ -74,25 +74,51 @@ def _chain_workers(f: str, m: Market) -> frozenset[str]:
     return frozenset(out)
 
 
+def _switches(
+    f: str, m: Market, pairs: Iterable[tuple[frozenset[str], frozenset[str]]]
+) -> Iterator[tuple[frozenset[str], frozenset[str], str]]:
+    """Yield every (A, D, h) among the given pairs of choice sets such that
+    ``choose((A | D) - {h}) == A``, ``choose(A | D) == D`` and h is in D - A.
+
+    With S = (A | D) - {h}, making h available switches f's choice from A
+    to D. Every single-worker expansion T -> T | {h} that changes f's
+    choice gives such a triple, with A = choose(T) and D = choose(T | {h}):
+    D holds h and ranks before A (an empty A ranks last), and
+    ``(A | D) - {h}`` and ``A | D`` choose like T and T | {h}, since each
+    lies between the set chosen and the set available. Each pair costs at
+    most |D - A| + 1 ``choose`` calls.
+    """
+    for a, d in pairs:
+        u = a | d
+        if choose(f, u, m) != d:
+            continue
+        for h in sorted(d - a):
+            if choose(f, u - {h}, m) == a:
+                yield a, d, h
+
+
+def complementarity_witness(f: str, m: Market) -> Optional[tuple[frozenset[str], str]]:
+    """A pair (S, x) with ``choose(S)`` not a subset of ``choose(S | {x})``, or None.
+
+    Such a pair exists exactly when an acceptable set A is dropped by a
+    switch to an acceptable set D ranked before it with A not inside D:
+    every chosen set is acceptable, and a switch from A to D keeps A only
+    when A is a subset of D. Over a chain of L acceptable sets and n
+    workers this takes O(L^2 * n) ``choose`` calls.
+    """
+    acc = acceptable_sets(f, m)
+    pairs = ((a, d) for i, d in enumerate(acc) for a in acc[i + 1 :] if not a <= d)
+    for a, d, h in _switches(f, m, pairs):
+        return (a | d) - {h}, h
+    return None
+
+
 def is_complementary(f: str, m: Market) -> bool:
     """Choice membership never shrinks as the available set expands.
 
-    Enumeration is restricted to workers on f's chain: workers outside
-    every chain set are never chosen, so they cannot break monotonicity.
-    Single-element expansions suffice (any expansion is a chain of them).
+    True exactly when ``complementarity_witness`` finds no pair.
     """
-    m.require_firm(f)
-    ws = sorted(_chain_workers(f, m))
-    for r in range(len(ws) + 1):
-        for sub in itertools.combinations(ws, r):
-            s = frozenset(sub)
-            chosen = choose(f, s, m)
-            for x in ws:
-                if x in s:
-                    continue
-                if not chosen <= choose(f, s | {x}, m):
-                    return False
-    return True
+    return complementarity_witness(f, m) is None
 
 
 def is_additive(f: str, m: Market) -> bool:
@@ -130,29 +156,23 @@ def demand_type(f: str, m: Market) -> set[tuple[int, ...]]:
 
 
 def complementarity_graph(f: str, m: Market) -> ComplementarityGraph:
-    """Edges join pairs where one worker's availability makes the other chosen."""
-    m.require_firm(f)
-    vertices = potential_employees(f, m)
-    ws = sorted(vertices)
-    choices = {}
-    for r in range(len(ws) + 1):
-        for sub in itertools.combinations(ws, r):
-            s = frozenset(sub)
-            choices[s] = choose(f, s, m)
+    """Edges join pairs where one worker's availability makes the other chosen.
+
+    Vertices are f's potential employees. {w, h} is an edge when, for some
+    set S without h, w is outside ``choose(S)`` but inside
+    ``choose(S | {h})``. That happens exactly at a switch (A, D, h) of
+    ``_switches`` with w in D - A, where D is acceptable and A is empty or
+    an acceptable set ranked after D. Over a chain of L acceptable sets
+    and n workers this takes O(L^2 * n) ``choose`` calls.
+    """
+    acc = acceptable_sets(f, m)
+    pairs = ((a, d) for i, d in enumerate(acc) for a in (frozenset(), *acc[i + 1 :]))
     edges: set[frozenset[str]] = set()
-    for a, b in itertools.combinations(ws, 2):
-        if _complements(a, b, choices) or _complements(b, a, choices):
-            edges.add(frozenset({a, b}))
-    return ComplementarityGraph(firm=f, vertices=vertices, edges=frozenset(edges))
-
-
-def _complements(w: str, helper: str, choices) -> bool:
-    for s, chosen in choices.items():
-        if helper in s or w in chosen:
-            continue
-        if w in choices[s | {helper}]:
-            return True
-    return False
+    for a, d, h in _switches(f, m, pairs):
+        edges.update(frozenset({h, w}) for w in d - a if w != h)
+    return ComplementarityGraph(
+        firm=f, vertices=potential_employees(f, m), edges=frozenset(edges)
+    )
 
 
 def primitive_acceptable_sets(f: str, m: Market) -> list[frozenset[str]]:

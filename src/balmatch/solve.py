@@ -23,7 +23,7 @@ from .fractional import (
     reduced_balance_check,
     verify_fractional_stability,
 )
-from .market import Market, Matching, acceptable_sets, is_stable
+from .market import Market, Matching, acceptable_set_family, acceptable_sets, is_stable
 from .matrices import matrix_of_sets, is_balanced
 from .prefs import (
     decompose_by_sets,
@@ -46,22 +46,14 @@ class SolveResult:
 
 def market_certificates(m: Market, cap: int = 12) -> dict[str, str]:
     """Which of the sufficient conditions the market satisfies."""
-    all_sets, primitive = [], []
-    seen_a, seen_p = set(), set()
-    for f in m.firms:
-        for s in acceptable_sets(f, m):
-            if s not in seen_a:
-                seen_a.add(s)
-                all_sets.append(s)
-        for s in primitive_acceptable_sets(f, m):
-            if s not in seen_p:
-                seen_p.add(s)
-                primitive.append(s)
+    primitive = list(
+        dict.fromkeys(s for f in m.firms for s in primitive_acceptable_sets(f, m))
+    )
     return {
         "complementary": str(all(is_complementary(f, m) for f in m.firms)),
         "additive": str(all(is_additive(f, m) for f in m.firms)),
         "acceptable_sets_balanced": is_balanced(
-            matrix_of_sets(all_sets, m.workers), cap
+            matrix_of_sets(acceptable_set_family(m), m.workers), cap
         ).verdict,
         "primitive_sets_balanced": is_balanced(
             matrix_of_sets(primitive, m.workers), cap

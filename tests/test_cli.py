@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from balmatch import formats
+from balmatch.market import choose
 from balmatch.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -36,6 +38,34 @@ class TestUsage:
         bad = tmp_path / "bad.market"
         bad.write_text("{not json")
         assert main(["check", str(bad), "--balanced"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"workers": "AB", "firms": {}, "worker_prefs": {}}',
+            '{"workers": ["w1"], "firms": {"f1": "w1"}, "worker_prefs": {"w1": []}}',
+            '{"workers": ["w1"], "firms": {"f1": [[["w1"]]]}, "worker_prefs": {"w1": []}}',
+            '{"workers": ["w1"], "firms": {"A": [["w1"]], "B": [["w1"]]}, "worker_prefs": {"w1": "AB"}}',
+        ],
+    )
+    def test_mistyped_market_is_a_parse_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.market"
+        bad.write_text(text)
+        assert main(["check", str(bad), "--complementary"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {"workers": [], "children": []},
+            {"name": "v0", "workers": [], "children": ["v1"]},
+            {"name": "v0", "workers": [], "children": {"name": "v1"}},
+        ],
+    )
+    def test_malformed_json_tree_is_a_parse_error(self, tmp_path, capsys, tree):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(tree))
+        assert main(["tree", str(bad), "--validate"]) == EXIT_PARSE
 
 
 class TestCheck:
@@ -73,6 +103,18 @@ class TestCheck:
         )
         assert main(["check", corpus("additive.market"), "--complementary"]) == EXIT_FAIL
         assert main(["check", corpus("additive.market"), "--additive"]) == EXIT_PASS
+
+    def test_complementary_fail_names_a_witness(self, capsys):
+        path = corpus("additive.market")
+        assert main(["check", path, "--complementary", "--json"]) == EXIT_FAIL
+        detail = json.loads(capsys.readouterr().out)["complementary"]["detail"]
+        m = formats.parse_market(open(path).read())
+        pattern = r"(\w+): choose\(\{([\w,]*)\}\) is not a subset of choose\(\{\2\}\+(\w+)\)"
+        named = [re.fullmatch(pattern, line) for line in detail.splitlines()]
+        assert [g.group(1) for g in named] == ["f1", "f2"]
+        for g in named:
+            f, s, x = g.group(1), frozenset(g.group(2).split(",")), g.group(3)
+            assert not choose(f, s, m) <= choose(f, s | {x}, m)
 
     def test_json_output(self, capsys):
         code = main(["check", corpus("two_firms.market"), "--balanced", "--json"])

@@ -42,6 +42,36 @@ class TestMarketFormat:
             formats.parse_market("{nope}")
         assert "line" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '"workers"',
+            '{"workers": "AB", "firms": {}, "worker_prefs": {}}',
+            '{"workers": ["w1", 2], "firms": {}, "worker_prefs": {}}',
+            '{"workers": ["w1"], "firms": [], "worker_prefs": {"w1": []}}',
+            '{"workers": ["w1"], "firms": {"f1": "w1"}, "worker_prefs": {"w1": []}}',
+            '{"workers": ["w1"], "firms": {"f1": ["w1"]}, "worker_prefs": {"w1": []}}',
+            '{"workers": ["w1"], "firms": {"f1": [[["w1"]]]}, "worker_prefs": {"w1": []}}',
+            '{"workers": ["w1"], "firms": {"f1": [["w1"]]}, "worker_prefs": []}',
+            '{"workers": ["w1"], "firms": {"f1": [["w1"]]}, "worker_prefs": {"w1": [["f1"]]}}',
+        ],
+    )
+    def test_mistyped_input_rejected(self, text):
+        with pytest.raises(formats.ParseError):
+            formats.parse_market(text)
+
+    def test_string_list_is_not_split(self):
+        # "AB" would otherwise read as the firm list ("A", "B")
+        text = '{"workers": ["w1"], "firms": {"A": [["w1"]], "B": [["w1"]]}, "worker_prefs": {"w1": "AB"}}'
+        with pytest.raises(formats.ParseError):
+            formats.parse_market(text)
+        assert formats.parse_market(text.replace('"AB"', '["A", "B"]')).worker_prefs["w1"] == ("A", "B")
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(formats.ParseError):
+            formats.parse_market("[" * 100000)
+
     def test_semantic_errors_become_parse_errors(self):
         text = '{"workers": ["w1"], "firms": {"f1": [["w9"]]}, "worker_prefs": {"w1": []}}'
         with pytest.raises(formats.ParseError):
@@ -120,6 +150,30 @@ class TestTreeFormat:
             assert again.root == t.root
             assert again.worker_sets == t.worker_sets
             assert again.children == t.children
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"workers": [], "children": []}',
+            '{"name": "v0", "workers": [], "children": [{"workers": ["w1"]}]}',
+            '["v0"]',
+            '{"name": "v0", "workers": [], "children": ["v1"]}',
+            '{"name": "v0", "workers": [], "children": {"name": "v1", "workers": ["w1"]}}',
+            '{"name": "v0", "workers": [], "children": "v1"}',
+            '{"name": "v0", "workers": [], "children": 5}',
+            '{"name": "v0", "workers": [], "children": null}',
+            '{"name": 7, "workers": []}',
+            '{"name": "v0", "workers": "w1"}',
+        ],
+    )
+    def test_malformed_json_tree_rejected(self, text):
+        with pytest.raises(formats.ParseError):
+            formats.tree_from_json(text)
+
+    def test_deep_json_tree_rejected(self):
+        text = '{"name": "v0", "children": [' * 3000 + "]}" * 3000
+        with pytest.raises(formats.ParseError):
+            formats.tree_from_json(text)
 
     def test_corpus_trees_round_trip(self, corpus_dir):
         for path in sorted(corpus_dir.glob("*.tree")):

@@ -10,6 +10,7 @@ from balmatch.market import (
     Market,
     MarketError,
     Matching,
+    acceptable_set_family,
     acceptable_sets,
     choose,
     find_block,
@@ -123,6 +124,19 @@ class TestAcceptableSets:
             frozenset({"w1", "w2", "w3"}),
             frozenset({"w1"}),
             frozenset({"w2", "w3"}),
+        ]
+
+    def test_family_keeps_first_occurrence(self):
+        # f2 repeats f1's {w2} and adds {w3}; the dominated {w1,w3} is left out
+        m = Market.build(
+            ["w1", "w2", "w3"],
+            {"f1": [{"w1"}, {"w2"}, {"w1", "w3"}], "f2": [{"w3"}, {"w2"}]},
+            {"w1": [], "w2": [], "w3": []},
+        )
+        assert acceptable_set_family(m) == [
+            frozenset({"w1"}),
+            frozenset({"w2"}),
+            frozenset({"w3"}),
         ]
 
     def test_empty_set_rejected(self, two_firms):

@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balmatch.genrandom import MarketGenConfig, random_market
 from balmatch.market import Market, MarketError, Matching, acceptable_sets, choose, is_stable
 from balmatch.prefs import (
     complementarity_graph,
+    complementarity_witness,
     decompose_by_components,
     decompose_by_sets,
     demand_type,
@@ -16,6 +18,7 @@ from balmatch.prefs import (
     potential_employees,
     primitive_acceptable_sets,
 )
+from balmatch.solve import solve
 
 
 def brute_complementary(f, m):
@@ -31,6 +34,73 @@ def brute_complementary(f, m):
     return True
 
 
+def brute_expansion_complementary(f, m):
+    """Reference check over single-worker expansions of every subset of f's
+    chain workers; they compose to any expansion, so this matches the
+    definition at a fraction of its cost."""
+    ws = sorted({w for s in m.firm_prefs[f].chain for w in s})
+    for r in range(len(ws) + 1):
+        for sub in itertools.combinations(ws, r):
+            s = frozenset(sub)
+            chosen = choose(f, s, m)
+            if any(not chosen <= choose(f, s | {x}, m) for x in ws if x not in s):
+                return False
+    return True
+
+
+def brute_complementarity_graph(f, m):
+    """Reference graph: every subset of f's potential employees, tabulated."""
+    vertices = potential_employees(f, m)
+    ws = sorted(vertices)
+    choices = {}
+    for r in range(len(ws) + 1):
+        for sub in itertools.combinations(ws, r):
+            s = frozenset(sub)
+            choices[s] = choose(f, s, m)
+    edges: set[frozenset[str]] = set()
+    for a, b in itertools.combinations(ws, 2):
+        if _complements(a, b, choices) or _complements(b, a, choices):
+            edges.add(frozenset({a, b}))
+    return vertices, frozenset(edges)
+
+
+def _complements(w, helper, choices):
+    for s, chosen in choices.items():
+        if helper in s or w in chosen:
+            continue
+        if w in choices[s | {helper}]:
+            return True
+    return False
+
+
+def random_chain_firm(rng, max_workers=10, max_chain=10):
+    """One firm "f" over up to max_workers workers. About a third of the
+    chain sets extend an earlier set, so they are dominated (unacceptable)."""
+    ws = [f"w{i}" for i in range(1, rng.randint(1, max_workers) + 1)]
+    chain = []
+    for _ in range(rng.randint(1, max_chain)):
+        if chain and rng.random() < 0.35:
+            extra = rng.sample(ws, rng.randint(0, len(ws)))
+            s = rng.choice(chain) | frozenset(extra)
+        else:
+            s = frozenset(rng.sample(ws, rng.randint(1, len(ws))))
+        if s not in chain:
+            chain.append(s)
+    return Market.build(ws, {"f": chain}, {w: ["f"] for w in ws})
+
+
+def nested_market(n):
+    """One firm whose chain is the nested prefixes of n workers, largest first."""
+    ws = [f"w{i}" for i in range(1, n + 1)]
+    return Market.build(ws, {"f1": [ws[:k] for k in range(n, 0, -1)]}, {w: ["f1"] for w in ws})
+
+
+def assert_witness(f, m, witness):
+    s, x = witness
+    assert x not in s
+    assert not choose(f, s, m) <= choose(f, s | {x}, m)
+
+
 class TestComplementary:
     def test_matches_definition_on_random_markets(self):
         rng = random.Random(17)
@@ -38,6 +108,56 @@ class TestComplementary:
             m = random_market(rng, MarketGenConfig(max_workers=4, max_firms=2))
             for f in m.firms:
                 assert is_complementary(f, m) == brute_complementary(f, m)
+
+    def test_matches_oracles_on_random_chains(self):
+        rng = random.Random(41)
+        dominated = 0
+        for _ in range(2000):
+            m = random_chain_firm(rng)
+            dominated += len(acceptable_sets("f", m)) < len(m.firm_prefs["f"].chain)
+            witness = complementarity_witness("f", m)
+            assert (witness is None) == brute_expansion_complementary("f", m)
+            if len(m.workers) <= 6:
+                assert (witness is None) == brute_complementary("f", m)
+            if witness is not None:
+                assert_witness("f", m, witness)
+            g = complementarity_graph("f", m)
+            assert (g.vertices, g.edges) == brute_complementarity_graph("f", m)
+        assert dominated > 500
+
+    @given(
+        st.lists(
+            st.frozensets(st.sampled_from(["w1", "w2", "w3", "w4", "w5", "w6"]), min_size=1),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_oracles(self, chain):
+        ws = sorted(set().union(*chain))
+        m = Market.build(ws, {"f": chain}, {w: ["f"] for w in ws})
+        witness = complementarity_witness("f", m)
+        assert (witness is None) == brute_complementary("f", m)
+        if witness is not None:
+            assert_witness("f", m, witness)
+        g = complementarity_graph("f", m)
+        assert (g.vertices, g.edges) == brute_complementarity_graph("f", m)
+
+    def test_witness_on_overlapping_pairs(self, additive_market):
+        # {w2,w3} is chosen until w1 arrives and completes {w1,w2}
+        assert complementarity_witness("f1", additive_market) == (frozenset({"w2", "w3"}), "w1")
+        assert complementarity_witness("f2", additive_market) == (frozenset({"w2", "w3"}), "w1")
+
+    def test_forty_worker_nested_chain(self):
+        m = nested_market(40)
+        assert is_complementary("f1", m)
+        g = complementarity_graph("f1", m)
+        assert g.vertices == frozenset(m.workers)
+        assert len(g.edges) == 780  # the complete graph on 40 vertices
+        result = solve(m)
+        assert result.matching.workers_of("f1") == frozenset(m.workers)
+        assert result.certificates["complementary"] == "True"
 
     def test_nested_chain_is_complementary(self, nested_chains):
         assert is_complementary("f1", nested_chains)
