@@ -7,6 +7,7 @@ Exit codes: 0 pass/found, 1 fail with witness / no stable matching,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -22,7 +23,7 @@ from .market import Market, MarketError, acceptable_set_family
 from .matrices import FAIL, INCONCLUSIVE, PASS, is_balanced, is_totally_balanced, is_totally_unimodular, matrix_of_sets
 from .prefs import complementarity_witness, decompose_by_components, decompose_by_sets, is_additive
 from .solve import solve
-from .techtree import check_neighbour_condition, engagement, find_neighbour_ordering, worker_set_matrix
+from .techtree import TreeError, check_neighbour_condition, engagement, find_neighbour_ordering, worker_set_matrix
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -217,7 +218,10 @@ def _load_market(path: str) -> Market:
         return formats.parse_market(fh.read())
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``parse_args`` returns a fresh
+    namespace per call, so nothing carries over between commands."""
     parser = _Parser(prog="balmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,7 +271,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (MarketError, FractionalError) as e:
+    except (MarketError, FractionalError, TreeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,9 +18,19 @@ class MarketError(ValueError):
 
 @dataclass(frozen=True)
 class FirmPreference:
-    """A firm's preference as a strict chain of candidate worker sets."""
+    """A firm's preference as a strict chain of candidate worker sets.
+
+    ``acceptable`` is computed once, at construction: the chain sets, in
+    chain order, with no earlier chain set inside them, i.e. exactly the
+    sets s with ``choose(f, s) == s``. It depends on the chain alone, so
+    every market sharing this preference reads it without recomputing.
+    It takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     chain: tuple[frozenset[str], ...]
+    acceptable: tuple[frozenset[str], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         seen = set()
@@ -30,6 +40,12 @@ class FirmPreference:
             if s in seen:
                 raise MarketError(f"duplicate set in preference chain: {sorted(s)}")
             seen.add(s)
+        acceptable = tuple(
+            s
+            for i, s in enumerate(self.chain)
+            if not any(earlier <= s for earlier in self.chain[:i])
+        )
+        object.__setattr__(self, "acceptable", acceptable)
 
     @staticmethod
     def of(*sets: Iterable[str]) -> "FirmPreference":
@@ -177,7 +193,7 @@ def is_acceptable_set(f: str, s: Iterable[str], m: Market) -> bool:
 def acceptable_sets(f: str, m: Market) -> list[frozenset[str]]:
     """All sets s on f's chain with choose(f, s) == s, in chain order."""
     m.require_firm(f)
-    return [s for s in m.firm_prefs[f].chain if choose(f, s, m) == s]
+    return list(m.firm_prefs[f].acceptable)
 
 
 def acceptable_set_family(m: Market) -> list[frozenset[str]]:
@@ -197,37 +213,22 @@ def _check_matching(mu: Matching, m: Market):
             m.require_firm(f)
 
 
-def _firm_strictly_prefers(
-    f: str, s: frozenset[str], current: frozenset[str], m: Market
-) -> bool:
-    """s > current for firm f, where both are chain sets or empty."""
-    if s == current:
-        return False
-    chain = m.firm_prefs[f].chain
-    if not s:
-        return current not in chain  # empty beats off-chain sets only
-    if s not in chain:
-        return False
-    if not current or current not in chain:
-        return True
-    return chain.index(s) < chain.index(current)
-
-
 def is_individually_rational(mu: Matching, m: Market) -> bool:
     _check_matching(mu, m)
-    return not _ir_violations(mu, m)
+    return not _ir_violations(mu, m, mu.inverse())
 
 
-def _ir_violations(mu: Matching, m: Market) -> list[tuple[str, str]]:
+def _ir_violations(
+    mu: Matching, m: Market, inv: dict[Optional[str], frozenset[str]]
+) -> list[tuple[str, str]]:
     out = []
     for w in m.workers:
         f = mu.firm_of(w)
         if f is not None and f not in m._worker_rank[w]:
             out.append((w, f"matched to unacceptable firm {f}"))
-    inv = mu.inverse()
     for f in m.firms:
         matched = inv.get(f, frozenset())
-        if matched and choose(f, matched, m) != matched:
+        if matched and matched not in m.firm_prefs[f].acceptable:
             out.append((f, f"assignment {sorted(matched)} is not its own choice"))
     return out
 
@@ -238,18 +239,35 @@ def find_block(mu: Matching, m: Market) -> BlockReport:
     Canonical order: firms in market order, each firm's acceptable sets
     best-first. A coalition (f, S) blocks iff S is acceptable to f,
     S > mu(f) for f, and every worker in S weakly prefers f to her match.
+
+    Once the matching is individually rational, each firm holds nothing
+    or one of its acceptable sets, so the scan reads the firm's
+    precomputed ``acceptable`` tuple best-first and stops at its current
+    set: no later set is strictly preferred to it.
     """
     _check_matching(mu, m)
-    ir = _ir_violations(mu, m)
+    inv = mu.inverse()
+    ir = _ir_violations(mu, m, inv)
     if ir:
         return BlockReport(ir_violations=tuple(ir))
-    inv = mu.inverse()
+    assignment = mu.assignment
+    worker_rank = m._worker_rank
     for f in m.firms:
         current = inv.get(f, frozenset())
-        for s in acceptable_sets(f, m):
-            if not _firm_strictly_prefers(f, s, current, m):
-                continue
-            if all(m.worker_weakly_prefers(w, f, mu.firm_of(w)) for w in s):
+        for s in m.firm_prefs[f].acceptable:
+            if s == current:
+                break
+            # s blocks unless a member fails worker_weakly_prefers(w, f, g)
+            for w in s:
+                g = assignment[w]
+                if g == f:
+                    continue
+                ranks = worker_rank[w]
+                null = len(ranks)
+                rg = null if g is None else ranks.get(g, null + 1)
+                if not ranks.get(f, null + 1) < rg:
+                    break
+            else:
                 return BlockReport(blocking=(f, s))
     return BlockReport()
 

@@ -23,7 +23,7 @@ from .fractional import (
     reduced_balance_check,
     verify_fractional_stability,
 )
-from .market import Market, Matching, acceptable_set_family, acceptable_sets, is_stable
+from .market import Market, Matching, acceptable_set_family, is_stable
 from .matrices import matrix_of_sets, is_balanced
 from .prefs import (
     decompose_by_sets,
@@ -66,7 +66,7 @@ def _direct_search(m: Market) -> Optional[Matching]:
     for f in m.firms:
         acc = [
             s
-            for s in acceptable_sets(f, m)
+            for s in m.firm_prefs[f].acceptable
             # a stable matching is individually rational, so skip sets
             # containing a worker that finds the firm unacceptable
             if all(f in m._worker_rank[w] for w in s)

@@ -28,6 +28,10 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    def test_usage_error_leaves_parser_usable(self, capsys):
+        assert main(["check", corpus("two_firms.market"), "--bogus"]) == EXIT_USAGE
+        assert main(["check", corpus("two_firms.market"), "--balanced"]) == EXIT_PASS
+
     def test_check_without_flags(self, capsys):
         assert main(["check", corpus("cyclic3.market")]) == EXIT_USAGE
 
@@ -116,6 +120,13 @@ class TestCheck:
             f, s, x = g.group(1), frozenset(g.group(2).split(",")), g.group(3)
             assert not choose(f, s, m) <= choose(f, s | {x}, m)
 
+    def test_flags_do_not_carry_over_between_commands(self, capsys):
+        path = corpus("two_firms.market")
+        assert main(["check", path, "--balanced", "--json"]) == EXIT_PASS
+        assert list(json.loads(capsys.readouterr().out)) == ["balanced"]
+        assert main(["check", path, "--tu", "--json"]) == EXIT_PASS
+        assert list(json.loads(capsys.readouterr().out)) == ["totally-unimodular"]
+
     def test_json_output(self, capsys):
         code = main(["check", corpus("two_firms.market"), "--balanced", "--json"])
         assert code == EXIT_PASS
@@ -181,6 +192,17 @@ class TestTree:
     def test_permute_flag(self, capsys):
         assert main(["tree", corpus("triangle.tree"), "--permute"]) == EXIT_FAIL
         assert main(["tree", corpus("nested.tree"), "--permute"]) == EXIT_PASS
+
+    def test_permute_over_six_children_is_a_usage_error(self, tmp_path, capsys):
+        # seven children under the root; worker x engages v2 and v5
+        lines = ["v0: {}"] + [
+            f"  v{i}: {{w{i}{',x' if i in (2, 5) else ''}}}" for i in range(1, 8)
+        ]
+        p = tmp_path / "wide.tree"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["tree", str(p), "--permute"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "more than 6 children" in err
 
     def test_json_tree_input(self, tmp_path, capsys):
         t = formats.parse_tree((__import__("pathlib").Path(corpus("ladder.tree"))).read_text())

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from balmatch.genrandom import MarketGenConfig, random_market
 from balmatch.market import (
+    BlockReport,
     FirmPreference,
     Market,
     MarketError,
     Matching,
+    _check_matching,
     acceptable_set_family,
     acceptable_sets,
     choose,
@@ -18,6 +20,9 @@ from balmatch.market import (
     is_individually_rational,
     is_stable,
 )
+from balmatch.oracle import all_matchings
+
+from conftest import MARKET_FILES, load_market
 
 
 def brute_choose(f, available, m):
@@ -53,6 +58,58 @@ def brute_block(mu, m):
     return None
 
 
+def _firm_strictly_prefers(f, s, current, m):
+    """s > current for firm f, where both are chain sets or empty."""
+    if s == current:
+        return False
+    chain = m.firm_prefs[f].chain
+    if not s:
+        return current not in chain  # empty beats off-chain sets only
+    if s not in chain:
+        return False
+    if not current or current not in chain:
+        return True
+    return chain.index(s) < chain.index(current)
+
+
+def _reference_ir_violations(mu, m):
+    out = []
+    for w in m.workers:
+        f = mu.firm_of(w)
+        if f is not None and f not in m._worker_rank[w]:
+            out.append((w, f"matched to unacceptable firm {f}"))
+    inv = mu.inverse()
+    for f in m.firms:
+        matched = inv.get(f, frozenset())
+        if matched and choose(f, matched, m) != matched:
+            out.append((f, f"assignment {sorted(matched)} is not its own choice"))
+    return out
+
+
+def reference_find_block(mu, m):
+    """find_block by choice-function calls and chain positions: every
+    acceptable set is compared with the firm's current set, none skipped."""
+    _check_matching(mu, m)
+    ir = _reference_ir_violations(mu, m)
+    if ir:
+        return BlockReport(ir_violations=tuple(ir))
+    inv = mu.inverse()
+    for f in m.firms:
+        current = inv.get(f, frozenset())
+        for s in [s for s in m.firm_prefs[f].chain if choose(f, s, m) == s]:
+            if not _firm_strictly_prefers(f, s, current, m):
+                continue
+            if all(m.worker_weakly_prefers(w, f, mu.firm_of(w)) for w in s):
+                return BlockReport(blocking=(f, s))
+    return BlockReport()
+
+
+def _assert_find_block_matches_reference(m):
+    for restrict in (True, False):
+        for mu in all_matchings(m, restrict):
+            assert find_block(mu, m) == reference_find_block(mu, m)
+
+
 class TestFirmPreference:
     def test_rejects_empty_set(self):
         with pytest.raises(MarketError):
@@ -66,6 +123,26 @@ class TestFirmPreference:
         p = FirmPreference.of({"w1", "w2"}, {"w1"})
         assert p.rank(frozenset({"w1", "w2"})) == 0
         assert p.rank(frozenset({"w1"})) == 1
+
+    @given(st.lists(st.frozensets(st.sampled_from("abcde"), min_size=1), unique=True, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_acceptable_is_self_chosen_chain_sets(self, chain):
+        pref = FirmPreference(tuple(chain))
+        m = Market(
+            workers=tuple("abcde"),
+            firms=("f",),
+            worker_prefs={w: () for w in "abcde"},
+            firm_prefs={"f": pref},
+        )
+        assert pref.acceptable == tuple(s for s in chain if choose("f", s, m) == s)
+
+    def test_cache_is_not_part_of_value(self):
+        p = FirmPreference.of({"w1"}, {"w1", "w2"})
+        q = FirmPreference.of({"w1"}, {"w1", "w2"})
+        object.__setattr__(q, "acceptable", ())
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert repr(p) == f"FirmPreference(chain={p.chain!r})"
+        assert p != FirmPreference.of({"w1", "w2"}, {"w1"})
 
 
 class TestMarketValidation:
@@ -184,6 +261,15 @@ class TestStability:
                 if report.ir_violations:
                     continue  # brute_block only covers the coalition clause
                 assert (report.blocking is None) == (brute_block(mu, m) is None)
+
+    def test_find_block_matches_reference_on_random_markets(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            _assert_find_block_matches_reference(random_market(rng))
+
+    @pytest.mark.parametrize("name", MARKET_FILES)
+    def test_find_block_matches_reference_on_corpus(self, name):
+        _assert_find_block_matches_reference(load_market(name))
 
 
 @st.composite
