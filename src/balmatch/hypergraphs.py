@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .market import Market, acceptable_set_family, acceptable_sets
-from .matrices import set_label
+from .matrices import is_balanced, matrix_of_sets, set_label
 
 
 @dataclass(frozen=True)
@@ -98,84 +98,37 @@ def firm_worker_hypergraph(m: Market) -> Hypergraph:
     return Hypergraph(vertices=m.firms + m.workers, edges=tuple(edges))
 
 
-def _find_bad_odd_cycle(h: Hypergraph) -> Optional[HyperCycle]:
-    """First odd cycle (k >= 3) whose every edge holds exactly two cycle vertices.
-
-    DFS over the alternating vertex/edge structure in canonical order;
-    duplicate traversals are avoided by anchoring each cycle at its
-    smallest vertex.
-    """
-    vindex = {v: i for i, v in enumerate(h.vertices)}
-    incident: dict[str, list[int]] = {v: [] for v in h.vertices}
-    for ei, (_, members) in enumerate(h.edges):
-        for v in members:
-            incident[v].append(ei)
-
-    def close_check(path_vs: list[str], path_es: list[int]) -> Optional[HyperCycle]:
-        k = len(path_vs)
-        if k < 3 or k % 2 == 0:
-            return None
-        vs = set(path_vs)
-        for ei in path_es:
-            if len(h.edges[ei][1] & vs) != 2:
-                return None
-        return HyperCycle(
-            vertices=tuple(path_vs),
-            edges=tuple(h.edges[ei] for ei in path_es),
-        )
-
-    for start in h.vertices:
-        hit = _dfs_cycle(h, incident, vindex, start, close_check)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _dfs_cycle(h, incident, vindex, start, close_check):
-    path_vs = [start]
-    path_es: list[int] = []
-    used_v = {start}
-    used_e: set[int] = set()
-
-    def rec() -> Optional["HyperCycle"]:
-        cur = path_vs[-1]
-        for ei in incident[cur]:
-            if ei in used_e:
-                continue
-            members = h.edges[ei][1]
-            if start in members and len(path_vs) >= 2:
-                path_es.append(ei)
-                used_e.add(ei)
-                hit = close_check(path_vs, path_es)
-                used_e.discard(ei)
-                path_es.pop()
-                if hit is not None:
-                    return hit
-            for nxt in sorted(members, key=vindex.get):
-                if nxt in used_v or vindex[nxt] < vindex[start]:
-                    continue
-                path_vs.append(nxt)
-                path_es.append(ei)
-                used_v.add(nxt)
-                used_e.add(ei)
-                hit = rec()
-                used_e.discard(ei)
-                used_v.discard(nxt)
-                path_es.pop()
-                path_vs.pop()
-                if hit is not None:
-                    return hit
-        return None
-
-    return rec()
-
-
 def check_hypergraph_balanced(h: Hypergraph) -> HypergraphCertificate:
-    """PASS iff every odd cycle has an edge with three or more cycle vertices."""
-    cycle = _find_bad_odd_cycle(h)
-    if cycle is None:
+    """PASS iff every odd cycle has an edge with three or more cycle vertices.
+
+    Decided by ``is_balanced`` on the incidence matrix (Berge), uncapped; a
+    FAIL names a shortest bad odd cycle.
+    """
+    mat = matrix_of_sets((members for _, members in h.edges), h.vertices)
+    cert = is_balanced(mat, cap=max(mat.shape))
+    if cert.ok:
         return HypergraphCertificate(verdict="PASS")
-    return HypergraphCertificate(verdict="FAIL", cycle=cycle)
+    return HypergraphCertificate(
+        verdict="FAIL", cycle=_cycle(h, cert.witness_rows, cert.witness_cols)
+    )
+
+
+def _cycle(h: Hypergraph, rows: tuple[int, ...], cols: tuple[int, ...]) -> HyperCycle:
+    """Walk a two-per-line witness as one cycle, from its first row.
+
+    The first witness has the smallest odd order, so it is a single
+    cycle: an odd component of a larger one would have been found first.
+    """
+    on = {h.vertices[i] for i in rows}
+    left = [h.edges[j] for j in cols]
+    cur, vs, es = h.vertices[rows[0]], [], []
+    while left:
+        edge = next(e for e in left if cur in e[1])
+        left.remove(edge)
+        vs.append(cur)
+        es.append(edge)
+        (cur,) = edge[1] & (on - {cur})
+    return HyperCycle(vertices=tuple(vs), edges=tuple(es))
 
 
 def check_odd_cycle_condition(h: Hypergraph) -> HypergraphCertificate:

@@ -260,51 +260,43 @@ def _single_cycle(cols_chosen, colmask, rowmask) -> bool:
     return len(seen) == len(adj) == len(cols_chosen)
 
 
-def is_balanced(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
-    """No odd-order square submatrix with exactly two 1s per row and column."""
+def _two_per_line_certificate(
+    m: ZeroOneMatrix, cap: int, prop: str, step: int, connected_only: bool, detail: str
+) -> MatrixCertificate:
+    """Search orders 3, 3 + step, ... of the reduced matrix; ``detail`` takes the order."""
     rows, cols = _reduce(m)
     if len(rows) > cap or len(cols) > cap:
         return MatrixCertificate(
-            property="balanced",
+            property=prop,
             verdict=INCONCLUSIVE,
             detail=f"reduced matrix is {len(rows)}x{len(cols)}, cap is {cap}",
         )
-    orders = range(3, min(len(rows), len(cols)) + 1, 2)
-    hit = _two_per_line_witness(m, rows, cols, orders, connected_only=False)
+    orders = range(3, min(len(rows), len(cols)) + 1, step)
+    hit = _two_per_line_witness(m, rows, cols, orders, connected_only)
     if hit is None:
-        return MatrixCertificate(property="balanced", verdict=PASS)
+        return MatrixCertificate(property=prop, verdict=PASS)
     wr, wc = hit
     return MatrixCertificate(
-        property="balanced",
+        property=prop,
         verdict=FAIL,
         witness_rows=wr,
         witness_cols=wc,
-        detail=f"odd-order submatrix with two 1s per row and column, order {len(wr)}",
+        detail=detail.format(len(wr)),
         witness=m.submatrix(wr, wc),
+    )
+
+
+def is_balanced(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
+    """No odd-order square submatrix with exactly two 1s per row and column."""
+    return _two_per_line_certificate(
+        m, cap, "balanced", 2, False, "odd-order submatrix with two 1s per row and column, order {}"
     )
 
 
 def is_totally_balanced(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
     """No submatrix equal to the incidence matrix of a cycle of length >= 3."""
-    rows, cols = _reduce(m)
-    if len(rows) > cap or len(cols) > cap:
-        return MatrixCertificate(
-            property="totally balanced",
-            verdict=INCONCLUSIVE,
-            detail=f"reduced matrix is {len(rows)}x{len(cols)}, cap is {cap}",
-        )
-    orders = range(3, min(len(rows), len(cols)) + 1)
-    hit = _two_per_line_witness(m, rows, cols, orders, connected_only=True)
-    if hit is None:
-        return MatrixCertificate(property="totally balanced", verdict=PASS)
-    wr, wc = hit
-    return MatrixCertificate(
-        property="totally balanced",
-        verdict=FAIL,
-        witness_rows=wr,
-        witness_cols=wc,
-        detail=f"incidence matrix of a cycle of length {len(wr)}",
-        witness=m.submatrix(wr, wc),
+    return _two_per_line_certificate(
+        m, cap, "totally balanced", 1, True, "incidence matrix of a cycle of length {}"
     )
 
 

@@ -12,12 +12,18 @@ from balmatch.hypergraphs import (
     check_odd_cycle_condition,
     firm_worker_hypergraph,
 )
-from balmatch.market import acceptable_sets
+from balmatch.market import Market, acceptable_set_family
 from balmatch.matrices import is_balanced, matrix_of_sets
 
 
 def brute_bad_odd_cycle(h):
-    """Reference search: try every vertex sequence and edge assignment."""
+    """Reference search: is there any bad odd cycle?"""
+    return brute_shortest_bad_odd_cycle(h) is not None
+
+
+def brute_shortest_bad_odd_cycle(h):
+    """Reference search: try every vertex sequence and edge assignment,
+    shortest first; the length k of the first bad odd cycle, or None."""
     edges = list(h.edges)
     for k in range(3, len(h.vertices) + 1, 2):
         for vs in itertools.permutations(h.vertices, k):
@@ -33,8 +39,25 @@ def brute_bad_odd_cycle(h):
                         ok = False
                         break
                 if ok:
-                    return True
-    return False
+                    return k
+    return None
+
+
+def interval_market(n):
+    """One firm per interval of length >= 2 on a line of n workers."""
+    ws = [f"w{i}" for i in range(1, n + 1)]
+    ivs = [ws[a:b] for a in range(n) for b in range(a + 2, n + 1)]
+    chains = {f"f{k}": [s] for k, s in enumerate(ivs, 1)}
+    prefs = {w: [f for f, (s,) in chains.items() if w in s] for w in ws}
+    return Market.build(ws, chains, prefs)
+
+
+def assert_matches_brute_force(h):
+    cert = check_odd_cycle_condition(h)
+    k = brute_shortest_bad_odd_cycle(h)
+    assert cert.ok == (k is None)
+    if not cert.ok:
+        assert cert.cycle.length == k
 
 
 class TestHypergraphShape:
@@ -120,12 +143,31 @@ class TestOddCycleCondition:
         for _, members in c.edges:
             assert len(members & vs) == 2
 
+    def test_fail_names_a_shortest_cycle(self):
+        # a 5-cycle with a chord: the triangle it cuts off is the witness
+        vs = ("v1", "v2", "v3", "v4", "v5")
+        pairs = [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v1"), ("v3", "v5")]
+        h = Hypergraph(vertices=vs, edges=tuple((a + b, frozenset({a, b})) for a, b in pairs))
+        cert = check_hypergraph_balanced(h)
+        assert not cert.ok
+        assert cert.cycle.vertices == ("v3", "v4", "v5")
+        assert cert.cycle.length == 3
+
     def test_matches_brute_force(self):
         rng = random.Random(8)
         for _ in range(80):
             m = random_market(rng, MarketGenConfig(max_workers=4, max_firms=3))
-            h = acceptable_set_hypergraph(m)
-            assert check_odd_cycle_condition(h).ok == (not brute_bad_odd_cycle(h))
+            assert_matches_brute_force(acceptable_set_hypergraph(m))
+
+    def test_firm_worker_matches_brute_force(self):
+        rng = random.Random(10)
+        for _ in range(80):
+            m = random_market(rng, MarketGenConfig(max_workers=3, max_firms=3))
+            assert_matches_brute_force(firm_worker_hypergraph(m))
+
+    def test_seven_worker_intervals_pass(self):
+        # 21 interval edges: an exhaustive cycle search here took minutes
+        assert check_odd_cycle_condition(acceptable_set_hypergraph(interval_market(7))).ok
 
     def test_consistent_with_matrix_balancedness(self):
         # a bad odd cycle in the acceptable-set hypergraph is exactly an
@@ -133,12 +175,6 @@ class TestOddCycleCondition:
         rng = random.Random(9)
         for _ in range(120):
             m = random_market(rng, MarketGenConfig(max_workers=4, max_firms=3))
-            sets, seen = [], set()
-            for f in m.firms:
-                for s in acceptable_sets(f, m):
-                    if s not in seen:
-                        seen.add(s)
-                        sets.append(s)
-            mat = matrix_of_sets(sets, m.workers)
+            mat = matrix_of_sets(acceptable_set_family(m), m.workers)
             hyper_ok = check_odd_cycle_condition(acceptable_set_hypergraph(m)).ok
             assert hyper_ok == is_balanced(mat).ok
