@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Sample complementary firm profiles with balanced acceptable sets and
 sweep every worker preference profile, confirming a stable matching each
-time. A counterexample would falsify the balancedness sufficiency claim.
+time. A counterexample would falsify the balancedness sufficiency claim
+(exit 1). "solved" counts the worker profiles that needed a full search:
+the others were settled by a matching found earlier in the same sweep and
+checked stable on them.
 """
 
 import argparse
@@ -22,7 +25,7 @@ def main():
 
     rng = random.Random(args.seed)
     start = time.time()
-    swept = 0
+    swept = solved = 0
     for i in range(args.profiles):
         chains = random_complementary_balanced_profile(
             rng, max_firms=args.max_firms, max_workers=args.max_workers
@@ -30,6 +33,7 @@ def main():
         workers = sorted({w for p in chains.values() for s in p.chain for w in s})
         result = exists_for_all_worker_prefs(chains, workers)
         swept += result.checked
+        solved += result.solved
         if not result.ok:
             print("COUNTEREXAMPLE FOUND")
             for f, p in chains.items():
@@ -37,10 +41,11 @@ def main():
             print(f"  worker preferences: {result.counterexample}")
             raise SystemExit(1)
         if (i + 1) % 10 == 0:
-            print(f"{i + 1} profiles, {swept} preference profiles swept")
+            print(f"{i + 1} profiles, {swept} preference profiles swept, {solved} solved")
     print(
         f"OK: {args.profiles} profiles / {swept} worker-preference "
-        f"combinations in {time.time() - start:.1f}s, all admit a stable matching"
+        f"combinations, {solved} solved, in {time.time() - start:.1f}s, "
+        "all admit a stable matching"
     )
 
 

@@ -85,7 +85,7 @@ def random_complementary_balanced_profile(
             continue
         space = 1
         for w in workers:
-            space *= len(worker_pref_options(_relevant_firms(chains, workers, w)))
+            space *= len(worker_pref_options(_relevant_firms(probe, w)))
         if space > sweep_cap:
             continue
         return chains

@@ -73,32 +73,56 @@ class Market:
     )
 
     def __post_init__(self):
+        self._check_firm_side()
+        self._check_worker_side()
+
+    def _check_firm_side(self):
+        """Identifiers, firm keys and every chain's workers."""
         if len(set(self.workers)) != len(self.workers):
             raise MarketError("duplicate worker identifiers")
         if len(set(self.firms)) != len(self.firms):
             raise MarketError("duplicate firm identifiers")
         if set(self.workers) & set(self.firms):
             raise MarketError("identifier used as both worker and firm")
-        wset, fset = set(self.workers), set(self.firms)
-        if set(self.worker_prefs) != wset:
-            raise MarketError("worker_prefs keys must match workers")
-        if set(self.firm_prefs) != fset:
+        if set(self.firm_prefs) != set(self.firms):
             raise MarketError("firm_prefs keys must match firms")
+        wset = set(self.workers)
+        for f, pref in self.firm_prefs.items():
+            for s in pref.chain:
+                for w in s:
+                    if w not in wset:
+                        raise MarketError(f"unknown worker {w} in chain of firm {f}")
+
+    def _check_worker_side(self):
+        """Worker keys and lists, then the rank table they induce."""
+        if set(self.worker_prefs) != set(self.workers):
+            raise MarketError("worker_prefs keys must match workers")
+        fset = set(self.firms)
         for w, lst in self.worker_prefs.items():
             if len(set(lst)) != len(lst):
                 raise MarketError(f"duplicate firm in preference list of {w}")
             for f in lst:
                 if f not in fset:
                     raise MarketError(f"unknown firm {f} in preference list of {w}")
-        for f, pref in self.firm_prefs.items():
-            for s in pref.chain:
-                for w in s:
-                    if w not in wset:
-                        raise MarketError(f"unknown worker {w} in chain of firm {f}")
         ranks = {
             w: {f: i for i, f in enumerate(lst)} for w, lst in self.worker_prefs.items()
         }
         object.__setattr__(self, "_worker_rank", ranks)
+
+    def with_worker_prefs(self, worker_prefs: dict[str, tuple[str, ...]]) -> "Market":
+        """This market with other worker lists.
+
+        Equal to ``Market(self.workers, self.firms, worker_prefs,
+        self.firm_prefs)`` and rejects the same worker lists, but the firm
+        side, already checked, is shared rather than checked again.
+        """
+        m = object.__new__(Market)
+        object.__setattr__(m, "workers", self.workers)
+        object.__setattr__(m, "firms", self.firms)
+        object.__setattr__(m, "worker_prefs", worker_prefs)
+        object.__setattr__(m, "firm_prefs", self.firm_prefs)
+        m._check_worker_side()
+        return m
 
     @staticmethod
     def build(
@@ -250,7 +274,17 @@ def find_block(mu: Matching, m: Market) -> BlockReport:
     ir = _ir_violations(mu, m, inv)
     if ir:
         return BlockReport(ir_violations=tuple(ir))
-    assignment = mu.assignment
+    return BlockReport(blocking=_first_block(m, mu.assignment, inv))
+
+
+def _first_block(
+    m: Market,
+    assignment: dict[str, Optional[str]],
+    inv: dict[Optional[str], frozenset[str]],
+) -> Optional[tuple[str, frozenset[str]]]:
+    """First blocking coalition of a total, individually rational
+    assignment in canonical order, or None; ``inv`` maps each firm to
+    its matched set (an unmatched firm may be absent)."""
     worker_rank = m._worker_rank
     for f in m.firms:
         current = inv.get(f, frozenset())
@@ -268,8 +302,8 @@ def find_block(mu: Matching, m: Market) -> BlockReport:
                 if not ranks.get(f, null + 1) < rg:
                     break
             else:
-                return BlockReport(blocking=(f, s))
-    return BlockReport()
+                return f, s
+    return None
 
 
 def is_stable(mu: Matching, m: Market) -> bool:

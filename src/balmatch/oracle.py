@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .market import FirmPreference, Market, Matching, acceptable_sets, is_stable
+from .market import FirmPreference, Market, Matching, is_stable
 from .solve import solve
 
 MAX_WORKERS = 10
@@ -44,14 +44,10 @@ def all_stable_matchings(m: Market, restrict: bool = True) -> list[Matching]:
     return [mu for mu in all_matchings(m, restrict) if is_stable(mu, m)]
 
 
-def _relevant_firms(firm_prefs: dict[str, FirmPreference], workers, w: str) -> list[str]:
-    base = Market(
-        workers=tuple(workers),
-        firms=tuple(firm_prefs),
-        worker_prefs={x: tuple(firm_prefs) for x in workers},
-        firm_prefs=firm_prefs,
-    )
-    return [f for f in firm_prefs if any(w in s for s in acceptable_sets(f, base))]
+def _relevant_firms(m: Market, w: str) -> list[str]:
+    """Firms with w in some acceptable set: the only ones whose place on
+    w's list can matter."""
+    return [f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)]
 
 
 def worker_pref_options(firms: list[str]) -> list[tuple[str, ...]]:
@@ -71,6 +67,7 @@ class SweepResult:
     checked: int
     sampled: bool
     counterexample: Optional[dict[str, tuple[str, ...]]] = None
+    solved: int = 0  # profiles no earlier matching settled, so ``solve`` ran
 
 
 def exists_for_all_worker_prefs(
@@ -87,11 +84,23 @@ def exists_for_all_worker_prefs(
     firm is unranked by a member can never match or block. The sweep
     therefore enumerates rankings over those firms only, truncations
     included, which covers all profiles up to irrelevant reshuffling.
+
+    The firm side is checked once, in a base market that every profile's
+    market shares. Each profile first tries the stable matchings found so
+    far in this call, most recently confirmed first, with the full
+    ``is_stable`` on its own market; only when none is stable does it call
+    the complete ``solve``, whose result is re-checked with ``is_stable``
+    and stored. So every settled profile is backed by a matching checked
+    stable on it, and a profile without one still reaches ``solve``.
     """
     workers = list(workers)
-    options = [
-        worker_pref_options(_relevant_firms(firm_prefs, workers, w)) for w in workers
-    ]
+    base = Market(
+        workers=tuple(workers),
+        firms=tuple(firm_prefs),
+        worker_prefs={w: () for w in workers},
+        firm_prefs=firm_prefs,
+    )
+    options = [worker_pref_options(_relevant_firms(base, w)) for w in workers]
     total = 1
     for opts in options:
         total *= len(opts)
@@ -100,38 +109,32 @@ def exists_for_all_worker_prefs(
             f"{total} worker preference profiles exceed the budget of {budget}; "
             "pass a sample size to proceed"
         )
-
-    def run(profile) -> Optional[SweepResult]:
-        prefs = dict(zip(workers, profile))
-        market = Market(
-            workers=tuple(workers),
-            firms=tuple(firm_prefs),
-            worker_prefs=prefs,
-            firm_prefs=firm_prefs,
-        )
-        result = solve(market, with_certificates=False)
-        if result.matching is None or not is_stable(result.matching, market):
-            return SweepResult(
-                ok=False, total=total, checked=checked, sampled=sample is not None,
-                counterexample=prefs,
-            )
-        return None
-
-    checked = 0
     if sample is None:
-        for profile in itertools.product(*options):
-            checked += 1
-            bad = run(profile)
-            if bad is not None:
-                return bad
+        profiles = itertools.product(*options)
     else:
         rng = random.Random(seed)
-        for _ in range(sample):
-            checked += 1
-            bad = run(tuple(rng.choice(opts) for opts in options))
-            if bad is not None:
-                return bad
-    return SweepResult(ok=True, total=total, checked=checked, sampled=sample is not None)
+        profiles = (tuple(rng.choice(opts) for opts in options) for _ in range(sample))
+    found: list[Matching] = []  # distinct: one is added only when all fail
+    checked = solved = 0
+    for profile in profiles:
+        checked += 1
+        market = base.with_worker_prefs(dict(zip(workers, profile)))
+        for i, mu in enumerate(found):
+            if is_stable(mu, market):
+                found.insert(0, found.pop(i))
+                break
+        else:
+            solved += 1
+            mu = solve(market, with_certificates=False).matching
+            if mu is None or not is_stable(mu, market):
+                return SweepResult(
+                    ok=False, total=total, checked=checked, sampled=sample is not None,
+                    counterexample=market.worker_prefs, solved=solved,
+                )
+            found.insert(0, mu)
+    return SweepResult(
+        ok=True, total=total, checked=checked, sampled=sample is not None, solved=solved
+    )
 
 
 def cyclic_market(n: int) -> Market:

@@ -23,7 +23,7 @@ from .fractional import (
     reduced_balance_check,
     verify_fractional_stability,
 )
-from .market import Market, Matching, acceptable_set_family, is_stable
+from .market import Market, Matching, _first_block, acceptable_set_family
 from .matrices import matrix_of_sets, is_balanced
 from .prefs import (
     decompose_by_sets,
@@ -72,24 +72,30 @@ def _direct_search(m: Market) -> Optional[Matching]:
             if all(f in m._worker_rank[w] for w in s)
         ]
         options.append((f, acc))
+    # every leaf is total and individually rational by construction, so
+    # it only needs the blocking scan, fed the inverse kept alongside
     assignment: dict[str, Optional[str]] = {w: None for w in m.workers}
+    inv: dict[Optional[str], frozenset[str]] = {}
     taken: set[str] = set()
 
     def rec(i: int) -> Optional[Matching]:
         if i == len(options):
-            mu = Matching(dict(assignment))
-            return mu if is_stable(mu, m) else None
+            if _first_block(m, assignment, inv) is None:
+                return Matching(dict(assignment))
+            return None
         f, acc = options[i]
         for s in acc:
             if s & taken:
                 continue
             for w in s:
                 assignment[w] = f
+            inv[f] = s
             taken.update(s)
             hit = rec(i + 1)
             if hit is not None:
                 return hit
             taken.difference_update(s)
+            del inv[f]
             for w in s:
                 assignment[w] = None
         return rec(i + 1)  # firm stays empty

@@ -163,6 +163,57 @@ class TestMarketValidation:
             Market.build(["x"], {"x": [{"x"}]}, {"x": []})
 
 
+class TestWithWorkerPrefs:
+    BASE = Market.build(
+        ["w1", "w2"], {"f1": [{"w1", "w2"}, {"w1"}], "f2": [{"w2"}]}, {"w1": ["f1"], "w2": []}
+    )
+
+    def _direct(self, base, prefs):
+        return Market(base.workers, base.firms, prefs, base.firm_prefs)
+
+    def test_equals_direct_construction(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            base = random_market(rng)
+            prefs = {
+                w: tuple(rng.sample(base.firms, rng.randint(0, len(base.firms))))
+                for w in base.workers
+            }
+            derived = base.with_worker_prefs(prefs)
+            direct = self._direct(base, prefs)
+            assert derived == direct
+            assert derived._worker_rank == direct._worker_rank
+            assert derived.firm_prefs is base.firm_prefs
+
+    @pytest.mark.parametrize(
+        "prefs",
+        [
+            {"w1": ("f1",)},  # a worker missing
+            {"w1": ("f1",), "w2": (), "w3": ()},  # an unknown worker
+            {"w1": ("f1", "f1"), "w2": ()},  # a firm listed twice
+            {"w1": ("f9",), "w2": ()},  # an unknown firm
+            {"w1": ("w2",), "w2": ()},  # a worker where a firm belongs
+        ],
+    )
+    def test_rejects_what_the_constructor_rejects(self, prefs):
+        base = self.BASE
+        before = (dict(base.worker_prefs), dict(base._worker_rank))
+        with pytest.raises(MarketError) as direct:
+            self._direct(base, prefs)
+        with pytest.raises(MarketError) as derived:
+            base.with_worker_prefs(prefs)
+        assert str(derived.value) == str(direct.value)
+        assert (base.worker_prefs, base._worker_rank) == before
+
+    def test_base_left_unchanged(self):
+        base = self.BASE
+        before = (dict(base.worker_prefs), dict(base._worker_rank))
+        derived = base.with_worker_prefs({"w1": ("f2", "f1"), "w2": ("f2",)})
+        assert derived.worker_weakly_prefers("w1", "f2", "f1")
+        assert (base.worker_prefs, base._worker_rank) == before
+        assert base.worker_weakly_prefers("w1", "f1", "f2")
+
+
 class TestChoice:
     def test_best_contained_set_wins(self, two_firms):
         assert choose("f1", {"w1", "w2", "w3"}, two_firms) == {"w1", "w2", "w3"}

@@ -1,16 +1,85 @@
+import itertools
 import random
 
 import pytest
 
-from balmatch.genrandom import MarketGenConfig, random_market
-from balmatch.market import FirmPreference, Market
+from balmatch.genrandom import (
+    MarketGenConfig,
+    random_complementary_balanced_profile,
+    random_market,
+)
+from balmatch.market import FirmPreference, Market, Matching, _first_block, acceptable_sets, is_stable
 from balmatch.oracle import (
     BudgetError,
+    SweepResult,
     all_stable_matchings,
     cyclic_market,
     exists_for_all_worker_prefs,
     worker_pref_options,
 )
+from balmatch.solve import solve
+
+TRIANGLE = {
+    "f1": FirmPreference.of({"w1", "w2"}),
+    "f2": FirmPreference.of({"w2", "w3"}),
+    "f3": FirmPreference.of({"w1", "w3"}),
+}
+
+
+def reference_sweep(firm_prefs, workers, budget=10_000_000, sample=None, seed=0):
+    """The sweep as it was: a fresh Market and a complete solve for every
+    profile, its result re-checked with is_stable."""
+    workers = list(workers)
+    options = []
+    for w in workers:
+        probe = Market(
+            workers=tuple(workers),
+            firms=tuple(firm_prefs),
+            worker_prefs={x: tuple(firm_prefs) for x in workers},
+            firm_prefs=firm_prefs,
+        )
+        relevant = [f for f in firm_prefs if any(w in s for s in acceptable_sets(f, probe))]
+        options.append(worker_pref_options(relevant))
+    total = 1
+    for opts in options:
+        total *= len(opts)
+    if total > budget and sample is None:
+        raise BudgetError(f"{total} profiles")
+
+    def run(profile, checked):
+        prefs = dict(zip(workers, profile))
+        market = Market(tuple(workers), tuple(firm_prefs), prefs, firm_prefs)
+        result = solve(market, with_certificates=False)
+        if result.matching is None or not is_stable(result.matching, market):
+            return SweepResult(False, total, checked, sample is not None, prefs)
+        return None
+
+    checked = 0
+    if sample is None:
+        for profile in itertools.product(*options):
+            checked += 1
+            bad = run(profile, checked)
+            if bad is not None:
+                return bad
+    else:
+        rng = random.Random(seed)
+        for _ in range(sample):
+            checked += 1
+            bad = run(tuple(rng.choice(opts) for opts in options), checked)
+            if bad is not None:
+                return bad
+    return SweepResult(True, total, checked, sample is not None)
+
+
+def _fields(r):
+    return (r.ok, r.total, r.checked, r.sampled, r.counterexample)
+
+
+def _assert_sweep_matches_reference(firm_prefs, workers, **kw):
+    r = exists_for_all_worker_prefs(firm_prefs, workers, **kw)
+    assert _fields(r) == _fields(reference_sweep(firm_prefs, workers, **kw))
+    assert 0 < r.solved <= r.checked
+    return r
 
 
 class TestEnumeration:
@@ -66,11 +135,7 @@ class TestPreferenceSweep:
         assert not r.sampled
 
     def test_triangle_profile_has_counterexample(self):
-        prefs = {
-            "f1": FirmPreference.of({"w1", "w2"}),
-            "f2": FirmPreference.of({"w2", "w3"}),
-            "f3": FirmPreference.of({"w1", "w3"}),
-        }
+        prefs = TRIANGLE
         r = exists_for_all_worker_prefs(prefs, ["w1", "w2", "w3"])
         assert not r.ok
         assert r.counterexample is not None
@@ -98,3 +163,70 @@ class TestPreferenceSweep:
         b = exists_for_all_worker_prefs(prefs, ["w1", "w2"], sample=50, seed=3)
         assert (a.ok, a.checked, a.counterexample) == (b.ok, b.checked, b.counterexample)
         assert a.sampled
+
+
+class TestSweepMatchesReference:
+    """The sweep settles profiles from matchings it already found and calls
+    solve only on a miss; its verdicts must be the per-profile solve's."""
+
+    @pytest.mark.parametrize("sample", [None, 40])
+    def test_balanced_complementary_profiles(self, sample):
+        rng = random.Random(8)
+        solved = checked = 0
+        for _ in range(25):
+            chains = random_complementary_balanced_profile(rng, max_firms=3, max_workers=4)
+            workers = sorted({w for p in chains.values() for s in p.chain for w in s})
+            r = _assert_sweep_matches_reference(chains, workers, sample=sample, seed=2)
+            assert r.ok
+            solved += r.solved
+            checked += r.checked
+        assert solved < checked  # stored matchings settled some profiles
+
+    @pytest.mark.parametrize("sample", [None, 30])
+    def test_random_firm_sides(self, sample):
+        rng = random.Random(19)
+        cfg = MarketGenConfig(max_workers=3, max_firms=3, max_chain=2, max_set=2)
+        verdicts = set()
+        for _ in range(120):
+            m = random_market(rng, cfg)
+            r = _assert_sweep_matches_reference(m.firm_prefs, m.workers, sample=sample, seed=4)
+            verdicts.add(r.ok)
+        assert verdicts == {True, False}  # some firm sides have no stable matching
+
+    @pytest.mark.parametrize("sample", [None, 25])
+    def test_triangle_and_five_cycle(self, sample):
+        _assert_sweep_matches_reference(TRIANGLE, ["w1", "w2", "w3"], sample=sample, seed=1)
+        m = cyclic_market(5)
+        r = _assert_sweep_matches_reference(m.firm_prefs, m.workers, sample=sample, seed=1)
+        if sample is None:
+            assert not r.ok  # the odd cycle's own worker lists are among the profiles
+
+    def test_stored_matching_no_longer_ir_is_rejected(self):
+        # f1 wants w3, else w1; f2 wants w2, else w1 and w3 together
+        prefs = {
+            "f1": FirmPreference.of({"w3"}, {"w1"}),
+            "f2": FirmPreference.of({"w2"}, {"w1", "w3"}),
+        }
+        workers = ("w1", "w2", "w3")
+        mu = Matching({"w1": None, "w2": "f2", "w3": "f1"})
+        early = Market(workers, tuple(prefs), {"w1": (), "w2": ("f2",), "w3": ("f1",)}, prefs)
+        late = {"w1": ("f1", "f2"), "w2": (), "w3": ("f2", "f1")}
+        late_market = early.with_worker_prefs(late)
+        # solve finds mu on the early profile, swept before the late one
+        assert solve(early, with_certificates=False).matching == mu
+        assert is_stable(mu, early)
+        # on the late lists nothing blocks mu, but w2 sits at a firm she no
+        # longer lists: only the IR half of is_stable rejects it, and the
+        # late profile has no stable matching at all
+        assert _first_block(late_market, mu.assignment, mu.inverse()) is None
+        assert not is_stable(mu, late_market)
+        assert not all_stable_matchings(late_market)
+        r = _assert_sweep_matches_reference(prefs, workers)
+        assert (r.ok, r.checked, r.counterexample) == (False, 35, late)
+
+    def test_solved_counts_only_misses(self):
+        prefs = {"f1": FirmPreference.of({"w1", "w2"})}
+        r = exists_for_all_worker_prefs(prefs, ["w1", "w2"])
+        # profiles: both silent, w2 lists f1, w1 lists f1, both list f1;
+        # the empty matching settles the first three, the last needs solve
+        assert (r.ok, r.checked, r.solved) == (True, 4, 2)

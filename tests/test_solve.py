@@ -5,13 +5,60 @@ import pytest
 
 from balmatch.fractional import FractionalError, FractionalMatching
 from balmatch.genrandom import MarketGenConfig, random_market
-from balmatch.market import is_stable
+from balmatch.market import Matching, is_stable
 from balmatch.oracle import all_stable_matchings
-from balmatch.solve import market_certificates, solve
+from balmatch.solve import _direct_search, market_certificates, solve
+
+from conftest import MARKET_FILES, load_market
 
 H = Fraction(1, 2)
 Z = Fraction(0)
 ONE = Fraction(1)
+
+
+def reference_direct_search(m):
+    """The direct search as it was: every leaf built as a Matching and
+    handed to the full is_stable."""
+    options = []
+    for f in m.firms:
+        acc = [
+            s
+            for s in m.firm_prefs[f].acceptable
+            if all(f in m._worker_rank[w] for w in s)
+        ]
+        options.append((f, acc))
+    assignment = {w: None for w in m.workers}
+    taken = set()
+
+    def rec(i):
+        if i == len(options):
+            mu = Matching(dict(assignment))
+            return mu if is_stable(mu, m) else None
+        f, acc = options[i]
+        for s in acc:
+            if s & taken:
+                continue
+            for w in s:
+                assignment[w] = f
+            taken.update(s)
+            hit = rec(i + 1)
+            if hit is not None:
+                return hit
+            taken.difference_update(s)
+            for w in s:
+                assignment[w] = None
+        return rec(i + 1)
+
+    return rec(0)
+
+
+def _assert_search_matches_reference(m):
+    mu = _direct_search(m)
+    ref = reference_direct_search(m)
+    assert (mu is None) == (ref is None)
+    if mu is not None:
+        assert mu.assignment == ref.assignment
+        assert is_stable(mu, m)
 
 
 class TestDirect:
@@ -46,6 +93,20 @@ class TestDirect:
             assert result.found == bool(stable)
             if result.found:
                 assert is_stable(result.matching, m)
+
+    @pytest.mark.parametrize("name", MARKET_FILES)
+    def test_search_matches_reference_on_corpus(self, name):
+        _assert_search_matches_reference(load_market(name))
+
+    def test_search_matches_reference_on_random_markets(self):
+        rng = random.Random(33)
+        cfg = MarketGenConfig(max_workers=6, max_firms=4)
+        found = 0
+        for _ in range(400):
+            m = random_market(rng, cfg)
+            _assert_search_matches_reference(m)
+            found += _direct_search(m) is not None
+        assert 0 < found < 400  # both outcomes occur
 
     def test_unknown_strategy_rejected(self, cyclic3):
         with pytest.raises(ValueError):
