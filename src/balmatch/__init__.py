@@ -26,7 +26,6 @@ from .prefs import (
     complementarity_witness,
     decompose_by_components,
     decompose_by_sets,
-    demand_type,
     is_additive,
     is_complementary,
     lift_matching,
@@ -45,7 +44,6 @@ from .hypergraphs import (
     HyperCycle,
     acceptable_set_hypergraph,
     check_hypergraph_balanced,
-    check_odd_cycle_condition,
     firm_worker_hypergraph,
 )
 from .fractional import (

@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
             print("error: pipeline strategy needs --fractional", file=sys.stderr)
             return EXIT_USAGE
         d = decompose_by_sets(m)
-        with open(args.fractional) as fh:
+        with open(args.fractional, encoding="utf-8") as fh:
             fm = formats.parse_fractional(fh.read(), d)
     try:
         result = solve(m, strategy=args.strategy, fractional=fm)
@@ -173,7 +173,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    with open(args.path) as fh:
+    with open(args.path, encoding="utf-8") as fh:
         text = fh.read()
     if args.path.endswith(".json"):
         t = formats.tree_from_json(text)
@@ -214,8 +214,15 @@ def _print_engagements(t) -> None:
 
 
 def _load_market(path: str) -> Market:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return formats.parse_market(fh.read())
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--firm-worker", action="store_true")
     p_check.add_argument("--complementary", action="store_true")
     p_check.add_argument("--additive", action="store_true")
-    p_check.add_argument("--cap", type=int, default=12)
+    p_check.add_argument("--cap", type=non_negative_int, default=12)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--validate", action="store_true")
     p_tree.add_argument("--matrix", action="store_true")
     p_tree.add_argument("--permute", action="store_true")
-    p_tree.add_argument("--cap", type=int, default=12)
+    p_tree.add_argument("--cap", type=non_negative_int, default=12)
     p_tree.add_argument("--json", action="store_true")
     p_tree.set_defaults(func=cmd_tree)
     return parser
@@ -265,10 +272,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (formats.ParseError,) as e:
+    except (formats.ParseError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (MarketError, FractionalError, TreeError) as e:

@@ -129,8 +129,3 @@ def _cycle(h: Hypergraph, rows: tuple[int, ...], cols: tuple[int, ...]) -> Hyper
         es.append(edge)
         (cur,) = edge[1] & (on - {cur})
     return HyperCycle(vertices=tuple(vs), edges=tuple(es))
-
-
-def check_odd_cycle_condition(h: Hypergraph) -> HypergraphCertificate:
-    """The acceptable-set form of the balanced-hypergraph check."""
-    return check_hypergraph_balanced(h)

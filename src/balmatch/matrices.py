@@ -1,17 +1,23 @@
 """Exact certification of 0-1 matrices: balanced, totally unimodular, totally balanced.
 
 All verdicts come with re-checkable witnesses (row/column index lists into
-the original matrix) and never use floating point. Searches are exhaustive
-up to a size cap on the reduced matrix; beyond the cap the verdict is
+the original matrix) and never use floating point. The three properties
+share one search: orders ascending, row subsets lexicographically, and for
+each row subset a filter on column weights and a column picker. Total
+unimodularity is decided by Camion's criterion, so a determinant is
+evaluated only for the FAIL witness. Searches are exhaustive up to a size
+cap (on the reduced matrix for balanced and totally balanced, on the
+matrix itself for totally unimodular); beyond the cap the verdict is
 INCONCLUSIVE, never a guess.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -180,18 +186,20 @@ def _reduce(m: ZeroOneMatrix) -> tuple[list[int], list[int]]:
     return rows, cols
 
 
-def _two_per_line_witness(
+def _row_subset_search(
     m: ZeroOneMatrix,
     rows: list[int],
     cols: list[int],
     orders: Iterable[int],
-    connected_only: bool,
+    keep: Callable[[int], bool],
+    pick: Callable[..., Optional[tuple[int, ...]]],
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """First k x k submatrix with exactly two 1s per row and column.
+    """First k x k submatrix that ``pick`` accepts.
 
-    Enumerates orders ascending, row subsets before column subsets,
-    lexicographically; the first hit is returned. With connected_only
-    the submatrix must additionally be a single cycle's incidence matrix.
+    Enumerates orders ascending, then row subsets lexicographically. For each
+    row subset the candidate columns are those whose weight on it passes
+    ``keep``; ``pick(cand, colmask, mask, k)`` returns the lexicographically
+    first accepted choice of k of them, or None. The first hit is returned.
     """
     colmask = {
         j: sum(1 << i for i, r in enumerate(rows) if m.entries[r][j]) for j in cols
@@ -201,18 +209,22 @@ def _two_per_line_witness(
             continue
         for rsub in itertools.combinations(range(len(rows)), k):
             mask = sum(1 << i for i in rsub)
-            cand = [j for j in cols if bin(colmask[j] & mask).count("1") == 2]
+            cand = [j for j in cols if keep((colmask[j] & mask).bit_count())]
             if len(cand) < k:
                 continue
-            hit = _pick_columns(rsub, cand, colmask, mask, k, connected_only)
+            hit = pick(cand, colmask, mask, k)
             if hit is not None:
                 return tuple(rows[i] for i in rsub), hit
     return None
 
 
-def _pick_columns(rsub, cand, colmask, mask, k, connected_only):
-    """Backtracking choice of k candidate columns covering each row exactly twice."""
-    need = {i: 2 for i in rsub}
+def _pick_two_per_line(cand, colmask, mask, k, connected_only):
+    """Backtracking choice of k candidate columns covering each row exactly twice.
+
+    With connected_only the submatrix must additionally be a single cycle's
+    incidence matrix.
+    """
+    need = {i: 2 for i in range(mask.bit_length()) if (mask >> i) & 1}
 
     def rec(start: int, chosen: list[int], remaining: int):
         if remaining == 0:
@@ -272,7 +284,8 @@ def _two_per_line_certificate(
             detail=f"reduced matrix is {len(rows)}x{len(cols)}, cap is {cap}",
         )
     orders = range(3, min(len(rows), len(cols)) + 1, step)
-    hit = _two_per_line_witness(m, rows, cols, orders, connected_only)
+    pick = functools.partial(_pick_two_per_line, connected_only=connected_only)
+    hit = _row_subset_search(m, rows, cols, orders, lambda w: w == 2, pick)
     if hit is None:
         return MatrixCertificate(property=prop, verdict=PASS)
     wr, wc = hit
@@ -300,8 +313,50 @@ def is_totally_balanced(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCerti
     )
 
 
+def _pick_camion(cand, colmask, mask, k):
+    """First k candidate columns, lexicographically, whose masks XOR to zero on
+    the row subset and that hold an odd number of columns of weight 2 (mod 4).
+
+    Failed (position, remaining, xor, parity) states are remembered, so equal
+    columns do not multiply the work.
+    """
+    masks = [colmask[j] & mask for j in cand]
+    twos = [x.bit_count() % 4 == 2 for x in masks]
+    if not any(twos):
+        return None
+    failed = set()
+
+    def rec(pos: int, remaining: int, xor: int, odd: bool):
+        if remaining == 0:
+            return () if xor == 0 and odd else None
+        state = (pos, remaining, xor, odd)
+        if len(cand) - pos < remaining or state in failed:
+            return None
+        hit = rec(pos + 1, remaining - 1, xor ^ masks[pos], odd ^ twos[pos])
+        if hit is not None:
+            return (cand[pos],) + hit
+        hit = rec(pos + 1, remaining, xor, odd)
+        if hit is None:
+            failed.add(state)
+        return hit
+
+    return rec(0, k, 0, False)
+
+
 def is_totally_unimodular(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
-    """Every square submatrix has determinant 0 or +-1, checked exactly."""
+    """Every square submatrix has determinant 0 or +-1, decided by Camion's criterion.
+
+    A 0-1 matrix is totally unimodular iff no square submatrix with even row
+    and column sums has entry sum 2 (mod 4) (Camion, Proc. AMS 1965;
+    Schrijver, Theory of Linear and Integer Programming, ch. 19). Searched
+    with orders ascending, the first such submatrix is minimally non-TU: its
+    determinant is +-2, so each of its lines holds at least two of its 1s. It
+    therefore lies in the reduced matrix, has order 3 or more and has no
+    column that is zero on its rows. At that order these submatrices are
+    exactly the ones with |det| >= 2, met in the same lexicographic order as
+    a scan of all minors, so the witness is the first non-TU minor. Only its
+    determinant is evaluated.
+    """
     nr, nc = m.shape
     if nr > cap or nc > cap:
         return MatrixCertificate(
@@ -309,19 +364,19 @@ def is_totally_unimodular(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCer
             verdict=INCONCLUSIVE,
             detail=f"matrix is {nr}x{nc}, cap is {cap}",
         )
-    for k in range(2, min(nr, nc) + 1):
-        for rsub in itertools.combinations(range(nr), k):
-            block = [m.entries[i] for i in rsub]
-            for csub in itertools.combinations(range(nc), k):
-                det = integer_determinant([[row[j] for j in csub] for row in block])
-                if abs(det) >= 2:
-                    return MatrixCertificate(
-                        property="totally unimodular",
-                        verdict=FAIL,
-                        witness_rows=rsub,
-                        witness_cols=csub,
-                        determinant=det,
-                        detail=f"submatrix of order {k} has determinant {det}",
-                        witness=m.submatrix(rsub, csub),
-                    )
-    return MatrixCertificate(property="totally unimodular", verdict=PASS)
+    rows, cols = _reduce(m)
+    orders = range(3, min(len(rows), len(cols)) + 1)
+    hit = _row_subset_search(m, rows, cols, orders, lambda w: w > 0 and w % 2 == 0, _pick_camion)
+    if hit is None:
+        return MatrixCertificate(property="totally unimodular", verdict=PASS)
+    wr, wc = hit
+    det = integer_determinant([[m.entries[i][j] for j in wc] for i in wr])
+    return MatrixCertificate(
+        property="totally unimodular",
+        verdict=FAIL,
+        witness_rows=wr,
+        witness_cols=wc,
+        determinant=det,
+        detail=f"submatrix of order {len(wr)} has determinant {det}",
+        witness=m.submatrix(wr, wc),
+    )

@@ -67,13 +67,6 @@ def potential_employees(f: str, m: Market) -> frozenset[str]:
     return frozenset(out)
 
 
-def _chain_workers(f: str, m: Market) -> frozenset[str]:
-    out: set[str] = set()
-    for s in m.firm_prefs[f].chain:
-        out |= s
-    return frozenset(out)
-
-
 def _switches(
     f: str, m: Market, pairs: Iterable[tuple[frozenset[str], frozenset[str]]]
 ) -> Iterator[tuple[frozenset[str], frozenset[str], str]]:
@@ -129,30 +122,6 @@ def is_additive(f: str, m: Market) -> bool:
         if not (a & b) and (a | b) not in accset:
             return False
     return True
-
-
-def demand_type(f: str, m: Market) -> set[tuple[int, ...]]:
-    """All nonzero choice-difference vectors over the market's worker order."""
-    m.require_firm(f)
-    ws = sorted(_chain_workers(f, m), key=m.workers.index)
-    index = {w: i for i, w in enumerate(m.workers)}
-    out: set[tuple[int, ...]] = set()
-    for r in range(len(ws) + 1):
-        for sub in itertools.combinations(ws, r):
-            s = frozenset(sub)
-            cs = choose(f, s, m)
-            rest = [w for w in ws if w not in s]
-            for r2 in range(1, len(rest) + 1):
-                for add in itertools.combinations(rest, r2):
-                    cs2 = choose(f, s | set(add), m)
-                    vec = [0] * len(m.workers)
-                    for w in cs2:
-                        vec[index[w]] += 1
-                    for w in cs:
-                        vec[index[w]] -= 1
-                    if any(vec):
-                        out.add(tuple(vec))
-    return out
 
 
 def complementarity_graph(f: str, m: Market) -> ComplementarityGraph:

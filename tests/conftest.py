@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from balmatch import formats
+from balmatch.market import Market
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -15,6 +16,21 @@ def load_market(name: str):
 
 def load_tree(name: str):
     return formats.parse_tree((CORPUS / name).read_text())
+
+
+def interval_market(n: int) -> Market:
+    """One firm per interval of length >= 2 on a line of n workers."""
+    ws = [f"w{i}" for i in range(1, n + 1)]
+    ivs = [ws[a:b] for a in range(n) for b in range(a + 2, n + 1)]
+    chains = {f"f{k}": [s] for k, s in enumerate(ivs, 1)}
+    prefs = {w: [f for f, (s,) in chains.items() if w in s] for w in ws}
+    return Market.build(ws, chains, prefs)
+
+
+def nested_market(n: int) -> Market:
+    """One firm whose chain is the nested prefixes of n workers, largest first."""
+    ws = [f"w{i}" for i in range(1, n + 1)]
+    return Market.build(ws, {"f1": [ws[:k] for k in range(n, 0, -1)]}, {w: ["f1"] for w in ws})
 
 
 @pytest.fixture

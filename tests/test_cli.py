@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import pathlib
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balmatch import formats
 from balmatch.market import choose
@@ -15,10 +19,11 @@ from balmatch.cli import (
 )
 
 
-def corpus(name):
-    import pathlib
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
-    return str(pathlib.Path(__file__).resolve().parent.parent / "corpus" / name)
+
+def corpus(name):
+    return str(CORPUS / name)
 
 
 class TestUsage:
@@ -37,6 +42,24 @@ class TestUsage:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.market", "--balanced"]) == EXIT_USAGE
+
+    def test_directory_is_a_usage_error(self, capsys):
+        assert main(["check", corpus(""), "--tu"]) == EXIT_USAGE
+        argv = ["solve", corpus("two_firms.market"), "--strategy", "pipeline", "--fractional", corpus("")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        for name, argv in (("bad.market", ["check", "--balanced"]), ("bad.tree", ["tree"])):
+            bad = tmp_path / name
+            bad.write_bytes(b'{"workers": ["w\xff"]}')
+            assert main(argv[:1] + [str(bad)] + argv[1:]) == EXIT_PARSE
+            assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_negative_cap_is_a_usage_error(self, capsys):
+        assert main(["check", corpus("cyclic3.market"), "--tu", "--cap", "-1"]) == EXIT_USAGE
+        assert main(["tree", corpus("ladder.tree"), "--matrix", "--cap", "-1"]) == EXIT_USAGE
+        assert main(["check", corpus("cyclic3.market"), "--tu", "--cap", "0"]) == EXIT_INCONCLUSIVE
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.market"
@@ -211,3 +234,45 @@ class TestTree:
         assert main(["tree", str(p), "--validate", "--json"]) == EXIT_PASS
         payload = json.loads(capsys.readouterr().out)
         assert payload["neighbour-condition"]["verdict"] == "PASS"
+
+
+ALL_CHECKS = ["--balanced", "--tu", "--totally-balanced", "--odd-cycles", "--firm-worker", "--complementary", "--additive"]
+LADDER_JSON = formats.tree_to_json(formats.parse_tree((CORPUS / "ladder.tree").read_text()))
+FUZZ_SOURCES = [
+    (p.suffix, p.read_bytes()) for p in sorted(CORPUS.iterdir()) if p.suffix in (".market", ".tree", ".frac")
+] + [(".json", LADDER_JSON.encode())]
+
+
+def _fuzz_argvs(path, suffix, as_json):
+    tail = ["--json"] if as_json else []
+    if suffix == ".market":
+        return [["check", path, *ALL_CHECKS, *tail], ["solve", path, *tail]]
+    if suffix == ".frac":
+        return [["solve", corpus("two_firms.market"), "--strategy", "pipeline", "--fractional", path, *tail]]
+    return [["tree", path, "--validate", "--matrix", "--permute", *tail]]
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """Random bytes, or a corpus file with a few bytes flipped and maybe truncated."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([".market", ".tree", ".json", ".frac"])), draw(st.binary(max_size=300))
+    suffix, data = draw(st.sampled_from(FUZZ_SOURCES))
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return suffix, bytes(data)
+
+
+@given(fuzz_inputs(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_cli_exit_codes_are_total(tmp_path_factory, case, as_json):
+    suffix, data = case
+    path = tmp_path_factory.mktemp("fuzz") / ("input" + suffix)
+    path.write_bytes(data)
+    for argv in _fuzz_argvs(str(path), suffix, as_json):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE, EXIT_PARSE), argv

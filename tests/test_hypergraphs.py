@@ -9,11 +9,11 @@ from balmatch.hypergraphs import (
     Hypergraph,
     acceptable_set_hypergraph,
     check_hypergraph_balanced,
-    check_odd_cycle_condition,
     firm_worker_hypergraph,
 )
-from balmatch.market import Market, acceptable_set_family
+from balmatch.market import acceptable_set_family
 from balmatch.matrices import is_balanced, matrix_of_sets
+from conftest import interval_market
 
 
 def brute_bad_odd_cycle(h):
@@ -43,17 +43,8 @@ def brute_shortest_bad_odd_cycle(h):
     return None
 
 
-def interval_market(n):
-    """One firm per interval of length >= 2 on a line of n workers."""
-    ws = [f"w{i}" for i in range(1, n + 1)]
-    ivs = [ws[a:b] for a in range(n) for b in range(a + 2, n + 1)]
-    chains = {f"f{k}": [s] for k, s in enumerate(ivs, 1)}
-    prefs = {w: [f for f, (s,) in chains.items() if w in s] for w in ws}
-    return Market.build(ws, chains, prefs)
-
-
 def assert_matches_brute_force(h):
-    cert = check_odd_cycle_condition(h)
+    cert = check_hypergraph_balanced(h)
     k = brute_shortest_bad_odd_cycle(h)
     assert cert.ok == (k is None)
     if not cert.ok:
@@ -113,18 +104,18 @@ class TestMarketHypergraphs:
 
 class TestOddCycleCondition:
     def test_triangle_of_pairs_fails(self, cyclic3):
-        cert = check_odd_cycle_condition(acceptable_set_hypergraph(cyclic3))
+        cert = check_hypergraph_balanced(acceptable_set_hypergraph(cyclic3))
         assert not cert.ok
         assert cert.cycle.length == 3
 
     def test_covering_triple_saves_triangle(self, triangle_tu):
         # the odd cycle through the pair sets includes a set holding all
         # three of its workers, so the condition holds
-        cert = check_odd_cycle_condition(acceptable_set_hypergraph(triangle_tu))
+        cert = check_hypergraph_balanced(acceptable_set_hypergraph(triangle_tu))
         assert cert.ok
 
     def test_fan_passes(self, fan):
-        assert check_odd_cycle_condition(acceptable_set_hypergraph(fan)).ok
+        assert check_hypergraph_balanced(acceptable_set_hypergraph(fan)).ok
 
     def test_firm_worker_clash_fails(self, singleton_clash):
         cert = check_hypergraph_balanced(firm_worker_hypergraph(singleton_clash))
@@ -134,7 +125,7 @@ class TestOddCycleCondition:
         assert set(cert.cycle.vertices) == {"f2", "w1", "w2"}
 
     def test_witness_recheck(self, any_market):
-        cert = check_odd_cycle_condition(acceptable_set_hypergraph(any_market))
+        cert = check_hypergraph_balanced(acceptable_set_hypergraph(any_market))
         if cert.ok:
             return
         c = cert.cycle
@@ -167,7 +158,7 @@ class TestOddCycleCondition:
 
     def test_seven_worker_intervals_pass(self):
         # 21 interval edges: an exhaustive cycle search here took minutes
-        assert check_odd_cycle_condition(acceptable_set_hypergraph(interval_market(7))).ok
+        assert check_hypergraph_balanced(acceptable_set_hypergraph(interval_market(7))).ok
 
     def test_consistent_with_matrix_balancedness(self):
         # a bad odd cycle in the acceptable-set hypergraph is exactly an
@@ -176,5 +167,5 @@ class TestOddCycleCondition:
         for _ in range(120):
             m = random_market(rng, MarketGenConfig(max_workers=4, max_firms=3))
             mat = matrix_of_sets(acceptable_set_family(m), m.workers)
-            hyper_ok = check_odd_cycle_condition(acceptable_set_hypergraph(m)).ok
+            hyper_ok = check_hypergraph_balanced(acceptable_set_hypergraph(m)).ok
             assert hyper_ok == is_balanced(mat).ok

@@ -4,10 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balmatch.market import acceptable_set_family
 from balmatch.matrices import (
+    DEFAULT_CAP,
     FAIL,
     INCONCLUSIVE,
     PASS,
+    MatrixCertificate,
     ZeroOneMatrix,
     integer_determinant,
     is_balanced,
@@ -15,6 +18,8 @@ from balmatch.matrices import (
     is_totally_unimodular,
     matrix_of_sets,
 )
+from balmatch.oracle import cyclic_market
+from conftest import MARKET_FILES, interval_market, load_market, nested_market
 
 
 def permanent_style_det(rows):
@@ -38,6 +43,57 @@ def permanent_style_det(rows):
 
 def random_01(rng, n, m):
     return [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+
+
+def labelled(entries):
+    return ZeroOneMatrix(
+        rows=tuple(f"r{i}" for i in range(len(entries))),
+        cols=tuple(f"c{j}" for j in range(len(entries[0]) if entries else 0)),
+        entries=tuple(tuple(r) for r in entries),
+    )
+
+
+def market_matrix(m):
+    return matrix_of_sets(acceptable_set_family(m), m.workers)
+
+
+def brute_totally_unimodular(m, cap=DEFAULT_CAP):
+    """Reference TU check: the determinant of every square submatrix, orders
+    ascending, then row and column subsets lexicographically."""
+    nr, nc = m.shape
+    if nr > cap or nc > cap:
+        return MatrixCertificate(
+            property="totally unimodular",
+            verdict=INCONCLUSIVE,
+            detail=f"matrix is {nr}x{nc}, cap is {cap}",
+        )
+    for k in range(2, min(nr, nc) + 1):
+        for rsub in itertools.combinations(range(nr), k):
+            block = [m.entries[i] for i in rsub]
+            for csub in itertools.combinations(range(nc), k):
+                det = integer_determinant([[row[j] for j in csub] for row in block])
+                if abs(det) >= 2:
+                    return MatrixCertificate(
+                        property="totally unimodular",
+                        verdict=FAIL,
+                        witness_rows=rsub,
+                        witness_cols=csub,
+                        determinant=det,
+                        detail=f"submatrix of order {k} has determinant {det}",
+                        witness=m.submatrix(rsub, csub),
+                    )
+    return MatrixCertificate(property="totally unimodular", verdict=PASS)
+
+
+def assert_same_as_all_minors(m):
+    """Camion's search and the all-minors scan give byte-identical certificates."""
+    cert, ref = is_totally_unimodular(m), brute_totally_unimodular(m)
+    assert repr(cert) == repr(ref)
+    assert cert.to_json() == ref.to_json()
+    assert cert.render() == ref.render()
+    if cert.verdict == FAIL:
+        assert abs(cert.determinant) == 2
+    return cert
 
 
 CYCLE3 = ZeroOneMatrix(
@@ -201,6 +257,32 @@ class TestTotallyUnimodular:
         )
         assert is_totally_unimodular(intervals).verdict == PASS
 
+    def test_cyclic_11_fails_at_order_11(self):
+        cert = is_totally_unimodular(market_matrix(cyclic_market(11)))
+        assert cert.verdict == FAIL
+        assert cert.witness_rows == cert.witness_cols == tuple(range(11))
+        assert cert.determinant == 2
+
+    def test_nested_chain_of_12_passes(self):
+        assert is_totally_unimodular(market_matrix(nested_market(12))).verdict == PASS
+
+    def test_sliding_window_10x10_passes(self):
+        # column j holds workers j .. j+3, cut off at the last worker
+        windows = labelled([[int(j <= i < j + 4) for j in range(10)] for i in range(10)])
+        assert is_totally_unimodular(windows).verdict == PASS
+
+    def test_all_ones_12x12_passes(self):
+        assert is_totally_unimodular(labelled([[1] * 12] * 12)).verdict == PASS
+
+    def test_cap_is_on_the_unreduced_matrix(self):
+        assert is_totally_unimodular(labelled([[1] * 12] * 3)).verdict == PASS
+        # the zero columns would be reduced away; the cap still counts them
+        padded = labelled([list(r) + [0] * 10 for r in CYCLE3.entries])
+        cert = is_totally_unimodular(padded)
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.detail == "matrix is 3x13, cap is 12"
+        assert is_totally_unimodular(padded, cap=13).verdict == FAIL
+
     def test_tu_implies_balanced(self):
         rng = random.Random(4)
         for _ in range(200):
@@ -252,3 +334,28 @@ def test_balanced_matches_brute_force(seed):
         entries=tuple(tuple(r) for r in entries),
     )
     assert is_balanced(mat).ok == brute_balanced(entries)
+
+
+class TestCamionMatchesAllMinors:
+    def test_random_matrices(self):
+        rng = random.Random(11)
+        verdicts = []
+        for _ in range(3000):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            density = rng.choice((0.3, 0.5, 0.7))
+            mat = labelled([[int(rng.random() < density) for _ in range(m)] for _ in range(n)])
+            verdicts.append(assert_same_as_all_minors(mat).verdict)
+        assert verdicts.count(FAIL) > 300 and verdicts.count(PASS) > 300
+
+    @pytest.mark.parametrize("name", MARKET_FILES)
+    def test_corpus_markets(self, name):
+        assert_same_as_all_minors(market_matrix(load_market(name)))
+
+    @pytest.mark.parametrize(
+        "market",
+        [cyclic_market(n) for n in range(3, 10)]
+        + [interval_market(4), interval_market(5), nested_market(8), nested_market(9)],
+        ids=[f"cyclic{n}" for n in range(3, 10)] + ["interval4", "interval5", "nested8", "nested9"],
+    )
+    def test_market_families(self, market):
+        assert_same_as_all_minors(market_matrix(market))

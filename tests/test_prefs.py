@@ -11,7 +11,6 @@ from balmatch.prefs import (
     complementarity_witness,
     decompose_by_components,
     decompose_by_sets,
-    demand_type,
     is_additive,
     is_complementary,
     lift_matching,
@@ -19,6 +18,7 @@ from balmatch.prefs import (
     primitive_acceptable_sets,
 )
 from balmatch.solve import solve
+from conftest import nested_market
 
 
 def brute_complementary(f, m):
@@ -87,12 +87,6 @@ def random_chain_firm(rng, max_workers=10, max_chain=10):
         if s not in chain:
             chain.append(s)
     return Market.build(ws, {"f": chain}, {w: ["f"] for w in ws})
-
-
-def nested_market(n):
-    """One firm whose chain is the nested prefixes of n workers, largest first."""
-    ws = [f"w{i}" for i in range(1, n + 1)]
-    return Market.build(ws, {"f1": [ws[:k] for k in range(n, 0, -1)]}, {w: ["f1"] for w in ws})
 
 
 def assert_witness(f, m, witness):
@@ -189,6 +183,29 @@ class TestAdditive:
             {"w1": [], "w2": []},
         )
         assert not is_additive("f1", m)
+
+
+def demand_type(f, m):
+    """All nonzero choice-difference vectors over the market's worker order,
+    from every pair of available sets S and S | T."""
+    ws = sorted({w for s in m.firm_prefs[f].chain for w in s}, key=m.workers.index)
+    index = {w: i for i, w in enumerate(m.workers)}
+    out = set()
+    for r in range(len(ws) + 1):
+        for sub in itertools.combinations(ws, r):
+            s = frozenset(sub)
+            cs = choose(f, s, m)
+            rest = [w for w in ws if w not in s]
+            for r2 in range(1, len(rest) + 1):
+                for add in itertools.combinations(rest, r2):
+                    vec = [0] * len(m.workers)
+                    for w in choose(f, s | set(add), m):
+                        vec[index[w]] += 1
+                    for w in cs:
+                        vec[index[w]] -= 1
+                    if any(vec):
+                        out.add(tuple(vec))
+    return out
 
 
 class TestDemandType:
