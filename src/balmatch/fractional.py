@@ -352,18 +352,11 @@ def integral_to_matching(fm: FractionalMatching, d: DecomposedMarket) -> Matchin
 
 
 def reduced_balance_check(cs: ConstraintSystem, cap: int = 12) -> MatrixCertificate:
-    """Balancedness of B restricted to the take-set columns.
+    """Balancedness of B, with witnesses indexing ``cs.matrix``.
 
-    Null and empty columns have a single 1 and the firm rows then keep a
-    single 1 as well, so the take-set columns over the worker rows decide
-    balancedness of the whole system.
+    The certificate's reduction drops the null and empty columns (a single
+    1 each) and then the firm rows, so the take-set columns over the worker
+    rows decide balancedness of the whole system, and the cap applies to
+    that core.
     """
-    if cs.empty:
-        return is_balanced(cs.matrix, cap)
-    take_cols = [
-        j for j, (kind, _) in enumerate(cs.column_meaning) if kind == "take"
-    ]
-    worker_rows = [
-        i for i, (kind, _) in enumerate(cs.row_meaning) if kind == "worker"
-    ]
-    return is_balanced(cs.matrix.submatrix(worker_rows, take_cols), cap)
+    return is_balanced(cs.matrix, cap)

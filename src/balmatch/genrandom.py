@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction  # noqa: F401  (re-exported convenience)
 
 from .market import FirmPreference, Market, acceptable_set_family, acceptable_sets
 from .matrices import is_balanced, matrix_of_sets
@@ -20,8 +19,10 @@ class MarketGenConfig:
     max_set: int = 3
 
 
-def random_market(rng: random.Random, cfg: MarketGenConfig = MarketGenConfig()) -> Market:
-    """An arbitrary small market: random chains, random truncated worker lists."""
+def _random_chains(
+    rng: random.Random, cfg: MarketGenConfig
+) -> tuple[list[str], list[str], dict[str, list[frozenset[str]]]]:
+    """Workers, firms and one chain of distinct random sets per firm."""
     nw = rng.randint(2, cfg.max_workers)
     nf = rng.randint(1, cfg.max_firms)
     workers = [f"w{i}" for i in range(1, nw + 1)]
@@ -37,9 +38,15 @@ def random_market(rng: random.Random, cfg: MarketGenConfig = MarketGenConfig()) 
                 seen.add(s)
                 chain.append(s)
         chains[f] = chain
+    return workers, firms, chains
+
+
+def random_market(rng: random.Random, cfg: MarketGenConfig = MarketGenConfig()) -> Market:
+    """An arbitrary small market: random chains, random truncated worker lists."""
+    workers, firms, chains = _random_chains(rng, cfg)
     worker_prefs = {}
     for w in workers:
-        listed = rng.sample(firms, rng.randint(0, nf))
+        listed = rng.sample(firms, rng.randint(0, len(firms)))
         worker_prefs[w] = tuple(listed)
     return Market.build(workers, chains, worker_prefs)
 
@@ -55,22 +62,10 @@ def random_complementary_balanced_profile(
     acceptable-set matrix, keeping the worker-preference sweep space small."""
     from .oracle import _relevant_firms, worker_pref_options
 
+    cfg = MarketGenConfig(max_workers=max_workers, max_firms=max_firms, max_chain=3, max_set=3)
     for _ in range(max_tries):
-        nw = rng.randint(2, max_workers)
-        nf = rng.randint(1, max_firms)
-        workers = [f"w{i}" for i in range(1, nw + 1)]
-        firms = [f"f{i}" for i in range(1, nf + 1)]
-        chains: dict[str, FirmPreference] = {}
-        for f in firms:
-            count = rng.randint(1, 3)
-            seen, chain = set(), []
-            for _ in range(count):
-                size = rng.randint(1, min(3, nw))
-                s = frozenset(rng.sample(workers, size))
-                if s not in seen:
-                    seen.add(s)
-                    chain.append(s)
-            chains[f] = FirmPreference(tuple(chain))
+        workers, firms, sets = _random_chains(rng, cfg)
+        chains = {f: FirmPreference(tuple(chain)) for f, chain in sets.items()}
         probe = Market(
             workers=tuple(workers),
             firms=tuple(firms),

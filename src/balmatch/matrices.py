@@ -2,21 +2,23 @@
 
 All verdicts come with re-checkable witnesses (row/column index lists into
 the original matrix) and never use floating point. The three properties
-share one search: orders ascending, row subsets lexicographically, and for
-each row subset a filter on column weights and a column picker. Total
-unimodularity is decided by Camion's criterion, so a determinant is
-evaluated only for the FAIL witness. Searches are exhaustive up to a size
-cap (on the reduced matrix for balanced and totally balanced, on the
-matrix itself for totally unimodular); beyond the cap the verdict is
-INCONCLUSIVE, never a guess.
+share one search and one column picker: orders ascending, row subsets
+lexicographically, and for each row subset the lexicographically first
+choice of distinct columns whose masks XOR to zero on it. They differ only
+in their column filter (two 1s on the row subset for balanced and totally
+balanced, a positive even number for totally unimodular), their orders
+(odd ones for balanced) and the parity rule of total unimodularity, which
+is decided by Camion's criterion, so a determinant is evaluated only for
+the FAIL witness. Searches are exhaustive up to a size cap (on the reduced
+matrix for balanced and totally balanced, on the matrix itself for totally
+unimodular); beyond the cap the verdict is INCONCLUSIVE, never a guess.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 PASS = "PASS"
@@ -192,100 +194,98 @@ def _row_subset_search(
     cols: list[int],
     orders: Iterable[int],
     keep: Callable[[int], bool],
-    pick: Callable[..., Optional[tuple[int, ...]]],
+    odd_twos: bool,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """First k x k submatrix that ``pick`` accepts.
+    """First k x k submatrix whose columns XOR to zero on its rows.
 
     Enumerates orders ascending, then row subsets lexicographically. For each
-    row subset the candidate columns are those whose weight on it passes
-    ``keep``; ``pick(cand, colmask, mask, k)`` returns the lexicographically
-    first accepted choice of k of them, or None. The first hit is returned.
+    row subset the candidates are the first column of each distinct mask on
+    it whose weight passes ``keep``; ``_pick`` returns the lexicographically
+    first k of them whose masks XOR to zero, holding an odd number of
+    columns of weight 2 (mod 4) when ``odd_twos``. The first hit is returned.
+
+    Keeping one column per mask loses no first witness. A minimal witness
+    never holds two equal columns (for total unimodularity its determinant
+    is +-2), and swapping in an earlier equal column gives a
+    lexicographically earlier witness.
+
+    With weight-2 columns, the XOR test finds the first cycle submatrix. The
+    distinct columns are the edges of a simple graph on the row subset, and
+    k of them XOR to zero exactly when they form an even-degree graph. Such
+    a graph holds a simple cycle of length 3 or more on at most k rows, odd
+    when k is odd, and that cycle is a cycle submatrix. So the smallest
+    order with a hit is the order of the smallest cycle submatrix (odd, if
+    only odd orders are searched), and every hit at that order is a single
+    cycle through all its rows.
     """
     colmask = {
         j: sum(1 << i for i, r in enumerate(rows) if m.entries[r][j]) for j in cols
     }
     for k in orders:
-        if k > len(rows) or k > len(cols):
-            continue
         for rsub in itertools.combinations(range(len(rows)), k):
             mask = sum(1 << i for i in rsub)
-            cand = [j for j in cols if keep((colmask[j] & mask).bit_count())]
-            if len(cand) < k:
+            first: dict[int, int] = {}
+            for j in cols:
+                x = colmask[j] & mask
+                if x not in first and keep(x.bit_count()):
+                    first[x] = j
+            if len(first) < k:
                 continue
-            hit = pick(cand, colmask, mask, k)
+            hit = _pick(list(first.values()), list(first), k, odd_twos)
             if hit is not None:
                 return tuple(rows[i] for i in rsub), hit
     return None
 
 
-def _pick_two_per_line(cand, colmask, mask, k, connected_only):
-    """Backtracking choice of k candidate columns covering each row exactly twice.
+def _pick(cand, masks, k, odd_twos):
+    """First k candidate columns, lexicographically, whose masks XOR to zero
+    and, with ``odd_twos``, that hold an odd number of weight 2 (mod 4).
 
-    With connected_only the submatrix must additionally be a single cycle's
-    incidence matrix.
+    Failed (position, remaining, xor, parity) states are remembered.
     """
-    need = {i: 2 for i in range(mask.bit_length()) if (mask >> i) & 1}
-
-    def rec(start: int, chosen: list[int], remaining: int):
-        if remaining == 0:
-            if all(v == 0 for v in need.values()):
-                if connected_only and not _single_cycle(chosen, colmask, mask):
-                    return None
-                return tuple(sorted(chosen))
-            return None
-        for pos in range(start, len(cand)):
-            j = cand[pos]
-            covered = [i for i in need if (colmask[j] >> i) & 1]
-            if any(need[i] == 0 for i in covered):
-                continue
-            for i in covered:
-                need[i] -= 1
-            chosen.append(j)
-            hit = rec(pos + 1, chosen, remaining - 1)
-            if hit is not None:
-                return hit
-            chosen.pop()
-            for i in covered:
-                need[i] += 1
+    twos = [odd_twos and x.bit_count() % 4 == 2 for x in masks]
+    if odd_twos and not any(twos):
         return None
+    failed = set()
 
-    return rec(0, [], k)
+    def rec(pos: int, remaining: int, xor: int, odd: bool):
+        if remaining == 0:
+            return () if xor == 0 and odd == odd_twos else None
+        state = (pos, remaining, xor, odd)
+        if len(cand) - pos < remaining or state in failed:
+            return None
+        hit = rec(pos + 1, remaining - 1, xor ^ masks[pos], odd ^ twos[pos])
+        if hit is not None:
+            return (cand[pos],) + hit
+        hit = rec(pos + 1, remaining, xor, odd)
+        if hit is None:
+            failed.add(state)
+        return hit
 
-
-def _single_cycle(cols_chosen, colmask, rowmask) -> bool:
-    """True iff the two-per-line submatrix is one connected cycle."""
-    adj: dict[int, list[int]] = {}
-    for j in cols_chosen:
-        covered = [i for i in range(rowmask.bit_length()) if (colmask[j] >> i) & 1 and (rowmask >> i) & 1]
-        a, b = covered
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(adj) == len(cols_chosen)
+    return rec(0, k, 0, False)
 
 
-def _two_per_line_certificate(
-    m: ZeroOneMatrix, cap: int, prop: str, step: int, connected_only: bool, detail: str
+def _certificate(
+    m: ZeroOneMatrix,
+    prop: str,
+    cap: int,
+    cap_reduced: bool,
+    step: int,
+    keep: Callable[[int], bool],
+    odd_twos: bool,
+    detail: str,
 ) -> MatrixCertificate:
-    """Search orders 3, 3 + step, ... of the reduced matrix; ``detail`` takes the order."""
+    """Search orders 3, 3 + step, ... of the reduced matrix; ``detail`` takes the order.
+
+    The cap applies to the reduced matrix when ``cap_reduced``, else to ``m``.
+    """
     rows, cols = _reduce(m)
-    if len(rows) > cap or len(cols) > cap:
-        return MatrixCertificate(
-            property=prop,
-            verdict=INCONCLUSIVE,
-            detail=f"reduced matrix is {len(rows)}x{len(cols)}, cap is {cap}",
-        )
+    nr, nc = (len(rows), len(cols)) if cap_reduced else m.shape
+    if nr > cap or nc > cap:
+        what = "reduced matrix" if cap_reduced else "matrix"
+        return MatrixCertificate(prop, INCONCLUSIVE, detail=f"{what} is {nr}x{nc}, cap is {cap}")
     orders = range(3, min(len(rows), len(cols)) + 1, step)
-    pick = functools.partial(_pick_two_per_line, connected_only=connected_only)
-    hit = _row_subset_search(m, rows, cols, orders, lambda w: w == 2, pick)
+    hit = _row_subset_search(m, rows, cols, orders, keep, odd_twos)
     if hit is None:
         return MatrixCertificate(property=prop, verdict=PASS)
     wr, wc = hit
@@ -301,46 +301,18 @@ def _two_per_line_certificate(
 
 def is_balanced(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
     """No odd-order square submatrix with exactly two 1s per row and column."""
-    return _two_per_line_certificate(
-        m, cap, "balanced", 2, False, "odd-order submatrix with two 1s per row and column, order {}"
+    return _certificate(
+        m, "balanced", cap, True, 2, lambda w: w == 2, False,
+        "odd-order submatrix with two 1s per row and column, order {}",
     )
 
 
 def is_totally_balanced(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
     """No submatrix equal to the incidence matrix of a cycle of length >= 3."""
-    return _two_per_line_certificate(
-        m, cap, "totally balanced", 1, True, "incidence matrix of a cycle of length {}"
+    return _certificate(
+        m, "totally balanced", cap, True, 1, lambda w: w == 2, False,
+        "incidence matrix of a cycle of length {}",
     )
-
-
-def _pick_camion(cand, colmask, mask, k):
-    """First k candidate columns, lexicographically, whose masks XOR to zero on
-    the row subset and that hold an odd number of columns of weight 2 (mod 4).
-
-    Failed (position, remaining, xor, parity) states are remembered, so equal
-    columns do not multiply the work.
-    """
-    masks = [colmask[j] & mask for j in cand]
-    twos = [x.bit_count() % 4 == 2 for x in masks]
-    if not any(twos):
-        return None
-    failed = set()
-
-    def rec(pos: int, remaining: int, xor: int, odd: bool):
-        if remaining == 0:
-            return () if xor == 0 and odd else None
-        state = (pos, remaining, xor, odd)
-        if len(cand) - pos < remaining or state in failed:
-            return None
-        hit = rec(pos + 1, remaining - 1, xor ^ masks[pos], odd ^ twos[pos])
-        if hit is not None:
-            return (cand[pos],) + hit
-        hit = rec(pos + 1, remaining, xor, odd)
-        if hit is None:
-            failed.add(state)
-        return hit
-
-    return rec(0, k, 0, False)
 
 
 def is_totally_unimodular(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
@@ -357,26 +329,11 @@ def is_totally_unimodular(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCer
     a scan of all minors, so the witness is the first non-TU minor. Only its
     determinant is evaluated.
     """
-    nr, nc = m.shape
-    if nr > cap or nc > cap:
-        return MatrixCertificate(
-            property="totally unimodular",
-            verdict=INCONCLUSIVE,
-            detail=f"matrix is {nr}x{nc}, cap is {cap}",
-        )
-    rows, cols = _reduce(m)
-    orders = range(3, min(len(rows), len(cols)) + 1)
-    hit = _row_subset_search(m, rows, cols, orders, lambda w: w > 0 and w % 2 == 0, _pick_camion)
-    if hit is None:
-        return MatrixCertificate(property="totally unimodular", verdict=PASS)
-    wr, wc = hit
-    det = integer_determinant([[m.entries[i][j] for j in wc] for i in wr])
-    return MatrixCertificate(
-        property="totally unimodular",
-        verdict=FAIL,
-        witness_rows=wr,
-        witness_cols=wc,
-        determinant=det,
-        detail=f"submatrix of order {len(wr)} has determinant {det}",
-        witness=m.submatrix(wr, wc),
+    cert = _certificate(
+        m, "totally unimodular", cap, False, 1, lambda w: w > 0 and w % 2 == 0, True, ""
     )
+    if cert.verdict != FAIL:
+        return cert
+    wr, wc = cert.witness_rows, cert.witness_cols
+    det = integer_determinant([[m.entries[i][j] for j in wc] for i in wr])
+    return replace(cert, determinant=det, detail=f"submatrix of order {len(wr)} has determinant {det}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .market import (
     FirmPreference,
@@ -154,22 +154,36 @@ def primitive_acceptable_sets(f: str, m: Market) -> list[frozenset[str]]:
     return out
 
 
-def _sibling_names(f: str, count: int) -> list[str]:
-    if count == 1:
-        return [f]
-    return [f"{f}#{k}" for k in range(1, count + 1)]
+def _split_firms(
+    m: Market, parts: Callable[[str], list[tuple[frozenset[str], ...]]], kind: str
+) -> DecomposedMarket:
+    """Replace every firm f by one sibling firm per chain in ``parts(f)``.
 
-
-def _splice_worker_prefs(
-    m: Market, replacement: dict[str, list[str]]
-) -> dict[str, tuple[str, ...]]:
-    out = {}
-    for w, lst in m.worker_prefs.items():
-        new: list[str] = []
-        for f in lst:
-            new.extend(replacement[f])
-        out[w] = tuple(new)
-    return out
+    Siblings keep the firm's old slot in each worker list, in the order of
+    ``parts(f)``. A firm with a single part keeps its name.
+    """
+    replacement: dict[str, list[str]] = {}
+    chains: dict[str, FirmPreference] = {}
+    origin: dict[str, tuple[str, int]] = {}
+    for f in m.firms:
+        chain_parts = parts(f)
+        if not chain_parts:
+            raise MarketError(f"firm {f} has no acceptable set")
+        count = len(chain_parts)
+        names = [f] if count == 1 else [f"{f}#{k}" for k in range(1, count + 1)]
+        replacement[f] = names
+        for k, (name, chain) in enumerate(zip(names, chain_parts), start=1):
+            if name in chains or (name != f and name in m.firm_prefs):
+                raise MarketError(f"decomposed firm name collides: {name}")
+            chains[name] = FirmPreference(chain)
+            origin[name] = (f, k)
+    worker_prefs = {
+        w: tuple(g for f in lst for g in replacement[f]) for w, lst in m.worker_prefs.items()
+    }
+    new = Market(
+        workers=m.workers, firms=tuple(chains), worker_prefs=worker_prefs, firm_prefs=chains
+    )
+    return DecomposedMarket(market=new, origin=origin, kind=kind)
 
 
 def decompose_by_sets(m: Market) -> DecomposedMarket:
@@ -179,27 +193,7 @@ def decompose_by_sets(m: Market) -> DecomposedMarket:
     their sets on the firm's chain. A firm with a single acceptable set
     keeps its name.
     """
-    replacement: dict[str, list[str]] = {}
-    chains: dict[str, FirmPreference] = {}
-    origin: dict[str, tuple[str, int]] = {}
-    for f in m.firms:
-        acc = acceptable_sets(f, m)
-        if not acc:
-            raise MarketError(f"firm {f} has no acceptable set")
-        names = _sibling_names(f, len(acc))
-        replacement[f] = names
-        for k, (name, s) in enumerate(zip(names, acc), start=1):
-            if name in chains or (name != f and name in m.firm_prefs):
-                raise MarketError(f"decomposed firm name collides: {name}")
-            chains[name] = FirmPreference((s,))
-            origin[name] = (f, k)
-    new = Market(
-        workers=m.workers,
-        firms=tuple(chains),
-        worker_prefs=_splice_worker_prefs(m, replacement),
-        firm_prefs=chains,
-    )
-    return DecomposedMarket(market=new, origin=origin, kind="decomposition-I")
+    return _split_firms(m, lambda f: [(s,) for s in acceptable_sets(f, m)], "decomposition-I")
 
 
 def decompose_by_components(m: Market) -> DecomposedMarket:
@@ -209,11 +203,9 @@ def decompose_by_components(m: Market) -> DecomposedMarket:
     that component, in the original chain order; components are ordered by
     their smallest worker (market order) so sibling order is deterministic.
     """
-    replacement: dict[str, list[str]] = {}
-    chains: dict[str, FirmPreference] = {}
-    origin: dict[str, tuple[str, int]] = {}
     windex = {w: i for i, w in enumerate(m.workers)}
-    for f in m.firms:
+
+    def parts(f: str) -> list[tuple[frozenset[str], ...]]:
         if not is_complementary(f, m):
             raise MarketError(f"firm {f} does not have a complementary preference")
         comps = sorted(
@@ -221,23 +213,9 @@ def decompose_by_components(m: Market) -> DecomposedMarket:
             key=lambda c: min(windex[w] for w in c),
         )
         acc = acceptable_sets(f, m)
-        names = _sibling_names(f, len(comps)) if comps else []
-        if not comps:
-            raise MarketError(f"firm {f} has no acceptable set")
-        replacement[f] = names
-        for k, (name, comp) in enumerate(zip(names, comps), start=1):
-            if name in chains or (name != f and name in m.firm_prefs):
-                raise MarketError(f"decomposed firm name collides: {name}")
-            sub = tuple(s for s in acc if s <= comp)
-            chains[name] = FirmPreference(sub)
-            origin[name] = (f, k)
-    new = Market(
-        workers=m.workers,
-        firms=tuple(chains),
-        worker_prefs=_splice_worker_prefs(m, replacement),
-        firm_prefs=chains,
-    )
-    return DecomposedMarket(market=new, origin=origin, kind="decomposition-II")
+        return [tuple(s for s in acc if s <= comp) for comp in comps]
+
+    return _split_firms(m, parts, "decomposition-II")
 
 
 def lift_matching(mu: Matching, d: DecomposedMarket) -> Matching:

@@ -228,11 +228,23 @@ class TestReducedBalanceCheck:
         cs = build_constraint_system(half_half, split)
         assert reduced_balance_check(cs).ok
 
-    def test_reduction_matches_full_matrix(self, half_half, split):
-        from balmatch.matrices import is_balanced
-
-        cs = build_constraint_system(half_half, split)
-        assert reduced_balance_check(cs).ok == is_balanced(cs.matrix).ok
+    def test_fail_witness_indexes_the_system_matrix(self, cyclic3):
+        # firm rows come first, so a witness into the worker x take core
+        # would name firm rows and empty columns of cs.matrix
+        d = decompose_by_sets(cyclic3)
+        fm = FractionalMatching(
+            levels={f: H for f in d.market.firms},
+            null_assignment={w: Z for w in d.market.workers},
+        )
+        cs = build_constraint_system(fm, d)
+        cert = reduced_balance_check(cs)
+        assert cert.verdict == "FAIL"
+        assert {cs.row_meaning[i][0] for i in cert.witness_rows} == {"worker"}
+        assert {cs.column_meaning[j][0] for j in cert.witness_cols} == {"take"}
+        sub = cs.matrix.submatrix(cert.witness_rows, cert.witness_cols)
+        assert sub == cert.witness
+        assert all(sum(row) == 2 for row in sub.entries)
+        assert all(sum(col) == 2 for col in zip(*sub.entries))
 
 
 class TestIntegralToMatching:

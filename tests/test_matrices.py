@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balmatch.hypergraphs import acceptable_set_hypergraph, firm_worker_hypergraph
 from balmatch.market import acceptable_set_family
 from balmatch.matrices import (
     DEFAULT_CAP,
@@ -12,6 +13,7 @@ from balmatch.matrices import (
     PASS,
     MatrixCertificate,
     ZeroOneMatrix,
+    _reduce,
     integer_determinant,
     is_balanced,
     is_totally_balanced,
@@ -308,18 +310,78 @@ class TestTotallyUnimodular:
                 assert is_balanced(mat).ok
 
 
-def brute_balanced(entries):
-    """Reference balancedness: scan every odd-order square submatrix."""
-    n, m = len(entries), len(entries[0]) if entries else 0
-    for k in range(3, min(n, m) + 1, 2):
-        for rsub in itertools.combinations(range(n), k):
-            for csub in itertools.combinations(range(m), k):
-                sub = [[entries[i][j] for j in csub] for i in rsub]
-                if all(sum(r) == 2 for r in sub) and all(
-                    sum(c) == 2 for c in zip(*sub)
-                ):
-                    return False
-    return True
+def one_cycle(sub):
+    """A square matrix with two 1s per row and column is one cycle iff a walk
+    from its first row comes back there only after crossing every column."""
+    k = len(sub)
+    row, col, steps = 0, sub[0].index(1), 0
+    while True:
+        row = next(i for i in range(k) if i != row and sub[i][col])
+        steps += 1
+        if row == 0:
+            return steps == k
+        col = next(j for j in range(k) if j != col and sub[row][j])
+
+
+def brute_two_per_line(m, cap, prop, step, cycle_only, detail):
+    """Reference search: orders 3, 3 + step, ..., then row and column subsets
+    lexicographically, for a submatrix with two 1s per row and column (and,
+    with cycle_only, a single cycle). The cap is on the reduced matrix."""
+    rows, cols = _reduce(m)
+    if len(rows) > cap or len(cols) > cap:
+        return MatrixCertificate(
+            property=prop,
+            verdict=INCONCLUSIVE,
+            detail=f"reduced matrix is {len(rows)}x{len(cols)}, cap is {cap}",
+        )
+    nr, nc = m.shape
+    # each row of such a submatrix holds two 1s, each column two on its rows
+    live = [i for i in range(nr) if sum(m.entries[i]) >= 2]
+    for k in range(3, min(nr, nc) + 1, step):
+        for rsub in itertools.combinations(live, k):
+            two = [j for j in range(nc) if sum(m.entries[i][j] for i in rsub) == 2]
+            for csub in itertools.combinations(two, k):
+                sub = [[m.entries[i][j] for j in csub] for i in rsub]
+                if all(sum(r) == 2 for r in sub) and (not cycle_only or one_cycle(sub)):
+                    return MatrixCertificate(
+                        property=prop,
+                        verdict=FAIL,
+                        witness_rows=rsub,
+                        witness_cols=csub,
+                        detail=detail.format(k),
+                        witness=m.submatrix(rsub, csub),
+                    )
+    return MatrixCertificate(property=prop, verdict=PASS)
+
+
+def brute_balanced(m, cap=DEFAULT_CAP):
+    return brute_two_per_line(
+        m, cap, "balanced", 2, False,
+        "odd-order submatrix with two 1s per row and column, order {}",
+    )
+
+
+def brute_totally_balanced(m, cap=DEFAULT_CAP):
+    return brute_two_per_line(
+        m, cap, "totally balanced", 1, True, "incidence matrix of a cycle of length {}"
+    )
+
+
+def assert_same_as_two_per_line_scan(m, cap=DEFAULT_CAP):
+    """The XOR picker and the two-per-line scan give byte-identical certificates."""
+    verdicts = []
+    for fast, slow in ((is_balanced, brute_balanced), (is_totally_balanced, brute_totally_balanced)):
+        cert, ref = fast(m, cap), slow(m, cap)
+        assert repr(cert) == repr(ref)
+        assert cert.to_json() == ref.to_json()
+        assert cert.render() == ref.render()
+        verdicts.append(cert.verdict)
+    return verdicts
+
+
+def hypergraph_matrices(market):
+    for h in (acceptable_set_hypergraph(market), firm_worker_hypergraph(market)):
+        yield matrix_of_sets((members for _, members in h.edges), h.vertices)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -327,13 +389,50 @@ def brute_balanced(entries):
 def test_balanced_matches_brute_force(seed):
     rng = random.Random(seed)
     n, m = rng.randint(1, 5), rng.randint(1, 5)
-    entries = random_01(rng, n, m)
-    mat = ZeroOneMatrix(
-        rows=tuple(f"r{i}" for i in range(n)),
-        cols=tuple(f"c{j}" for j in range(m)),
-        entries=tuple(tuple(r) for r in entries),
+    assert_same_as_two_per_line_scan(labelled(random_01(rng, n, m)))
+
+
+class TestXorPickerMatchesTwoPerLineScan:
+    def test_random_matrices(self):
+        rng = random.Random(12)
+        verdicts = []
+        for _ in range(2000):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            density = rng.choice((0.3, 0.5, 0.7))
+            mat = labelled([[int(rng.random() < density) for _ in range(m)] for _ in range(n)])
+            verdicts += assert_same_as_two_per_line_scan(mat, cap=rng.choice((4, DEFAULT_CAP)))
+        assert verdicts.count(FAIL) > 300 and verdicts.count(PASS) > 300
+        assert verdicts.count(INCONCLUSIVE) > 100
+
+    @pytest.mark.parametrize("name", MARKET_FILES)
+    def test_corpus_markets(self, name):
+        market = load_market(name)
+        assert_same_as_two_per_line_scan(market_matrix(market))
+        for mat in hypergraph_matrices(market):
+            assert_same_as_two_per_line_scan(mat, cap=max(mat.shape))
+
+    @pytest.mark.parametrize(
+        "market",
+        [cyclic_market(n) for n in range(3, 10)]
+        + [interval_market(4), interval_market(5), nested_market(8), nested_market(9)],
+        ids=[f"cyclic{n}" for n in range(3, 10)] + ["interval4", "interval5", "nested8", "nested9"],
     )
-    assert is_balanced(mat).ok == brute_balanced(entries)
+    def test_market_families(self, market):
+        assert_same_as_two_per_line_scan(market_matrix(market))
+        for mat in hypergraph_matrices(market):
+            assert_same_as_two_per_line_scan(mat, cap=max(mat.shape))
+
+    def test_disjoint_all_ones_blocks_pass(self):
+        # two 2x2 all-ones blocks: two per line, but two 2-cycles, not one cycle
+        blocks = labelled([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
+        assert is_totally_balanced(blocks).verdict == PASS
+        assert is_balanced(blocks).verdict == PASS
+
+    def test_duplicated_column_witness_uses_first_copy(self):
+        # CYCLE3 with a copy of its second column put first
+        dup = labelled([(r[1],) + r for r in CYCLE3.entries])
+        for check in (is_balanced, is_totally_balanced, is_totally_unimodular):
+            assert check(dup).witness_cols == (0, 1, 3)
 
 
 class TestCamionMatchesAllMinors:
