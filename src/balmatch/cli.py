@@ -2,6 +2,11 @@
 
 Exit codes: 0 pass/found, 1 fail with witness / no stable matching,
 2 inconclusive at the size cap, 64 usage error, 65 parse error.
+
+``check`` and ``tree`` are each driven by one table (``CHECKS``,
+``TREE_MODES``) of flag, report name and report builder; the parser takes
+the flags from the same table. Every report has ``verdict``, ``render()``
+and ``as_dict()``, and ``--json`` encodes all of a command's reports once.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import dataclass
 from typing import Optional
 
 from . import formats
@@ -20,7 +26,7 @@ from .hypergraphs import (
     firm_worker_hypergraph,
 )
 from .market import Market, MarketError, acceptable_set_family
-from .matrices import FAIL, INCONCLUSIVE, PASS, is_balanced, is_totally_balanced, is_totally_unimodular, matrix_of_sets
+from .matrices import DEFAULT_CAP, FAIL, INCONCLUSIVE, PASS, is_balanced, is_totally_balanced, is_totally_unimodular, matrix_of_sets
 from .prefs import complementarity_witness, decompose_by_components, decompose_by_sets, is_additive
 from .solve import solve
 from .techtree import TreeError, check_neighbour_condition, engagement, find_neighbour_ordering, worker_set_matrix
@@ -39,20 +45,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(reports: list[tuple[str, object]], as_json: bool):
+@dataclass(frozen=True)
+class _Plain:
+    """A verdict with free text, for reports that carry no certificate."""
+
+    verdict: str
+    detail: str = ""
+
+    def render(self) -> str:
+        return self.verdict if not self.detail else f"{self.verdict}\n{self.detail}"
+
+    def as_dict(self) -> dict:
+        return {"verdict": self.verdict, "detail": self.detail}
+
+
+def _emit(reports: list[tuple[str, object]], as_json: bool) -> int:
+    """Print the reports, as one JSON object or as ``[name]`` blocks, and
+    return the exit code: FAIL before INCONCLUSIVE before PASS."""
     if as_json:
-        payload = {}
-        for name, cert in reports:
-            payload[name] = json.loads(cert.to_json()) if hasattr(cert, "to_json") else cert
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({name: cert.as_dict() for name, cert in reports}, indent=2))
     else:
         for name, cert in reports:
-            rendered = cert.render() if hasattr(cert, "render") else str(cert)
             print(f"[{name}]")
-            print(rendered)
-
-
-def _verdict_exit(verdicts: list[str]) -> int:
+            print(cert.render())
+    verdicts = {cert.verdict for _, cert in reports}
     if FAIL in verdicts:
         return EXIT_FAIL
     if INCONCLUSIVE in verdicts:
@@ -60,62 +76,17 @@ def _verdict_exit(verdicts: list[str]) -> int:
     return EXIT_PASS
 
 
-def cmd_check(args) -> int:
-    m = _load_market(args.path)
-    cap = args.cap
-    reports: list[tuple[str, object]] = []
-    verdicts: list[str] = []
-    any_flag = False
-    if args.balanced or args.tu or args.totally_balanced:
-        sets_matrix = matrix_of_sets(acceptable_set_family(m), m.workers)
-    if args.balanced:
-        any_flag = True
-        cert = is_balanced(sets_matrix, cap)
-        reports.append(("balanced", cert))
-        verdicts.append(cert.verdict)
-    if args.tu:
-        any_flag = True
-        cert = is_totally_unimodular(sets_matrix, cap)
-        reports.append(("totally-unimodular", cert))
-        verdicts.append(cert.verdict)
-    if args.totally_balanced:
-        any_flag = True
-        cert = is_totally_balanced(sets_matrix, cap)
-        reports.append(("totally-balanced", cert))
-        verdicts.append(cert.verdict)
-    if args.odd_cycles:
-        any_flag = True
-        cert = check_hypergraph_balanced(acceptable_set_hypergraph(m))
-        reports.append(("odd-cycles", cert))
-        verdicts.append(cert.verdict)
-    if args.firm_worker:
-        any_flag = True
-        cert = check_hypergraph_balanced(firm_worker_hypergraph(m))
-        reports.append(("firm-worker", cert))
-        verdicts.append(cert.verdict)
-    if args.complementary:
-        any_flag = True
-        lines = [
-            _witness_line(f, m, *w)
-            for f in m.firms
-            if (w := complementarity_witness(f, m)) is not None
-        ]
-        verdict = PASS if not lines else FAIL
-        detail = "\n".join(lines)
-        reports.append(("complementary", _Plain(verdict, detail)))
-        verdicts.append(verdict)
-    if args.additive:
-        any_flag = True
-        bad = [f for f in m.firms if not is_additive(f, m)]
-        verdict = PASS if not bad else FAIL
-        detail = "" if not bad else f"non-additive firms: {', '.join(bad)}"
-        reports.append(("additive", _Plain(verdict, detail)))
-        verdicts.append(verdict)
-    if not any_flag:
-        print("error: no check selected", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(reports, args.json)
-    return _verdict_exit(verdicts)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _complementary(m: Market) -> _Plain:
+    lines = [
+        _witness_line(f, m, *w)
+        for f in m.firms
+        if (w := complementarity_witness(f, m)) is not None
+    ]
+    return _Plain(PASS if not lines else FAIL, "\n".join(lines))
 
 
 def _witness_line(f: str, m: Market, s: frozenset[str], x: str) -> str:
@@ -125,16 +96,33 @@ def _witness_line(f: str, m: Market, s: frozenset[str], x: str) -> str:
     return f"{f}: choose({{{inner}}}) is not a subset of choose({{{inner}}}+{x})"
 
 
-class _Plain:
-    def __init__(self, verdict: str, detail: str = ""):
-        self.verdict = verdict
-        self.detail = detail
+def _additive(m: Market) -> _Plain:
+    bad = [f for f in m.firms if not is_additive(f, m)]
+    return _Plain(PASS, "") if not bad else _Plain(FAIL, f"non-additive firms: {', '.join(bad)}")
 
-    def render(self) -> str:
-        return self.verdict if not self.detail else f"{self.verdict}\n{self.detail}"
 
-    def to_json(self) -> str:
-        return json.dumps({"verdict": self.verdict, "detail": self.detail})
+# (flag, report name, builder) in report order. Builders take the market, a
+# thunk for its acceptable-set matrix and the cap, and call the layers by
+# global name, so wrappers bound onto this module see every call.
+CHECKS = (
+    ("--balanced", "balanced", lambda m, sets, cap: is_balanced(sets(), cap)),
+    ("--tu", "totally-unimodular", lambda m, sets, cap: is_totally_unimodular(sets(), cap)),
+    ("--totally-balanced", "totally-balanced", lambda m, sets, cap: is_totally_balanced(sets(), cap)),
+    ("--odd-cycles", "odd-cycles", lambda m, sets, cap: check_hypergraph_balanced(acceptable_set_hypergraph(m))),
+    ("--firm-worker", "firm-worker", lambda m, sets, cap: check_hypergraph_balanced(firm_worker_hypergraph(m))),
+    ("--complementary", "complementary", lambda m, sets, cap: _complementary(m)),
+    ("--additive", "additive", lambda m, sets, cap: _additive(m)),
+)
+
+
+def cmd_check(args) -> int:
+    m = _load_market(args.path)
+    chosen = [check for check in CHECKS if getattr(args, _dest(check[0]))]
+    if not chosen:
+        print("error: no check selected", file=sys.stderr)
+        return EXIT_USAGE
+    sets = functools.cache(lambda: matrix_of_sets(acceptable_set_family(m), m.workers))
+    return _emit([(name, build(m, sets, args.cap)) for _, name, build in chosen], args.json)
 
 
 def cmd_solve(args) -> int:
@@ -172,6 +160,37 @@ def cmd_solve(args) -> int:
     return EXIT_PASS if result.found else EXIT_FAIL
 
 
+def _validate(t, args):
+    """The neighbour condition; in text mode its engagement lines print first."""
+    cert = check_neighbour_condition(t)
+    if not args.json:
+        print("# engagements:")
+        for w in t.workers():
+            edges = ", ".join(f"{a}->{b}" for a, b in engagement(w, t))
+            print(f"#   {w}: {edges}")
+    return cert
+
+
+def _matrix(t, args) -> _Plain:
+    mat = worker_set_matrix(t)
+    return _Plain(is_totally_balanced(mat, args.cap).verdict, mat.render())
+
+
+def _permute(t, args) -> _Plain:
+    reordered = find_neighbour_ordering(t)
+    if reordered is None:
+        return _Plain(FAIL, "no ordering passes")
+    return _Plain(PASS, formats.serialize_tree(reordered))
+
+
+# (flag, report name, builder) in report order; with no flag the first runs.
+TREE_MODES = (
+    ("--validate", "neighbour-condition", _validate),
+    ("--matrix", "worker-set-matrix", _matrix),
+    ("--permute", "permutation-search", _permute),
+)
+
+
 def cmd_tree(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         text = fh.read()
@@ -179,38 +198,8 @@ def cmd_tree(args) -> int:
         t = formats.tree_from_json(text)
     else:
         t = formats.parse_tree(text)
-    reports: list[tuple[str, object]] = []
-    verdicts: list[str] = []
-    if args.validate or not (args.matrix or args.permute):
-        cert = check_neighbour_condition(t)
-        reports.append(("neighbour-condition", cert))
-        verdicts.append(cert.verdict)
-        if not args.json:
-            _print_engagements(t)
-    if args.matrix:
-        mat = worker_set_matrix(t)
-        cert = is_totally_balanced(mat, args.cap)
-        reports.append(("worker-set-matrix", _Plain(cert.verdict, mat.render())))
-        verdicts.append(cert.verdict)
-    if args.permute:
-        reordered = find_neighbour_ordering(t)
-        if reordered is None:
-            reports.append(("permutation-search", _Plain(FAIL, "no ordering passes")))
-            verdicts.append(FAIL)
-        else:
-            reports.append(
-                ("permutation-search", _Plain(PASS, formats.serialize_tree(reordered)))
-            )
-            verdicts.append(PASS)
-    _emit(reports, args.json)
-    return _verdict_exit(verdicts)
-
-
-def _print_engagements(t) -> None:
-    print("# engagements:")
-    for w in t.workers():
-        edges = ", ".join(f"{a}->{b}" for a, b in engagement(w, t))
-        print(f"#   {w}: {edges}")
+    chosen = [mode for mode in TREE_MODES if getattr(args, _dest(mode[0]))] or TREE_MODES[:1]
+    return _emit([(name, build(t, args)) for _, name, build in chosen], args.json)
 
 
 def _load_market(path: str) -> Market:
@@ -229,19 +218,16 @@ def non_negative_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: ``parse_args`` returns a fresh
     namespace per call, so nothing carries over between commands."""
-    parser = _Parser(prog="balmatch", description=__doc__)
+    # --help shows the docstring's first two paragraphs: summary and exit codes
+    about = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
+    parser = _Parser(prog="balmatch", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="certify a market file")
     p_check.add_argument("path")
-    p_check.add_argument("--balanced", action="store_true")
-    p_check.add_argument("--tu", action="store_true")
-    p_check.add_argument("--totally-balanced", action="store_true")
-    p_check.add_argument("--odd-cycles", action="store_true")
-    p_check.add_argument("--firm-worker", action="store_true")
-    p_check.add_argument("--complementary", action="store_true")
-    p_check.add_argument("--additive", action="store_true")
-    p_check.add_argument("--cap", type=non_negative_int, default=12)
+    for flag, _, _ in CHECKS:
+        p_check.add_argument(flag, action="store_true")
+    p_check.add_argument("--cap", type=non_negative_int, default=DEFAULT_CAP)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
@@ -255,10 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tree = sub.add_parser("tree", help="validate a technology tree")
     p_tree.add_argument("path")
-    p_tree.add_argument("--validate", action="store_true")
-    p_tree.add_argument("--matrix", action="store_true")
-    p_tree.add_argument("--permute", action="store_true")
-    p_tree.add_argument("--cap", type=non_negative_int, default=12)
+    for flag, _, _ in TREE_MODES:
+        p_tree.add_argument(flag, action="store_true")
+    p_tree.add_argument("--cap", type=non_negative_int, default=DEFAULT_CAP)
     p_tree.add_argument("--json", action="store_true")
     p_tree.set_defaults(func=cmd_tree)
     return parser

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .market import Matching
-from .matrices import MatrixCertificate, ZeroOneMatrix, is_balanced, set_label
+from .matrices import DEFAULT_CAP, MatrixCertificate, ZeroOneMatrix, is_balanced, set_label
 from .prefs import DecomposedMarket
 
 ZERO = Fraction(0)
@@ -32,9 +32,6 @@ class FractionalMatching:
 
     levels: dict[str, Fraction]
     null_assignment: dict[str, Fraction]
-
-    def level(self, f: str) -> Fraction:
-        return self.levels[f]
 
     def is_integral(self) -> bool:
         vals = list(self.levels.values()) + list(self.null_assignment.values())
@@ -90,14 +87,6 @@ class StabilityReport:
     detail: str = ""
     # per worker type of the violating firm: the mass the firm could draw
     available: dict[str, Fraction] = None  # type: ignore[assignment]
-
-    def render(self) -> str:
-        if self.ok:
-            return "PASS"
-        lines = [f"FAIL: firm {self.firm} can draw every type it needs"]
-        for w, x in sorted((self.available or {}).items()):
-            lines.append(f"  type {w}: available mass {x}")
-        return "\n".join(lines)
 
 
 def verify_fractional_stability(
@@ -174,15 +163,6 @@ class ConstraintSystem:
     @property
     def empty(self) -> bool:
         return not self.column_meaning
-
-    def render(self) -> str:
-        if self.empty:
-            return "(empty system)"
-        body = self.matrix.render().splitlines()
-        lines = [body[0] + "  | rhs"]
-        for line, r in zip(body[1:], self.rhs):
-            lines.append(f"{line}  | {r}")
-        return "\n".join(lines)
 
 
 def build_constraint_system(
@@ -351,12 +331,12 @@ def integral_to_matching(fm: FractionalMatching, d: DecomposedMarket) -> Matchin
     return Matching(assignment)
 
 
-def reduced_balance_check(cs: ConstraintSystem, cap: int = 12) -> MatrixCertificate:
+def reduced_balance_check(cs: ConstraintSystem) -> MatrixCertificate:
     """Balancedness of B, with witnesses indexing ``cs.matrix``.
 
     The certificate's reduction drops the null and empty columns (a single
     1 each) and then the firm rows, so the take-set columns over the worker
-    rows decide balancedness of the whole system, and the cap applies to
-    that core.
+    rows decide balancedness of the whole system, and the default cap
+    applies to that core.
     """
-    return is_balanced(cs.matrix, cap)
+    return is_balanced(cs.matrix, DEFAULT_CAP)

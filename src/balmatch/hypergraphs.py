@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,12 +61,12 @@ class HypergraphCertificate:
     def ok(self) -> bool:
         return self.verdict == "PASS"
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         data = {"verdict": self.verdict}
         if self.cycle is not None:
             data["cycle_vertices"] = list(self.cycle.vertices)
             data["cycle_edges"] = [label for label, _ in self.cycle.edges]
-        return json.dumps(data, indent=2)
+        return data
 
     def render(self) -> str:
         if self.cycle is None:
@@ -86,16 +85,10 @@ def acceptable_set_hypergraph(m: Market) -> Hypergraph:
 
 
 def firm_worker_hypergraph(m: Market) -> Hypergraph:
-    """Firms and workers as vertices; one edge {f} | S per acceptable set."""
-    seen: set[frozenset[str]] = set()
-    edges = []
-    for f in m.firms:
-        for s in acceptable_sets(f, m):
-            members = s | {f}
-            if members not in seen:
-                seen.add(members)
-                edges.append((f + ":" + set_label(s), members))
-    return Hypergraph(vertices=m.firms + m.workers, edges=tuple(edges))
+    """Firms and workers as vertices; one edge {f} | S per acceptable set, all
+    distinct since a chain repeats no set and no firm is also a worker."""
+    edges = tuple((f + ":" + set_label(s), s | {f}) for f in m.firms for s in acceptable_sets(f, m))
+    return Hypergraph(vertices=m.firms + m.workers, edges=edges)
 
 
 def check_hypergraph_balanced(h: Hypergraph) -> HypergraphCertificate:

@@ -17,7 +17,6 @@ unimodular); beyond the cap the verdict is INCONCLUSIVE, never a guess.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
@@ -26,10 +25,6 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 DEFAULT_CAP = 12
-
-
-class CapExceeded(RuntimeError):
-    """Search budget exceeded; certification inconclusive at this cap."""
 
 
 @dataclass(frozen=True)
@@ -119,8 +114,8 @@ class MatrixCertificate:
     def ok(self) -> bool:
         return self.verdict == PASS
 
-    def to_json(self) -> str:
-        data = {
+    def as_dict(self) -> dict:
+        return {
             "property": self.property,
             "verdict": self.verdict,
             "witness_rows": list(self.witness_rows) if self.witness_rows else None,
@@ -128,7 +123,6 @@ class MatrixCertificate:
             "determinant": self.determinant,
             "detail": self.detail,
         }
-        return json.dumps(data, indent=2)
 
     def render(self) -> str:
         lines = [f"{self.property}: {self.verdict}"]
@@ -200,9 +194,10 @@ def _row_subset_search(
 
     Enumerates orders ascending, then row subsets lexicographically. For each
     row subset the candidates are the first column of each distinct mask on
-    it whose weight passes ``keep``; ``_pick`` returns the lexicographically
-    first k of them whose masks XOR to zero, holding an odd number of
-    columns of weight 2 (mod 4) when ``odd_twos``. The first hit is returned.
+    it whose weight passes ``keep`` (tabulated once per search); ``_pick``
+    returns the lexicographically first k of them whose masks XOR to zero,
+    holding an odd number of columns of weight 2 (mod 4) when ``odd_twos``.
+    The first hit is returned.
 
     Keeping one column per mask loses no first witness. A minimal witness
     never holds two equal columns (for total unimodularity its determinant
@@ -221,13 +216,14 @@ def _row_subset_search(
     colmask = {
         j: sum(1 << i for i, r in enumerate(rows) if m.entries[r][j]) for j in cols
     }
+    ok = [keep(w) for w in range(len(rows) + 1)]
     for k in orders:
         for rsub in itertools.combinations(range(len(rows)), k):
             mask = sum(1 << i for i in rsub)
             first: dict[int, int] = {}
             for j in cols:
                 x = colmask[j] & mask
-                if x not in first and keep(x.bit_count()):
+                if x not in first and ok[x.bit_count()]:
                     first[x] = j
             if len(first) < k:
                 continue

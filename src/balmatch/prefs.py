@@ -53,7 +53,6 @@ class DecomposedMarket:
 
     market: Market
     origin: dict[str, tuple[str, int]]  # new firm -> (original firm, 1-based index)
-    kind: str  # "decomposition-I" | "decomposition-II"
 
     def siblings(self, original: str) -> list[str]:
         return [f for f in self.market.firms if self.origin[f][0] == original]
@@ -155,7 +154,7 @@ def primitive_acceptable_sets(f: str, m: Market) -> list[frozenset[str]]:
 
 
 def _split_firms(
-    m: Market, parts: Callable[[str], list[tuple[frozenset[str], ...]]], kind: str
+    m: Market, parts: Callable[[str], list[tuple[frozenset[str], ...]]]
 ) -> DecomposedMarket:
     """Replace every firm f by one sibling firm per chain in ``parts(f)``.
 
@@ -183,7 +182,7 @@ def _split_firms(
     new = Market(
         workers=m.workers, firms=tuple(chains), worker_prefs=worker_prefs, firm_prefs=chains
     )
-    return DecomposedMarket(market=new, origin=origin, kind=kind)
+    return DecomposedMarket(market=new, origin=origin)
 
 
 def decompose_by_sets(m: Market) -> DecomposedMarket:
@@ -193,7 +192,7 @@ def decompose_by_sets(m: Market) -> DecomposedMarket:
     their sets on the firm's chain. A firm with a single acceptable set
     keeps its name.
     """
-    return _split_firms(m, lambda f: [(s,) for s in acceptable_sets(f, m)], "decomposition-I")
+    return _split_firms(m, lambda f: [(s,) for s in acceptable_sets(f, m)])
 
 
 def decompose_by_components(m: Market) -> DecomposedMarket:
@@ -215,7 +214,7 @@ def decompose_by_components(m: Market) -> DecomposedMarket:
         acc = acceptable_sets(f, m)
         return [tuple(s for s in acc if s <= comp) for comp in comps]
 
-    return _split_firms(m, parts, "decomposition-II")
+    return _split_firms(m, parts)
 
 
 def lift_matching(mu: Matching, d: DecomposedMarket) -> Matching:

@@ -24,7 +24,7 @@ from .fractional import (
     verify_fractional_stability,
 )
 from .market import Market, Matching, _first_block, acceptable_set_family
-from .matrices import matrix_of_sets, is_balanced
+from .matrices import DEFAULT_CAP, is_balanced, matrix_of_sets
 from .prefs import (
     decompose_by_sets,
     is_additive,
@@ -44,8 +44,8 @@ class SolveResult:
         return self.matching is not None
 
 
-def market_certificates(m: Market, cap: int = 12) -> dict[str, str]:
-    """Which of the sufficient conditions the market satisfies."""
+def market_certificates(m: Market) -> dict[str, str]:
+    """Which of the sufficient conditions the market satisfies, at the default cap."""
     primitive = list(
         dict.fromkeys(s for f in m.firms for s in primitive_acceptable_sets(f, m))
     )
@@ -53,10 +53,10 @@ def market_certificates(m: Market, cap: int = 12) -> dict[str, str]:
         "complementary": str(all(is_complementary(f, m) for f in m.firms)),
         "additive": str(all(is_additive(f, m) for f in m.firms)),
         "acceptable_sets_balanced": is_balanced(
-            matrix_of_sets(acceptable_set_family(m), m.workers), cap
+            matrix_of_sets(acceptable_set_family(m), m.workers), DEFAULT_CAP
         ).verdict,
         "primitive_sets_balanced": is_balanced(
-            matrix_of_sets(primitive, m.workers), cap
+            matrix_of_sets(primitive, m.workers), DEFAULT_CAP
         ).verdict,
     }
 

@@ -118,34 +118,45 @@ class NeighbourCertificate:
             return "PASS"
         return f"FAIL: worker {self.worker}: {self.detail}"
 
-    def to_json(self) -> str:
-        import json
+    def as_dict(self) -> dict:
+        return {"verdict": self.verdict, "worker": self.worker, "detail": self.detail}
 
-        return json.dumps(
-            {"verdict": self.verdict, "worker": self.worker, "detail": self.detail}
-        )
+
+def _engaged(w: str, t: TechnologyTree) -> tuple[list[str], list[int]]:
+    """The sorted vertices the worker's upgrades leave and, when there is
+    exactly one, the sorted positions of its engaged children there."""
+    eng = engagement(w, t)
+    sources = sorted({v for v, _ in eng})
+    if len(sources) != 1:
+        return sources, []
+    kids = t.children[sources[0]]
+    return sources, sorted(kids.index(c) for _, c in eng)
+
+
+def _first_gap(positions: list[int]) -> Optional[tuple[int, int, int]]:
+    """The first (lo, mid, hi) with mid missing between neighbours lo and hi
+    of the sorted, distinct positions; None when they are contiguous."""
+    for lo, hi in zip(positions, positions[1:]):
+        if hi > lo + 1:
+            return lo, lo + 1, hi
+    return None
 
 
 def check_neighbour_condition(t: TechnologyTree) -> NeighbourCertificate:
     """Every worker's upgrades come from one vertex and are contiguous there."""
     for w in t.workers():
-        eng = engagement(w, t)
-        sources = {v for v, _ in eng}
+        sources, positions = _engaged(w, t)
         if len(sources) > 1:
-            a, b = sorted(sources)[:2]
+            a, b = sources[:2]
             return NeighbourCertificate(
                 verdict="FAIL",
                 worker=w,
                 detail=f"engages in upgrades from distinct vertices {a} and {b}",
             )
-        if len(eng) <= 1:
-            continue
-        (v,) = sources
-        kids = t.children[v]
-        positions = sorted(kids.index(c) for _, c in eng)
         gap = _first_gap(positions)
         if gap is not None:
-            lo, mid, hi = gap
+            v, (lo, mid, hi) = sources[0], gap
+            kids = t.children[v]
             return NeighbourCertificate(
                 verdict="FAIL",
                 worker=w,
@@ -155,15 +166,6 @@ def check_neighbour_condition(t: TechnologyTree) -> NeighbourCertificate:
                 ),
             )
     return NeighbourCertificate(verdict="PASS")
-
-
-def _first_gap(positions: list[int]) -> Optional[tuple[int, int, int]]:
-    have = set(positions)
-    for lo, hi in zip(positions, positions[1:]):
-        for mid in range(lo + 1, hi):
-            if mid not in have:
-                return lo, mid, hi
-    return None
 
 
 MAX_PERMUTE_CHILDREN = 6
@@ -177,16 +179,13 @@ def find_neighbour_ordering(t: TechnologyTree) -> Optional[TechnologyTree]:
     two vertices rules out every ordering immediately. Otherwise each
     vertex is solved independently.
     """
-    per_vertex: dict[str, list[set[int]]] = {}
+    per_vertex: dict[str, list[list[int]]] = {}
     for w in t.workers():
-        eng = engagement(w, t)
-        sources = {v for v, _ in eng}
+        sources, positions = _engaged(w, t)
         if len(sources) > 1:
             return None
-        if len(eng) > 1:
-            (v,) = sources
-            kids = t.children[v]
-            per_vertex.setdefault(v, []).append({kids.index(c) for _, c in eng})
+        if len(positions) > 1:
+            per_vertex.setdefault(sources[0], []).append(positions)
     orders: dict[str, tuple[str, ...]] = {}
     for v, groups in per_vertex.items():
         kids = t.children[v]
@@ -198,17 +197,13 @@ def find_neighbour_ordering(t: TechnologyTree) -> Optional[TechnologyTree]:
         found = None
         for perm in itertools.permutations(range(len(kids))):
             pos = {orig: where for where, orig in enumerate(perm)}
-            if all(_contiguous({pos[i] for i in g}) for g in groups):
+            if all(_first_gap(sorted(pos[i] for i in g)) is None for g in groups):
                 found = tuple(kids[i] for i in perm)
                 break
         if found is None:
             return None
         orders[v] = found
     return t.reordered(orders)
-
-
-def _contiguous(positions: set[int]) -> bool:
-    return max(positions) - min(positions) + 1 == len(positions)
 
 
 def worker_set_matrix(t: TechnologyTree) -> ZeroOneMatrix:

@@ -236,7 +236,102 @@ class TestTree:
         assert payload["neighbour-condition"]["verdict"] == "PASS"
 
 
-ALL_CHECKS = ["--balanced", "--tu", "--totally-balanced", "--odd-cycles", "--firm-worker", "--complementary", "--additive"]
+class TestReportOrderAndText:
+    """Exact output of every report type: reports come in table order
+    whatever the flag order, and FAIL outranks INCONCLUSIVE in the exit code."""
+
+    CHECK_ARGV = [
+        "check", corpus("cyclic3.market"), "--additive", "--complementary", "--firm-worker",
+        "--odd-cycles", "--totally-balanced", "--tu", "--balanced", "--cap", "2",
+    ]
+    CHECK_TEXT = """\
+[balanced]
+balanced: INCONCLUSIVE
+reduced matrix is 3x3, cap is 2
+[totally-unimodular]
+totally unimodular: INCONCLUSIVE
+matrix is 3x3, cap is 2
+[totally-balanced]
+totally balanced: INCONCLUSIVE
+reduced matrix is 3x3, cap is 2
+[odd-cycles]
+FAIL
+odd cycle: (w1, {w1,w2}, w2, {w2,w3}, w3, {w1,w3})
+[firm-worker]
+FAIL
+odd cycle: (w1, f1:{w1,w2}, w2, f2:{w2,w3}, w3, f3:{w1,w3})
+[complementary]
+PASS
+[additive]
+PASS
+"""
+    CHECK_JSON = {
+        "balanced": {
+            "property": "balanced", "verdict": "INCONCLUSIVE", "witness_rows": None,
+            "witness_cols": None, "determinant": None, "detail": "reduced matrix is 3x3, cap is 2",
+        },
+        "totally-unimodular": {
+            "property": "totally unimodular", "verdict": "INCONCLUSIVE", "witness_rows": None,
+            "witness_cols": None, "determinant": None, "detail": "matrix is 3x3, cap is 2",
+        },
+        "totally-balanced": {
+            "property": "totally balanced", "verdict": "INCONCLUSIVE", "witness_rows": None,
+            "witness_cols": None, "determinant": None, "detail": "reduced matrix is 3x3, cap is 2",
+        },
+        "odd-cycles": {
+            "verdict": "FAIL", "cycle_vertices": ["w1", "w2", "w3"],
+            "cycle_edges": ["{w1,w2}", "{w2,w3}", "{w1,w3}"],
+        },
+        "firm-worker": {
+            "verdict": "FAIL", "cycle_vertices": ["w1", "w2", "w3"],
+            "cycle_edges": ["f1:{w1,w2}", "f2:{w2,w3}", "f3:{w1,w3}"],
+        },
+        "complementary": {"verdict": "PASS", "detail": ""},
+        "additive": {"verdict": "PASS", "detail": ""},
+    }
+    TREE_ARGV = ["tree", corpus("triangle.tree"), "--permute", "--matrix", "--validate"]
+    TREE_TEXT = """\
+# engagements:
+#   w1: v0->v1, v0->v3
+#   w2: v0->v1, v0->v2
+#   w3: v0->v2, v0->v3
+[neighbour-condition]
+FAIL: worker w1: upgrades v0->v1 and v0->v3 are separated by v0->v2
+[worker-set-matrix]
+FAIL
+    {w1,w2}  {w2,w3}  {w1,w3}
+w1        1        0        1
+w2        1        1        0
+w3        0        1        1
+[permutation-search]
+FAIL
+no ordering passes
+"""
+    TREE_JSON = {
+        "neighbour-condition": {
+            "verdict": "FAIL", "worker": "w1",
+            "detail": "upgrades v0->v1 and v0->v3 are separated by v0->v2",
+        },
+        "worker-set-matrix": {
+            "verdict": "FAIL",
+            "detail": "    {w1,w2}  {w2,w3}  {w1,w3}\nw1        1        0        1\n"
+            "w2        1        1        0\nw3        0        1        1",
+        },
+        "permutation-search": {"verdict": "FAIL", "detail": "no ordering passes"},
+    }
+
+    @pytest.mark.parametrize("which", ["CHECK", "TREE"])
+    def test_text(self, capsys, which):
+        assert main(getattr(self, which + "_ARGV")) == EXIT_FAIL
+        assert capsys.readouterr().out == getattr(self, which + "_TEXT")
+
+    @pytest.mark.parametrize("which", ["CHECK", "TREE"])
+    def test_json(self, capsys, which):
+        assert main(getattr(self, which + "_ARGV") + ["--json"]) == EXIT_FAIL
+        assert capsys.readouterr().out == json.dumps(getattr(self, which + "_JSON"), indent=2) + "\n"
+
+
+ALL_CHECKS =["--balanced", "--tu", "--totally-balanced", "--odd-cycles", "--firm-worker", "--complementary", "--additive"]
 LADDER_JSON = formats.tree_to_json(formats.parse_tree((CORPUS / "ladder.tree").read_text()))
 FUZZ_SOURCES = [
     (p.suffix, p.read_bytes()) for p in sorted(CORPUS.iterdir()) if p.suffix in (".market", ".tree", ".frac")

@@ -91,7 +91,7 @@ def assert_same_as_all_minors(m):
     """Camion's search and the all-minors scan give byte-identical certificates."""
     cert, ref = is_totally_unimodular(m), brute_totally_unimodular(m)
     assert repr(cert) == repr(ref)
-    assert cert.to_json() == ref.to_json()
+    assert cert.as_dict() == ref.as_dict()
     assert cert.render() == ref.render()
     if cert.verdict == FAIL:
         assert abs(cert.determinant) == 2
@@ -373,7 +373,7 @@ def assert_same_as_two_per_line_scan(m, cap=DEFAULT_CAP):
     for fast, slow in ((is_balanced, brute_balanced), (is_totally_balanced, brute_totally_balanced)):
         cert, ref = fast(m, cap), slow(m, cap)
         assert repr(cert) == repr(ref)
-        assert cert.to_json() == ref.to_json()
+        assert cert.as_dict() == ref.as_dict()
         assert cert.render() == ref.render()
         verdicts.append(cert.verdict)
     return verdicts
