@@ -14,7 +14,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--show-failures-only", action="store_true")
     args = parser.parse_args()
 
     rng = random.Random(args.seed)

@@ -52,6 +52,7 @@ from .fractional import (
     apply_stable_transformations,
     build_constraint_system,
     extract_integral_solution,
+    round_fractional,
     verify_fractional_stability,
 )
 from .solve import SolveResult, solve

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import formats
-from .fractional import FractionalError, IntegralExtractionError
+from .fractional import FractionalError, IntegralExtractionError, round_fractional
 from .hypergraphs import (
     acceptable_set_hypergraph,
     check_hypergraph_balanced,
@@ -28,7 +28,7 @@ from .hypergraphs import (
 from .market import Market, MarketError, acceptable_set_family
 from .matrices import DEFAULT_CAP, FAIL, INCONCLUSIVE, PASS, is_balanced, is_totally_balanced, is_totally_unimodular, matrix_of_sets
 from .prefs import complementarity_witness, decompose_by_components, decompose_by_sets, is_additive
-from .solve import solve
+from .solve import market_certificates, solve
 from .techtree import TreeError, check_neighbour_condition, engagement, find_neighbour_ordering, worker_set_matrix
 
 EXIT_PASS = 0
@@ -131,7 +131,6 @@ def cmd_solve(args) -> int:
         m = decompose_by_sets(m).market
     elif args.decompose == "components":
         m = decompose_by_components(m).market
-    fm = None
     if args.strategy == "pipeline":
         if not args.fractional:
             print("error: pipeline strategy needs --fractional", file=sys.stderr)
@@ -139,36 +138,29 @@ def cmd_solve(args) -> int:
         d = decompose_by_sets(m)
         with open(args.fractional, encoding="utf-8") as fh:
             fm = formats.parse_fractional(fh.read(), d)
-    try:
-        result = solve(m, strategy=args.strategy, fractional=fm)
-    except IntegralExtractionError as e:
-        print(f"no integral solution: {e}", file=sys.stderr)
-        print(e.certificate.render(), file=sys.stderr)
-        return EXIT_FAIL
+        certs = market_certificates(m)
+        try:
+            matching, cert = round_fractional(fm, d)
+        except IntegralExtractionError as e:
+            print(f"no integral solution: {e}", file=sys.stderr)
+            print(e.certificate.render(), file=sys.stderr)
+            return EXIT_FAIL
+        if cert is not None:
+            certs["constraint_system_balanced"] = cert.verdict
+    else:
+        result = solve(m)
+        matching, certs = result.matching, result.certificates
     if args.json:
         payload = {
-            "matching": None
-            if result.matching is None
-            else {w: f for w, f in result.matching.assignment.items()},
-            "certificates": result.certificates,
+            "matching": None if matching is None else dict(matching.assignment),
+            "certificates": certs,
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(formats.render_matching(result.matching, m))
-        for name, verdict in result.certificates.items():
+        print(formats.render_matching(matching, m))
+        for name, verdict in certs.items():
             print(f"# {name}: {verdict}")
-    return EXIT_PASS if result.found else EXIT_FAIL
-
-
-def _validate(t, args):
-    """The neighbour condition; in text mode its engagement lines print first."""
-    cert = check_neighbour_condition(t)
-    if not args.json:
-        print("# engagements:")
-        for w in t.workers():
-            edges = ", ".join(f"{a}->{b}" for a, b in engagement(w, t))
-            print(f"#   {w}: {edges}")
-    return cert
+    return EXIT_PASS if matching is not None else EXIT_FAIL
 
 
 def _matrix(t, args) -> _Plain:
@@ -185,7 +177,7 @@ def _permute(t, args) -> _Plain:
 
 # (flag, report name, builder) in report order; with no flag the first runs.
 TREE_MODES = (
-    ("--validate", "neighbour-condition", _validate),
+    ("--validate", "neighbour-condition", lambda t, args: check_neighbour_condition(t)),
     ("--matrix", "worker-set-matrix", _matrix),
     ("--permute", "permutation-search", _permute),
 )
@@ -199,7 +191,15 @@ def cmd_tree(args) -> int:
     else:
         t = formats.parse_tree(text)
     chosen = [mode for mode in TREE_MODES if getattr(args, _dest(mode[0]))] or TREE_MODES[:1]
-    return _emit([(name, build(t, args)) for _, name, build in chosen], args.json)
+    reports = [(name, build(t, args)) for _, name, build in chosen]
+    # in text mode the neighbour condition's engagement lines print first,
+    # once every report is built, so a usage error leaves stdout empty
+    if not args.json and TREE_MODES[0] in chosen:
+        print("# engagements:")
+        for w in t.workers():
+            edges = ", ".join(f"{a}->{b}" for a, b in engagement(w, t))
+            print(f"#   {w}: {edges}")
+    return _emit(reports, args.json)
 
 
 def _load_market(path: str) -> Market:

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .fractional import FractionalMatching
+from .fractional import FractionalMatching, _unique_set
 from .market import Market, MarketError, Matching
 from .prefs import DecomposedMarket
 from .techtree import TechnologyTree, TreeError
@@ -113,7 +113,7 @@ def parse_fractional(text: str, d: DecomposedMarket) -> FractionalMatching:
         )
     levels = {}
     for f, row in rows.items():
-        target = d.market.firm_prefs[f].chain[0]
+        target = _unique_set(d, f)
         vals = {row[w] for w in target}
         if len(vals) != 1:
             raise ParseError(f"row {f} is not a single scale of its acceptable set")
@@ -132,7 +132,7 @@ def serialize_fractional(fm: FractionalMatching, d: DecomposedMarket) -> str:
 
     lines = ["".ljust(width) + "".join(w.rjust(width) for w in workers)]
     for f in d.market.firms:
-        target = d.market.firm_prefs[f].chain[0]
+        target = _unique_set(d, f)
         row = [fmt(fm.levels[f]) if w in target else "0" for w in workers]
         lines.append(f.ljust(width) + "".join(x.rjust(width) for x in row))
     lines.append(

@@ -6,6 +6,9 @@ therefore a level per firm plus an unmatched share per worker type, all
 exact rationals. Rounding goes through a 0-1 constraint system whose
 feasible 0/1 points are exactly the stability-preserving integral
 re-assignments.
+
+``round_fractional`` runs the whole route: verify once, round, lift back
+to the market the firms were split from, and re-check that matching.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .market import Matching
+from .market import Matching, find_block
 from .matrices import DEFAULT_CAP, MatrixCertificate, ZeroOneMatrix, is_balanced, set_label
-from .prefs import DecomposedMarket
+from .prefs import DecomposedMarket, lift_matching
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -108,13 +111,12 @@ def verify_fractional_stability(
                 raise FractionalError(
                     f"worker {w} mass is {worker_mass(fm, d, w)}, expected 1"
                 )
-    rank = {w: {f: i for i, f in enumerate(m.worker_prefs[w])} for w in m.workers}
     # (a) individual rationality: positive level only at firms acceptable
     # to every type they hire.
     for f in m.firms:
         if fm.levels[f] > 0:
             for w in _unique_set(d, f):
-                if f not in rank[w]:
+                if not m.worker_weakly_prefers(w, f, None):
                     return StabilityReport(
                         ok=False,
                         firm=f,
@@ -128,14 +130,14 @@ def verify_fractional_stability(
         target = _unique_set(d, f)
         avail: dict[str, Fraction] = {}
         for w in target:
-            if f not in rank[w]:
+            if not m.worker_weakly_prefers(w, f, None):
                 avail[w] = ZERO
                 continue
             mass = fm.null_assignment[w]
             for g in m.firms:
                 if g == f or w not in _unique_set(d, g):
                     continue
-                if rank[w].get(g, len(rank[w]) + 1) > rank[w][f]:
+                if m.worker_weakly_prefers(w, f, g):  # g is strictly worse
                     mass += fm.levels[g]
             avail[w] = mass
         if target and min(avail.values()) > 0:
@@ -174,7 +176,7 @@ def build_constraint_system(
     integral contributions."""
     report = verify_fractional_stability(fm, d)
     if not report.ok:
-        raise FractionalError(f"input is not a stable fractional matching: {report.detail}")
+        raise FractionalError(f"fractional input is not stable: {report.detail}")
     m = d.market
     frac_firms = [f for f in m.firms if ZERO < fm.levels[f] < ONE]
     frac_null = [w for w in m.workers if ZERO < fm.null_assignment[w] < ONE]
@@ -298,20 +300,17 @@ def apply_stable_transformations(
     fractional unmatched share to its selected quantity."""
     if len(z) != len(cs.column_meaning):
         raise FractionalError("solution length does not match the system")
-    _check_solution(cs, z)
-    out = fm
-    for value, (kind, who) in zip(z, cs.column_meaning):
-        if kind == "take":
-            out = out.with_level(who, ONE if value else ZERO)
-        elif kind == "null":
-            out = out.with_null(who, ONE if value else ZERO)
-    return out
-
-
-def _check_solution(cs: ConstraintSystem, z: tuple[int, ...]):
     for row, target in zip(cs.matrix.entries, cs.rhs):
         if sum(a * b for a, b in zip(row, z)) != target:
             raise FractionalError("vector does not solve the constraint system")
+    levels = dict(fm.levels)
+    null_assignment = dict(fm.null_assignment)
+    for value, (kind, who) in zip(z, cs.column_meaning):
+        if kind == "take":
+            levels[who] = ONE if value else ZERO
+        elif kind == "null":
+            null_assignment[who] = ONE if value else ZERO
+    return FractionalMatching(levels=levels, null_assignment=null_assignment)
 
 
 def integral_to_matching(fm: FractionalMatching, d: DecomposedMarket) -> Matching:
@@ -340,3 +339,29 @@ def reduced_balance_check(cs: ConstraintSystem) -> MatrixCertificate:
     applies to that core.
     """
     return is_balanced(cs.matrix, DEFAULT_CAP)
+
+
+def round_fractional(
+    fm: FractionalMatching, d: DecomposedMarket
+) -> tuple[Matching, Optional[MatrixCertificate]]:
+    """Round a stable fractional matching of ``d`` and lift it to ``d.original``.
+
+    Returns the lifted matching and the constraint system's balancedness
+    certificate (None for an integral input, whose system is empty).
+    ``FractionalError`` if the input or the lifted matching is unstable
+    (two siblings matched at once can leave a firm holding a set it would
+    not choose), ``IntegralExtractionError`` if the system has no 0/1 point.
+    """
+    cs = build_constraint_system(fm, d)
+    cert = None if cs.empty else reduced_balance_check(cs)
+    z = extract_integral_solution(cs)
+    integral = apply_stable_transformations(fm, z, cs)
+    mu = lift_matching(integral_to_matching(integral, d), d)
+    report = find_block(mu, d.original)
+    if report.ir_violations:
+        who, why = report.ir_violations[0]
+        raise FractionalError(f"lifted matching is not individually rational: {who}: {why}")
+    if report.blocking is not None:
+        f, s = report.blocking
+        raise FractionalError(f"lifted matching is blocked by {f} with {set_label(s)}")
+    return mu, cert

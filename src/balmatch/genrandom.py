@@ -51,19 +51,20 @@ def random_market(rng: random.Random, cfg: MarketGenConfig = MarketGenConfig()) 
     return Market.build(workers, chains, worker_prefs)
 
 
+# caps on a sample's worker-preference sweep space and on rejection draws
+SWEEP_CAP = 2000
+MAX_TRIES = 2000
+
+
 def random_complementary_balanced_profile(
-    rng: random.Random,
-    max_firms: int = 4,
-    max_workers: int = 5,
-    sweep_cap: int = 2000,
-    max_tries: int = 2000,
+    rng: random.Random, max_firms: int = 4, max_workers: int = 5
 ) -> dict[str, FirmPreference]:
     """Rejection-sample a firm profile that is complementary with a balanced
     acceptable-set matrix, keeping the worker-preference sweep space small."""
     from .oracle import _relevant_firms, worker_pref_options
 
     cfg = MarketGenConfig(max_workers=max_workers, max_firms=max_firms, max_chain=3, max_set=3)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         workers, firms, sets = _random_chains(rng, cfg)
         chains = {f: FirmPreference(tuple(chain)) for f, chain in sets.items()}
         probe = Market(
@@ -81,7 +82,7 @@ def random_complementary_balanced_profile(
         space = 1
         for w in workers:
             space *= len(worker_pref_options(_relevant_firms(probe, w)))
-        if space > sweep_cap:
+        if space > SWEEP_CAP:
             continue
         return chains
     raise RuntimeError("could not sample a qualifying profile")

@@ -53,6 +53,7 @@ class DecomposedMarket:
 
     market: Market
     origin: dict[str, tuple[str, int]]  # new firm -> (original firm, 1-based index)
+    original: Market  # the market whose firms were split
 
     def siblings(self, original: str) -> list[str]:
         return [f for f in self.market.firms if self.origin[f][0] == original]
@@ -182,7 +183,7 @@ def _split_firms(
     new = Market(
         workers=m.workers, firms=tuple(chains), worker_prefs=worker_prefs, firm_prefs=chains
     )
-    return DecomposedMarket(market=new, origin=origin)
+    return DecomposedMarket(market=new, origin=origin, original=m)
 
 
 def decompose_by_sets(m: Market) -> DecomposedMarket:

@@ -1,11 +1,9 @@
-"""End-to-end stable-matching computation.
+"""End-to-end stable-matching computation by direct search.
 
-Two strategies. ``direct`` is a complete backtracking search: every firm
-takes one of its acceptable sets or nothing, sets pairwise disjoint, and
-the first selection whose induced matching is stable wins (a stable
-matching always has this shape, so exhausting the space proves
-nonexistence). ``pipeline`` rounds a user-supplied stable fractional
-matching into a stable integral one and lifts it back.
+``solve`` is a complete backtracking search: every firm takes one of its
+acceptable sets or nothing, sets pairwise disjoint, and the first
+selection whose induced matching is stable wins (a stable matching always
+has this shape, so exhausting the space proves nonexistence).
 """
 
 from __future__ import annotations
@@ -13,25 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .fractional import (
-    FractionalError,
-    FractionalMatching,
-    apply_stable_transformations,
-    build_constraint_system,
-    extract_integral_solution,
-    integral_to_matching,
-    reduced_balance_check,
-    verify_fractional_stability,
-)
 from .market import Market, Matching, _first_block, acceptable_set_family
 from .matrices import DEFAULT_CAP, is_balanced, matrix_of_sets
-from .prefs import (
-    decompose_by_sets,
-    is_additive,
-    is_complementary,
-    lift_matching,
-    primitive_acceptable_sets,
-)
+from .prefs import is_additive, is_complementary, primitive_acceptable_sets
 
 
 @dataclass
@@ -103,32 +85,7 @@ def _direct_search(m: Market) -> Optional[Matching]:
     return rec(0)
 
 
-def solve(
-    m: Market,
-    strategy: str = "direct",
-    fractional: Optional[FractionalMatching] = None,
-    with_certificates: bool = True,
-) -> SolveResult:
-    """Find a stable matching, or prove there is none (direct strategy)."""
+def solve(m: Market, with_certificates: bool = True) -> SolveResult:
+    """Find a stable matching, or prove there is none."""
     certs = market_certificates(m) if with_certificates else {}
-    if strategy == "direct":
-        return SolveResult(matching=_direct_search(m), certificates=certs)
-    if strategy == "pipeline":
-        if fractional is None:
-            raise FractionalError("pipeline strategy needs a fractional matching")
-        d = decompose_by_sets(m)
-        report = verify_fractional_stability(fractional, d)
-        if not report.ok:
-            raise FractionalError(
-                f"fractional input is not stable: {report.detail}"
-            )
-        cs = build_constraint_system(fractional, d)
-        if not cs.empty:
-            certs["constraint_system_balanced"] = reduced_balance_check(cs).verdict
-            z = extract_integral_solution(cs)
-            integral = apply_stable_transformations(fractional, z, cs)
-        else:
-            integral = fractional
-        mu_bar = integral_to_matching(integral, d)
-        return SolveResult(matching=lift_matching(mu_bar, d), certificates=certs)
-    raise ValueError(f"unknown strategy: {strategy}")
+    return SolveResult(matching=_direct_search(m), certificates=certs)

@@ -239,16 +239,13 @@ def sets_from_tree(
     """Whether f's (primitive) acceptable sets all appear as technology sets.
 
     Modes: ``primitive`` checks primitive acceptable sets, ``all`` checks
-    every acceptable set, ``nonsingleton`` relaxes ``primitive`` to the
-    non-singleton primitive sets only.
+    every acceptable set.
     """
     m.require_firm(f)
     if mode == "all":
         targets = acceptable_sets(f, m)
     elif mode == "primitive":
         targets = primitive_acceptable_sets(f, m)
-    elif mode == "nonsingleton":
-        targets = [s for s in primitive_acceptable_sets(f, m) if len(s) >= 2]
     else:
         raise ValueError(f"unknown mode: {mode}")
     tech = set(t.worker_sets.values())

@@ -135,7 +135,7 @@ class TestCheck:
         path = corpus("additive.market")
         assert main(["check", path, "--complementary", "--json"]) == EXIT_FAIL
         detail = json.loads(capsys.readouterr().out)["complementary"]["detail"]
-        m = formats.parse_market(open(path).read())
+        m = formats.parse_market(pathlib.Path(path).read_text())
         pattern = r"(\w+): choose\(\{([\w,]*)\}\) is not a subset of choose\(\{\2\}\+(\w+)\)"
         named = [re.fullmatch(pattern, line) for line in detail.splitlines()]
         assert [g.group(1) for g in named] == ["f1", "f2"]
@@ -199,6 +199,26 @@ class TestSolve:
         code = main(["solve", corpus("two_firms.market"), "--strategy", "pipeline"])
         assert code == EXIT_USAGE
 
+    def test_pipeline_unstable_lift_is_a_usage_error(self, tmp_path, capsys):
+        # f#1 and f#2 at level 1 is stable in the split market, but lifted
+        # f holds {w1, w2}, which it would not choose
+        market = tmp_path / "pair.market"
+        market.write_text(json.dumps({
+            "workers": ["w1", "w2"],
+            "firms": {"f": [["w1"], ["w2"]]},
+            "worker_prefs": {"w1": ["f"], "w2": ["f"]},
+        }))
+        frac = tmp_path / "both.frac"
+        frac.write_text("w1 w2\nf#1 1 0\nf#2 0 1\nnull 0 0\n")
+        argv = ["solve", str(market), "--strategy", "pipeline", "--fractional", str(frac)]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: lifted matching is not individually rational: "
+            "f: assignment ['w1', 'w2'] is not its own choice\n"
+        )
+
 
 class TestTree:
     def test_validate_pass(self, capsys):
@@ -216,16 +236,27 @@ class TestTree:
         assert main(["tree", corpus("triangle.tree"), "--permute"]) == EXIT_FAIL
         assert main(["tree", corpus("nested.tree"), "--permute"]) == EXIT_PASS
 
-    def test_permute_over_six_children_is_a_usage_error(self, tmp_path, capsys):
+    @staticmethod
+    def _wide_tree(tmp_path) -> str:
         # seven children under the root; worker x engages v2 and v5
         lines = ["v0: {}"] + [
             f"  v{i}: {{w{i}{',x' if i in (2, 5) else ''}}}" for i in range(1, 8)
         ]
         p = tmp_path / "wide.tree"
         p.write_text("\n".join(lines) + "\n")
-        assert main(["tree", str(p), "--permute"]) == EXIT_USAGE
+        return str(p)
+
+    def test_permute_over_six_children_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["tree", self._wide_tree(tmp_path), "--permute"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "more than 6 children" in err
+
+    def test_usage_error_leaves_no_partial_report(self, tmp_path, capsys):
+        argv = ["tree", self._wide_tree(tmp_path), "--validate", "--permute"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "more than 6 children" in err
 
     def test_json_tree_input(self, tmp_path, capsys):
         t = formats.parse_tree((__import__("pathlib").Path(corpus("ladder.tree"))).read_text())

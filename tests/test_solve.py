@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from balmatch.fractional import FractionalError, FractionalMatching
+from balmatch.fractional import FractionalError, FractionalMatching, round_fractional
 from balmatch.genrandom import MarketGenConfig, random_market
-from balmatch.market import Matching, is_stable
+from balmatch.market import Market, Matching, is_stable
 from balmatch.oracle import all_stable_matchings
+from balmatch.prefs import decompose_by_sets
 from balmatch.solve import _direct_search, market_certificates, solve
 
 from conftest import MARKET_FILES, load_market
@@ -108,10 +109,6 @@ class TestDirect:
             found += _direct_search(m) is not None
         assert 0 < found < 400  # both outcomes occur
 
-    def test_unknown_strategy_rejected(self, cyclic3):
-        with pytest.raises(ValueError):
-            solve(cyclic3, strategy="magic")
-
 
 class TestCertificates:
     def test_two_firms_certificates(self, two_firms):
@@ -132,35 +129,31 @@ class TestCertificates:
 
 
 class TestPipeline:
-    def test_needs_fractional_input(self, two_firms):
-        with pytest.raises(FractionalError):
-            solve(two_firms, strategy="pipeline")
-
     def test_rounds_to_stable_matching(self, two_firms):
         fm = FractionalMatching(
             levels={"f1#1": H, "f1#2": H, "f1#3": Z, "f2": H},
             null_assignment={"w1": Z, "w2": Z, "w3": Z, "w4": H},
         )
-        result = solve(two_firms, strategy="pipeline", fractional=fm)
-        assert result.found
-        assert is_stable(result.matching, two_firms)
-        assert result.matching.assignment == {
+        matching, cert = round_fractional(fm, decompose_by_sets(two_firms))
+        assert matching is not None
+        assert is_stable(matching, two_firms)
+        assert matching.assignment == {
             "w1": "f1",
             "w2": "f1",
             "w3": "f1",
             "w4": None,
         }
-        assert result.certificates["constraint_system_balanced"] == "PASS"
+        assert cert.verdict == "PASS"
 
     def test_integral_input_passes_through(self, two_firms):
         fm = FractionalMatching(
             levels={"f1#1": ONE, "f1#2": Z, "f1#3": Z, "f2": Z},
             null_assignment={"w1": Z, "w2": Z, "w3": Z, "w4": ONE},
         )
-        result = solve(two_firms, strategy="pipeline", fractional=fm)
-        assert result.found
-        assert "constraint_system_balanced" not in result.certificates
-        assert is_stable(result.matching, two_firms)
+        matching, cert = round_fractional(fm, decompose_by_sets(two_firms))
+        assert matching is not None
+        assert cert is None
+        assert is_stable(matching, two_firms)
 
     def test_unstable_fractional_rejected(self, two_firms):
         fm = FractionalMatching(
@@ -168,4 +161,15 @@ class TestPipeline:
             null_assignment={"w1": Z, "w2": Z, "w3": Z, "w4": ONE},
         )
         with pytest.raises(FractionalError):
-            solve(two_firms, strategy="pipeline", fractional=fm)
+            round_fractional(fm, decompose_by_sets(two_firms))
+
+    def test_unstable_lift_rejected(self):
+        # f#1 and f#2 each hire their worker at level 1, which is stable in
+        # the split market, but lifted f holds {w1, w2}, which it would not
+        # choose
+        m = Market.build(["w1", "w2"], {"f": [["w1"], ["w2"]]}, {"w1": ["f"], "w2": ["f"]})
+        fm = FractionalMatching(
+            levels={"f#1": ONE, "f#2": ONE}, null_assignment={"w1": Z, "w2": Z}
+        )
+        with pytest.raises(FractionalError, match="f: assignment"):
+            round_fractional(fm, decompose_by_sets(m))

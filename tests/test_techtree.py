@@ -180,6 +180,13 @@ class TestProfilesFromTrees:
         assert not sets_from_tree("f3", cyclic3, ladder, mode="all")
         assert not market_sets_from_tree(cyclic3, ladder, mode="all")
 
+    def test_sets_from_tree_default_mode_checks_primitive_sets(self, nested_chains):
+        # f1's primitive sets {w1,w2} and {w3} are technologies, but its
+        # acceptable set {w1,w2,w3} is not
+        t = parse_tree("v0: {}\n  v1: {w1,w2}\n  v2: {w3}\n")
+        assert sets_from_tree("f1", nested_chains, t)
+        assert not sets_from_tree("f1", nested_chains, t, mode="all")
+
     def test_unknown_mode_rejected(self, nested, triangle_tu):
         with pytest.raises(ValueError):
             sets_from_tree("f1", triangle_tu, nested, mode="bogus")
