@@ -126,6 +126,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.fractional and args.strategy != "pipeline":
+        print("error: --fractional needs --strategy pipeline", file=sys.stderr)
+        return EXIT_USAGE
     m = _load_market(args.path)
     if args.decompose == "sets":
         m = decompose_by_sets(m).market

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .fractional import FractionalMatching, _unique_set
+from .fractional import FractionalMatching, split_sets
 from .market import Market, MarketError, Matching
 from .prefs import DecomposedMarket
 from .techtree import TechnologyTree, TreeError
@@ -111,9 +111,10 @@ def parse_fractional(text: str, d: DecomposedMarket) -> FractionalMatching:
         raise ParseError(
             f"row labels {sorted(rows)} do not match firms {sorted(d.market.firms)}"
         )
+    sets = split_sets(d)
     levels = {}
     for f, row in rows.items():
-        target = _unique_set(d, f)
+        target = sets[f]
         vals = {row[w] for w in target}
         if len(vals) != 1:
             raise ParseError(f"row {f} is not a single scale of its acceptable set")
@@ -131,8 +132,7 @@ def serialize_fractional(fm: FractionalMatching, d: DecomposedMarket) -> str:
         return str(x)
 
     lines = ["".ljust(width) + "".join(w.rjust(width) for w in workers)]
-    for f in d.market.firms:
-        target = _unique_set(d, f)
+    for f, target in split_sets(d).items():
         row = [fmt(fm.levels[f]) if w in target else "0" for w in workers]
         lines.append(f.ljust(width) + "".join(x.rjust(width) for x in row))
     lines.append(

@@ -1,11 +1,14 @@
 """Fractional matchings over a set-decomposed market and integral rounding.
 
 Every firm here has a single acceptable set and hires its workers at a
-common level x in [0, 1] (one scale per firm). A fractional matching is
-therefore a level per firm plus an unmatched share per worker type, all
-exact rationals. Rounding goes through a 0-1 constraint system whose
-feasible 0/1 points are exactly the stability-preserving integral
-re-assignments.
+common level x in [0, 1] (one scale per firm); ``split_sets`` is the one
+index of those sets, in firm order. A fractional matching is therefore a
+level per firm plus an unmatched share per worker type, all exact
+rationals. Rounding goes through a 0-1 constraint system whose feasible
+0/1 points are exactly the stability-preserving integral re-assignments.
+Its rows are the strictly fractional firms, then the workers, and each
+column is the set of rows it enters (take f: f and its set; empty f: f;
+null w: w), so ``matrix_of_sets`` builds it.
 
 ``round_fractional`` runs the whole route: verify once, round, lift back
 to the market the firms were split from, and re-check that matching.
@@ -18,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .market import Matching, find_block
-from .matrices import DEFAULT_CAP, MatrixCertificate, ZeroOneMatrix, is_balanced, set_label
+from .matrices import DEFAULT_CAP, MatrixCertificate, ZeroOneMatrix, is_balanced, matrix_of_sets, set_label
 from .prefs import DecomposedMarket, lift_matching
 
 ZERO = Fraction(0)
@@ -55,11 +58,15 @@ class FractionalMatching:
         return replace(self, null_assignment=new)
 
 
-def _unique_set(d: DecomposedMarket, f: str) -> frozenset[str]:
-    chain = d.market.firm_prefs[f].chain
-    if len(chain) != 1:
-        raise FractionalError(f"firm {f} does not have a unique acceptable set")
-    return chain[0]
+def split_sets(d: DecomposedMarket) -> dict[str, frozenset[str]]:
+    """Each split firm's one acceptable set, in firm order."""
+    sets = {}
+    for f in d.market.firms:
+        chain = d.market.firm_prefs[f].chain
+        if len(chain) != 1:
+            raise FractionalError(f"firm {f} does not have a unique acceptable set")
+        sets[f] = chain[0]
+    return sets
 
 
 def _validate_shape(fm: FractionalMatching, d: DecomposedMarket):
@@ -76,11 +83,11 @@ def _validate_shape(fm: FractionalMatching, d: DecomposedMarket):
 
 
 def worker_mass(fm: FractionalMatching, d: DecomposedMarket, w: str) -> Fraction:
-    total = fm.null_assignment[w]
-    for f in d.market.firms:
-        if w in _unique_set(d, f):
-            total += fm.levels[f]
-    return total
+    return _mass(fm, split_sets(d), w)
+
+
+def _mass(fm: FractionalMatching, sets: dict[str, frozenset[str]], w: str) -> Fraction:
+    return fm.null_assignment[w] + sum(fm.levels[f] for f, s in sets.items() if w in s)
 
 
 @dataclass(frozen=True)
@@ -105,18 +112,17 @@ def verify_fractional_stability(
     """
     _validate_shape(fm, d)
     m = d.market
+    sets = split_sets(d)
     if not pseudo:
         for w in m.workers:
-            if worker_mass(fm, d, w) != ONE:
-                raise FractionalError(
-                    f"worker {w} mass is {worker_mass(fm, d, w)}, expected 1"
-                )
+            if (mass := _mass(fm, sets, w)) != ONE:
+                raise FractionalError(f"worker {w} mass is {mass}, expected 1")
     # (a) individual rationality: positive level only at firms acceptable
-    # to every type they hire.
-    for f in m.firms:
+    # to every type they hire; the first offender in market order is named.
+    for f, target in sets.items():
         if fm.levels[f] > 0:
-            for w in _unique_set(d, f):
-                if not m.worker_weakly_prefers(w, f, None):
+            for w in m.workers:
+                if w in target and not m.worker_weakly_prefers(w, f, None):
                     return StabilityReport(
                         ok=False,
                         firm=f,
@@ -124,20 +130,17 @@ def verify_fractional_stability(
                         available={},
                     )
     # (b) no blocking firm.
-    for f in m.firms:
+    for f, target in sets.items():
         if fm.levels[f] >= ONE:
             continue
-        target = _unique_set(d, f)
         avail: dict[str, Fraction] = {}
         for w in target:
             if not m.worker_weakly_prefers(w, f, None):
                 avail[w] = ZERO
                 continue
             mass = fm.null_assignment[w]
-            for g in m.firms:
-                if g == f or w not in _unique_set(d, g):
-                    continue
-                if m.worker_weakly_prefers(w, f, g):  # g is strictly worse
+            for g, s in sets.items():
+                if g != f and w in s and m.worker_weakly_prefers(w, f, g):  # g is strictly worse
                     mass += fm.levels[g]
             avail[w] = mass
         if target and min(avail.values()) > 0:
@@ -170,14 +173,15 @@ class ConstraintSystem:
 def build_constraint_system(
     fm: FractionalMatching, d: DecomposedMarket
 ) -> ConstraintSystem:
-    """One (take, empty) column pair per strictly fractional firm, one null
-    column per strictly fractional unmatched share; firm rows force the
-    pair to sum to 1, worker rows restore unit mass net of the already
-    integral contributions."""
+    """Each column is the set of rows it enters: take f is ``{f} | S_f`` and
+    empty f is ``{f}`` for a strictly fractional firm f, null w is ``{w}``
+    for a strictly fractional unmatched share. Firm rows force each pair to
+    sum to 1; worker rows restore unit mass net of the integral part."""
     report = verify_fractional_stability(fm, d)
     if not report.ok:
         raise FractionalError(f"fractional input is not stable: {report.detail}")
     m = d.market
+    sets = split_sets(d)
     frac_firms = [f for f in m.firms if ZERO < fm.levels[f] < ONE]
     frac_null = [w for w in m.workers if ZERO < fm.null_assignment[w] < ONE]
     if not frac_firms and not frac_null:
@@ -187,52 +191,22 @@ def build_constraint_system(
             row_meaning=(),
             rhs=(),
         )
-    meanings: list[ColumnMeaning] = []
-    labels: list[str] = []
+    columns: list[tuple[ColumnMeaning, str, frozenset[str]]] = []
     for f in frac_firms:
-        meanings.append(("take", f))
-        labels.append(f + ":" + set_label(_unique_set(d, f)))
-        meanings.append(("empty", f))
-        labels.append(f + ":{}")
+        columns.append((("take", f), f + ":" + set_label(sets[f]), sets[f] | {f}))
+        columns.append((("empty", f), f + ":{}", frozenset([f])))
     for w in frac_null:
-        meanings.append(("null", w))
-        labels.append("null:" + w)
-    row_meaning: list[tuple[str, str]] = [("firm", f) for f in frac_firms]
-    row_meaning += [("worker", w) for w in m.workers]
-    rows = []
-    rhs = []
-    for f in frac_firms:
-        rows.append(
-            tuple(1 if kind in ("take", "empty") and who == f else 0
-                  for kind, who in meanings)
-        )
-        rhs.append(1)
+        columns.append((("null", w), "null:" + w, frozenset([w])))
+    meanings, labels, column_sets = zip(*columns)
+    matrix = matrix_of_sets(column_sets, frac_firms + list(m.workers))
+    rhs = [1] * len(frac_firms)
     for w in m.workers:
-        row = []
-        for kind, who in meanings:
-            if kind == "take":
-                row.append(1 if w in _unique_set(d, who) else 0)
-            elif kind == "null":
-                row.append(1 if who == w else 0)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-        integral = sum(
-            1 for f in m.firms
-            if fm.levels[f] == ONE and w in _unique_set(d, f)
-        )
-        if fm.null_assignment[w] == ONE:
-            integral += 1
-        rhs.append(1 - integral)
-    matrix = ZeroOneMatrix(
-        rows=tuple(who for _, who in row_meaning),
-        cols=tuple(labels),
-        entries=tuple(rows),
-    )
+        integral = sum(fm.levels[f] == ONE for f, s in sets.items() if w in s)
+        rhs.append(1 - integral - (fm.null_assignment[w] == ONE))
     return ConstraintSystem(
-        matrix=matrix,
-        column_meaning=tuple(meanings),
-        row_meaning=tuple(row_meaning),
+        matrix=replace(matrix, cols=labels),
+        column_meaning=meanings,
+        row_meaning=tuple([("firm", f) for f in frac_firms] + [("worker", w) for w in m.workers]),
         rhs=tuple(rhs),
     )
 
@@ -256,10 +230,11 @@ def extract_integral_solution(cs: ConstraintSystem) -> tuple[int, ...]:
         return ()
     n = len(cs.column_meaning)
     rows = cs.matrix.entries
-    nrows = len(rows)
+    # the rows each column enters
+    col_rows = [[i for i, row in enumerate(rows) if row[j]] for j in range(n)]
     need = list(cs.rhs)
     # columns that can still contribute to each row
-    pending = [sum(rows[i][j] for j in range(n)) for i in range(nrows)]
+    pending = [sum(row) for row in rows]
     assign: list[Optional[int]] = [None] * n
 
     def rec(j: int) -> bool:
@@ -267,9 +242,7 @@ def extract_integral_solution(cs: ConstraintSystem) -> tuple[int, ...]:
             return all(v == 0 for v in need)
         for value in (1, 0):
             ok = True
-            for i in range(nrows):
-                if not rows[i][j]:
-                    continue
+            for i in col_rows[j]:
                 need[i] -= value
                 pending[i] -= 1
                 if need[i] < 0 or need[i] > pending[i]:
@@ -278,10 +251,9 @@ def extract_integral_solution(cs: ConstraintSystem) -> tuple[int, ...]:
                 assign[j] = value
                 if rec(j + 1):
                     return True
-            for i in range(nrows):
-                if rows[i][j]:
-                    need[i] += value
-                    pending[i] += 1
+            for i in col_rows[j]:
+                need[i] += value
+                pending[i] += 1
         assign[j] = None
         return False
 
@@ -318,9 +290,9 @@ def integral_to_matching(fm: FractionalMatching, d: DecomposedMarket) -> Matchin
     if not fm.is_integral():
         raise FractionalError("matching is not integral")
     assignment: dict[str, Optional[str]] = {w: None for w in d.market.workers}
-    for f in d.market.firms:
+    for f, s in split_sets(d).items():
         if fm.levels[f] == ONE:
-            for w in _unique_set(d, f):
+            for w in s:
                 if assignment[w] is not None:
                     raise FractionalError(f"worker {w} assigned twice")
                 assignment[w] = f

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .market import FirmPreference, Market, acceptable_set_family, acceptable_sets
 from .matrices import is_balanced, matrix_of_sets
+from .oracle import worker_pref_space
 from .prefs import is_complementary
 from .techtree import TechnologyTree
 
@@ -61,8 +63,6 @@ def random_complementary_balanced_profile(
 ) -> dict[str, FirmPreference]:
     """Rejection-sample a firm profile that is complementary with a balanced
     acceptable-set matrix, keeping the worker-preference sweep space small."""
-    from .oracle import _relevant_firms, worker_pref_options
-
     cfg = MarketGenConfig(max_workers=max_workers, max_firms=max_firms, max_chain=3, max_set=3)
     for _ in range(MAX_TRIES):
         workers, firms, sets = _random_chains(rng, cfg)
@@ -79,10 +79,7 @@ def random_complementary_balanced_profile(
             continue
         if not is_balanced(matrix_of_sets(acceptable_set_family(probe), workers)).ok:
             continue
-        space = 1
-        for w in workers:
-            space *= len(worker_pref_options(_relevant_firms(probe, w)))
-        if space > SWEEP_CAP:
+        if math.prod(map(len, worker_pref_space(probe))) > SWEEP_CAP:
             continue
         return chains
     raise RuntimeError("could not sample a qualifying profile")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -44,12 +45,6 @@ def all_stable_matchings(m: Market, restrict: bool = True) -> list[Matching]:
     return [mu for mu in all_matchings(m, restrict) if is_stable(mu, m)]
 
 
-def _relevant_firms(m: Market, w: str) -> list[str]:
-    """Firms with w in some acceptable set: the only ones whose place on
-    w's list can matter."""
-    return [f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)]
-
-
 def worker_pref_options(firms: list[str]) -> list[tuple[str, ...]]:
     """All strict rankings of every subset of the given firms (truncations
     included), the empty ranking first."""
@@ -58,6 +53,16 @@ def worker_pref_options(firms: list[str]) -> list[tuple[str, ...]]:
         for combo in itertools.combinations(firms, r):
             out.extend(itertools.permutations(combo))
     return out
+
+
+def worker_pref_space(m: Market) -> list[list[tuple[str, ...]]]:
+    """Per worker, in market order, the rankings a sweep tries: every
+    ranking of the firms with her in some acceptable set, the only firms
+    whose place on her list can matter."""
+    return [
+        worker_pref_options([f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)])
+        for w in m.workers
+    ]
 
 
 @dataclass
@@ -100,10 +105,8 @@ def exists_for_all_worker_prefs(
         worker_prefs={w: () for w in workers},
         firm_prefs=firm_prefs,
     )
-    options = [worker_pref_options(_relevant_firms(base, w)) for w in workers]
-    total = 1
-    for opts in options:
-        total *= len(opts)
+    options = worker_pref_space(base)
+    total = math.prod(map(len, options))
     if total > budget and sample is None:
         raise BudgetError(
             f"{total} worker preference profiles exceed the budget of {budget}; "

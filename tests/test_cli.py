@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +201,41 @@ class TestSolve:
     def test_pipeline_needs_fractional(self, capsys):
         code = main(["solve", corpus("two_firms.market"), "--strategy", "pipeline"])
         assert code == EXIT_USAGE
+
+    def test_fractional_needs_pipeline(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.frac")
+        code = main(["solve", corpus("two_firms.market"), "--fractional", missing])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --fractional needs --strategy pipeline\n"
+
+    def test_pipeline_names_first_unacceptable_worker_in_market_order(self, tmp_path):
+        # f hires all four workers at level 1 and none of them lists f; the
+        # error names w1 whatever the hash seed, so it runs in fresh processes
+        market = tmp_path / "shunned.market"
+        market.write_text(json.dumps({
+            "workers": ["w1", "w2", "w3", "w4"],
+            "firms": {"f": [["w1", "w2", "w3", "w4"]]},
+            "worker_prefs": {"w1": [], "w2": [], "w3": [], "w4": []},
+        }))
+        frac = tmp_path / "full.frac"
+        frac.write_text("w1 w2 w3 w4\nf 1 1 1 1\nnull 0 0 0 0\n")
+        argv = ["solve", str(market), "--strategy", "pipeline", "--fractional", str(frac)]
+        src = str(CORPUS.parent / "src")
+        errors = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "balmatch.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+            errors.add(proc.stderr)
+        assert errors == {
+            "error: fractional input is not stable: "
+            "type w1 is matched to a firm it finds unacceptable\n"
+        }
 
     def test_pipeline_unstable_lift_is_a_usage_error(self, tmp_path, capsys):
         # f#1 and f#2 at level 1 is stable in the split market, but lifted

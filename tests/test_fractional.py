@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from balmatch.fractional import (
+    ConstraintSystem,
     FractionalError,
     FractionalMatching,
     IntegralExtractionError,
@@ -15,7 +17,10 @@ from balmatch.fractional import (
     verify_fractional_stability,
     worker_mass,
 )
-from balmatch.market import is_stable
+from balmatch.genrandom import random_market
+from balmatch.market import Market, is_stable
+from balmatch.matrices import ZeroOneMatrix, set_label
+from balmatch.oracle import MAX_FIRMS, all_stable_matchings, cyclic_market
 from balmatch.prefs import decompose_by_sets, lift_matching
 
 H = Fraction(1, 2)
@@ -48,6 +53,110 @@ def brute_solutions(cs):
         ):
             out.append(bits)
     return out
+
+
+def reference_constraint_system(fm, d):
+    """Reference: the system built row by row, switching on each column's
+    kind for every cell."""
+
+    def unique_set(f):
+        (s,) = d.market.firm_prefs[f].chain
+        return s
+
+    m = d.market
+    frac_firms = [f for f in m.firms if Z < fm.levels[f] < ONE]
+    frac_null = [w for w in m.workers if Z < fm.null_assignment[w] < ONE]
+    if not frac_firms and not frac_null:
+        return ConstraintSystem(
+            matrix=ZeroOneMatrix(rows=(), cols=(), entries=()),
+            column_meaning=(),
+            row_meaning=(),
+            rhs=(),
+        )
+    meanings, labels = [], []
+    for f in frac_firms:
+        meanings += [("take", f), ("empty", f)]
+        labels += [f + ":" + set_label(unique_set(f)), f + ":{}"]
+    for w in frac_null:
+        meanings.append(("null", w))
+        labels.append("null:" + w)
+    row_meaning = [("firm", f) for f in frac_firms] + [("worker", w) for w in m.workers]
+    rows, rhs = [], []
+    for f in frac_firms:
+        rows.append(
+            tuple(1 if kind in ("take", "empty") and who == f else 0 for kind, who in meanings)
+        )
+        rhs.append(1)
+    for w in m.workers:
+        row = []
+        for kind, who in meanings:
+            if kind == "take":
+                row.append(1 if w in unique_set(who) else 0)
+            elif kind == "null":
+                row.append(1 if who == w else 0)
+            else:
+                row.append(0)
+        rows.append(tuple(row))
+        integral = sum(1 for f in m.firms if fm.levels[f] == ONE and w in unique_set(f))
+        if fm.null_assignment[w] == ONE:
+            integral += 1
+        rhs.append(1 - integral)
+    return ConstraintSystem(
+        matrix=ZeroOneMatrix(
+            rows=tuple(who for _, who in row_meaning),
+            cols=tuple(labels),
+            entries=tuple(rows),
+        ),
+        column_meaning=tuple(meanings),
+        row_meaning=tuple(row_meaning),
+        rhs=tuple(rhs),
+    )
+
+
+def overlap_market(rng):
+    """Firms wanting one random set of one to three workers, mostly pairs,
+    each worker ranking every firm that wants her: overlaps make several
+    stable matchings, whose mixes are stable fractional points."""
+    workers = [f"w{i}" for i in range(1, rng.randint(3, 6) + 1)]
+    chains = {
+        f"f{i}": [rng.sample(workers, rng.choice((1, 2, 2, 2, 3)))]
+        for i in range(1, rng.randint(2, 6) + 1)
+    }
+    prefs = {w: [f for f, (s,) in chains.items() if w in s] for w in workers}
+    for ranking in prefs.values():
+        rng.shuffle(ranking)
+    return Market.build(workers, chains, prefs)
+
+
+def verified_points():
+    """Stable fractional matchings: the verified 1/2-1/2 mixes of pairs of
+    stable matchings of set-split random and overlap markets (a matching
+    mixed with itself is integral), then every firm of
+    ``cyclic_market(3..10)`` at 1/2."""
+    for seed in range(3):
+        rng = random.Random(seed)
+        for make in [random_market] * 50 + [overlap_market] * 100:
+            d = decompose_by_sets(make(rng))
+            if len(d.market.firms) > MAX_FIRMS:
+                continue
+            stable = [
+                ({f: ONE if f in mu.inverse() else Z for f in d.market.firms},
+                 {w: ONE if mu.assignment[w] is None else Z for w in d.market.workers})
+                for mu in all_stable_matchings(d.market)
+            ]
+            for (la, na), (lb, nb) in itertools.combinations_with_replacement(stable, 2):
+                fm = FractionalMatching(
+                    levels={f: (la[f] + lb[f]) / 2 for f in la},
+                    null_assignment={w: (na[w] + nb[w]) / 2 for w in na},
+                )
+                if verify_fractional_stability(fm, d).ok:
+                    yield d, fm
+    for n in range(3, 11):
+        d = decompose_by_sets(cyclic_market(n))
+        yield d, FractionalMatching(
+            levels={f: H for f in d.market.firms},
+            null_assignment={w: Z for w in d.market.workers},
+        )
 
 
 class TestVerification:
@@ -158,6 +267,12 @@ class TestConstraintSystem:
         with pytest.raises(FractionalError):
             build_constraint_system(fm, split)
 
+    def test_matches_reference_builder(self):
+        points = list(verified_points())
+        assert len(points) >= 150
+        for d, fm in points:
+            assert build_constraint_system(fm, d) == reference_constraint_system(fm, d)
+
 
 class TestExtraction:
     def test_canonical_solution(self, half_half, split):
@@ -171,6 +286,21 @@ class TestExtraction:
         cs = build_constraint_system(half_half, split)
         sols = brute_solutions(cs)
         assert extract_integral_solution(cs) == max(sols)
+
+    def test_first_solution_on_verified_points(self):
+        outcomes = set()
+        for d, fm in verified_points():
+            cs = build_constraint_system(fm, d)
+            if len(cs.column_meaning) > 16:
+                continue
+            sols = brute_solutions(cs)
+            if sols:
+                assert extract_integral_solution(cs) == max(sols)
+            else:
+                with pytest.raises(IntegralExtractionError):
+                    extract_integral_solution(cs)
+            outcomes.add(bool(sols))
+        assert outcomes == {True, False}
 
     def test_round_trip_to_stable_matching(self, half_half, split, two_firms):
         cs = build_constraint_system(half_half, split)
