@@ -28,7 +28,6 @@ from .prefs import (
     decompose_by_sets,
     is_additive,
     is_complementary,
-    lift_matching,
     primitive_acceptable_sets,
 )
 from .matrices import (

@@ -125,20 +125,14 @@ def parse_fractional(text: str, d: DecomposedMarket) -> FractionalMatching:
 
 
 def serialize_fractional(fm: FractionalMatching, d: DecomposedMarket) -> str:
+    """The table ``parse_fractional`` reads; every column is as wide as the
+    table's widest label or value plus two spaces."""
     workers = list(d.market.workers)
-    width = max(len(x) for x in workers + list(d.market.firms) + ["null"]) + 2
-
-    def fmt(x: Fraction) -> str:
-        return str(x)
-
+    rows = [(f, [str(fm.levels[f]) if w in s else "0" for w in workers]) for f, s in split_sets(d).items()]
+    rows.append(("null", [str(fm.null_assignment[w]) for w in workers]))
+    width = max(len(x) for label, row in rows for x in [label, *row, *workers]) + 2
     lines = ["".ljust(width) + "".join(w.rjust(width) for w in workers)]
-    for f, target in split_sets(d).items():
-        row = [fmt(fm.levels[f]) if w in target else "0" for w in workers]
-        lines.append(f.ljust(width) + "".join(x.rjust(width) for x in row))
-    lines.append(
-        "null".ljust(width)
-        + "".join(fmt(fm.null_assignment[w]).rjust(width) for w in workers)
-    )
+    lines += [label.ljust(width) + "".join(x.rjust(width) for x in row) for label, row in rows]
     return "\n".join(ln.rstrip() for ln in lines) + "\n"
 
 

@@ -1,28 +1,26 @@
-"""Fractional matchings over a set-decomposed market and integral rounding.
+"""Fractional matchings on a market's (firm, acceptable set) columns, and
+integral rounding.
 
-Every firm here has a single acceptable set and hires its workers at a
-common level x in [0, 1] (one scale per firm); ``split_sets`` is the one
-index of those sets, in firm order. A fractional matching is therefore a
-level per firm plus an unmatched share per worker type, all exact
-rationals. Rounding goes through a 0-1 constraint system whose feasible
-0/1 points are exactly the stability-preserving integral re-assignments.
-Its rows are the strictly fractional firms, then the workers, and each
-column is the set of rows it enters (take f: f and its set; empty f: f;
-null w: w), so ``matrix_of_sets`` builds it.
-
-``round_fractional`` runs the whole route: verify once, round, lift back
-to the market the firms were split from, and re-check that matching.
+The columns are those of Scarf's matrix: one row per firm and per worker,
+one column per (f, S). ``decompose_by_sets`` indexes them: split firm f#k
+names (f, S_k), ``d.origin`` groups columns by firm and ``split_sets``
+reads their sets. A fractional matching is a level per column (a firm's
+levels sum to at most 1, the rest is its slack) plus an unmatched share
+per worker type, all exact rationals. Rounding goes through a 0-1 system
+whose 0/1 points are the stability-preserving integral re-assignments;
+each column is the set of rows it enters, so ``matrix_of_sets`` builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
-from .market import Matching, find_block
+from .market import Matching
 from .matrices import DEFAULT_CAP, MatrixCertificate, ZeroOneMatrix, is_balanced, matrix_of_sets, set_label
-from .prefs import DecomposedMarket, lift_matching
+from .prefs import DecomposedMarket
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,7 +32,8 @@ class FractionalError(ValueError):
 
 @dataclass(frozen=True)
 class FractionalMatching:
-    """Per-firm hiring levels and per-worker unmatched shares, exact rationals."""
+    """Per-column levels, keyed by split firm name, and per-worker unmatched
+    shares, exact rationals."""
 
     levels: dict[str, Fraction]
     null_assignment: dict[str, Fraction]
@@ -67,6 +66,11 @@ def split_sets(d: DecomposedMarket) -> dict[str, frozenset[str]]:
             raise FractionalError(f"firm {f} does not have a unique acceptable set")
         sets[f] = chain[0]
     return sets
+
+
+def _columns_by_firm(d: DecomposedMarket) -> dict[str, list[str]]:
+    """Each original firm's columns, in chain order."""
+    return {f: d.siblings(f) for f in dict.fromkeys(f for f, _ in d.origin.values())}
 
 
 def _validate_shape(fm: FractionalMatching, d: DecomposedMarket):
@@ -102,21 +106,30 @@ class StabilityReport:
 def verify_fractional_stability(
     fm: FractionalMatching, d: DecomposedMarket, pseudo: bool = False
 ) -> StabilityReport:
-    """Check individual rationality and absence of fractional blocks.
+    """Check individual rationality and that every column is dominated.
 
-    A firm below full scale blocks iff it could simultaneously draw a
-    positive mass of every type in its set, counting the unmatched share
-    and the levels of firms its target types like strictly less. With
-    ``pseudo`` the per-worker mass-conservation check is skipped, so
+    Column (f, S_k) is dominated at its firm's row when f's levels on
+    S_1..S_k sum to 1, and otherwise blocks iff it could simultaneously
+    draw a positive mass of every type in S_k, counting the unmatched
+    share and the columns its target types like strictly less (two
+    columns of one firm ranked by that firm's chain). With ``pseudo`` the
+    per-worker mass and per-firm total checks are skipped, so
     intermediate states of a rounding chain can be verified too.
     """
     _validate_shape(fm, d)
     m = d.market
     sets = split_sets(d)
+    groups = _columns_by_firm(d)
+    held = {}  # each column's firm's levels on its chain up to that column
+    for cols in groups.values():
+        held.update(zip(cols, accumulate(fm.levels[c] for c in cols)))
     if not pseudo:
         for w in m.workers:
             if (mass := _mass(fm, sets, w)) != ONE:
                 raise FractionalError(f"worker {w} mass is {mass}, expected 1")
+        for f, cols in groups.items():
+            if (total := held[cols[-1]]) > ONE:
+                raise FractionalError(f"firm {f} levels sum to {total}, above 1")
     # (a) individual rationality: positive level only at firms acceptable
     # to every type they hire; the first offender in market order is named.
     for f, target in sets.items():
@@ -129,9 +142,9 @@ def verify_fractional_stability(
                         detail=f"type {w} is matched to a firm it finds unacceptable",
                         available={},
                     )
-    # (b) no blocking firm.
+    # (b) no blocking column.
     for f, target in sets.items():
-        if fm.levels[f] >= ONE:
+        if held[f] >= ONE:
             continue
         avail: dict[str, Fraction] = {}
         for w in target:
@@ -153,7 +166,7 @@ def verify_fractional_stability(
     return StabilityReport(ok=True)
 
 
-ColumnMeaning = tuple[str, str]  # ("take"|"empty", firm) or ("null", worker)
+ColumnMeaning = tuple[str, str]  # ("take", column), ("empty", firm) or ("null", worker)
 
 
 @dataclass(frozen=True)
@@ -173,30 +186,30 @@ class ConstraintSystem:
 def build_constraint_system(
     fm: FractionalMatching, d: DecomposedMarket
 ) -> ConstraintSystem:
-    """Each column is the set of rows it enters: take f is ``{f} | S_f`` and
-    empty f is ``{f}`` for a strictly fractional firm f, null w is ``{w}``
-    for a strictly fractional unmatched share. Firm rows force each pair to
-    sum to 1; worker rows restore unit mass net of the integral part."""
+    """Each column is the set of rows it enters: take f#k is ``{f} | S_k``
+    for a strictly fractional level, empty f is ``{f}`` (f's slack) when 1
+    minus f's total is strictly fractional, null w is ``{w}`` for a
+    strictly fractional unmatched share. A firm row picks one of its
+    firm's fractional columns or its slack; worker rows restore unit mass
+    net of the integral part."""
     report = verify_fractional_stability(fm, d)
     if not report.ok:
         raise FractionalError(f"fractional input is not stable: {report.detail}")
     m = d.market
     sets = split_sets(d)
-    frac_firms = [f for f in m.firms if ZERO < fm.levels[f] < ONE]
-    frac_null = [w for w in m.workers if ZERO < fm.null_assignment[w] < ONE]
-    if not frac_firms and not frac_null:
-        return ConstraintSystem(
-            matrix=ZeroOneMatrix(rows=(), cols=(), entries=()),
-            column_meaning=(),
-            row_meaning=(),
-            rhs=(),
-        )
+    frac_firms = []
     columns: list[tuple[ColumnMeaning, str, frozenset[str]]] = []
-    for f in frac_firms:
-        columns.append((("take", f), f + ":" + set_label(sets[f]), sets[f] | {f}))
-        columns.append((("empty", f), f + ":{}", frozenset([f])))
-    for w in frac_null:
-        columns.append((("null", w), "null:" + w, frozenset([w])))
+    for f, cols in _columns_by_firm(d).items():
+        takes = [c for c in cols if ZERO < fm.levels[c] < ONE]
+        if takes:
+            frac_firms.append(f)
+            columns += [(("take", c), c + ":" + set_label(sets[c]), sets[c] | {f}) for c in takes]
+            if sum(fm.levels[c] for c in cols) < ONE:
+                columns.append((("empty", f), f + ":{}", frozenset([f])))
+    frac_null = [w for w in m.workers if ZERO < fm.null_assignment[w] < ONE]
+    columns += [(("null", w), "null:" + w, frozenset([w])) for w in frac_null]
+    if not columns:
+        return ConstraintSystem(ZeroOneMatrix(rows=(), cols=(), entries=()), (), (), ())
     meanings, labels, column_sets = zip(*columns)
     matrix = matrix_of_sets(column_sets, frac_firms + list(m.workers))
     rhs = [1] * len(frac_firms)
@@ -286,19 +299,20 @@ def apply_stable_transformations(
 
 
 def integral_to_matching(fm: FractionalMatching, d: DecomposedMarket) -> Matching:
-    """Read an integral fractional matching as a discrete matching."""
+    """Read an integral fractional matching as a matching of the original
+    firms: each worker, in market order, goes to the firm of its one
+    column at level 1, or stays unmatched at null share 1."""
     if not fm.is_integral():
         raise FractionalError("matching is not integral")
-    assignment: dict[str, Optional[str]] = {w: None for w in d.market.workers}
-    for f, s in split_sets(d).items():
-        if fm.levels[f] == ONE:
-            for w in s:
-                if assignment[w] is not None:
-                    raise FractionalError(f"worker {w} assigned twice")
-                assignment[w] = f
+    sets = split_sets(d)
+    assignment: dict[str, Optional[str]] = {}
     for w in d.market.workers:
-        if assignment[w] is None and fm.null_assignment[w] != ONE:
+        held = [f for f, s in sets.items() if w in s and fm.levels[f] == ONE]
+        if len(held) > 1:
+            raise FractionalError(f"worker {w} assigned twice")
+        if not held and fm.null_assignment[w] != ONE:
             raise FractionalError(f"worker {w} unaccounted for")
+        assignment[w] = d.origin[held[0]][0] if held else None
     return Matching(assignment)
 
 
@@ -306,9 +320,10 @@ def reduced_balance_check(cs: ConstraintSystem) -> MatrixCertificate:
     """Balancedness of B, with witnesses indexing ``cs.matrix``.
 
     The certificate's reduction drops the null and empty columns (a single
-    1 each) and then the firm rows, so the take-set columns over the worker
-    rows decide balancedness of the whole system, and the default cap
-    applies to that core.
+    1 each) and then the firm rows left with one fractional column, so the
+    take-set columns over the worker rows, plus the rows of firms with two
+    or more fractional columns, decide balancedness of the whole system,
+    and the default cap applies to that core.
     """
     return is_balanced(cs.matrix, DEFAULT_CAP)
 
@@ -316,24 +331,13 @@ def reduced_balance_check(cs: ConstraintSystem) -> MatrixCertificate:
 def round_fractional(
     fm: FractionalMatching, d: DecomposedMarket
 ) -> tuple[Matching, Optional[MatrixCertificate]]:
-    """Round a stable fractional matching of ``d`` and lift it to ``d.original``.
-
-    Returns the lifted matching and the constraint system's balancedness
-    certificate (None for an integral input, whose system is empty).
-    ``FractionalError`` if the input or the lifted matching is unstable
-    (two siblings matched at once can leave a firm holding a set it would
-    not choose), ``IntegralExtractionError`` if the system has no 0/1 point.
-    """
+    """Round a stable fractional matching of ``d`` to a stable matching of
+    the original firms, with the system's balancedness certificate (None
+    for an integral input, whose system is empty). A 0/1 point uses only
+    columns the input uses, so the rows dominating the input dominate it.
+    ``FractionalError`` if the input is malformed or unstable,
+    ``IntegralExtractionError`` if the system has no 0/1 point."""
     cs = build_constraint_system(fm, d)
     cert = None if cs.empty else reduced_balance_check(cs)
     z = extract_integral_solution(cs)
-    integral = apply_stable_transformations(fm, z, cs)
-    mu = lift_matching(integral_to_matching(integral, d), d)
-    report = find_block(mu, d.original)
-    if report.ir_violations:
-        who, why = report.ir_violations[0]
-        raise FractionalError(f"lifted matching is not individually rational: {who}: {why}")
-    if report.blocking is not None:
-        f, s = report.blocking
-        raise FractionalError(f"lifted matching is blocked by {f} with {set_label(s)}")
-    return mu, cert
+    return integral_to_matching(apply_stable_transformations(fm, z, cs), d), cert

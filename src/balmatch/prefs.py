@@ -1,4 +1,8 @@
-"""Preference classification, complementarity graphs, and firm decompositions."""
+"""Preference classification, complementarity graphs, and firm decompositions.
+
+``decompose_by_sets`` also indexes fractional matchings: split firm f#k
+names the column (f, S_k), and ``origin`` maps it back to f.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,6 @@ from .market import (
     FirmPreference,
     Market,
     MarketError,
-    Matching,
     acceptable_sets,
     choose,
 )
@@ -53,7 +56,6 @@ class DecomposedMarket:
 
     market: Market
     origin: dict[str, tuple[str, int]]  # new firm -> (original firm, 1-based index)
-    original: Market  # the market whose firms were split
 
     def siblings(self, original: str) -> list[str]:
         return [f for f in self.market.firms if self.origin[f][0] == original]
@@ -183,7 +185,7 @@ def _split_firms(
     new = Market(
         workers=m.workers, firms=tuple(chains), worker_prefs=worker_prefs, firm_prefs=chains
     )
-    return DecomposedMarket(market=new, origin=origin, original=m)
+    return DecomposedMarket(market=new, origin=origin)
 
 
 def decompose_by_sets(m: Market) -> DecomposedMarket:
@@ -217,10 +219,3 @@ def decompose_by_components(m: Market) -> DecomposedMarket:
 
     return _split_firms(m, parts)
 
-
-def lift_matching(mu: Matching, d: DecomposedMarket) -> Matching:
-    """Map a matching on the decomposed market back to the original firms."""
-    out: dict[str, Optional[str]] = {}
-    for w, f in mu.assignment.items():
-        out[w] = None if f is None else d.origin[f][0]
-    return Matching(out)

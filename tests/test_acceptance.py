@@ -43,7 +43,6 @@ from balmatch.prefs import (
     decompose_by_sets,
     is_additive,
     is_complementary,
-    lift_matching,
     primitive_acceptable_sets,
 )
 from balmatch.solve import solve
@@ -168,38 +167,37 @@ def test_criterion_6_pipeline_replay(corpus_dir):
     assert verify_fractional_stability(fm, d).ok
 
     cs = build_constraint_system(fm, d)
-    assert cs.matrix.shape == (7, 7)
+    assert cs.matrix.shape == (6, 5)
     assert [f"{k}:{w}" for k, w in cs.column_meaning] == [
-        "take:f1#1", "empty:f1#1",
-        "take:f1#2", "empty:f1#2",
+        "take:f1#1", "take:f1#2",
         "take:f2", "empty:f2",
         "null:w4",
     ]
     assert [f"{k}:{w}" for k, w in cs.row_meaning] == [
-        "firm:f1#1", "firm:f1#2", "firm:f2",
+        "firm:f1", "firm:f2",
         "worker:w1", "worker:w2", "worker:w3", "worker:w4",
     ]
     assert cs.matrix.entries == (
-        (1, 1, 0, 0, 0, 0, 0),
-        (0, 0, 1, 1, 0, 0, 0),
-        (0, 0, 0, 0, 1, 1, 0),
-        (1, 0, 1, 0, 0, 0, 0),
-        (1, 0, 0, 0, 1, 0, 0),
-        (1, 0, 0, 0, 1, 0, 0),
-        (0, 0, 0, 0, 1, 0, 1),
+        (1, 1, 0, 0, 0),
+        (0, 0, 1, 1, 0),
+        (1, 1, 0, 0, 0),
+        (1, 0, 1, 0, 0),
+        (1, 0, 1, 0, 0),
+        (0, 0, 1, 0, 1),
     )
-    assert cs.rhs == (1,) * 7
+    assert cs.rhs == (1,) * 6
 
     z = extract_integral_solution(cs)
-    assert z == (1, 0, 0, 1, 0, 1, 1)
-    # the firm rows force one choice per fractional firm
-    assert z[0] + z[1] == 1 and z[2] + z[3] == 1 and z[4] + z[5] == 1
+    assert z == (1, 0, 0, 1, 1)
+    # the firm rows force one choice per fractional firm: one of f1's
+    # sets, and f2's set or its slack
+    assert z[0] + z[1] == 1 and z[2] + z[3] == 1
 
     integral = apply_stable_transformations(fm, z, cs)
     assert integral.levels == {"f1#1": ONE, "f1#2": Z, "f1#3": Z, "f2": Z}
     assert integral.null_assignment == {"w1": Z, "w2": Z, "w3": Z, "w4": ONE}
 
-    mu = lift_matching(integral_to_matching(integral, d), d)
+    mu = integral_to_matching(integral, d)
     assert mu.assignment == {"w1": "f1", "w2": "f1", "w3": "f1", "w4": None}
     assert is_stable(mu, m)
 

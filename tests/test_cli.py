@@ -237,9 +237,8 @@ class TestSolve:
             "type w1 is matched to a firm it finds unacceptable\n"
         }
 
-    def test_pipeline_unstable_lift_is_a_usage_error(self, tmp_path, capsys):
-        # f#1 and f#2 at level 1 is stable in the split market, but lifted
-        # f holds {w1, w2}, which it would not choose
+    def test_pipeline_over_full_firm_is_a_usage_error(self, tmp_path, capsys):
+        # f#1 and f#2 at level 1 puts f's levels at 2: f holds both sets
         market = tmp_path / "pair.market"
         market.write_text(json.dumps({
             "workers": ["w1", "w2"],
@@ -252,10 +251,26 @@ class TestSolve:
         assert main(argv) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (
-            "error: lifted matching is not individually rational: "
-            "f: assignment ['w1', 'w2'] is not its own choice\n"
-        )
+        assert err == "error: firm f levels sum to 2, above 1\n"
+
+    def test_pipeline_accepts_a_stable_matching_with_an_idle_worse_set(self, tmp_path, capsys):
+        # f holds {w1}, its first set; its idle second set {w2, w3} is
+        # dominated at f's row although both of its workers are unmatched
+        market = tmp_path / "sibling.market"
+        market.write_text(json.dumps({
+            "workers": ["w1", "w2", "w3"],
+            "firms": {"f": [["w1"], ["w2", "w3"]]},
+            "worker_prefs": {"w1": ["f"], "w2": ["f"], "w3": ["f"]},
+        }))
+        frac = tmp_path / "first.frac"
+        frac.write_text("w1 w2 w3\nf#1 1 0 0\nf#2 0 0 0\nnull 0 1 1\n")
+        assert main(["solve", str(market), "--json"]) == EXIT_PASS
+        direct = json.loads(capsys.readouterr().out)["matching"]
+        argv = ["solve", str(market), "--strategy", "pipeline", "--fractional", str(frac), "--json"]
+        assert main(argv) == EXIT_PASS
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["matching"] == direct == {"w1": "f", "w2": None, "w3": None}
 
 
 class TestTree:

@@ -88,11 +88,24 @@ class TestFractionalFormat:
     def test_round_trip(self, two_firms):
         d = decompose_by_sets(two_firms)
         fm = FractionalMatching(
-            levels={"f1#1": Fraction(1, 3), "f1#2": Z, "f1#3": Fraction(2, 3), "f2": H},
-            null_assignment={"w1": Fraction(2, 3), "w2": Z, "w3": Z, "w4": H},
+            # 333/1000 is wider than every label
+            levels={"f1#1": Fraction(1, 3), "f1#2": Z, "f1#3": Fraction(2, 3), "f2": Fraction(333, 1000)},
+            null_assignment={"w1": Fraction(2, 3), "w2": Z, "w3": Z, "w4": Fraction(667, 1000)},
         )
         again = formats.parse_fractional(formats.serialize_fractional(fm, d), d)
         assert again == fm
+
+    def test_values_that_fit_keep_the_labels_width(self, corpus_dir, two_firms):
+        d = decompose_by_sets(two_firms)
+        fm = formats.parse_fractional((corpus_dir / "half_half.frac").read_text(), d)
+        assert formats.serialize_fractional(fm, d) == (
+            "          w1    w2    w3    w4\n"
+            "f1#1     1/2   1/2   1/2     0\n"
+            "f1#2     1/2     0     0     0\n"
+            "f1#3       0     0     0     0\n"
+            "f2         0   1/2   1/2   1/2\n"
+            "null       0     0     0   1/2\n"
+        )
 
     def test_wrong_header_rejected(self, two_firms):
         d = decompose_by_sets(two_firms)

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,14 +17,17 @@ from balmatch.fractional import (
     extract_integral_solution,
     integral_to_matching,
     reduced_balance_check,
+    round_fractional,
     verify_fractional_stability,
     worker_mass,
 )
 from balmatch.genrandom import random_market
-from balmatch.market import Market, is_stable
+from balmatch.market import Market, find_block, is_stable
 from balmatch.matrices import ZeroOneMatrix, set_label
 from balmatch.oracle import MAX_FIRMS, all_stable_matchings, cyclic_market
-from balmatch.prefs import decompose_by_sets, lift_matching
+from balmatch.prefs import decompose_by_sets
+
+from conftest import CORPUS
 
 H = Fraction(1, 2)
 Z = Fraction(0)
@@ -57,35 +63,53 @@ def brute_solutions(cs):
 
 def reference_constraint_system(fm, d):
     """Reference: the system built row by row, switching on each column's
-    kind for every cell."""
+    kind for every cell. A firm row holds its firm's strictly fractional
+    take columns and, when 1 minus the firm's total is strictly
+    fractional, its empty (slack) column."""
 
-    def unique_set(f):
-        (s,) = d.market.firm_prefs[f].chain
+    def unique_set(c):
+        (s,) = d.market.firm_prefs[c].chain
         return s
 
     m = d.market
-    frac_firms = [f for f in m.firms if Z < fm.levels[f] < ONE]
-    frac_null = [w for w in m.workers if Z < fm.null_assignment[w] < ONE]
-    if not frac_firms and not frac_null:
+    columns_of = {}
+    for c in m.firms:
+        columns_of.setdefault(d.origin[c][0], []).append(c)
+    meanings, labels, frac_firms = [], [], []
+    for f, cols in columns_of.items():
+        takes = [c for c in cols if Z < fm.levels[c] < ONE]
+        if not takes:
+            continue
+        frac_firms.append(f)
+        for c in takes:
+            meanings.append(("take", c))
+            labels.append(c + ":" + set_label(unique_set(c)))
+        if Z < ONE - sum(fm.levels[c] for c in cols) < ONE:
+            meanings.append(("empty", f))
+            labels.append(f + ":{}")
+    for w in m.workers:
+        if Z < fm.null_assignment[w] < ONE:
+            meanings.append(("null", w))
+            labels.append("null:" + w)
+    if not meanings:
         return ConstraintSystem(
             matrix=ZeroOneMatrix(rows=(), cols=(), entries=()),
             column_meaning=(),
             row_meaning=(),
             rhs=(),
         )
-    meanings, labels = [], []
-    for f in frac_firms:
-        meanings += [("take", f), ("empty", f)]
-        labels += [f + ":" + set_label(unique_set(f)), f + ":{}"]
-    for w in frac_null:
-        meanings.append(("null", w))
-        labels.append("null:" + w)
     row_meaning = [("firm", f) for f in frac_firms] + [("worker", w) for w in m.workers]
     rows, rhs = [], []
     for f in frac_firms:
-        rows.append(
-            tuple(1 if kind in ("take", "empty") and who == f else 0 for kind, who in meanings)
-        )
+        row = []
+        for kind, who in meanings:
+            if kind == "take":
+                row.append(1 if d.origin[who][0] == f else 0)
+            elif kind == "empty":
+                row.append(1 if who == f else 0)
+            else:
+                row.append(0)
+        rows.append(tuple(row))
         rhs.append(1)
     for w in m.workers:
         row = []
@@ -97,7 +121,7 @@ def reference_constraint_system(fm, d):
             else:
                 row.append(0)
         rows.append(tuple(row))
-        integral = sum(1 for f in m.firms if fm.levels[f] == ONE and w in unique_set(f))
+        integral = sum(1 for c in m.firms if fm.levels[c] == ONE and w in unique_set(c))
         if fm.null_assignment[w] == ONE:
             integral += 1
         rhs.append(1 - integral)
@@ -111,6 +135,44 @@ def reference_constraint_system(fm, d):
         row_meaning=tuple(row_meaning),
         rhs=tuple(rhs),
     )
+
+
+def reference_dominating(fm, m, d):
+    """Reference: individual rationality and Scarf domination, straight
+    from the rows of the original market m. Column c = (f, S) is dominated
+    when a row it enters puts all its positive mass on columns the row
+    ranks at least as high as c. Row f ranks f's sets by f's chain, its
+    slack last. Row w ranks columns by the firm's place on w's list, two
+    columns of one firm by that firm's chain, then its null share, then
+    the columns of firms w does not list."""
+    column = {c: (d.origin[c][0], d.market.firm_prefs[c].chain[0]) for c in d.market.firms}
+    positive = [c for c in column if fm.levels[c] > 0]
+
+    def firm_rank(c):
+        f, s = column[c]
+        return m.firm_prefs[f].chain.index(s)
+
+    def worker_rank(w, c):
+        lst = m.worker_prefs[w]
+        f = column[c][0]
+        return (lst.index(f), firm_rank(c)) if f in lst else (len(lst) + 1, 0)
+
+    for c in positive:
+        f, s = column[c]
+        if any(f not in m.worker_prefs[w] for w in s):
+            return False
+    for c, (f, s) in column.items():
+        own = [k for k in column if column[k][0] == f]
+        slack = ONE - sum(fm.levels[k] for k in own)
+        if slack == 0 and all(firm_rank(k) <= firm_rank(c) for k in positive if k in own):
+            continue
+        if not any(
+            all(worker_rank(w, k) <= worker_rank(w, c) for k in positive if w in column[k][1])
+            and (fm.null_assignment[w] == 0 or worker_rank(w, c) > (len(m.worker_prefs[w]), 0))
+            for w in s
+        ):
+            return False
+    return True
 
 
 def overlap_market(rng):
@@ -128,15 +190,25 @@ def overlap_market(rng):
     return Market.build(workers, chains, prefs)
 
 
+def is_verified(fm, d):
+    """The verifier's verdict, with a firm whose levels sum above 1 (a
+    malformed point) counted as not stable."""
+    try:
+        return verify_fractional_stability(fm, d).ok
+    except FractionalError:
+        return False
+
+
 def verified_points():
-    """Stable fractional matchings: the verified 1/2-1/2 mixes of pairs of
-    stable matchings of set-split random and overlap markets (a matching
-    mixed with itself is integral), then every firm of
+    """Stable fractional matchings (m, d, fm): the verified 1/2-1/2 mixes of
+    pairs of stable matchings of set-split random and overlap markets m (a
+    matching mixed with itself is integral), then every firm of
     ``cyclic_market(3..10)`` at 1/2."""
     for seed in range(3):
         rng = random.Random(seed)
         for make in [random_market] * 50 + [overlap_market] * 100:
-            d = decompose_by_sets(make(rng))
+            m = make(rng)
+            d = decompose_by_sets(m)
             if len(d.market.firms) > MAX_FIRMS:
                 continue
             stable = [
@@ -149,13 +221,37 @@ def verified_points():
                     levels={f: (la[f] + lb[f]) / 2 for f in la},
                     null_assignment={w: (na[w] + nb[w]) / 2 for w in na},
                 )
-                if verify_fractional_stability(fm, d).ok:
-                    yield d, fm
+                if is_verified(fm, d):
+                    yield m, d, fm
     for n in range(3, 11):
-        d = decompose_by_sets(cyclic_market(n))
-        yield d, FractionalMatching(
+        m = cyclic_market(n)
+        d = decompose_by_sets(m)
+        yield m, d, FractionalMatching(
             levels={f: H for f in d.market.firms},
             null_assignment={w: Z for w in d.market.workers},
+        )
+
+
+def half_points(count, seed):
+    """Seeded well-formed points (m, d, fm) on random and overlap markets:
+    in random order each column takes 0, 1/2 or 1, as far as its firm's
+    total and its workers' masses stay within 1; the rest of each worker's
+    mass is unmatched."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.choice((random_market, overlap_market))(rng)
+        d = decompose_by_sets(m)
+        room = {w: ONE for w in m.workers}
+        room.update({f: ONE for f in m.firms})
+        levels = {}
+        for c in rng.sample(d.market.firms, len(d.market.firms)):
+            rows = {d.origin[c][0]} | d.market.firm_prefs[c].chain[0]
+            levels[c] = rng.choice([x for x in (Z, H, ONE) if all(x <= room[r] for r in rows)])
+            for r in rows:
+                room[r] -= levels[c]
+        yield m, d, FractionalMatching(
+            levels={c: levels[c] for c in d.market.firms},
+            null_assignment={w: room[w] for w in m.workers},
         )
 
 
@@ -178,8 +274,8 @@ class TestVerification:
     def test_blocking_firm_reported(self, split):
         # starving f1#1 of w1 only: f1#2 and the null share feed it back
         fm = FractionalMatching(
-            levels={"f1#1": Z, "f1#2": ONE, "f1#3": ONE, "f2": Z},
-            null_assignment={"w1": Z, "w2": Z, "w3": Z, "w4": ONE},
+            levels={"f1#1": Z, "f1#2": ONE, "f1#3": Z, "f2": Z},
+            null_assignment={"w1": Z, "w2": ONE, "w3": ONE, "w4": ONE},
         )
         report = verify_fractional_stability(fm, split)
         assert not report.ok
@@ -213,41 +309,93 @@ class TestVerification:
         with pytest.raises(FractionalError):
             verify_fractional_stability(broken, split)
 
+    def test_over_full_firm_rejected_unless_pseudo(self):
+        # f holds both of its sets at once: its levels sum to 2
+        m = Market.build(["w1", "w2"], {"f": [["w1"], ["w2"]]}, {"w1": ["f"], "w2": ["f"]})
+        d = decompose_by_sets(m)
+        fm = FractionalMatching(levels={"f#1": ONE, "f#2": ONE}, null_assignment={"w1": Z, "w2": Z})
+        with pytest.raises(FractionalError, match="^firm f levels sum to 2, above 1$"):
+            verify_fractional_stability(fm, d)
+        assert verify_fractional_stability(fm, d, pseudo=True).ok
+
+    def test_firm_row_dominates_its_worse_sets(self):
+        # f holds {w1}, its first set, so the idle {w2, w3} does not block
+        # although both of its workers are unmatched
+        m = Market.build(
+            ["w1", "w2", "w3"], {"f": [["w1"], ["w2", "w3"]]}, {w: ["f"] for w in ("w1", "w2", "w3")}
+        )
+        d = decompose_by_sets(m)
+        fm = FractionalMatching(
+            levels={"f#1": ONE, "f#2": Z}, null_assignment={"w1": Z, "w2": ONE, "w3": ONE}
+        )
+        assert verify_fractional_stability(fm, d).ok
+        assert not verify_fractional_stability(fm.with_level("f#1", H).with_null("w1", H), d).ok
+
+    def test_stable_matchings_of_the_original_market_verify(self):
+        # every stable matching of m, read as (f, S) columns, is a stable
+        # point, complementary firms or not, and rounds to itself
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(200):
+            m = random_market(rng)
+            d = decompose_by_sets(m)
+            column = {(d.origin[c][0], d.market.firm_prefs[c].chain[0]): c for c in d.market.firms}
+            for mu in all_stable_matchings(m):
+                held = {column[(f, s)] for f, s in mu.inverse().items() if f is not None}
+                fm = FractionalMatching(
+                    levels={c: ONE if c in held else Z for c in d.market.firms},
+                    null_assignment={w: ONE if mu.assignment[w] is None else Z for w in m.workers},
+                )
+                assert verify_fractional_stability(fm, d).ok
+                assert round_fractional(fm, d) == (mu, None)
+                checked += 1
+        assert checked >= 200
+
+    def test_agrees_with_reference_on_verified_points(self):
+        for m, d, fm in verified_points():
+            assert reference_dominating(fm, m, d)
+
+    def test_agrees_with_reference_on_half_points(self):
+        verdicts = []
+        for m, d, fm in half_points(3000, seed=11):
+            ok = verify_fractional_stability(fm, d).ok
+            assert ok == reference_dominating(fm, m, d)
+            verdicts.append(ok)
+        assert 300 <= sum(verdicts) <= 2700
+
 
 class TestConstraintSystem:
     def test_shape_and_legend(self, half_half, split):
+        # f1's levels sum to 1, so f1 has no slack column; f2's slack is 1/2
         cs = build_constraint_system(half_half, split)
-        assert cs.matrix.shape == (7, 7)
+        assert cs.matrix.shape == (6, 5)
         assert cs.column_meaning == (
             ("take", "f1#1"),
-            ("empty", "f1#1"),
             ("take", "f1#2"),
-            ("empty", "f1#2"),
             ("take", "f2"),
             ("empty", "f2"),
             ("null", "w4"),
         )
+        assert cs.matrix.cols == ("f1#1:{w1,w2,w3}", "f1#2:{w1}", "f2:{w2,w3,w4}", "f2:{}", "null:w4")
         assert cs.row_meaning == (
-            ("firm", "f1#1"),
-            ("firm", "f1#2"),
+            ("firm", "f1"),
             ("firm", "f2"),
             ("worker", "w1"),
             ("worker", "w2"),
             ("worker", "w3"),
             ("worker", "w4"),
         )
-        assert cs.rhs == (1, 1, 1, 1, 1, 1, 1)
+        assert cs.rhs == (1, 1, 1, 1, 1, 1)
 
     def test_entries(self, half_half, split):
         cs = build_constraint_system(half_half, split)
         assert cs.matrix.entries == (
-            (1, 1, 0, 0, 0, 0, 0),
-            (0, 0, 1, 1, 0, 0, 0),
-            (0, 0, 0, 0, 1, 1, 0),
-            (1, 0, 1, 0, 0, 0, 0),
-            (1, 0, 0, 0, 1, 0, 0),
-            (1, 0, 0, 0, 1, 0, 0),
-            (0, 0, 0, 0, 1, 0, 1),
+            (1, 1, 0, 0, 0),
+            (0, 0, 1, 1, 0),
+            (1, 1, 0, 0, 0),
+            (1, 0, 1, 0, 0),
+            (1, 0, 1, 0, 0),
+            (0, 0, 1, 0, 1),
         )
 
     def test_integral_input_gives_empty_system(self, split):
@@ -261,16 +409,16 @@ class TestConstraintSystem:
 
     def test_unstable_input_rejected(self, split):
         fm = FractionalMatching(
-            levels={"f1#1": Z, "f1#2": ONE, "f1#3": ONE, "f2": Z},
-            null_assignment={"w1": Z, "w2": Z, "w3": Z, "w4": ONE},
+            levels={"f1#1": Z, "f1#2": ONE, "f1#3": Z, "f2": Z},
+            null_assignment={"w1": Z, "w2": ONE, "w3": ONE, "w4": ONE},
         )
-        with pytest.raises(FractionalError):
+        with pytest.raises(FractionalError, match="^fractional input is not stable"):
             build_constraint_system(fm, split)
 
     def test_matches_reference_builder(self):
         points = list(verified_points())
         assert len(points) >= 150
-        for d, fm in points:
+        for _, d, fm in points:
             assert build_constraint_system(fm, d) == reference_constraint_system(fm, d)
 
 
@@ -278,7 +426,7 @@ class TestExtraction:
     def test_canonical_solution(self, half_half, split):
         cs = build_constraint_system(half_half, split)
         z = extract_integral_solution(cs)
-        assert z == (1, 0, 0, 1, 0, 1, 1)
+        assert z == (1, 0, 0, 1, 1)
 
     def test_first_solution_in_order(self, half_half, split):
         # 1-before-0 depth-first order means the returned vector is the
@@ -289,7 +437,7 @@ class TestExtraction:
 
     def test_first_solution_on_verified_points(self):
         outcomes = set()
-        for d, fm in verified_points():
+        for _, d, fm in verified_points():
             cs = build_constraint_system(fm, d)
             if len(cs.column_meaning) > 16:
                 continue
@@ -310,9 +458,21 @@ class TestExtraction:
         report = verify_fractional_stability(integral, split)
         assert report.ok
         mu = integral_to_matching(integral, split)
-        assert mu.assignment == {"w1": "f1#1", "w2": "f1#1", "w3": "f1#1", "w4": None}
-        lifted = lift_matching(mu, split)
-        assert is_stable(lifted, two_firms)
+        assert mu.assignment == {"w1": "f1", "w2": "f1", "w3": "f1", "w4": None}
+        assert is_stable(mu, two_firms)
+
+    def test_roundings_are_stable_on_the_original_market(self):
+        points = list(verified_points())
+        points += [p for p in half_points(1000, seed=12) if verify_fractional_stability(p[2], p[1]).ok]
+        rounded = 0
+        for m, d, fm in points:
+            try:
+                mu, _ = round_fractional(fm, d)
+            except IntegralExtractionError:
+                continue
+            assert find_block(mu, m).empty
+            rounded += 1
+        assert rounded >= 400
 
     def test_intermediate_steps_verify_as_pseudo(self, half_half, split):
         # apply the rounding one coordinate at a time; each intermediate
@@ -385,6 +545,40 @@ class TestIntegralToMatching:
         )
         with pytest.raises(FractionalError):
             integral_to_matching(fm, split)
+
+    def test_double_assignment_names_first_worker_in_market_order(self):
+        # f and g both hold {w1, w2, w3, w4}; the error names w1 whatever
+        # the hash seed, so it runs in fresh processes
+        script = (
+            "from fractions import Fraction\n"
+            "from balmatch.fractional import FractionalMatching, integral_to_matching\n"
+            "from balmatch.market import Market\n"
+            "from balmatch.prefs import decompose_by_sets\n"
+            "ws = ['w1', 'w2', 'w3', 'w4']\n"
+            "m = Market.build(ws, {'f': [ws], 'g': [ws]}, {w: ['f', 'g'] for w in ws})\n"
+            "fm = FractionalMatching({'f': Fraction(1), 'g': Fraction(1)}, {w: Fraction(0) for w in ws})\n"
+            "try:\n"
+            "    integral_to_matching(fm, decompose_by_sets(m))\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(CORPUS.parent / "src")
+        errors = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+            )
+            errors.add(proc.stdout)
+        assert errors == {"worker w1 assigned twice\n"}
+
+    def test_maps_columns_to_original_firms(self, split):
+        fm = FractionalMatching(
+            levels={"f1#1": Z, "f1#2": ONE, "f1#3": Z, "f2": ONE},
+            null_assignment={"w1": Z, "w2": Z, "w3": Z, "w4": Z},
+        )
+        mu = integral_to_matching(fm, split)
+        assert mu.assignment == {"w1": "f1", "w2": "f2", "w3": "f2", "w4": "f2"}
 
     def test_non_integral_rejected(self, half_half, split):
         with pytest.raises(FractionalError):

@@ -13,7 +13,6 @@ from balmatch.prefs import (
     decompose_by_sets,
     is_additive,
     is_complementary,
-    lift_matching,
     potential_employees,
     primitive_acceptable_sets,
 )
@@ -349,30 +348,3 @@ class TestDecomposeByComponents:
                         s = frozenset(sub)
                         assert choose(new_f, s, d.market) == choose(orig, s, m) & workers
 
-
-class TestLifting:
-    def test_lift_maps_siblings_home(self, two_firms):
-        d = decompose_by_sets(two_firms)
-        mu = Matching({"w1": "f1#1", "w2": "f1#1", "w3": "f1#1", "w4": None})
-        lifted = lift_matching(mu, d)
-        assert lifted.assignment == {"w1": "f1", "w2": "f1", "w3": "f1", "w4": None}
-
-    def test_stability_preserved_under_lift(self):
-        # holds for additive (hence complementary) firms; with unrelated
-        # disjoint acceptable sets two siblings can be matched at once and
-        # the lifted firm would hold a set it would not choose
-        from balmatch.oracle import all_stable_matchings
-
-        rng = random.Random(13)
-        checked = 0
-        while checked < 60:
-            m = random_market(rng, MarketGenConfig(max_workers=4, max_firms=2))
-            if not all(is_additive(f, m) for f in m.firms):
-                continue
-            try:
-                d = decompose_by_sets(m)
-            except MarketError:
-                continue
-            checked += 1
-            for mu in all_stable_matchings(d.market):
-                assert is_stable(lift_matching(mu, d), m)

@@ -157,19 +157,18 @@ class TestPipeline:
 
     def test_unstable_fractional_rejected(self, two_firms):
         fm = FractionalMatching(
-            levels={"f1#1": Z, "f1#2": ONE, "f1#3": ONE, "f2": Z},
-            null_assignment={"w1": Z, "w2": Z, "w3": Z, "w4": ONE},
+            levels={"f1#1": Z, "f1#2": ONE, "f1#3": Z, "f2": Z},
+            null_assignment={"w1": Z, "w2": ONE, "w3": ONE, "w4": ONE},
         )
-        with pytest.raises(FractionalError):
+        with pytest.raises(FractionalError, match="^fractional input is not stable"):
             round_fractional(fm, decompose_by_sets(two_firms))
 
-    def test_unstable_lift_rejected(self):
-        # f#1 and f#2 each hire their worker at level 1, which is stable in
-        # the split market, but lifted f holds {w1, w2}, which it would not
-        # choose
+    def test_over_full_firm_rejected(self):
+        # f#1 and f#2 each hire their worker at level 1, so f holds both
+        # of its sets at once: a malformed input, not a matching
         m = Market.build(["w1", "w2"], {"f": [["w1"], ["w2"]]}, {"w1": ["f"], "w2": ["f"]})
         fm = FractionalMatching(
             levels={"f#1": ONE, "f#2": ONE}, null_assignment={"w1": Z, "w2": Z}
         )
-        with pytest.raises(FractionalError, match="f: assignment"):
+        with pytest.raises(FractionalError, match="^firm f levels sum to 2, above 1$"):
             round_fractional(fm, decompose_by_sets(m))
