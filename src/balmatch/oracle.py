@@ -75,6 +75,67 @@ class SweepResult:
     solved: int = 0  # profiles no earlier matching settled, so ``solve`` ran
 
 
+class _RankingTables(dict):
+    """One table per worker ranking, built on first use. It maps each firm
+    g a worker with that ranking may hold (None for the null firm) to the
+    bitmask of the firms f the worker weakly prefers to g: ``f == g`` or
+    f ranked above g, where an unlisted firm ranks below null. A firm
+    missing from the table is one the worker finds unacceptable. Firm f
+    is bit ``1 << i`` for its index i in ``firms``."""
+
+    def __init__(self, firms: Iterable[str]):
+        super().__init__()
+        self.bit = {f: 1 << i for i, f in enumerate(firms)}
+
+    def __missing__(self, ranking: tuple[str, ...]) -> dict[Optional[str], int]:
+        table, mask = {}, 0
+        for f in ranking:
+            mask |= self.bit[f]
+            table[f] = mask
+        table[None] = mask
+        self[ranking] = table
+        return table
+
+
+# A stored matching: the matching, each worker's firm in market order, and
+# its candidate coalitions (firm bit, member worker indices): every
+# acceptable set its firm ranks above the set it holds.
+_Stored = tuple[Matching, tuple[Optional[str], ...], tuple[tuple[int, tuple[int, ...]], ...]]
+
+
+def _stored(mu: Matching, base: Market) -> _Stored:
+    """What a try of ``mu`` reads; ``mu`` must be stable on some market
+    with the firm side and workers of ``base``, so its firm side is
+    individually rational."""
+    index = {w: i for i, w in enumerate(base.workers)}
+    inv = mu.inverse()
+    coalitions = []
+    for i, f in enumerate(base.firms):
+        current = inv.get(f, frozenset())
+        for s in base.firm_prefs[f].acceptable:
+            if s == current:
+                break
+            coalitions.append((1 << i, tuple(index[w] for w in s)))
+    return mu, tuple(mu.assignment[w] for w in base.workers), tuple(coalitions)
+
+
+def _settles(stored: _Stored, tables: list[dict[Optional[str], int]]) -> bool:
+    """``is_stable`` of a stored matching on the profile whose workers'
+    ranking tables are ``tables``, in market order: every worker's firm
+    is in its table (worker IR), and no candidate coalition has its firm
+    bit in every member's mask."""
+    _, firms, coalitions = stored
+    masks = list(map(dict.get, tables, firms))
+    if None in masks:
+        return False
+    for bit, members in coalitions:
+        for i in members:
+            bit &= masks[i]
+        if bit:
+            return False
+    return True
+
+
 def exists_for_all_worker_prefs(
     firm_prefs: dict[str, FirmPreference],
     workers: Iterable[str],
@@ -90,13 +151,17 @@ def exists_for_all_worker_prefs(
     therefore enumerates rankings over those firms only, truncations
     included, which covers all profiles up to irrelevant reshuffling.
 
-    The firm side is checked once, in a base market that every profile's
-    market shares. Each profile first tries the stable matchings found so
-    far in this call, most recently confirmed first, with the full
-    ``is_stable`` on its own market; only when none is stable does it call
-    the complete ``solve``, whose result is re-checked with ``is_stable``
-    and stored. So every settled profile is backed by a matching checked
-    stable on it, and a profile without one still reaches ``solve``.
+    The firm side is checked once, in a base market. Each profile first
+    tries the stable matchings found so far in this call, most recently
+    confirmed first. Only the worker lists change from one profile to the
+    next, so a try (``_settles``) reads the profile's per-ranking tables
+    against what was stored with the matching: worker IR, then its
+    candidate coalitions. It equals ``is_stable`` on the profile's market.
+    Only when no stored matching settles the profile is that market built,
+    with ``Market.with_worker_prefs``, and the complete ``solve`` called;
+    its result is re-checked with ``is_stable`` and stored. So every
+    settled profile is backed by a matching stable on it, and a profile
+    without one still reaches ``solve``.
     """
     workers = list(workers)
     base = Market(
@@ -117,24 +182,26 @@ def exists_for_all_worker_prefs(
     else:
         rng = random.Random(seed)
         profiles = (tuple(rng.choice(opts) for opts in options) for _ in range(sample))
-    found: list[Matching] = []  # distinct: one is added only when all fail
+    tables = _RankingTables(base.firms)
+    found: list[_Stored] = []  # distinct: one is added only when all fail
     checked = solved = 0
     for profile in profiles:
         checked += 1
-        market = base.with_worker_prefs(dict(zip(workers, profile)))
-        for i, mu in enumerate(found):
-            if is_stable(mu, market):
+        row = [tables[r] for r in profile]
+        for i, stored in enumerate(found):
+            if _settles(stored, row):
                 found.insert(0, found.pop(i))
                 break
         else:
             solved += 1
+            market = base.with_worker_prefs(dict(zip(workers, profile)))
             mu = solve(market, with_certificates=False).matching
             if mu is None or not is_stable(mu, market):
                 return SweepResult(
                     ok=False, total=total, checked=checked, sampled=sample is not None,
                     counterexample=market.worker_prefs, solved=solved,
                 )
-            found.insert(0, mu)
+            found.insert(0, _stored(mu, base))
     return SweepResult(
         ok=True, total=total, checked=checked, sampled=sample is not None, solved=solved
     )

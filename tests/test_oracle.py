@@ -12,10 +12,14 @@ from balmatch.market import FirmPreference, Market, Matching, _first_block, acce
 from balmatch.oracle import (
     BudgetError,
     SweepResult,
+    _RankingTables,
+    _settles,
+    _stored,
     all_stable_matchings,
     cyclic_market,
     exists_for_all_worker_prefs,
     worker_pref_options,
+    worker_pref_space,
 )
 from balmatch.solve import solve
 
@@ -167,7 +171,10 @@ class TestPreferenceSweep:
 
 class TestSweepMatchesReference:
     """The sweep settles profiles from matchings it already found and calls
-    solve only on a miss; its verdicts must be the per-profile solve's."""
+    solve only on a miss; its verdicts must be the per-profile solve's.
+    The (checked, solved) totals are pinned: a try that rejects a matching
+    ``is_stable`` accepts, or another order of profiles or draws, moves
+    them."""
 
     @pytest.mark.parametrize("sample", [None, 40])
     def test_balanced_complementary_profiles(self, sample):
@@ -180,18 +187,29 @@ class TestSweepMatchesReference:
             assert r.ok
             solved += r.solved
             checked += r.checked
-        assert solved < checked  # stored matchings settled some profiles
+        # stored matchings settled the other profiles
+        assert (checked, solved) == {None: (4145, 87), 40: (1000, 87)}[sample]
 
     @pytest.mark.parametrize("sample", [None, 30])
     def test_random_firm_sides(self, sample):
         rng = random.Random(19)
         cfg = MarketGenConfig(max_workers=3, max_firms=3, max_chain=2, max_set=2)
         verdicts = set()
+        solved = checked = 0
         for _ in range(120):
             m = random_market(rng, cfg)
             r = _assert_sweep_matches_reference(m.firm_prefs, m.workers, sample=sample, seed=4)
             verdicts.add(r.ok)
+            solved += r.solved
+            checked += r.checked
         assert verdicts == {True, False}  # some firm sides have no stable matching
+        assert (checked, solved) == {None: (4881, 540), 30: (3567, 519)}[sample]
+
+    def test_sampled_sweep_over_many_firms(self):
+        # 13,700 rankings per worker: tables are built only for the drawn ones
+        prefs = {f"f{i}": FirmPreference.of({"w1", "w2"}, {"w1"}) for i in range(1, 8)}
+        r = _assert_sweep_matches_reference(prefs, ["w1", "w2"], sample=50, seed=3)
+        assert (r.ok, r.total, r.checked, r.solved) == (True, 13_700**2, 50, 11)
 
     @pytest.mark.parametrize("sample", [None, 25])
     def test_triangle_and_five_cycle(self, sample):
@@ -223,6 +241,11 @@ class TestSweepMatchesReference:
         assert not all_stable_matchings(late_market)
         r = _assert_sweep_matches_reference(prefs, workers)
         assert (r.ok, r.checked, r.counterexample) == (False, 35, late)
+        # the sweep's try rejects mu on the late profile for the same reason
+        tables = _RankingTables(prefs)
+        stored = _stored(mu, early)
+        assert _settles(stored, [tables[early.worker_prefs[w]] for w in workers])
+        assert not _settles(stored, [tables[late[w]] for w in workers])
 
     def test_solved_counts_only_misses(self):
         prefs = {"f1": FirmPreference.of({"w1", "w2"})}
@@ -230,3 +253,33 @@ class TestSweepMatchesReference:
         # profiles: both silent, w2 lists f1, w1 lists f1, both list f1;
         # the empty matching settles the first three, the last needs solve
         assert (r.ok, r.checked, r.solved) == (True, 4, 2)
+
+
+class TestTryMatchesIsStable:
+    """A sweep's try of a stored matching (``_settles``) is ``is_stable`` on
+    the profile's market, read from per-ranking tables."""
+
+    def test_every_stored_matching_on_every_profile(self):
+        rng = random.Random(19)
+        cfg = MarketGenConfig(max_workers=3, max_firms=3, max_chain=2, max_set=2)
+        pairs = settled = 0
+        for _ in range(120):
+            base = random_market(rng, cfg)
+            base = base.with_worker_prefs({w: () for w in base.workers})
+            profiles = list(itertools.product(*worker_pref_space(base)))
+            markets = [base.with_worker_prefs(dict(zip(base.workers, p))) for p in profiles]
+            # what a sweep may store: solve's matchings, stable on their own market
+            stored = {}
+            for market in markets:
+                mu = solve(market, with_certificates=False).matching
+                if mu is not None and is_stable(mu, market):
+                    stored.setdefault(tuple(mu.assignment.items()), _stored(mu, base))
+            tables = _RankingTables(base.firms)
+            for profile, market in zip(profiles, markets):
+                row = [tables[r] for r in profile]
+                for st in stored.values():
+                    settles = _settles(st, row)
+                    assert settles == is_stable(st[0], market)
+                    pairs += 1
+                    settled += settles
+        assert 0 < settled < pairs
