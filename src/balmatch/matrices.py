@@ -9,16 +9,17 @@ in their column filter (two 1s on the row subset for balanced and totally
 balanced, a positive even number for totally unimodular), their orders
 (odd ones for balanced) and the parity rule of total unimodularity, which
 is decided by Camion's criterion, so a determinant is evaluated only for
-the FAIL witness. Searches are exhaustive up to a size cap (on the reduced
+the FAIL witness. For balanced and totally balanced the search skips row
+subsets holding two rows with nested column sets, which no first witness
+holds. Searches are exhaustive up to a size cap (on the reduced
 matrix for balanced and totally balanced, on the matrix itself for totally
 unimodular); beyond the cap the verdict is INCONCLUSIVE, never a guess.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -158,46 +159,39 @@ def integer_determinant(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _reduce(m: ZeroOneMatrix) -> tuple[list[int], list[int]]:
+def _reduce(m: ZeroOneMatrix) -> tuple[int, dict[int, int]]:
     """Drop rows/columns with at most one 1, to fixpoint.
 
     Such lines cannot appear in a submatrix with two 1s per row and
-    column, so the reduction preserves all balancedness witnesses.
+    column, so the reduction preserves all balancedness witnesses. Returns
+    the kept rows as a bitmask (bit i for row i) and the kept columns, in
+    index order, each with the bitmask of its 1s on the kept rows.
     """
-    rows = list(range(len(m.rows)))
-    cols = list(range(len(m.cols)))
-    changed = True
-    while changed:
-        changed = False
-        keep_rows = [
-            i for i in rows if sum(m.entries[i][j] for j in cols) >= 2
-        ]
-        if len(keep_rows) != len(rows):
-            rows, changed = keep_rows, True
-        keep_cols = [
-            j for j in cols if sum(m.entries[i][j] for i in rows) >= 2
-        ]
-        if len(keep_cols) != len(cols):
-            cols, changed = keep_cols, True
-    return rows, cols
+    col_masks = [sum(1 << i for i, x in enumerate(col) if x) for col in zip(*m.entries)]
+    rows = (1 << len(m.rows)) - 1
+    while True:
+        cols = {j: y for j, x in enumerate(col_masks) if (y := x & rows).bit_count() >= 2}
+        once = twice = 0  # rows with at least one, at least two 1s in cols
+        for x in cols.values():
+            twice |= once & x
+            once |= x
+        if twice == rows:
+            return rows, cols
+        rows = twice
 
 
 def _row_subset_search(
-    m: ZeroOneMatrix,
-    rows: list[int],
-    cols: list[int],
-    orders: Iterable[int],
-    keep: Callable[[int], bool],
-    odd_twos: bool,
+    rows: int, cols: dict[int, int], orders: range, tu: bool
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """First k x k submatrix whose columns XOR to zero on its rows.
+    """First k x k submatrix of the reduced matrix whose columns XOR to zero
+    on its rows; ``rows`` and ``cols`` are as ``_reduce`` returns them.
 
     Enumerates orders ascending, then row subsets lexicographically. For each
     row subset the candidates are the first column of each distinct mask on
-    it whose weight passes ``keep`` (tabulated once per search); ``_pick``
+    it with two 1s, or with ``tu`` a positive even number of 1s; ``_pick``
     returns the lexicographically first k of them whose masks XOR to zero,
-    holding an odd number of columns of weight 2 (mod 4) when ``odd_twos``.
-    The first hit is returned.
+    holding an odd number of columns of weight 2 (mod 4) when ``tu``. The
+    first hit is returned.
 
     Keeping one column per mask loses no first witness. A minimal witness
     never holds two equal columns (for total unimodularity its determinant
@@ -212,24 +206,62 @@ def _row_subset_search(
     order with a hit is the order of the smallest cycle submatrix (odd, if
     only odd orders are searched), and every hit at that order is a single
     cycle through all its rows.
+
+    Dead row pairs. Without ``tu``, two rows whose column sets are nested
+    (one holds every column of the other) never lie together on a hit at
+    the smallest order: the row a with the smaller set meets the cycle in
+    two columns whose masks on the hit's rows are distinct, yet both hold
+    a and the other row b, so both are {a, b}. Smaller orders have no hit
+    at all. So the search enumerates only the row subsets free of dead
+    pairs, depth first over ascending indices, which meets them in the
+    lexicographic order of ``itertools.combinations``, and the first hit
+    is unchanged. With ``tu`` every pair is live, and the same search
+    visits every row subset.
     """
-    colmask = {
-        j: sum(1 << i for i, r in enumerate(rows) if m.entries[r][j]) for j in cols
+    if not orders:
+        return None
+    ok = [w > 0 and w % 2 == 0 if tu else w == 2 for w in range(rows.bit_count() + 1)]
+    # each kept row's bit, with the bitmask of its columns (bit p for cols' p-th)
+    row_cols: dict[int, int] = {}
+    for p, x in enumerate(cols.values()):
+        while x:
+            low = x & -x
+            x ^= low
+            row_cols[low] = row_cols.get(low, 0) | 1 << p
+    # live[bit of row a]: the rows that may share a hit with row a
+    live = {
+        a: rows if tu else sum(b for b, y in row_cols.items() if (x | y) not in (x, y))
+        for a, x in row_cols.items()
     }
-    ok = [keep(w) for w in range(len(rows) + 1)]
-    for k in orders:
-        for rsub in itertools.combinations(range(len(rows)), k):
-            mask = sum(1 << i for i in rsub)
+
+    def search(chosen: int, cand: int, need: int):
+        """First hit of order ``k`` among ``chosen`` plus ``need`` rows of
+        ``cand``; every row of ``cand`` is above the chosen ones and live
+        with each of them."""
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            sub = chosen | low
+            if need > 1:
+                hit = search(sub, cand & live[low], need - 1)
+                if hit is not None:
+                    return hit
+                continue
             first: dict[int, int] = {}
-            for j in cols:
-                x = colmask[j] & mask
+            for j, x in cols.items():
+                x &= sub
                 if x not in first and ok[x.bit_count()]:
                     first[x] = j
-            if len(first) < k:
-                continue
-            hit = _pick(list(first.values()), list(first), k, odd_twos)
-            if hit is not None:
-                return tuple(rows[i] for i in rsub), hit
+            if len(first) >= k:
+                hit = _pick(list(first.values()), list(first), k, tu)
+                if hit is not None:
+                    return tuple(i for i in range(sub.bit_length()) if sub >> i & 1), hit
+        return None
+
+    for k in orders:
+        hit = search(0, rows, k)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -262,26 +294,19 @@ def _pick(cand, masks, k, odd_twos):
 
 
 def _certificate(
-    m: ZeroOneMatrix,
-    prop: str,
-    cap: int,
-    cap_reduced: bool,
-    step: int,
-    keep: Callable[[int], bool],
-    odd_twos: bool,
-    detail: str,
+    m: ZeroOneMatrix, prop: str, cap: int, step: int, tu: bool, detail: str
 ) -> MatrixCertificate:
     """Search orders 3, 3 + step, ... of the reduced matrix; ``detail`` takes the order.
 
-    The cap applies to the reduced matrix when ``cap_reduced``, else to ``m``.
+    The cap applies to ``m`` itself when ``tu``, else to the reduced matrix.
     """
     rows, cols = _reduce(m)
-    nr, nc = (len(rows), len(cols)) if cap_reduced else m.shape
+    nr, nc = m.shape if tu else (rows.bit_count(), len(cols))
     if nr > cap or nc > cap:
-        what = "reduced matrix" if cap_reduced else "matrix"
+        what = "matrix" if tu else "reduced matrix"
         return MatrixCertificate(prop, INCONCLUSIVE, detail=f"{what} is {nr}x{nc}, cap is {cap}")
-    orders = range(3, min(len(rows), len(cols)) + 1, step)
-    hit = _row_subset_search(m, rows, cols, orders, keep, odd_twos)
+    orders = range(3, min(rows.bit_count(), len(cols)) + 1, step)
+    hit = _row_subset_search(rows, cols, orders, tu)
     if hit is None:
         return MatrixCertificate(property=prop, verdict=PASS)
     wr, wc = hit
@@ -298,7 +323,7 @@ def _certificate(
 def is_balanced(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
     """No odd-order square submatrix with exactly two 1s per row and column."""
     return _certificate(
-        m, "balanced", cap, True, 2, lambda w: w == 2, False,
+        m, "balanced", cap, 2, False,
         "odd-order submatrix with two 1s per row and column, order {}",
     )
 
@@ -306,8 +331,7 @@ def is_balanced(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
 def is_totally_balanced(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCertificate:
     """No submatrix equal to the incidence matrix of a cycle of length >= 3."""
     return _certificate(
-        m, "totally balanced", cap, True, 1, lambda w: w == 2, False,
-        "incidence matrix of a cycle of length {}",
+        m, "totally balanced", cap, 1, False, "incidence matrix of a cycle of length {}"
     )
 
 
@@ -325,9 +349,7 @@ def is_totally_unimodular(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCer
     a scan of all minors, so the witness is the first non-TU minor. Only its
     determinant is evaluated.
     """
-    cert = _certificate(
-        m, "totally unimodular", cap, False, 1, lambda w: w > 0 and w % 2 == 0, True, ""
-    )
+    cert = _certificate(m, "totally unimodular", cap, 1, True, "")
     if cert.verdict != FAIL:
         return cert
     wr, wc = cert.witness_rows, cert.witness_cols

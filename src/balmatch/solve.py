@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .market import Market, Matching, _first_block, acceptable_set_family
-from .matrices import DEFAULT_CAP, is_balanced, matrix_of_sets
+from .matrices import DEFAULT_CAP, PASS, is_balanced, matrix_of_sets
 from .prefs import is_additive, is_complementary, primitive_acceptable_sets
 
 
@@ -27,19 +27,30 @@ class SolveResult:
 
 
 def market_certificates(m: Market) -> dict[str, str]:
-    """Which of the sufficient conditions the market satisfies, at the default cap."""
-    primitive = list(
-        dict.fromkeys(s for f in m.firms for s in primitive_acceptable_sets(f, m))
-    )
+    """Which of the sufficient conditions the market satisfies, at the default cap.
+
+    A PASS of the acceptable sets decides the primitive sets' verdict: they
+    are a sub-family, balancedness survives deleting columns, and deleting
+    columns only shrinks the reduced matrix, so its cap cannot be hit
+    either. Otherwise the primitive family is built, and searched only
+    when it differs from the acceptable one.
+    """
+    acceptable = acceptable_set_family(m)
+    balanced = is_balanced(matrix_of_sets(acceptable, m.workers), DEFAULT_CAP).verdict
+    primitive_balanced = balanced
+    if balanced != PASS:
+        primitive = list(
+            dict.fromkeys(s for f in m.firms for s in primitive_acceptable_sets(f, m))
+        )
+        if primitive != acceptable:
+            primitive_balanced = is_balanced(
+                matrix_of_sets(primitive, m.workers), DEFAULT_CAP
+            ).verdict
     return {
         "complementary": str(all(is_complementary(f, m) for f in m.firms)),
         "additive": str(all(is_additive(f, m) for f in m.firms)),
-        "acceptable_sets_balanced": is_balanced(
-            matrix_of_sets(acceptable_set_family(m), m.workers), DEFAULT_CAP
-        ).verdict,
-        "primitive_sets_balanced": is_balanced(
-            matrix_of_sets(primitive, m.workers), DEFAULT_CAP
-        ).verdict,
+        "acceptable_sets_balanced": balanced,
+        "primitive_sets_balanced": primitive_balanced,
     }
 
 

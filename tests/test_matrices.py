@@ -4,7 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balmatch.hypergraphs import acceptable_set_hypergraph, firm_worker_hypergraph
+from balmatch.hypergraphs import (
+    acceptable_set_hypergraph,
+    check_hypergraph_balanced,
+    firm_worker_hypergraph,
+)
 from balmatch.market import acceptable_set_family
 from balmatch.matrices import (
     DEFAULT_CAP,
@@ -13,7 +17,7 @@ from balmatch.matrices import (
     PASS,
     MatrixCertificate,
     ZeroOneMatrix,
-    _reduce,
+    _pick,
     integer_determinant,
     is_balanced,
     is_totally_balanced,
@@ -57,6 +61,97 @@ def labelled(entries):
 
 def market_matrix(m):
     return matrix_of_sets(acceptable_set_family(m), m.workers)
+
+
+def reference_reduce(m):
+    """Drop rows/columns with at most one 1, to fixpoint, as index lists."""
+    rows = list(range(len(m.rows)))
+    cols = list(range(len(m.cols)))
+    changed = True
+    while changed:
+        changed = False
+        keep_rows = [i for i in rows if sum(m.entries[i][j] for j in cols) >= 2]
+        if len(keep_rows) != len(rows):
+            rows, changed = keep_rows, True
+        keep_cols = [j for j in cols if sum(m.entries[i][j] for i in rows) >= 2]
+        if len(keep_cols) != len(cols):
+            cols, changed = keep_cols, True
+    return rows, cols
+
+
+def unpruned_search(m, rows, cols, orders, keep, odd_twos):
+    """The row-subset search without dead row pairs: every row subset of
+    the reduced matrix, orders ascending, then itertools.combinations."""
+    colmask = {j: sum(1 << i for i, r in enumerate(rows) if m.entries[r][j]) for j in cols}
+    ok = [keep(w) for w in range(len(rows) + 1)]
+    for k in orders:
+        for rsub in itertools.combinations(range(len(rows)), k):
+            mask = sum(1 << i for i in rsub)
+            first = {}
+            for j in cols:
+                x = colmask[j] & mask
+                if x not in first and ok[x.bit_count()]:
+                    first[x] = j
+            if len(first) < k:
+                continue
+            hit = _pick(list(first.values()), list(first), k, odd_twos)
+            if hit is not None:
+                return tuple(rows[i] for i in rsub), hit
+    return None
+
+
+UNPRUNED = {
+    # property: (cap on the reduced matrix, order step, column filter, TU parity, detail)
+    "balanced": (
+        True, 2, lambda w: w == 2, False,
+        "odd-order submatrix with two 1s per row and column, order {}",
+    ),
+    "totally balanced": (
+        True, 1, lambda w: w == 2, False, "incidence matrix of a cycle of length {}"
+    ),
+    "totally unimodular": (False, 1, lambda w: w > 0 and w % 2 == 0, True, None),
+}
+
+
+def unpruned_certificate(m, prop, cap=DEFAULT_CAP):
+    """The certificate of ``prop`` from ``unpruned_search``."""
+    cap_reduced, step, keep, odd_twos, detail = UNPRUNED[prop]
+    rows, cols = reference_reduce(m)
+    nr, nc = (len(rows), len(cols)) if cap_reduced else m.shape
+    if nr > cap or nc > cap:
+        what = "reduced matrix" if cap_reduced else "matrix"
+        return MatrixCertificate(prop, INCONCLUSIVE, detail=f"{what} is {nr}x{nc}, cap is {cap}")
+    orders = range(3, min(len(rows), len(cols)) + 1, step)
+    hit = unpruned_search(m, rows, cols, orders, keep, odd_twos)
+    if hit is None:
+        return MatrixCertificate(property=prop, verdict=PASS)
+    wr, wc = hit
+    det = None
+    if detail is None:
+        det = integer_determinant([[m.entries[i][j] for j in wc] for i in wr])
+        detail = f"submatrix of order {{}} has determinant {det}"
+    return MatrixCertificate(
+        property=prop,
+        verdict=FAIL,
+        witness_rows=wr,
+        witness_cols=wc,
+        determinant=det,
+        detail=detail.format(len(wr)),
+        witness=m.submatrix(wr, wc),
+    )
+
+
+def assert_same_as_unpruned(m, cap=DEFAULT_CAP):
+    """All three certificates equal the unpruned search's, byte for byte."""
+    verdicts = []
+    for check in (is_balanced, is_totally_balanced, is_totally_unimodular):
+        cert = check(m, cap)
+        ref = unpruned_certificate(m, cert.property, cap)
+        assert repr(cert) == repr(ref)
+        assert cert.as_dict() == ref.as_dict()
+        assert cert.render() == ref.render()
+        verdicts.append(cert.verdict)
+    return verdicts
 
 
 def brute_totally_unimodular(m, cap=DEFAULT_CAP):
@@ -327,7 +422,7 @@ def brute_two_per_line(m, cap, prop, step, cycle_only, detail):
     """Reference search: orders 3, 3 + step, ..., then row and column subsets
     lexicographically, for a submatrix with two 1s per row and column (and,
     with cycle_only, a single cycle). The cap is on the reduced matrix."""
-    rows, cols = _reduce(m)
+    rows, cols = reference_reduce(m)
     if len(rows) > cap or len(cols) > cap:
         return MatrixCertificate(
             property=prop,
@@ -458,3 +553,52 @@ class TestCamionMatchesAllMinors:
     )
     def test_market_families(self, market):
         assert_same_as_all_minors(market_matrix(market))
+
+
+FAMILIES = (
+    [nested_market(n) for n in range(8, 13)]
+    + [cyclic_market(n) for n in range(3, 12)]
+    + [interval_market(n) for n in (4, 5, 6)]
+)
+FAMILY_IDS = (
+    [f"nested{n}" for n in range(8, 13)]
+    + [f"cyclic{n}" for n in range(3, 12)]
+    + [f"interval{n}" for n in (4, 5, 6)]
+)
+
+
+class TestPrunedSearchMatchesUnpruned:
+    """Skipping row subsets that hold a nested (dead) row pair changes no
+    certificate: verdicts, witnesses and renderings equal the search over
+    every row subset."""
+
+    def test_random_matrices(self):
+        rng = random.Random(13)
+        verdicts = []
+        for _ in range(2000):
+            n, m = rng.randint(1, 12), rng.randint(1, 12)
+            density = rng.choice((0.15, 0.3, 0.5, 0.7))
+            mat = labelled([[int(rng.random() < density) for _ in range(m)] for _ in range(n)])
+            verdicts += assert_same_as_unpruned(mat)
+        assert verdicts.count(FAIL) > 1000 and verdicts.count(PASS) > 1000
+
+    def test_nested_pairs_are_pruned_not_lost(self):
+        # rows r0 and r3 are nested (r3's columns lie inside r0's), yet a
+        # 3-cycle runs through r1, r2, r3 after the dead subsets
+        mat = labelled([[1, 1, 1, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1]])
+        for check in (is_balanced, is_totally_balanced):
+            assert check(mat).witness_rows == (1, 2, 3)
+        assert_same_as_unpruned(mat)
+
+    @pytest.mark.parametrize("market", FAMILIES, ids=FAMILY_IDS)
+    def test_market_families(self, market):
+        assert_same_as_unpruned(market_matrix(market))
+        for mat in hypergraph_matrices(market):
+            assert_same_as_unpruned(mat, cap=max(mat.shape))
+
+    def test_nested_chain_of_24_passes_both_hypergraph_checks(self):
+        # every row pair of a nested chain is dead, so nothing is enumerated;
+        # the unpruned search doubles per worker from about 6 ms at 12
+        market = nested_market(24)
+        assert check_hypergraph_balanced(acceptable_set_hypergraph(market)).verdict == PASS
+        assert check_hypergraph_balanced(firm_worker_hypergraph(market)).verdict == PASS

@@ -1,16 +1,27 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from balmatch.fractional import FractionalError, FractionalMatching, round_fractional
-from balmatch.genrandom import MarketGenConfig, random_market
-from balmatch.market import Market, Matching, is_stable
-from balmatch.oracle import all_stable_matchings
-from balmatch.prefs import decompose_by_sets
+from balmatch.genrandom import (
+    MarketGenConfig,
+    random_complementary_balanced_profile,
+    random_market,
+)
+from balmatch.market import Market, Matching, acceptable_set_family, is_stable
+from balmatch.matrices import is_balanced, matrix_of_sets
+from balmatch.oracle import all_stable_matchings, cyclic_market
+from balmatch.prefs import (
+    decompose_by_sets,
+    is_additive,
+    is_complementary,
+    primitive_acceptable_sets,
+)
 from balmatch.solve import _direct_search, market_certificates, solve
 
-from conftest import MARKET_FILES, load_market
+from conftest import MARKET_FILES, interval_market, load_market, nested_market
 
 H = Fraction(1, 2)
 Z = Fraction(0)
@@ -108,6 +119,103 @@ class TestDirect:
             _assert_search_matches_reference(m)
             found += _direct_search(m) is not None
         assert 0 < found < 400  # both outcomes occur
+
+
+def reference_certificates(m):
+    """Both balancedness searches, each on its own family."""
+    primitive = list(dict.fromkeys(s for f in m.firms for s in primitive_acceptable_sets(f, m)))
+    return {
+        "complementary": str(all(is_complementary(f, m) for f in m.firms)),
+        "additive": str(all(is_additive(f, m) for f in m.firms)),
+        "acceptable_sets_balanced": is_balanced(
+            matrix_of_sets(acceptable_set_family(m), m.workers)
+        ).verdict,
+        "primitive_sets_balanced": is_balanced(matrix_of_sets(primitive, m.workers)).verdict,
+    }
+
+
+def complementary_market(rng):
+    """A complementary firm side with a balanced acceptable-set matrix, and
+    random worker lists."""
+    chains = random_complementary_balanced_profile(rng, max_firms=3, max_workers=5)
+    ws = sorted({w for p in chains.values() for s in p.chain for w in s})
+    firms = list(chains)
+    prefs = {w: tuple(rng.sample(firms, rng.randint(1, len(firms)))) for w in ws}
+    return Market(workers=tuple(ws), firms=tuple(firms), worker_prefs=prefs, firm_prefs=chains)
+
+
+def _assert_certificates_match_reference(m):
+    certs = market_certificates(m)
+    assert list(certs.items()) == list(reference_certificates(m).items())
+    return certs["acceptable_sets_balanced"], certs["primitive_sets_balanced"]
+
+
+class TestDerivedPrimitiveVerdict:
+    """An acceptable-set PASS decides the primitive verdict; the dict equals
+    the one from searching both families, keys in order."""
+
+    @pytest.mark.parametrize("name", MARKET_FILES)
+    def test_corpus_markets(self, name):
+        _assert_certificates_match_reference(load_market(name))
+
+    def test_primitive_sets_can_pass_where_acceptable_sets_fail(self, pair_chain):
+        assert _assert_certificates_match_reference(pair_chain) == ("FAIL", "PASS")
+
+    @pytest.mark.parametrize(
+        "market",
+        [nested_market(n) for n in range(8, 13)]
+        + [cyclic_market(n) for n in range(3, 11)]
+        + [interval_market(n) for n in (4, 5, 6)],
+        ids=[f"nested{n}" for n in range(8, 13)]
+        + [f"cyclic{n}" for n in range(3, 11)]
+        + [f"interval{n}" for n in (4, 5, 6)],
+    )
+    def test_market_families(self, market):
+        _assert_certificates_match_reference(market)
+
+    def test_random_markets(self):
+        rng = random.Random(3)
+        cfg = MarketGenConfig(max_workers=5, max_firms=3, max_chain=3, max_set=3)
+        seen = set()
+        for _ in range(2000):
+            seen.add(_assert_certificates_match_reference(random_market(rng, cfg)))
+        assert ("FAIL", "PASS") in seen
+        assert ("PASS", "PASS") in seen and ("FAIL", "FAIL") in seen
+
+    def test_complementary_balanced_markets(self):
+        rng = random.Random(24)
+        for _ in range(2000):
+            verdicts = _assert_certificates_match_reference(complementary_market(rng))
+            assert verdicts == ("PASS", "PASS")
+
+    def test_pass_does_not_build_the_primitive_family(self, monkeypatch, two_firms, cyclic3):
+        def unexpected(f, m):
+            raise AssertionError("primitive_acceptable_sets called")
+
+        solve_module = importlib.import_module("balmatch.solve")
+        monkeypatch.setattr(solve_module, "primitive_acceptable_sets", unexpected)
+        certs = market_certificates(two_firms)
+        assert certs["acceptable_sets_balanced"] == certs["primitive_sets_balanced"] == "PASS"
+        # a FAIL still needs the primitive family
+        with pytest.raises(AssertionError, match="primitive_acceptable_sets called"):
+            market_certificates(cyclic3)
+
+    @pytest.mark.parametrize(
+        "name, searches", [("two_firms", 1), ("cyclic3", 1), ("pair_chain", 2)]
+    )
+    def test_one_search_unless_the_families_differ(self, monkeypatch, name, searches):
+        # cyclic3 fails with primitive sets equal to its acceptable sets;
+        # pair_chain's primitive sets are fewer
+        solve_module = importlib.import_module("balmatch.solve")
+        calls = []
+
+        def counted(mat, cap):
+            calls.append(mat.cols)
+            return is_balanced(mat, cap)
+
+        monkeypatch.setattr(solve_module, "is_balanced", counted)
+        market_certificates(load_market(name + ".market"))
+        assert len(calls) == searches
 
 
 class TestCertificates:
