@@ -215,24 +215,25 @@ def _row_subset_search(
     at all. So the search enumerates only the row subsets free of dead
     pairs, depth first over ascending indices, which meets them in the
     lexicographic order of ``itertools.combinations``, and the first hit
-    is unchanged. With ``tu`` every pair is live, and the same search
-    visits every row subset.
+    is unchanged. With ``tu`` every pair is live: no pair table is built,
+    and the same search visits every row subset.
     """
     if not orders:
         return None
     ok = [w > 0 and w % 2 == 0 if tu else w == 2 for w in range(rows.bit_count() + 1)]
-    # each kept row's bit, with the bitmask of its columns (bit p for cols' p-th)
-    row_cols: dict[int, int] = {}
-    for p, x in enumerate(cols.values()):
-        while x:
-            low = x & -x
-            x ^= low
-            row_cols[low] = row_cols.get(low, 0) | 1 << p
-    # live[bit of row a]: the rows that may share a hit with row a
-    live = {
-        a: rows if tu else sum(b for b, y in row_cols.items() if (x | y) not in (x, y))
-        for a, x in row_cols.items()
-    }
+    if not tu:
+        # each kept row's bit, with the bitmask of its columns (bit p for cols' p-th)
+        row_cols: dict[int, int] = {}
+        for p, x in enumerate(cols.values()):
+            while x:
+                low = x & -x
+                x ^= low
+                row_cols[low] = row_cols.get(low, 0) | 1 << p
+        # live[bit of row a]: the rows that may share a hit with row a
+        live = {
+            a: sum(b for b, y in row_cols.items() if (x | y) not in (x, y))
+            for a, x in row_cols.items()
+        }
 
     def search(chosen: int, cand: int, need: int):
         """First hit of order ``k`` among ``chosen`` plus ``need`` rows of
@@ -243,7 +244,7 @@ def _row_subset_search(
             cand ^= low
             sub = chosen | low
             if need > 1:
-                hit = search(sub, cand & live[low], need - 1)
+                hit = search(sub, cand if tu else cand & live[low], need - 1)
                 if hit is not None:
                     return hit
                 continue

@@ -6,7 +6,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .market import FirmPreference, Market, Matching, is_stable
 from .solve import solve
@@ -55,64 +55,14 @@ def worker_pref_options(firms: list[str]) -> list[tuple[str, ...]]:
     return out
 
 
-def _hiring_firms(m: Market) -> list[list[str]]:
-    """Per worker, in market order, the firms with her in some acceptable
-    set, the only firms whose place on her list can matter."""
-    return [
-        [f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)]
-        for w in m.workers
-    ]
-
-
 def worker_pref_space(m: Market) -> list[list[tuple[str, ...]]]:
     """Per worker, in market order, the rankings a sweep tries: every
-    ranking of the firms with her in some acceptable set."""
-    return [worker_pref_options(firms) for firms in _hiring_firms(m)]
-
-
-def _ranking_count(n: int) -> int:
-    """``len(worker_pref_options(firms))`` for n firms."""
-    return sum(math.perm(n, r) for r in range(n + 1))
-
-
-def _ranking_at(firms: list[str], index: int) -> tuple[str, ...]:
-    """``worker_pref_options(firms)[index]`` without building the list.
-
-    The list runs by subset size, then by ``itertools.combinations``, then
-    by ``itertools.permutations`` of the subset, each lexicographic in the
-    firms' order: the index is unranked in that order.
-    """
-    n = len(firms)
-    r = 0
-    while index >= math.perm(n, r):
-        index -= math.perm(n, r)
-        r += 1
-    combo_index, perm_index = divmod(index, math.factorial(r))
-    combo, i = [], 0
-    for need in range(r, 0, -1):
-        # the subsets whose next firm is firms[i] number comb(n - 1 - i, need - 1)
-        while combo_index >= math.comb(n - 1 - i, need - 1):
-            combo_index -= math.comb(n - 1 - i, need - 1)
-            i += 1
-        combo.append(firms[i])
-        i += 1
-    ranking = []
-    for left in range(r, 0, -1):
-        q, perm_index = divmod(perm_index, math.factorial(left - 1))
-        ranking.append(combo.pop(q))
-    return tuple(ranking)
-
-
-def _sampled_profiles(
-    hiring: list[list[str]], sample: int, seed: int
-) -> Iterator[tuple[tuple[str, ...], ...]]:
-    """``sample`` profiles drawn as ``rng.choice`` would draw from
-    ``worker_pref_space``: ``randrange`` of the list's length takes the same
-    draw, and the index is unranked instead of looked up."""
-    rng = random.Random(seed)
-    counts = [_ranking_count(len(firms)) for firms in hiring]
-    for _ in range(sample):
-        yield tuple(_ranking_at(firms, rng.randrange(c)) for firms, c in zip(hiring, counts))
+    ranking of the firms with her in some acceptable set, the only firms
+    whose place on her list can matter."""
+    return [
+        worker_pref_options([f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)])
+        for w in m.workers
+    ]
 
 
 @dataclass
@@ -199,9 +149,7 @@ def exists_for_all_worker_prefs(
     her (firms with her in some acceptable set): an acceptable set whose
     firm is unranked by a member can never match or block. The sweep
     therefore enumerates rankings over those firms only, truncations
-    included, which covers all profiles up to irrelevant reshuffling. A
-    sampled sweep draws each worker's ranking by its index in that list
-    and unranks it, so it builds no list.
+    included, which covers all profiles up to irrelevant reshuffling.
 
     The firm side is checked once, in a base market. Each profile first
     tries the stable matchings found so far in this call, most recently
@@ -222,17 +170,18 @@ def exists_for_all_worker_prefs(
         worker_prefs={w: () for w in workers},
         firm_prefs=firm_prefs,
     )
-    hiring = _hiring_firms(base)
-    total = math.prod(_ranking_count(len(firms)) for firms in hiring)
+    options = worker_pref_space(base)
+    total = math.prod(map(len, options))
     if total > budget and sample is None:
         raise BudgetError(
             f"{total} worker preference profiles exceed the budget of {budget}; "
             "pass a sample size to proceed"
         )
     if sample is None:
-        profiles = itertools.product(*map(worker_pref_options, hiring))
+        profiles = itertools.product(*options)
     else:
-        profiles = _sampled_profiles(hiring, sample, seed)
+        rng = random.Random(seed)
+        profiles = (tuple(rng.choice(opts) for opts in options) for _ in range(sample))
     tables = _RankingTables(base.firms)
     found: list[_Stored] = []  # distinct: one is added only when all fail
     checked = solved = 0

@@ -9,13 +9,10 @@ from balmatch.genrandom import (
     random_market,
 )
 from balmatch.market import FirmPreference, Market, Matching, _first_block, acceptable_sets, is_stable
-from balmatch import oracle
 from balmatch.oracle import (
     BudgetError,
     SweepResult,
     _RankingTables,
-    _ranking_at,
-    _ranking_count,
     _settles,
     _stored,
     all_stable_matchings,
@@ -286,44 +283,3 @@ class TestTryMatchesIsStable:
                     pairs += 1
                     settled += settles
         assert 0 < settled < pairs
-
-
-def materialised_profiles(hiring, sample, seed):
-    """Sampled profiles as drawn before unranking: every ranking of every
-    worker built, then ``rng.choice`` from the lists."""
-    rng = random.Random(seed)
-    options = [worker_pref_options(firms) for firms in hiring]
-    for _ in range(sample):
-        yield tuple(rng.choice(opts) for opts in options)
-
-
-class TestSampledDraws:
-    """A sampled sweep unranks each drawn index instead of building every
-    ranking, and draws the same profiles."""
-
-    @pytest.mark.parametrize("n", range(7))
-    def test_unranking_follows_the_list(self, n):
-        firms = [f"f{i}" for i in range(n, 0, -1)]
-        options = worker_pref_options(firms)
-        assert _ranking_count(n) == len(options)
-        assert [_ranking_at(firms, i) for i in range(len(options))] == options
-
-    @pytest.mark.parametrize("seed", [3, 0, 1, 2])
-    def test_sweep_over_eight_firms_matches_materialised_draws(self, seed, monkeypatch):
-        # 109,601 rankings per worker; the sweep builds none it does not draw
-        prefs = {f"f{i}": FirmPreference.of({"w1", "w2"}, {"w1"}) for i in range(1, 9)}
-        r = exists_for_all_worker_prefs(prefs, ["w1", "w2"], sample=50, seed=seed)
-        monkeypatch.setattr(oracle, "_sampled_profiles", materialised_profiles)
-        ref = exists_for_all_worker_prefs(prefs, ["w1", "w2"], sample=50, seed=seed)
-        assert r == ref
-        assert (r.ok, r.total, r.checked, r.sampled) == (True, 109_601**2, 50, True)
-
-    def test_mixed_firm_counts_match_materialised_draws(self, monkeypatch):
-        rng = random.Random(31)
-        sides = []
-        for _ in range(30):
-            chains = random_complementary_balanced_profile(rng, max_firms=4, max_workers=5)
-            sides.append((chains, sorted({w for p in chains.values() for s in p.chain for w in s})))
-        results = [exists_for_all_worker_prefs(*side, sample=20, seed=5) for side in sides]
-        monkeypatch.setattr(oracle, "_sampled_profiles", materialised_profiles)
-        assert results == [exists_for_all_worker_prefs(*side, sample=20, seed=5) for side in sides]
