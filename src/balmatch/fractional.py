@@ -338,6 +338,6 @@ def round_fractional(
     ``FractionalError`` if the input is malformed or unstable,
     ``IntegralExtractionError`` if the system has no 0/1 point."""
     cs = build_constraint_system(fm, d)
+    z = extract_integral_solution(cs)  # its error carries the certificate
     cert = None if cs.empty else reduced_balance_check(cs)
-    z = extract_integral_solution(cs)
     return integral_to_matching(apply_stable_transformations(fm, z, cs), d), cert

@@ -61,14 +61,19 @@ class Market:
     """A two-sided many-to-one matching market.
 
     ``worker_prefs[w]`` lists acceptable firms best-first; ``firm_prefs[f]``
-    is the firm's chain. Immutable after construction.
+    is the firm's chain. Immutable after construction. Each worker's list
+    is also kept as its ``ranking_table``, which every stability test of
+    the package reads.
     """
 
     workers: tuple[str, ...]
     firms: tuple[str, ...]
     worker_prefs: dict[str, tuple[str, ...]]
     firm_prefs: dict[str, FirmPreference]
-    _worker_rank: dict[str, dict[str, int]] = field(
+    _bit: dict[str, int] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _prefers: dict[str, dict[Optional[str], int]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -92,9 +97,10 @@ class Market:
                 for w in s:
                     if w not in wset:
                         raise MarketError(f"unknown worker {w} in chain of firm {f}")
+        object.__setattr__(self, "_bit", {f: 1 << i for i, f in enumerate(self.firms)})
 
     def _check_worker_side(self):
-        """Worker keys and lists, then the rank table they induce."""
+        """Worker keys and lists, then each worker's ranking table."""
         if set(self.worker_prefs) != set(self.workers):
             raise MarketError("worker_prefs keys must match workers")
         fset = set(self.firms)
@@ -104,10 +110,22 @@ class Market:
             for f in lst:
                 if f not in fset:
                     raise MarketError(f"unknown firm {f} in preference list of {w}")
-        ranks = {
-            w: {f: i for i, f in enumerate(lst)} for w, lst in self.worker_prefs.items()
-        }
-        object.__setattr__(self, "_worker_rank", ranks)
+        tables = {w: self.ranking_table(lst) for w, lst in self.worker_prefs.items()}
+        object.__setattr__(self, "_prefers", tables)
+
+    def ranking_table(self, ranking: Iterable[str]) -> dict[Optional[str], int]:
+        """A worker ranking as a table: each firm g a worker with that
+        ranking may hold (None for the null firm) maps to the bitmask of
+        the firms f she weakly prefers to g, ``f == g`` or f ranked above
+        g, where an unlisted firm ranks below null. A firm missing from
+        the table is one she finds unacceptable. Firm f is bit
+        ``1 << i`` for its index i in ``firms``."""
+        table, mask = {}, 0
+        for f in ranking:
+            mask |= self._bit[f]
+            table[f] = mask
+        table[None] = mask
+        return table
 
     def with_worker_prefs(self, worker_prefs: dict[str, tuple[str, ...]]) -> "Market":
         """This market with other worker lists.
@@ -121,6 +139,7 @@ class Market:
         object.__setattr__(m, "firms", self.firms)
         object.__setattr__(m, "worker_prefs", worker_prefs)
         object.__setattr__(m, "firm_prefs", self.firm_prefs)
+        object.__setattr__(m, "_bit", self._bit)
         m._check_worker_side()
         return m
 
@@ -143,18 +162,17 @@ class Market:
 
     def require_workers(self, s: Iterable[str]):
         for w in s:
-            if w not in self._worker_rank:
+            if w not in self._prefers:
                 raise MarketError(f"unknown worker: {w}")
 
     def worker_weakly_prefers(self, w: str, f: Optional[str], g: Optional[str]) -> bool:
         """True iff worker w weakly prefers f to g (None is the null firm)."""
         if f == g:
             return True
-        ranks = self._worker_rank[w]
-        null = len(ranks)
-        rf = ranks.get(f, null + 1) if f is not None else null
-        rg = ranks.get(g, null + 1) if g is not None else null
-        return rf < rg
+        table = self._prefers[w]
+        if g not in table:  # g is unlisted: below null and every listed firm
+            return f in table
+        return bool(table[g] & self._bit.get(f, 0))
 
 
 @dataclass(frozen=True)
@@ -248,7 +266,7 @@ def _ir_violations(
     out = []
     for w in m.workers:
         f = mu.firm_of(w)
-        if f is not None and f not in m._worker_rank[w]:
+        if f is not None and f not in m._prefers[w]:
             out.append((w, f"matched to unacceptable firm {f}"))
     for f in m.firms:
         matched = inv.get(f, frozenset())
@@ -285,21 +303,16 @@ def _first_block(
     """First blocking coalition of a total, individually rational
     assignment in canonical order, or None; ``inv`` maps each firm to
     its matched set (an unmatched firm may be absent)."""
-    worker_rank = m._worker_rank
+    prefers = m._prefers
     for f in m.firms:
+        bit = m._bit[f]
         current = inv.get(f, frozenset())
         for s in m.firm_prefs[f].acceptable:
             if s == current:
                 break
             # s blocks unless a member fails worker_weakly_prefers(w, f, g)
             for w in s:
-                g = assignment[w]
-                if g == f:
-                    continue
-                ranks = worker_rank[w]
-                null = len(ranks)
-                rg = null if g is None else ranks.get(g, null + 1)
-                if not ranks.get(f, null + 1) < rg:
+                if not prefers[w][assignment[w]] & bit:
                     break
             else:
                 return f, s

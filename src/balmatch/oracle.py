@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -67,34 +66,17 @@ def worker_pref_space(m: Market) -> list[list[tuple[str, ...]]]:
 
 @dataclass
 class SweepResult:
+    """Outcome of an exhaustive sweep: ``checked`` of ``total`` profiles,
+    the first one without a stable matching (if any), and ``solved``, the
+    profiles no earlier matching settled, so ``solve`` ran. ``sampled`` is
+    always False: every sweep is exhaustive."""
+
     ok: bool
     total: int
     checked: int
-    sampled: bool
+    sampled: bool = False
     counterexample: Optional[dict[str, tuple[str, ...]]] = None
-    solved: int = 0  # profiles no earlier matching settled, so ``solve`` ran
-
-
-class _RankingTables(dict):
-    """One table per worker ranking, built on first use. It maps each firm
-    g a worker with that ranking may hold (None for the null firm) to the
-    bitmask of the firms f the worker weakly prefers to g: ``f == g`` or
-    f ranked above g, where an unlisted firm ranks below null. A firm
-    missing from the table is one the worker finds unacceptable. Firm f
-    is bit ``1 << i`` for its index i in ``firms``."""
-
-    def __init__(self, firms: Iterable[str]):
-        super().__init__()
-        self.bit = {f: 1 << i for i, f in enumerate(firms)}
-
-    def __missing__(self, ranking: tuple[str, ...]) -> dict[Optional[str], int]:
-        table, mask = {}, 0
-        for f in ranking:
-            mask |= self.bit[f]
-            table[f] = mask
-        table[None] = mask
-        self[ranking] = table
-        return table
+    solved: int = 0
 
 
 # A stored matching: the matching, each worker's firm in market order, and
@@ -110,12 +92,12 @@ def _stored(mu: Matching, base: Market) -> _Stored:
     index = {w: i for i, w in enumerate(base.workers)}
     inv = mu.inverse()
     coalitions = []
-    for i, f in enumerate(base.firms):
+    for f in base.firms:
         current = inv.get(f, frozenset())
         for s in base.firm_prefs[f].acceptable:
             if s == current:
                 break
-            coalitions.append((1 << i, tuple(index[w] for w in s)))
+            coalitions.append((base._bit[f], tuple(index[w] for w in s)))
     return mu, tuple(mu.assignment[w] for w in base.workers), tuple(coalitions)
 
 
@@ -140,8 +122,6 @@ def exists_for_all_worker_prefs(
     firm_prefs: dict[str, FirmPreference],
     workers: Iterable[str],
     budget: int = SWEEP_BUDGET,
-    sample: Optional[int] = None,
-    seed: int = 0,
 ) -> SweepResult:
     """Does a stable matching exist for every worker preference profile?
 
@@ -151,12 +131,15 @@ def exists_for_all_worker_prefs(
     therefore enumerates rankings over those firms only, truncations
     included, which covers all profiles up to irrelevant reshuffling.
 
+    ``BudgetError`` if there are more than ``budget`` profiles.
+
     The firm side is checked once, in a base market. Each profile first
     tries the stable matchings found so far in this call, most recently
     confirmed first. Only the worker lists change from one profile to the
-    next, so a try (``_settles``) reads the profile's per-ranking tables
-    against what was stored with the matching: worker IR, then its
-    candidate coalitions. It equals ``is_stable`` on the profile's market.
+    next, so a try (``_settles``) reads the profile's ranking tables, the
+    ones ``Market.ranking_table`` builds for every market, against what
+    was stored with the matching: worker IR, then its candidate
+    coalitions. It equals ``is_stable`` on the profile's market.
     Only when no stored matching settles the profile is that market built,
     with ``Market.with_worker_prefs``, and the complete ``solve`` called;
     its result is re-checked with ``is_stable`` and stored. So every
@@ -172,20 +155,14 @@ def exists_for_all_worker_prefs(
     )
     options = worker_pref_space(base)
     total = math.prod(map(len, options))
-    if total > budget and sample is None:
+    if total > budget:
         raise BudgetError(
-            f"{total} worker preference profiles exceed the budget of {budget}; "
-            "pass a sample size to proceed"
+            f"{total} worker preference profiles exceed the budget of {budget}"
         )
-    if sample is None:
-        profiles = itertools.product(*options)
-    else:
-        rng = random.Random(seed)
-        profiles = (tuple(rng.choice(opts) for opts in options) for _ in range(sample))
-    tables = _RankingTables(base.firms)
+    tables = {r: base.ranking_table(r) for opts in options for r in opts}
     found: list[_Stored] = []  # distinct: one is added only when all fail
     checked = solved = 0
-    for profile in profiles:
+    for profile in itertools.product(*options):
         checked += 1
         row = [tables[r] for r in profile]
         for i, stored in enumerate(found):
@@ -198,13 +175,11 @@ def exists_for_all_worker_prefs(
             mu = solve(market, with_certificates=False).matching
             if mu is None or not is_stable(mu, market):
                 return SweepResult(
-                    ok=False, total=total, checked=checked, sampled=sample is not None,
+                    ok=False, total=total, checked=checked,
                     counterexample=market.worker_prefs, solved=solved,
                 )
             found.insert(0, _stored(mu, base))
-    return SweepResult(
-        ok=True, total=total, checked=checked, sampled=sample is not None, solved=solved
-    )
+    return SweepResult(ok=True, total=total, checked=checked, solved=solved)
 
 
 def cyclic_market(n: int) -> Market:

@@ -62,7 +62,7 @@ def _direct_search(m: Market) -> Optional[Matching]:
             for s in m.firm_prefs[f].acceptable
             # a stable matching is individually rational, so skip sets
             # containing a worker that finds the firm unacceptable
-            if all(f in m._worker_rank[w] for w in s)
+            if all(f in m._prefers[w] for w in s)
         ]
         options.append((f, acc))
     # every leaf is total and individually rational by construction, so

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from balmatch import fractional
 from balmatch.fractional import (
     ConstraintSystem,
     FractionalError,
@@ -535,6 +536,22 @@ class TestReducedBalanceCheck:
         assert sub == cert.witness
         assert all(sum(row) == 2 for row in sub.entries)
         assert all(sum(col) == 2 for col in zip(*sub.entries))
+
+    def test_rounding_without_a_01_point_searches_once(self, cyclic3, monkeypatch):
+        # the extraction error carries the certificate round_fractional returns
+        d = decompose_by_sets(cyclic3)
+        fm = FractionalMatching(
+            levels={f: H for f in d.market.firms},
+            null_assignment={w: Z for w in d.market.workers},
+        )
+        expected = reduced_balance_check(build_constraint_system(fm, d))
+        calls = []
+        search = fractional.is_balanced
+        monkeypatch.setattr(fractional, "is_balanced", lambda *a: calls.append(a) or search(*a))
+        with pytest.raises(IntegralExtractionError) as err:
+            round_fractional(fm, d)
+        assert err.value.certificate == expected
+        assert len(calls) == 1
 
 
 class TestIntegralToMatching:

@@ -25,6 +25,28 @@ from balmatch.oracle import all_matchings
 from conftest import MARKET_FILES, load_market
 
 
+def reference_weakly_prefers(m, w, f, g):
+    """Worker w weakly prefers f to g, by rank: a listed firm ranks by its
+    position, the null firm (None) right after the list, and a firm w
+    does not list after that."""
+    if f == g:
+        return True
+    ranks = {h: i for i, h in enumerate(m.worker_prefs[w])}
+    null = len(ranks)
+    rf = ranks.get(f, null + 1) if f is not None else null
+    rg = ranks.get(g, null + 1) if g is not None else null
+    return rf < rg
+
+
+def _assert_weakly_prefers_matches_reference(m):
+    # every firm, the null firm, and a name that is no firm of the market
+    options = list(m.firms) + [None, "not_a_firm"]
+    for w in m.workers:
+        for f in options:
+            for g in options:
+                assert m.worker_weakly_prefers(w, f, g) == reference_weakly_prefers(m, w, f, g)
+
+
 def brute_choose(f, available, m):
     """Reference choice: best chain set among all subsets of the available set."""
     s = frozenset(available)
@@ -53,7 +75,7 @@ def brute_block(mu, m):
                     continue
                 if current in chain and chain.index(s) >= chain.index(current):
                     continue
-                if all(m.worker_weakly_prefers(w, f, mu.firm_of(w)) for w in s):
+                if all(reference_weakly_prefers(m, w, f, mu.firm_of(w)) for w in s):
                     return (f, s)
     return None
 
@@ -76,7 +98,7 @@ def _reference_ir_violations(mu, m):
     out = []
     for w in m.workers:
         f = mu.firm_of(w)
-        if f is not None and f not in m._worker_rank[w]:
+        if f is not None and f not in m.worker_prefs[w]:
             out.append((w, f"matched to unacceptable firm {f}"))
     inv = mu.inverse()
     for f in m.firms:
@@ -99,7 +121,7 @@ def reference_find_block(mu, m):
         for s in [s for s in m.firm_prefs[f].chain if choose(f, s, m) == s]:
             if not _firm_strictly_prefers(f, s, current, m):
                 continue
-            if all(m.worker_weakly_prefers(w, f, mu.firm_of(w)) for w in s):
+            if all(reference_weakly_prefers(m, w, f, mu.firm_of(w)) for w in s):
                 return BlockReport(blocking=(f, s))
     return BlockReport()
 
@@ -171,6 +193,14 @@ class TestWithWorkerPrefs:
     def _direct(self, base, prefs):
         return Market(base.workers, base.firms, prefs, base.firm_prefs)
 
+    @staticmethod
+    def _snapshot(m):
+        return (
+            dict(m.worker_prefs),
+            dict(m._bit),
+            {w: dict(table) for w, table in m._prefers.items()},
+        )
+
     def test_equals_direct_construction(self):
         rng = random.Random(5)
         for _ in range(200):
@@ -182,8 +212,9 @@ class TestWithWorkerPrefs:
             derived = base.with_worker_prefs(prefs)
             direct = self._direct(base, prefs)
             assert derived == direct
-            assert derived._worker_rank == direct._worker_rank
+            assert derived._prefers == direct._prefers
             assert derived.firm_prefs is base.firm_prefs
+            assert derived._bit is base._bit
 
     @pytest.mark.parametrize(
         "prefs",
@@ -197,21 +228,42 @@ class TestWithWorkerPrefs:
     )
     def test_rejects_what_the_constructor_rejects(self, prefs):
         base = self.BASE
-        before = (dict(base.worker_prefs), dict(base._worker_rank))
+        before = self._snapshot(base)
         with pytest.raises(MarketError) as direct:
             self._direct(base, prefs)
         with pytest.raises(MarketError) as derived:
             base.with_worker_prefs(prefs)
         assert str(derived.value) == str(direct.value)
-        assert (base.worker_prefs, base._worker_rank) == before
+        assert self._snapshot(base) == before
 
     def test_base_left_unchanged(self):
         base = self.BASE
-        before = (dict(base.worker_prefs), dict(base._worker_rank))
+        before = self._snapshot(base)
         derived = base.with_worker_prefs({"w1": ("f2", "f1"), "w2": ("f2",)})
         assert derived.worker_weakly_prefers("w1", "f2", "f1")
-        assert (base.worker_prefs, base._worker_rank) == before
+        assert self._snapshot(base) == before
         assert base.worker_weakly_prefers("w1", "f1", "f2")
+
+
+class TestWorkerWeaklyPrefers:
+    """The ranking table answers as the rank rule does: f == g is True, an
+    unlisted firm ranks below null, and null below every listed firm."""
+
+    def test_table_of_a_ranking(self, two_firms):
+        # bit 1 is f1, bit 2 is f2; an unlisted firm has no entry
+        assert two_firms._bit == {"f1": 1, "f2": 2}
+        assert two_firms.ranking_table(("f2", "f1")) == {"f2": 2, "f1": 3, None: 3}
+        assert two_firms.ranking_table(("f1",)) == {"f1": 1, None: 1}
+        assert two_firms.ranking_table(()) == {None: 0}
+
+    def test_matches_reference_on_random_markets(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            _assert_weakly_prefers_matches_reference(random_market(rng))
+
+    @pytest.mark.parametrize("name", MARKET_FILES)
+    def test_matches_reference_on_corpus(self, name):
+        _assert_weakly_prefers_matches_reference(load_market(name))
 
 
 class TestChoice:

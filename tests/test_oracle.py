@@ -12,7 +12,6 @@ from balmatch.market import FirmPreference, Market, Matching, _first_block, acce
 from balmatch.oracle import (
     BudgetError,
     SweepResult,
-    _RankingTables,
     _settles,
     _stored,
     all_stable_matchings,
@@ -30,7 +29,7 @@ TRIANGLE = {
 }
 
 
-def reference_sweep(firm_prefs, workers, budget=10_000_000, sample=None, seed=0):
+def reference_sweep(firm_prefs, workers, budget=10_000_000):
     """The sweep as it was: a fresh Market and a complete solve for every
     profile, its result re-checked with is_stable."""
     workers = list(workers)
@@ -47,32 +46,17 @@ def reference_sweep(firm_prefs, workers, budget=10_000_000, sample=None, seed=0)
     total = 1
     for opts in options:
         total *= len(opts)
-    if total > budget and sample is None:
+    if total > budget:
         raise BudgetError(f"{total} profiles")
-
-    def run(profile, checked):
+    checked = 0
+    for profile in itertools.product(*options):
+        checked += 1
         prefs = dict(zip(workers, profile))
         market = Market(tuple(workers), tuple(firm_prefs), prefs, firm_prefs)
         result = solve(market, with_certificates=False)
         if result.matching is None or not is_stable(result.matching, market):
-            return SweepResult(False, total, checked, sample is not None, prefs)
-        return None
-
-    checked = 0
-    if sample is None:
-        for profile in itertools.product(*options):
-            checked += 1
-            bad = run(profile, checked)
-            if bad is not None:
-                return bad
-    else:
-        rng = random.Random(seed)
-        for _ in range(sample):
-            checked += 1
-            bad = run(tuple(rng.choice(opts) for opts in options), checked)
-            if bad is not None:
-                return bad
-    return SweepResult(True, total, checked, sample is not None)
+            return SweepResult(False, total, checked, False, prefs)
+    return SweepResult(True, total, checked, False)
 
 
 def _fields(r):
@@ -159,65 +143,45 @@ class TestPreferenceSweep:
         with pytest.raises(BudgetError):
             exists_for_all_worker_prefs(prefs, ["w1", "w2"], budget=1000)
 
-    def test_sampling_is_deterministic(self):
-        prefs = {
-            f"f{i}": FirmPreference.of({"w1", "w2"}, {"w1"}) for i in range(1, 5)
-        }
-        a = exists_for_all_worker_prefs(prefs, ["w1", "w2"], sample=50, seed=3)
-        b = exists_for_all_worker_prefs(prefs, ["w1", "w2"], sample=50, seed=3)
-        assert (a.ok, a.checked, a.counterexample) == (b.ok, b.checked, b.counterexample)
-        assert a.sampled
-
 
 class TestSweepMatchesReference:
     """The sweep settles profiles from matchings it already found and calls
     solve only on a miss; its verdicts must be the per-profile solve's.
     The (checked, solved) totals are pinned: a try that rejects a matching
-    ``is_stable`` accepts, or another order of profiles or draws, moves
-    them."""
+    ``is_stable`` accepts, or another order of profiles, moves them."""
 
-    @pytest.mark.parametrize("sample", [None, 40])
-    def test_balanced_complementary_profiles(self, sample):
+    def test_balanced_complementary_profiles(self):
         rng = random.Random(8)
         solved = checked = 0
         for _ in range(25):
             chains = random_complementary_balanced_profile(rng, max_firms=3, max_workers=4)
             workers = sorted({w for p in chains.values() for s in p.chain for w in s})
-            r = _assert_sweep_matches_reference(chains, workers, sample=sample, seed=2)
+            r = _assert_sweep_matches_reference(chains, workers)
             assert r.ok
             solved += r.solved
             checked += r.checked
         # stored matchings settled the other profiles
-        assert (checked, solved) == {None: (4145, 87), 40: (1000, 87)}[sample]
+        assert (checked, solved) == (4145, 87)
 
-    @pytest.mark.parametrize("sample", [None, 30])
-    def test_random_firm_sides(self, sample):
+    def test_random_firm_sides(self):
         rng = random.Random(19)
         cfg = MarketGenConfig(max_workers=3, max_firms=3, max_chain=2, max_set=2)
         verdicts = set()
         solved = checked = 0
         for _ in range(120):
             m = random_market(rng, cfg)
-            r = _assert_sweep_matches_reference(m.firm_prefs, m.workers, sample=sample, seed=4)
+            r = _assert_sweep_matches_reference(m.firm_prefs, m.workers)
             verdicts.add(r.ok)
             solved += r.solved
             checked += r.checked
         assert verdicts == {True, False}  # some firm sides have no stable matching
-        assert (checked, solved) == {None: (4881, 540), 30: (3567, 519)}[sample]
+        assert (checked, solved) == (4881, 540)
 
-    def test_sampled_sweep_over_many_firms(self):
-        # 13,700 rankings per worker: tables are built only for the drawn ones
-        prefs = {f"f{i}": FirmPreference.of({"w1", "w2"}, {"w1"}) for i in range(1, 8)}
-        r = _assert_sweep_matches_reference(prefs, ["w1", "w2"], sample=50, seed=3)
-        assert (r.ok, r.total, r.checked, r.solved) == (True, 13_700**2, 50, 11)
-
-    @pytest.mark.parametrize("sample", [None, 25])
-    def test_triangle_and_five_cycle(self, sample):
-        _assert_sweep_matches_reference(TRIANGLE, ["w1", "w2", "w3"], sample=sample, seed=1)
+    def test_triangle_and_five_cycle(self):
+        _assert_sweep_matches_reference(TRIANGLE, ["w1", "w2", "w3"])
         m = cyclic_market(5)
-        r = _assert_sweep_matches_reference(m.firm_prefs, m.workers, sample=sample, seed=1)
-        if sample is None:
-            assert not r.ok  # the odd cycle's own worker lists are among the profiles
+        r = _assert_sweep_matches_reference(m.firm_prefs, m.workers)
+        assert not r.ok  # the odd cycle's own worker lists are among the profiles
 
     def test_stored_matching_no_longer_ir_is_rejected(self):
         # f1 wants w3, else w1; f2 wants w2, else w1 and w3 together
@@ -242,10 +206,9 @@ class TestSweepMatchesReference:
         r = _assert_sweep_matches_reference(prefs, workers)
         assert (r.ok, r.checked, r.counterexample) == (False, 35, late)
         # the sweep's try rejects mu on the late profile for the same reason
-        tables = _RankingTables(prefs)
         stored = _stored(mu, early)
-        assert _settles(stored, [tables[early.worker_prefs[w]] for w in workers])
-        assert not _settles(stored, [tables[late[w]] for w in workers])
+        assert _settles(stored, [early.ranking_table(early.worker_prefs[w]) for w in workers])
+        assert not _settles(stored, [early.ranking_table(late[w]) for w in workers])
 
     def test_solved_counts_only_misses(self):
         prefs = {"f1": FirmPreference.of({"w1", "w2"})}
@@ -257,7 +220,7 @@ class TestSweepMatchesReference:
 
 class TestTryMatchesIsStable:
     """A sweep's try of a stored matching (``_settles``) is ``is_stable`` on
-    the profile's market, read from per-ranking tables."""
+    the profile's market, read from the ranking tables that market holds."""
 
     def test_every_stored_matching_on_every_profile(self):
         rng = random.Random(19)
@@ -274,9 +237,9 @@ class TestTryMatchesIsStable:
                 mu = solve(market, with_certificates=False).matching
                 if mu is not None and is_stable(mu, market):
                     stored.setdefault(tuple(mu.assignment.items()), _stored(mu, base))
-            tables = _RankingTables(base.firms)
             for profile, market in zip(profiles, markets):
-                row = [tables[r] for r in profile]
+                row = [base.ranking_table(r) for r in profile]
+                assert row == [market._prefers[w] for w in market.workers]
                 for st in stored.values():
                     settles = _settles(st, row)
                     assert settles == is_stable(st[0], market)

@@ -36,7 +36,7 @@ def reference_direct_search(m):
         acc = [
             s
             for s in m.firm_prefs[f].acceptable
-            if all(f in m._worker_rank[w] for w in s)
+            if all(f in m.worker_prefs[w] for w in s)
         ]
         options.append((f, acc))
     assignment = {w: None for w in m.workers}
