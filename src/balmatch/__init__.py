@@ -54,7 +54,7 @@ from .fractional import (
     round_fractional,
     verify_fractional_stability,
 )
-from .solve import SolveResult, solve
+from .solve import solve
 from .techtree import (
     TechnologyTree,
     check_neighbour_condition,

@@ -141,18 +141,17 @@ def cmd_solve(args) -> int:
         d = decompose_by_sets(m)
         with open(args.fractional, encoding="utf-8") as fh:
             fm = formats.parse_fractional(fh.read(), d)
-        certs = market_certificates(m)
         try:
             matching, cert = round_fractional(fm, d)
         except IntegralExtractionError as e:
             print(f"no integral solution: {e}", file=sys.stderr)
             print(e.certificate.render(), file=sys.stderr)
             return EXIT_FAIL
-        if cert is not None:
-            certs["constraint_system_balanced"] = cert.verdict
     else:
-        result = solve(m)
-        matching, certs = result.matching, result.certificates
+        matching, cert = solve(m), None
+    certs = market_certificates(m)
+    if cert is not None:
+        certs["constraint_system_balanced"] = cert.verdict
     if args.json:
         payload = {
             "matching": None if matching is None else dict(matching.assignment),

@@ -189,15 +189,13 @@ def parse_tree(text: str) -> TechnologyTree:
 
 
 def serialize_tree(t: TechnologyTree) -> str:
-    lines = []
-
-    def walk(v: str, depth: int):
+    """The outline ``parse_tree`` reads; a stack walk, so any depth works."""
+    lines, stack = [], [(t.root, 0)]
+    while stack:
+        v, depth = stack.pop()
         members = ",".join(sorted(t.worker_sets[v]))
         lines.append("  " * depth + f"{v}: {{{members}}}")
-        for c in t.children.get(v, ()):
-            walk(c, depth + 1)
-
-    walk(t.root, 0)
+        stack.extend((c, depth + 1) for c in reversed(t.children.get(v, ())))
     return "\n".join(lines) + "\n"
 
 

@@ -235,9 +235,10 @@ class IntegralExtractionError(RuntimeError):
 def extract_integral_solution(cs: ConstraintSystem) -> tuple[int, ...]:
     """First 0/1 solution of B z = rhs in canonical order (try 1 before 0).
 
-    Backtracking with row-slack propagation; complete, so failure means
-    the system has no 0/1 point at all, which is reported together with
-    the balancedness certificate of B.
+    Backtracking with row-slack propagation, as a loop over the columns so
+    its depth is not bounded by the recursion limit; complete, so failure
+    means the system has no 0/1 point at all, which is reported together
+    with the balancedness certificate of B.
     """
     if cs.empty:
         return ()
@@ -248,34 +249,38 @@ def extract_integral_solution(cs: ConstraintSystem) -> tuple[int, ...]:
     need = list(cs.rhs)
     # columns that can still contribute to each row
     pending = [sum(row) for row in rows]
-    assign: list[Optional[int]] = [None] * n
-
-    def rec(j: int) -> bool:
+    assign: list[Optional[int]] = [None] * n  # None: column j is untried
+    j = 0
+    while j >= 0:
         if j == n:
-            return all(v == 0 for v in need)
-        for value in (1, 0):
-            ok = True
-            for i in col_rows[j]:
-                need[i] -= value
-                pending[i] -= 1
-                if need[i] < 0 or need[i] > pending[i]:
-                    ok = False
-            if ok:
-                assign[j] = value
-                if rec(j + 1):
-                    return True
+            if all(v == 0 for v in need):
+                return tuple(assign)  # type: ignore[arg-type]
+            j -= 1
+            continue
+        value = assign[j]
+        if value is not None:  # withdraw the value column j holds
             for i in col_rows[j]:
                 need[i] += value
                 pending[i] += 1
-        assign[j] = None
-        return False
-
-    if not rec(0):
-        cert = is_balanced(cs.matrix)
-        raise IntegralExtractionError(
-            "no 0/1 solution to the constraint system", cert
-        )
-    return tuple(assign)  # type: ignore[arg-type]
+        value = 1 if value is None else value - 1
+        while value >= 0:
+            for i in col_rows[j]:
+                need[i] -= value
+                pending[i] -= 1
+            if all(0 <= need[i] <= pending[i] for i in col_rows[j]):
+                break
+            for i in col_rows[j]:
+                need[i] += value
+                pending[i] += 1
+            value -= 1
+        if value < 0:  # both values tried: back up
+            assign[j] = None
+            j -= 1
+        else:
+            assign[j] = value
+            j += 1
+    cert = is_balanced(cs.matrix)
+    raise IntegralExtractionError("no 0/1 solution to the constraint system", cert)
 
 
 def apply_stable_transformations(

@@ -79,10 +79,10 @@ class SweepResult:
     solved: int = 0
 
 
-# A stored matching: the matching, each worker's firm in market order, and
-# its candidate coalitions (firm bit, member worker indices): every
-# acceptable set its firm ranks above the set it holds.
-_Stored = tuple[Matching, tuple[Optional[str], ...], tuple[tuple[int, tuple[int, ...]], ...]]
+# A stored matching: each worker's firm in market order, and its candidate
+# coalitions (firm bit, member worker indices): every acceptable set its
+# firm ranks above the set it holds.
+_Stored = tuple[tuple[Optional[str], ...], tuple[tuple[int, tuple[int, ...]], ...]]
 
 
 def _stored(mu: Matching, base: Market) -> _Stored:
@@ -98,7 +98,7 @@ def _stored(mu: Matching, base: Market) -> _Stored:
             if s == current:
                 break
             coalitions.append((base._bit[f], tuple(index[w] for w in s)))
-    return mu, tuple(mu.assignment[w] for w in base.workers), tuple(coalitions)
+    return tuple(mu.assignment[w] for w in base.workers), tuple(coalitions)
 
 
 def _settles(stored: _Stored, tables: list[dict[Optional[str], int]]) -> bool:
@@ -106,7 +106,7 @@ def _settles(stored: _Stored, tables: list[dict[Optional[str], int]]) -> bool:
     ranking tables are ``tables``, in market order: every worker's firm
     is in its table (worker IR), and no candidate coalition has its firm
     bit in every member's mask."""
-    _, firms, coalitions = stored
+    firms, coalitions = stored
     masks = list(map(dict.get, tables, firms))
     if None in masks:
         return False
@@ -121,7 +121,6 @@ def _settles(stored: _Stored, tables: list[dict[Optional[str], int]]) -> bool:
 def exists_for_all_worker_prefs(
     firm_prefs: dict[str, FirmPreference],
     workers: Iterable[str],
-    budget: int = SWEEP_BUDGET,
 ) -> SweepResult:
     """Does a stable matching exist for every worker preference profile?
 
@@ -131,20 +130,20 @@ def exists_for_all_worker_prefs(
     therefore enumerates rankings over those firms only, truncations
     included, which covers all profiles up to irrelevant reshuffling.
 
-    ``BudgetError`` if there are more than ``budget`` profiles.
+    ``BudgetError`` if there are more than ``SWEEP_BUDGET`` profiles.
 
     The firm side is checked once, in a base market. Each profile first
     tries the stable matchings found so far in this call, most recently
     confirmed first. Only the worker lists change from one profile to the
     next, so a try (``_settles``) reads the profile's ranking tables, the
     ones ``Market.ranking_table`` builds for every market, against what
-    was stored with the matching: worker IR, then its candidate
-    coalitions. It equals ``is_stable`` on the profile's market.
+    was stored of the matching: each worker's firm (worker IR), then its
+    candidate coalitions. It equals ``is_stable`` on the profile's market.
     Only when no stored matching settles the profile is that market built,
-    with ``Market.with_worker_prefs``, and the complete ``solve`` called;
-    its result is re-checked with ``is_stable`` and stored. So every
-    settled profile is backed by a matching stable on it, and a profile
-    without one still reaches ``solve``.
+    with ``Market.with_worker_prefs``, and ``solve`` called; the matching
+    it returns is re-checked with ``is_stable`` and stored, and None is
+    the counterexample. So every settled profile is backed by a matching
+    stable on it, and a profile without one still reaches ``solve``.
     """
     workers = list(workers)
     base = Market(
@@ -155,9 +154,9 @@ def exists_for_all_worker_prefs(
     )
     options = worker_pref_space(base)
     total = math.prod(map(len, options))
-    if total > budget:
+    if total > SWEEP_BUDGET:
         raise BudgetError(
-            f"{total} worker preference profiles exceed the budget of {budget}"
+            f"{total} worker preference profiles exceed the budget of {SWEEP_BUDGET}"
         )
     tables = {r: base.ranking_table(r) for opts in options for r in opts}
     found: list[_Stored] = []  # distinct: one is added only when all fail
@@ -172,7 +171,7 @@ def exists_for_all_worker_prefs(
         else:
             solved += 1
             market = base.with_worker_prefs(dict(zip(workers, profile)))
-            mu = solve(market, with_certificates=False).matching
+            mu = solve(market)
             if mu is None or not is_stable(mu, market):
                 return SweepResult(
                     ok=False, total=total, checked=checked,

@@ -1,29 +1,20 @@
-"""End-to-end stable-matching computation by direct search.
+"""Stable matchings by direct search, and a market's certificates.
 
-``solve`` is a complete backtracking search: every firm takes one of its
-acceptable sets or nothing, sets pairwise disjoint, and the first
-selection whose induced matching is stable wins (a stable matching always
-has this shape, so exhausting the space proves nonexistence).
+``solve(m)`` is a complete backtracking search: every firm takes one of
+its acceptable sets or nothing, sets pairwise disjoint, and the first
+selection whose induced matching is stable is returned (a stable matching
+always has this shape, so None proves nonexistence).
+``market_certificates(m)`` reports which of the paper's sufficient
+conditions the market meets; it is independent of the search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .market import Market, Matching, _first_block, acceptable_set_family
 from .matrices import DEFAULT_CAP, PASS, is_balanced, matrix_of_sets
 from .prefs import is_additive, is_complementary, primitive_acceptable_sets
-
-
-@dataclass
-class SolveResult:
-    matching: Optional[Matching]
-    certificates: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def found(self) -> bool:
-        return self.matching is not None
 
 
 def market_certificates(m: Market) -> dict[str, str]:
@@ -54,7 +45,14 @@ def market_certificates(m: Market) -> dict[str, str]:
     }
 
 
-def _direct_search(m: Market) -> Optional[Matching]:
+def solve(m: Market) -> Optional[Matching]:
+    """A stable matching, or None when the market has none.
+
+    Firms are tried in market order, each with its individually rational
+    sets in chain order and then empty. The search is a loop over one
+    choice index per firm, so its depth is not bounded by the recursion
+    limit.
+    """
     options = []
     for f in m.firms:
         acc = [
@@ -70,33 +68,31 @@ def _direct_search(m: Market) -> Optional[Matching]:
     assignment: dict[str, Optional[str]] = {w: None for w in m.workers}
     inv: dict[Optional[str], frozenset[str]] = {}
     taken: set[str] = set()
-
-    def rec(i: int) -> Optional[Matching]:
+    pick = [-1] * len(options)  # index into acc; len(acc) is empty, -1 untried
+    i = 0
+    while i >= 0:
         if i == len(options):
             if _first_block(m, assignment, inv) is None:
                 return Matching(dict(assignment))
-            return None
+            i -= 1
+            continue
         f, acc = options[i]
-        for s in acc:
-            if s & taken:
-                continue
-            for w in s:
-                assignment[w] = f
-            inv[f] = s
-            taken.update(s)
-            hit = rec(i + 1)
-            if hit is not None:
-                return hit
-            taken.difference_update(s)
+        k = pick[i]
+        if 0 <= k < len(acc):  # release the set firm i holds
+            taken.difference_update(acc[k])
+            assignment.update(dict.fromkeys(acc[k]))
             del inv[f]
-            for w in s:
-                assignment[w] = None
-        return rec(i + 1)  # firm stays empty
-
-    return rec(0)
-
-
-def solve(m: Market, with_certificates: bool = True) -> SolveResult:
-    """Find a stable matching, or prove there is none."""
-    certs = market_certificates(m) if with_certificates else {}
-    return SolveResult(matching=_direct_search(m), certificates=certs)
+        k += 1
+        while k < len(acc) and acc[k] & taken:
+            k += 1
+        if k > len(acc):  # every choice tried: back up
+            pick[i] = -1
+            i -= 1
+            continue
+        pick[i] = k
+        if k < len(acc):
+            taken.update(acc[k])
+            assignment.update(dict.fromkeys(acc[k], f))
+            inv[f] = acc[k]
+        i += 1
+    return None

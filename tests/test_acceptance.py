@@ -71,8 +71,7 @@ def _market_matrix(m):
 def test_criterion_1_nonexistence():
     m = load_market("cyclic3.market")
     assert len(all_stable_matchings(m)) == 0
-    result = solve(m)
-    assert result.matching is None
+    assert solve(m) is None
     cert = is_balanced(_market_matrix(m))
     assert cert.verdict == "FAIL"
     assert len(cert.witness_rows) == 3 and len(cert.witness_cols) == 3
@@ -110,8 +109,8 @@ def test_criterion_3_existence_for_balanced_profiles():
             worker_prefs={w: tuple(chains) for w in workers},
             firm_prefs=chains,
         )
-        result = solve(probe, with_certificates=False)
-        assert result.found and is_stable(result.matching, probe)
+        mu = solve(probe)
+        assert mu is not None and is_stable(mu, probe)
     print(
         "criterion 3 (stable matching for all worker preferences, "
         "fixed profile + 100 random balanced complementary profiles): PASS"
@@ -283,20 +282,20 @@ def test_criterion_10_solver_oracle_equivalence():
 
     for name in MARKET_FILES:
         m = load_market(name)
-        result = solve(m, with_certificates=False)
+        found = solve(m)
         stable = {canon(mu) for mu in all_stable_matchings(m)}
-        assert result.found == bool(stable), name
-        if result.found:
-            assert canon(result.matching) in stable, name
+        assert (found is not None) == bool(stable), name
+        if found is not None:
+            assert canon(found) in stable, name
 
     rng = random.Random(77)
     for _ in range(500):
         m = random_market(rng)
-        result = solve(m, with_certificates=False)
+        found = solve(m)
         stable = {canon(mu) for mu in all_stable_matchings(m)}
-        assert result.found == bool(stable)
-        if result.found:
-            assert canon(result.matching) in stable
+        assert (found is not None) == bool(stable)
+        if found is not None:
+            assert canon(found) in stable
     print(
         "\ncriterion 10 (solver agrees with the enumeration oracle, "
         "corpus + 500 random markets): PASS"

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balmatch import formats
+from balmatch import cli, formats
 from balmatch.market import choose
 from balmatch.cli import (
     EXIT_FAIL,
@@ -197,6 +197,31 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["matching"] == {"w1": "f1", "w2": "f1", "w3": "f1", "w4": None}
         assert payload["certificates"]["constraint_system_balanced"] == "PASS"
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [[], ["--strategy", "pipeline", "--fractional", corpus("half_half.frac")]],
+        ids=["direct", "pipeline"],
+    )
+    def test_certificates_built_once(self, monkeypatch, capsys, strategy):
+        calls = []
+        real = cli.market_certificates
+        monkeypatch.setattr(cli, "market_certificates", lambda m: calls.append(m) or real(m))
+        assert main(["solve", corpus("two_firms.market"), *strategy]) == EXIT_PASS
+        assert len(calls) == 1
+
+    def test_direct_search_deeper_than_recursion_limit(self, tmp_path, capsys):
+        # 1,200 firms: fi's only set is {wi}, and wi lists only fi
+        n = 1200
+        market = tmp_path / "singletons.market"
+        market.write_text(json.dumps({
+            "workers": [f"w{i}" for i in range(1, n + 1)],
+            "firms": {f"f{i}": [[f"w{i}"]] for i in range(1, n + 1)},
+            "worker_prefs": {f"w{i}": [f"f{i}"] for i in range(1, n + 1)},
+        }))
+        assert main(["solve", str(market), "--json"]) == EXIT_PASS
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["matching"] == {f"w{i}": f"f{i}" for i in range(1, n + 1)}
 
     def test_pipeline_needs_fractional(self, capsys):
         code = main(["solve", corpus("two_firms.market"), "--strategy", "pipeline"])

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,15 @@ class TestTreeFormat:
                 t.worker_sets,
                 t.children,
             )
+
+    def test_path_deeper_than_recursion_limit(self):
+        # a path outline in which each level adds one worker
+        lines = ["v0: {}"]
+        for k in range(1, sys.getrecursionlimit() + 100):
+            members = ",".join(sorted(f"w{i}" for i in range(1, k + 1)))
+            lines.append("  " * k + f"v{k}: {{{members}}}")
+        text = "\n".join(lines) + "\n"
+        assert formats.serialize_tree(formats.parse_tree(text)) == text
 
     def test_comments_and_blanks_ignored(self):
         t = formats.parse_tree("# a tree\n\nv0: {}\n  v1: {w1}\n")

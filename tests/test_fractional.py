@@ -494,6 +494,25 @@ class TestExtraction:
         with pytest.raises(FractionalError):
             apply_stable_transformations(half_half, bad, cs)
 
+    def test_system_deeper_than_recursion_limit(self):
+        # rows z_i + z_{i+1} = 1 and z_{n-1} = 1 over an even n: the 1-first
+        # pass ends at z_{n-1} = 0, so the search backs up every column
+        # to z_0 and returns the alternating point that starts with 0
+        n = 1200
+        rows = [tuple(int(j in (i, i + 1)) for j in range(n)) for i in range(n - 1)]
+        rows.append(tuple(int(j == n - 1) for j in range(n)))
+        cs = ConstraintSystem(
+            matrix=ZeroOneMatrix(
+                rows=tuple(f"r{i}" for i in range(n)),
+                cols=tuple(f"c{j}" for j in range(n)),
+                entries=tuple(rows),
+            ),
+            column_meaning=tuple(("take", f"c{j}") for j in range(n)),
+            row_meaning=tuple(("worker", f"r{i}") for i in range(n)),
+            rhs=(1,) * n,
+        )
+        assert extract_integral_solution(cs) == tuple(j % 2 for j in range(n))
+
     def test_infeasible_system_raises_with_certificate(self):
         # hand-built system with odd-cycle structure and no 0/1 point
         from balmatch.fractional import ConstraintSystem

@@ -11,6 +11,7 @@ from balmatch.genrandom import (
 from balmatch.market import FirmPreference, Market, Matching, _first_block, acceptable_sets, is_stable
 from balmatch.oracle import (
     BudgetError,
+    SWEEP_BUDGET,
     SweepResult,
     _settles,
     _stored,
@@ -29,7 +30,7 @@ TRIANGLE = {
 }
 
 
-def reference_sweep(firm_prefs, workers, budget=10_000_000):
+def reference_sweep(firm_prefs, workers):
     """The sweep as it was: a fresh Market and a complete solve for every
     profile, its result re-checked with is_stable."""
     workers = list(workers)
@@ -46,15 +47,15 @@ def reference_sweep(firm_prefs, workers, budget=10_000_000):
     total = 1
     for opts in options:
         total *= len(opts)
-    if total > budget:
+    if total > SWEEP_BUDGET:
         raise BudgetError(f"{total} profiles")
     checked = 0
     for profile in itertools.product(*options):
         checked += 1
         prefs = dict(zip(workers, profile))
         market = Market(tuple(workers), tuple(firm_prefs), prefs, firm_prefs)
-        result = solve(market, with_certificates=False)
-        if result.matching is None or not is_stable(result.matching, market):
+        mu = solve(market)
+        if mu is None or not is_stable(mu, market):
             return SweepResult(False, total, checked, False, prefs)
     return SweepResult(True, total, checked, False)
 
@@ -63,9 +64,9 @@ def _fields(r):
     return (r.ok, r.total, r.checked, r.sampled, r.counterexample)
 
 
-def _assert_sweep_matches_reference(firm_prefs, workers, **kw):
-    r = exists_for_all_worker_prefs(firm_prefs, workers, **kw)
-    assert _fields(r) == _fields(reference_sweep(firm_prefs, workers, **kw))
+def _assert_sweep_matches_reference(firm_prefs, workers):
+    r = exists_for_all_worker_prefs(firm_prefs, workers)
+    assert _fields(r) == _fields(reference_sweep(firm_prefs, workers))
     assert 0 < r.solved <= r.checked
     return r
 
@@ -137,11 +138,14 @@ class TestPreferenceSweep:
         assert not all_stable_matchings(m)
 
     def test_budget_error_without_sampling(self):
+        # seven firms: 13,700 rankings per worker, 1.9e8 profiles, raised
+        # before any profile is enumerated
         prefs = {
-            f"f{i}": FirmPreference.of({"w1", "w2"}, {"w1"}) for i in range(1, 7)
+            f"f{i}": FirmPreference.of({"w1", "w2"}, {"w1"}) for i in range(1, 8)
         }
+        assert len(worker_pref_options(list(prefs))) ** 2 > SWEEP_BUDGET
         with pytest.raises(BudgetError):
-            exists_for_all_worker_prefs(prefs, ["w1", "w2"], budget=1000)
+            exists_for_all_worker_prefs(prefs, ["w1", "w2"])
 
 
 class TestSweepMatchesReference:
@@ -195,7 +199,7 @@ class TestSweepMatchesReference:
         late = {"w1": ("f1", "f2"), "w2": (), "w3": ("f2", "f1")}
         late_market = early.with_worker_prefs(late)
         # solve finds mu on the early profile, swept before the late one
-        assert solve(early, with_certificates=False).matching == mu
+        assert solve(early) == mu
         assert is_stable(mu, early)
         # on the late lists nothing blocks mu, but w2 sits at a firm she no
         # longer lists: only the IR half of is_stable rejects it, and the
@@ -234,15 +238,15 @@ class TestTryMatchesIsStable:
             # what a sweep may store: solve's matchings, stable on their own market
             stored = {}
             for market in markets:
-                mu = solve(market, with_certificates=False).matching
+                mu = solve(market)
                 if mu is not None and is_stable(mu, market):
-                    stored.setdefault(tuple(mu.assignment.items()), _stored(mu, base))
+                    stored.setdefault(tuple(mu.assignment.items()), (mu, _stored(mu, base)))
             for profile, market in zip(profiles, markets):
                 row = [base.ranking_table(r) for r in profile]
                 assert row == [market._prefers[w] for w in market.workers]
-                for st in stored.values():
+                for mu, st in stored.values():
                     settles = _settles(st, row)
-                    assert settles == is_stable(st[0], market)
+                    assert settles == is_stable(mu, market)
                     pairs += 1
                     settled += settles
         assert 0 < settled < pairs

@@ -19,7 +19,7 @@ from balmatch.prefs import (
     is_complementary,
     primitive_acceptable_sets,
 )
-from balmatch.solve import _direct_search, market_certificates, solve
+from balmatch.solve import market_certificates, solve
 
 from conftest import MARKET_FILES, interval_market, load_market, nested_market
 
@@ -65,7 +65,7 @@ def reference_direct_search(m):
 
 
 def _assert_search_matches_reference(m):
-    mu = _direct_search(m)
+    mu = solve(m)
     ref = reference_direct_search(m)
     assert (mu is None) == (ref is None)
     if mu is not None:
@@ -75,9 +75,9 @@ def _assert_search_matches_reference(m):
 
 class TestDirect:
     def test_finds_grand_coalition(self, two_firms):
-        result = solve(two_firms)
-        assert result.found
-        assert result.matching.assignment == {
+        mu = solve(two_firms)
+        assert mu is not None
+        assert mu.assignment == {
             "w1": "f1",
             "w2": "f1",
             "w3": "f1",
@@ -85,26 +85,24 @@ class TestDirect:
         }
 
     def test_proves_nonexistence(self, cyclic3):
-        result = solve(cyclic3)
-        assert not result.found
-        assert result.matching is None
+        assert solve(cyclic3) is None
 
     def test_agrees_with_oracle_on_corpus(self, any_market):
-        result = solve(any_market)
+        mu = solve(any_market)
         stable = all_stable_matchings(any_market)
-        assert result.found == bool(stable)
-        if result.found:
-            assert is_stable(result.matching, any_market)
+        assert (mu is not None) == bool(stable)
+        if mu is not None:
+            assert is_stable(mu, any_market)
 
     def test_agrees_with_oracle_on_random_markets(self):
         rng = random.Random(21)
         for _ in range(250):
             m = random_market(rng)
-            result = solve(m, with_certificates=False)
+            mu = solve(m)
             stable = all_stable_matchings(m)
-            assert result.found == bool(stable)
-            if result.found:
-                assert is_stable(result.matching, m)
+            assert (mu is not None) == bool(stable)
+            if mu is not None:
+                assert is_stable(mu, m)
 
     @pytest.mark.parametrize("name", MARKET_FILES)
     def test_search_matches_reference_on_corpus(self, name):
@@ -117,7 +115,7 @@ class TestDirect:
         for _ in range(400):
             m = random_market(rng, cfg)
             _assert_search_matches_reference(m)
-            found += _direct_search(m) is not None
+            found += solve(m) is not None
         assert 0 < found < 400  # both outcomes occur
 
 
