@@ -15,8 +15,6 @@ from .market import (
     acceptable_sets,
     choose,
     find_block,
-    is_acceptable_set,
-    is_individually_rational,
     is_stable,
 )
 from .prefs import (

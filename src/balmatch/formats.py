@@ -200,14 +200,28 @@ def serialize_tree(t: TechnologyTree) -> str:
 
 
 def tree_to_json(t: TechnologyTree) -> str:
-    def node(v: str):
-        return {
-            "name": v,
-            "workers": sorted(t.worker_sets[v]),
-            "children": [node(c) for c in t.children.get(v, ())],
-        }
-
-    return json.dumps(node(t.root), indent=2)
+    """Nested ``{"name", "workers", "children"}`` objects, the text of
+    ``json.dumps(..., indent=2)``; written by a stack walk, so any depth
+    works."""
+    out, stack = [], [(t.root, "")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        v, pad = item
+        inner = pad + "  "
+        workers = json.dumps(sorted(t.worker_sets[v]), indent=2).replace("\n", "\n" + inner)
+        out.append(f'{{\n{inner}"name": {json.dumps(v)},\n{inner}"workers": {workers},\n{inner}"children": ')
+        kids = t.children.get(v, ())
+        if not kids:
+            out.append(f"[]\n{pad}}}")
+            continue
+        stack.append(f"\n{inner}]\n{pad}}}")
+        for i in reversed(range(len(kids))):
+            stack.append((kids[i], inner + "  "))
+            stack.append(("[\n" if i == 0 else ",\n") + inner + "  ")
+    return "".join(out)
 
 
 def tree_from_json(text: str) -> TechnologyTree:

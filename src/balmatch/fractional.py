@@ -86,10 +86,6 @@ def _validate_shape(fm: FractionalMatching, d: DecomposedMarket):
             raise FractionalError(f"null share of {w} outside [0, 1]: {x}")
 
 
-def worker_mass(fm: FractionalMatching, d: DecomposedMarket, w: str) -> Fraction:
-    return _mass(fm, split_sets(d), w)
-
-
 def _mass(fm: FractionalMatching, sets: dict[str, frozenset[str]], w: str) -> Fraction:
     return fm.null_assignment[w] + sum(fm.levels[f] for f, s in sets.items() if w in s)
 

@@ -184,10 +184,6 @@ class Matching:
     def firm_of(self, w: str) -> Optional[str]:
         return self.assignment[w]
 
-    def workers_of(self, f: Optional[str]) -> frozenset[str]:
-        """Inverse image: the worker set currently matched to f."""
-        return frozenset(w for w, g in self.assignment.items() if g == f)
-
     def inverse(self) -> dict[Optional[str], frozenset[str]]:
         out: dict[Optional[str], set[str]] = {}
         for w, f in self.assignment.items():
@@ -224,14 +220,6 @@ def choose(f: Optional[str], available: Iterable[str], m: Market) -> frozenset[s
     return frozenset()
 
 
-def is_acceptable_set(f: str, s: Iterable[str], m: Market) -> bool:
-    """True iff s is its own choice for f."""
-    fs = frozenset(s)
-    if not fs:
-        raise MarketError("acceptability is defined for nonempty sets")
-    return choose(f, fs, m) == fs
-
-
 def acceptable_sets(f: str, m: Market) -> list[frozenset[str]]:
     """All sets s on f's chain with choose(f, s) == s, in chain order."""
     m.require_firm(f)
@@ -253,11 +241,6 @@ def _check_matching(mu: Matching, m: Market):
     for w, f in mu.assignment.items():
         if f is not None:
             m.require_firm(f)
-
-
-def is_individually_rational(mu: Matching, m: Market) -> bool:
-    _check_matching(mu, m)
-    return not _ir_violations(mu, m, mu.inverse())
 
 
 def _ir_violations(

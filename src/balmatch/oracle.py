@@ -79,43 +79,53 @@ class SweepResult:
     solved: int = 0
 
 
-# A stored matching: each worker's firm in market order, and its candidate
-# coalitions (firm bit, member worker indices): every acceptable set its
-# firm ranks above the set it holds.
-_Stored = tuple[tuple[Optional[str], ...], tuple[tuple[int, tuple[int, ...]], ...]]
+# A stored matching, compiled for the sweep. Its candidate coalitions,
+# each acceptable set its firm ranks above the set it holds, are the bits
+# 1, 2, 4, ... ``keep[i][k]`` is None when worker i's firm is unlisted on
+# her option k (worker IR fails), else ``~kill``, where kill masks the
+# coalitions holding i whose firm bit is missing from option k's ranking
+# table at i's firm: those she kills. ``fin[i]`` masks the coalitions
+# whose last member is i.
+_Compiled = tuple[list[list[Optional[int]]], list[int]]
 
 
-def _stored(mu: Matching, base: Market) -> _Stored:
-    """What a try of ``mu`` reads; ``mu`` must be stable on some market
-    with the firm side and workers of ``base``, so its firm side is
-    individually rational."""
+def _stored(mu: Matching, base: Market, tables: list[list[dict[Optional[str], int]]]) -> _Compiled:
+    """Compile ``mu`` against each worker's option tables; ``mu`` must be
+    stable on some market with the firm side and workers of ``base``, so
+    its candidate coalitions are the acceptable sets each firm ranks
+    above the set it holds."""
     index = {w: i for i, w in enumerate(base.workers)}
     inv = mu.inverse()
-    coalitions = []
+    held: list[list[tuple[int, int]]] = [[] for _ in base.workers]  # (firm bit, coalition) holding i
+    fin = [0] * len(base.workers)
+    c = 1
     for f in base.firms:
-        current = inv.get(f, frozenset())
+        bit = base._bit[f]
+        current = inv.get(f)
         for s in base.firm_prefs[f].acceptable:
             if s == current:
                 break
-            coalitions.append((base._bit[f], tuple(index[w] for w in s)))
-    return tuple(mu.assignment[w] for w in base.workers), tuple(coalitions)
-
-
-def _settles(stored: _Stored, tables: list[dict[Optional[str], int]]) -> bool:
-    """``is_stable`` of a stored matching on the profile whose workers'
-    ranking tables are ``tables``, in market order: every worker's firm
-    is in its table (worker IR), and no candidate coalition has its firm
-    bit in every member's mask."""
-    firms, coalitions = stored
-    masks = list(map(dict.get, tables, firms))
-    if None in masks:
-        return False
-    for bit, members in coalitions:
-        for i in members:
-            bit &= masks[i]
-        if bit:
-            return False
-    return True
+            members = [index[w] for w in s]
+            for i in members:
+                held[i].append((bit, c))
+            fin[max(members)] |= c
+            c <<= 1
+    keep = []
+    for w, own, opts in zip(base.workers, held, tables):
+        g = mu.assignment[w]
+        row = []
+        for table in opts:
+            mask = table.get(g)
+            if mask is None:
+                row.append(None)
+                continue
+            kill = 0
+            for bit, coalition in own:
+                if not bit & mask:
+                    kill |= coalition
+            row.append(~kill)
+        keep.append(row)
+    return keep, fin
 
 
 def exists_for_all_worker_prefs(
@@ -132,18 +142,27 @@ def exists_for_all_worker_prefs(
 
     ``BudgetError`` if there are more than ``SWEEP_BUDGET`` profiles.
 
-    The firm side is checked once, in a base market. Each profile first
-    tries the stable matchings found so far in this call, most recently
-    confirmed first. Only the worker lists change from one profile to the
-    next, so a try (``_settles``) reads the profile's ranking tables, the
-    ones ``Market.ranking_table`` builds for every market, against what
-    was stored of the matching: each worker's firm (worker IR), then its
-    candidate coalitions. It equals ``is_stable`` on the profile's market.
-    Only when no stored matching settles the profile is that market built,
-    with ``Market.with_worker_prefs``, and ``solve`` called; the matching
-    it returns is re-checked with ``is_stable`` and stored, and None is
-    the counterexample. So every settled profile is backed by a matching
-    stable on it, and a profile without one still reaches ``solve``.
+    The firm side is checked once, in a base market, and each option's
+    ranking table is built once. The profiles are walked in
+    ``itertools.product`` order as an odometer: workers 0..n-2 are its
+    digits and the last worker is the innermost loop. Each stable
+    matching found so far is stored compiled (``_stored``): per worker
+    and option, whether her firm is listed (worker IR) and which of the
+    matching's candidate coalitions she kills, and per worker the
+    coalitions whose last member she is. Depth d keeps a list of the
+    stored matchings still possible after workers 0..d-1, each with its
+    live coalitions, those every member seen so far would join. Moving a
+    digit rebuilds the lists below it: a matching is dropped when the
+    worker is not IR or a coalition ending at her stays live, since it
+    blocks on every completion. A profile then reads only its last
+    worker against the deepest list, and a matching settles it exactly
+    when it is ``is_stable`` on the profile's market. Only when none
+    does is that market built, with ``Market.with_worker_prefs``, and
+    ``solve`` called; the matching it returns is re-checked with
+    ``is_stable``, compiled and appended to every depth's list through
+    the current prefix, and None is the counterexample. So every settled
+    profile is backed by a matching stable on it, and a profile without
+    one still reaches ``solve``.
     """
     workers = list(workers)
     base = Market(
@@ -158,27 +177,65 @@ def exists_for_all_worker_prefs(
         raise BudgetError(
             f"{total} worker preference profiles exceed the budget of {SWEEP_BUDGET}"
         )
-    tables = {r: base.ranking_table(r) for opts in options for r in opts}
-    found: list[_Stored] = []  # distinct: one is added only when all fail
+    by_ranking = {r: base.ranking_table(r) for opts in options for r in opts}
+    tables = [[by_ranking[r] for r in opts] for opts in options]
+    if not workers:  # no worker to walk: the one profile is the base market
+        mu = solve(base)
+        ok = mu is not None and is_stable(mu, base)
+        return SweepResult(ok=ok, total=1, checked=1, solved=1,
+                           counterexample=None if ok else {})
     checked = solved = 0
-    for profile in itertools.product(*options):
-        checked += 1
-        row = [tables[r] for r in profile]
-        for i, stored in enumerate(found):
-            if _settles(stored, row):
-                found.insert(0, found.pop(i))
-                break
-        else:
-            solved += 1
-            market = base.with_worker_prefs(dict(zip(workers, profile)))
-            mu = solve(market)
-            if mu is None or not is_stable(mu, market):
-                return SweepResult(
-                    ok=False, total=total, checked=checked,
-                    counterexample=market.worker_prefs, solved=solved,
-                )
-            found.insert(0, _stored(mu, base))
-    return SweepResult(ok=True, total=total, checked=checked, solved=solved)
+    last = len(workers) - 1
+    digits = [0] * last
+    # levels[d]: (keep, fin, live) of each stored matching still possible
+    # after workers 0..d-1 of the current prefix
+    levels: list[list[tuple[list, list[int], int]]] = [[] for _ in workers]
+    d = 0  # the shallowest digit that moved: the lists below it are stale
+    while True:
+        for depth in range(d, last):
+            k, below = digits[depth], []
+            for keep, fin, live in levels[depth]:
+                mask = keep[depth][k]
+                if mask is not None:
+                    live &= mask
+                    if not live & fin[depth]:
+                        below.append((keep, fin, live))
+            levels[depth + 1] = below
+        # the last worker: a matching settles option k iff it is IR there
+        # and she kills every live coalition ending at her
+        leaf = [(keep[last], live & fin[last]) for keep, fin, live in levels[last]]
+        for k, ranking in enumerate(options[last]):
+            checked += 1
+            for row, ending in leaf:
+                mask = row[k]
+                if mask is not None and not ending & mask:
+                    break
+            else:
+                solved += 1
+                profile = [opts[j] for opts, j in zip(options, digits)] + [ranking]
+                market = base.with_worker_prefs(dict(zip(workers, profile)))
+                mu = solve(market)
+                if mu is None or not is_stable(mu, market):
+                    return SweepResult(
+                        ok=False, total=total, checked=checked,
+                        counterexample=market.worker_prefs, solved=solved,
+                    )
+                if checked == total:  # no profile is left for it to settle
+                    continue
+                keep, fin = _stored(mu, base, tables)
+                live = -1
+                for depth, j in enumerate(digits):
+                    levels[depth].append((keep, fin, live))
+                    live &= keep[depth][j]
+                levels[last].append((keep, fin, live))
+                leaf.append((keep[last], live & fin[last]))
+        d = last - 1
+        while d >= 0 and digits[d] == len(options[d]) - 1:
+            digits[d] = 0
+            d -= 1
+        if d < 0:
+            return SweepResult(ok=True, total=total, checked=checked, solved=solved)
+        digits[d] += 1
 
 
 def cyclic_market(n: int) -> Market:

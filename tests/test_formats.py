@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from balmatch.fractional import FractionalMatching
 from balmatch.genrandom import random_market, random_neighbour_tree
 from balmatch.market import Matching
 from balmatch.prefs import decompose_by_sets
+from balmatch.techtree import TechnologyTree
 
 H = Fraction(1, 2)
 Z = Fraction(0)
@@ -164,6 +166,37 @@ class TestTreeFormat:
             assert again.root == t.root
             assert again.worker_sets == t.worker_sets
             assert again.children == t.children
+
+    def test_json_is_nested_dumps(self):
+        def nested(t, v):
+            children = [nested(t, c) for c in t.children.get(v, ())]
+            return {"name": v, "workers": sorted(t.worker_sets[v]), "children": children}
+
+        rng = random.Random(23)
+        for _ in range(200):
+            t = random_neighbour_tree(rng)
+            assert formats.tree_to_json(t) == json.dumps(nested(t, t.root), indent=2)
+
+    def test_json_path_deeper_than_recursion_limit(self):
+        # each level adds one worker, on a line indented four spaces per
+        # level, so the text grows as levels cubed: the limit is lowered
+        # instead of the path grown past the default one
+        depth = 150
+        t = TechnologyTree(
+            root="v0",
+            worker_sets={f"v{k}": frozenset(f"w{i}" for i in range(1, k + 1)) for k in range(depth)},
+            children={f"v{k}": (f"v{k + 1}",) for k in range(depth - 1)},
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            text = formats.tree_to_json(t)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert text.count('"name"') == depth
+        assert text.startswith('{\n  "name": "v0",\n  "workers": [],\n  "children": [\n    {\n      "name": "v1",')
+        closing = "".join("  " * (2 * k) + "}\n" + "  " * (2 * k - 1) + "]\n" for k in reversed(range(1, depth)))
+        assert text.endswith('"children": []\n' + closing + "}")
 
     @pytest.mark.parametrize(
         "text",

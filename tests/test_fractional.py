@@ -20,7 +20,6 @@ from balmatch.fractional import (
     reduced_balance_check,
     round_fractional,
     verify_fractional_stability,
-    worker_mass,
 )
 from balmatch.genrandom import random_market
 from balmatch.market import Market, find_block, is_stable
@@ -300,10 +299,6 @@ class TestVerification:
         assert not report.ok
         assert report.firm == "g1"
         assert "unacceptable" in report.detail
-
-    def test_worker_mass(self, half_half, split):
-        for w in split.market.workers:
-            assert worker_mass(half_half, split, w) == ONE
 
     def test_level_outside_unit_interval_rejected(self, half_half, split):
         broken = half_half.with_level("f2", Fraction(3, 2))

@@ -16,8 +16,6 @@ from balmatch.market import (
     acceptable_sets,
     choose,
     find_block,
-    is_acceptable_set,
-    is_individually_rational,
     is_stable,
 )
 from balmatch.oracle import all_matchings
@@ -63,7 +61,7 @@ def brute_choose(f, available, m):
 def brute_block(mu, m):
     """Reference blocking coalition search over every nonempty worker set."""
     for f in m.firms:
-        current = mu.workers_of(f)
+        current = mu.inverse().get(f, frozenset())
         chain = m.firm_prefs[f].chain
         for r in range(1, len(m.workers) + 1):
             for sub in itertools.combinations(m.workers, r):
@@ -296,7 +294,7 @@ class TestAcceptableSets:
         m = Market.build(
             ["w1", "w2"], {"f1": [{"w1"}, {"w1", "w2"}]}, {"w1": [], "w2": []}
         )
-        assert not is_acceptable_set("f1", {"w1", "w2"}, m)
+        assert choose("f1", {"w1", "w2"}, m) == frozenset({"w1"})
         assert acceptable_sets("f1", m) == [frozenset({"w1"})]
 
     def test_order_follows_chain(self, two_firms):
@@ -318,10 +316,6 @@ class TestAcceptableSets:
             frozenset({"w2"}),
             frozenset({"w3"}),
         ]
-
-    def test_empty_set_rejected(self, two_firms):
-        with pytest.raises(MarketError):
-            is_acceptable_set("f1", set(), two_firms)
 
 
 class TestStability:
@@ -346,7 +340,7 @@ class TestStability:
 
     def test_unacceptable_firm_breaks_ir(self, two_firms):
         mu = Matching({"w1": "f1", "w2": "f1", "w3": "f1", "w4": "f1"})
-        assert not is_individually_rational(mu, two_firms)
+        assert find_block(mu, two_firms).ir_violations[0] == ("w4", "matched to unacceptable firm f1")
 
     def test_partial_assignment_rejected(self, two_firms):
         with pytest.raises(MarketError):

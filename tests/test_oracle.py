@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from balmatch.oracle import (
     BudgetError,
     SWEEP_BUDGET,
     SweepResult,
-    _settles,
     _stored,
     all_stable_matchings,
     cyclic_market,
@@ -60,6 +60,68 @@ def reference_sweep(firm_prefs, workers):
     return SweepResult(True, total, checked, False)
 
 
+def _record(mu, base):
+    """What the stored-first sweep kept of a matching: each worker's firm
+    in market order, and its candidate coalitions (firm bit, member
+    indices), every acceptable set its firm ranks above the set it holds."""
+    index = {w: i for i, w in enumerate(base.workers)}
+    inv = mu.inverse()
+    coalitions = []
+    for f in base.firms:
+        current = inv.get(f, frozenset())
+        for s in base.firm_prefs[f].acceptable:
+            if s == current:
+                break
+            coalitions.append((base._bit[f], tuple(index[w] for w in s)))
+    return tuple(mu.assignment[w] for w in base.workers), tuple(coalitions)
+
+
+def _record_settles(record, tables):
+    """The stored-first sweep's try: every worker's firm is in its table,
+    and no candidate coalition has its firm bit in every member's mask."""
+    firms, coalitions = record
+    masks = list(map(dict.get, tables, firms))
+    if None in masks:
+        return False
+    for bit, members in coalitions:
+        for i in members:
+            bit &= masks[i]
+        if bit:
+            return False
+    return True
+
+
+def stored_first_sweep(firm_prefs, workers):
+    """The sweep before the odometer: each profile tries the stored
+    matchings against every worker, most recently confirmed first, and
+    solves only on a miss. Which matchings are stored, and so every
+    ``SweepResult`` field, ``solved`` included, does not depend on the
+    order of the tries."""
+    workers = list(workers)
+    base = Market(tuple(workers), tuple(firm_prefs), {w: () for w in workers}, firm_prefs)
+    options = worker_pref_space(base)
+    total = math.prod(map(len, options))
+    if total > SWEEP_BUDGET:
+        raise BudgetError(f"{total} profiles")
+    found = []
+    checked = solved = 0
+    for profile in itertools.product(*options):
+        checked += 1
+        row = [base.ranking_table(r) for r in profile]
+        for i, record in enumerate(found):
+            if _record_settles(record, row):
+                found.insert(0, found.pop(i))
+                break
+        else:
+            solved += 1
+            market = base.with_worker_prefs(dict(zip(workers, profile)))
+            mu = solve(market)
+            if mu is None or not is_stable(mu, market):
+                return SweepResult(False, total, checked, False, market.worker_prefs, solved)
+            found.insert(0, _record(mu, base))
+    return SweepResult(True, total, checked, False, None, solved)
+
+
 def _fields(r):
     return (r.ok, r.total, r.checked, r.sampled, r.counterexample)
 
@@ -67,8 +129,29 @@ def _fields(r):
 def _assert_sweep_matches_reference(firm_prefs, workers):
     r = exists_for_all_worker_prefs(firm_prefs, workers)
     assert _fields(r) == _fields(reference_sweep(firm_prefs, workers))
+    assert r == stored_first_sweep(firm_prefs, workers)
     assert 0 < r.solved <= r.checked
     return r
+
+
+def _option_tables(base):
+    """Each worker's option ranking tables, in ``worker_pref_space`` order."""
+    return [[base.ranking_table(r) for r in opts] for opts in worker_pref_space(base)]
+
+
+def _walk(compiled, ks):
+    """Read a compiled matching through every worker of the profile whose
+    option indices are ``ks``: each worker is IR, and no coalition is
+    still live once its last member is read."""
+    keep, fin = compiled
+    live = -1
+    for i, k in enumerate(ks):
+        if keep[i][k] is None:
+            return False
+        live &= keep[i][k]
+        if live & fin[i]:
+            return False
+    return True
 
 
 class TestEnumeration:
@@ -181,6 +264,40 @@ class TestSweepMatchesReference:
         assert verdicts == {True, False}  # some firm sides have no stable matching
         assert (checked, solved) == (4881, 540)
 
+    def test_larger_balanced_complementary_profiles(self):
+        # up to six workers: odometers five digits deep
+        rng = random.Random(16)
+        deepest = 0
+        for _ in range(300):
+            chains = random_complementary_balanced_profile(rng, max_firms=4, max_workers=6)
+            workers = sorted({w for p in chains.values() for s in p.chain for w in s})
+            r = exists_for_all_worker_prefs(chains, workers)
+            assert r == stored_first_sweep(chains, workers)
+            assert r.ok
+            deepest = max(deepest, len(workers))
+        assert deepest == 6
+
+    def test_no_workers(self):
+        for prefs in ({}, {"f1": FirmPreference.of()}):
+            r = exists_for_all_worker_prefs(prefs, [])
+            assert r == stored_first_sweep(prefs, [])
+            assert r == SweepResult(ok=True, total=1, checked=1, solved=1)
+
+    def test_one_worker(self):
+        prefs = {"f1": FirmPreference.of({"w1"}), "f2": FirmPreference.of({"w1"})}
+        r = _assert_sweep_matches_reference(prefs, ["w1"])
+        assert (r.ok, r.total) == (True, 5)
+
+    def test_workers_whose_only_option_is_empty(self):
+        # w0 and w3 are in no acceptable set: their one option is (), first or last
+        prefs = {
+            "f1": FirmPreference.of({"w1", "w2"}, {"w1"}),
+            "f2": FirmPreference.of({"w2"}),
+        }
+        for workers in (["w0", "w1", "w2", "w3"], ["w1", "w2", "w3"], ["w0", "w1", "w2"]):
+            r = _assert_sweep_matches_reference(prefs, workers)
+            assert r.total == 10
+
     def test_triangle_and_five_cycle(self):
         _assert_sweep_matches_reference(TRIANGLE, ["w1", "w2", "w3"])
         m = cyclic_market(5)
@@ -209,10 +326,16 @@ class TestSweepMatchesReference:
         assert not all_stable_matchings(late_market)
         r = _assert_sweep_matches_reference(prefs, workers)
         assert (r.ok, r.checked, r.counterexample) == (False, 35, late)
-        # the sweep's try rejects mu on the late profile for the same reason
-        stored = _stored(mu, early)
-        assert _settles(stored, [early.ranking_table(early.worker_prefs[w]) for w in workers])
-        assert not _settles(stored, [early.ranking_table(late[w]) for w in workers])
+        # the compiled mu fails the late profile for the same reason: w2's
+        # option () does not list f2, and no coalition stays live
+        opts = worker_pref_space(early)
+        compiled = _stored(mu, early, _option_tables(early))
+        late_ks = [o.index(late[w]) for o, w in zip(opts, workers)]
+        assert _walk(compiled, [o.index(early.worker_prefs[w]) for o, w in zip(opts, workers)])
+        assert not _walk(compiled, late_ks)
+        assert compiled[0][1][late_ks[1]] is None
+        live = compiled[0][0][late_ks[0]] & compiled[0][2][late_ks[2]]
+        assert not any(live & fin for fin in compiled[1])
 
     def test_solved_counts_only_misses(self):
         prefs = {"f1": FirmPreference.of({"w1", "w2"})}
@@ -222,31 +345,49 @@ class TestSweepMatchesReference:
         assert (r.ok, r.checked, r.solved) == (True, 4, 2)
 
 
-class TestTryMatchesIsStable:
-    """A sweep's try of a stored matching (``_settles``) is ``is_stable`` on
-    the profile's market, read from the ranking tables that market holds."""
+class TestCompiledMatchesIsStable:
+    """A stored matching, compiled against the option tables (``_stored``)
+    and walked through all n workers of a profile, settles it iff it is
+    ``is_stable`` on the profile's market, the IR-only rejection included."""
 
     def test_every_stored_matching_on_every_profile(self):
         rng = random.Random(19)
         cfg = MarketGenConfig(max_workers=3, max_firms=3, max_chain=2, max_set=2)
-        pairs = settled = 0
+        pairs = settled = not_ir = 0
         for _ in range(120):
             base = random_market(rng, cfg)
             base = base.with_worker_prefs({w: () for w in base.workers})
-            profiles = list(itertools.product(*worker_pref_space(base)))
-            markets = [base.with_worker_prefs(dict(zip(base.workers, p))) for p in profiles]
+            tables = _option_tables(base)
+            space = worker_pref_space(base)
+            indices = list(itertools.product(*map(range, map(len, space))))
+            markets = [
+                base.with_worker_prefs({w: o[k] for w, o, k in zip(base.workers, space, ks)})
+                for ks in indices
+            ]
             # what a sweep may store: solve's matchings, stable on their own market
             stored = {}
             for market in markets:
                 mu = solve(market)
                 if mu is not None and is_stable(mu, market):
-                    stored.setdefault(tuple(mu.assignment.items()), (mu, _stored(mu, base)))
-            for profile, market in zip(profiles, markets):
-                row = [base.ranking_table(r) for r in profile]
-                assert row == [market._prefers[w] for w in market.workers]
-                for mu, st in stored.values():
-                    settles = _settles(st, row)
+                    stored.setdefault(tuple(mu.assignment.items()), (mu, _stored(mu, base, tables)))
+            for ks, market in zip(indices, markets):
+                for mu, compiled in stored.values():
+                    settles = _walk(compiled, ks)
                     assert settles == is_stable(mu, market)
                     pairs += 1
                     settled += settles
+                    not_ir += any(compiled[0][i][k] is None for i, k in enumerate(ks))
         assert 0 < settled < pairs
+        assert not_ir  # worker IR rejects some of them
+
+    def test_fin_partitions_the_candidate_coalitions(self):
+        # f1 holds nothing, so both its sets are candidates; f2 holds its best
+        prefs = {
+            "f1": FirmPreference.of({"w1", "w3"}, {"w2"}),
+            "f2": FirmPreference.of({"w1", "w2"}),
+        }
+        base = Market(("w1", "w2", "w3"), ("f1", "f2"), {w: () for w in ("w1", "w2", "w3")}, prefs)
+        mu = Matching({"w1": "f2", "w2": "f2", "w3": None})
+        keep, fin = _stored(mu, base, _option_tables(base))
+        assert fin == [0, 0b10, 0b01]  # {w2} ends at w2, {w1,w3} at w3
+        assert [len(row) for row in keep] == [len(o) for o in worker_pref_space(base)]

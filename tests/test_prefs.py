@@ -148,7 +148,7 @@ class TestComplementary:
         g = complementarity_graph("f1", m)
         assert g.vertices == frozenset(m.workers)
         assert len(g.edges) == 780  # the complete graph on 40 vertices
-        assert solve(m).workers_of("f1") == frozenset(m.workers)
+        assert solve(m).inverse()["f1"] == frozenset(m.workers)
         assert market_certificates(m)["complementary"] == "True"
 
     def test_nested_chain_is_complementary(self, nested_chains):
