@@ -4,9 +4,17 @@ Exit codes: 0 pass/found, 1 fail with witness / no stable matching,
 2 inconclusive at the size cap, 64 usage error, 65 parse error.
 
 ``check`` and ``tree`` are each driven by one table (``CHECKS``,
-``TREE_MODES``) of flag, report name and report builder; the parser takes
-the flags from the same table. Every report has ``verdict``, ``render()``
-and ``as_dict()``, and ``--json`` encodes all of a command's reports once.
+``TREE_MODES``) of flag, report name and report builder. Every report has
+``verdict``, ``render()`` and ``as_dict()``, and ``--json`` encodes all of
+a command's reports once.
+
+``COMMANDS`` is the option table: per command, each flag with its
+validator and default, built from ``CHECKS``, ``TREE_MODES``, ``--cap``,
+``--json`` and solve's own flags. ``build_parser`` builds the argparse
+subparsers from it, and ``_read_argv`` reads an argv of exact flags and
+plain values from it directly. ``main`` calls argparse only for what the
+reader refuses (help, abbreviations, ``--flag=value``, usage errors), so
+argparse's help, messages and exit codes are unchanged.
 """
 
 from __future__ import annotations
@@ -216,47 +224,93 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+# Each command's (help line, handler, options). An option maps its flag to
+# the keywords of argparse's ``add_argument``: a switch is ``store_true``,
+# and a flag with a value has a ``type`` validator or ``choices``.
+_SWITCH = {"action": "store_true", "default": False}
+_CAP = {"type": non_negative_int, "default": DEFAULT_CAP}
+COMMANDS = {
+    "check": ("certify a market file", cmd_check, {
+        **{flag: _SWITCH for flag, _, _ in CHECKS}, "--cap": _CAP, "--json": _SWITCH,
+    }),
+    "solve": ("find a stable matching", cmd_solve, {
+        "--strategy": {"choices": ["direct", "pipeline"], "default": "direct"},
+        "--fractional": {},
+        "--decompose": {"choices": ["sets", "components"]},
+        "--json": _SWITCH,
+    }),
+    "tree": ("validate a technology tree", cmd_tree, {
+        **{flag: _SWITCH for flag, _, _ in TREE_MODES}, "--cap": _CAP, "--json": _SWITCH,
+    }),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: ``parse_args`` returns a fresh
-    namespace per call, so nothing carries over between commands."""
+    """The argument parser, built once from ``COMMANDS``: ``parse_args``
+    returns a fresh namespace per call, so nothing carries over between
+    commands."""
     # --help shows the docstring's first two paragraphs: summary and exit codes
     about = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
     parser = _Parser(prog="balmatch", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="certify a market file")
-    p_check.add_argument("path")
-    for flag, _, _ in CHECKS:
-        p_check.add_argument(flag, action="store_true")
-    p_check.add_argument("--cap", type=non_negative_int, default=DEFAULT_CAP)
-    p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(func=cmd_check)
-
-    p_solve = sub.add_parser("solve", help="find a stable matching")
-    p_solve.add_argument("path")
-    p_solve.add_argument("--strategy", choices=["direct", "pipeline"], default="direct")
-    p_solve.add_argument("--fractional")
-    p_solve.add_argument("--decompose", choices=["sets", "components"])
-    p_solve.add_argument("--json", action="store_true")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_tree = sub.add_parser("tree", help="validate a technology tree")
-    p_tree.add_argument("path")
-    for flag, _, _ in TREE_MODES:
-        p_tree.add_argument(flag, action="store_true")
-    p_tree.add_argument("--cap", type=non_negative_int, default=DEFAULT_CAP)
-    p_tree.add_argument("--json", action="store_true")
-    p_tree.set_defaults(func=cmd_tree)
+    for command, (help_line, func, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("path")
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read from
+    ``COMMANDS`` when argv is a command, one path, exact flags and plain
+    values; None for anything else, which argparse then parses: help, an
+    abbreviated flag, ``--flag=value``, ``--``, a token or value starting
+    with ``-``, a missing or second path, a missing value, or a value the
+    flag's validator or choices refuse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    values = {_dest(flag): keywords.get("default") for flag, keywords in options.items()}
+    path = None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = options.get(token)
+        if keywords is None:
+            if token.startswith("-") or path is not None:
+                return None
+            path = token
+        elif "action" in keywords:
+            values[_dest(token)] = True
+        else:
+            value = next(tokens, "-")  # a missing value is refused like "-"
+            if value.startswith("-"):
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            choices = keywords.get("choices")
+            if choices is not None and value not in choices:
+                return None
+            values[_dest(token)] = value
+    if path is None:
+        return None
+    return argparse.Namespace(command=argv[0], path=path, func=func, **values)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
     try:
         return args.func(args)
     except (formats.ParseError, UnicodeDecodeError) as e:

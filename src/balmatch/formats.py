@@ -243,7 +243,10 @@ def tree_from_json(text: str) -> TechnologyTree:
         children[name] = tuple(map(walk, kids))
         return name
 
-    root = walk(_load_json(text))
+    try:
+        root = walk(_load_json(text))
+    except RecursionError as e:  # json nests deeper than Python calls on some interpreters
+        raise ParseError("JSON nested too deeply") from e
     try:
         return TechnologyTree(root=root, worker_sets=worker_sets, children=children)
     except TreeError as e:

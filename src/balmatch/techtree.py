@@ -9,7 +9,7 @@ form a contiguous run of that vertex's ordered children.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .market import FirmPreference, Market, MarketError
@@ -207,15 +207,17 @@ def find_neighbour_ordering(t: TechnologyTree) -> Optional[TechnologyTree]:
 
 
 def worker_set_matrix(t: TechnologyTree) -> ZeroOneMatrix:
-    """Indicator matrix of the distinct nonempty technology worker sets."""
-    seen: set[frozenset[str]] = set()
-    cols = []
+    """Indicator matrix of the distinct nonempty technology worker sets.
+
+    Each column is labelled by the first vertex, in outline order, that
+    carries its set, so a label is as short as a vertex name however many
+    workers the set holds, and the rendered matrix grows as workers x sets.
+    """
+    first: dict[frozenset[str], str] = {}
     for v in t.vertices():
-        s = t.worker_sets[v]
-        if s and s not in seen:
-            seen.add(s)
-            cols.append(s)
-    return matrix_of_sets(cols, t.workers())
+        if t.worker_sets[v]:
+            first.setdefault(t.worker_sets[v], v)
+    return replace(matrix_of_sets(first, t.workers()), cols=tuple(first.values()))
 
 
 def profile_from_tree(

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -336,6 +337,30 @@ class TestTree:
         assert out == ""
         assert "more than 6 children" in err
 
+    def test_matrix_of_a_deep_path_prints_quadratic_text(self, tmp_path, capsys):
+        # each level adds one worker; columns are labelled by vertex name, so
+        # the text grows as levels squared, not as levels cubed
+        levels = 200
+        lines = ["v0: {}"] + [
+            "  " * k + f"v{k}: {{{','.join(f'w{i}' for i in range(1, k + 1))}}}" for k in range(1, levels + 1)
+        ]
+        p = tmp_path / "path.tree"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["tree", str(p), "--matrix", "--cap", str(levels)]) == EXIT_PASS
+        out = capsys.readouterr().out
+        assert out.splitlines()[2].split() == [f"v{k}" for k in range(1, levels + 1)]
+        assert len(out) < 8 * levels**2
+
+    def test_json_tree_nested_past_the_json_limit_is_a_parse_error(self, tmp_path, capsys):
+        # few workers per level keep the file small; it is refused while
+        # parsing, before any tree rule is checked
+        levels = 6000
+        text = "".join(f'{{"name":"v{k}","workers":["w{k}"],"children":[' for k in range(levels))
+        p = tmp_path / "deep.json"
+        p.write_text(text + "]}" * levels)
+        assert main(["tree", str(p), "--matrix"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "parse error: JSON nested too deeply\n")
+
     def test_json_tree_input(self, tmp_path, capsys):
         t = formats.parse_tree((__import__("pathlib").Path(corpus("ladder.tree"))).read_text())
         p = tmp_path / "ladder.json"
@@ -408,10 +433,10 @@ PASS
 FAIL: worker w1: upgrades v0->v1 and v0->v3 are separated by v0->v2
 [worker-set-matrix]
 FAIL
-    {w1,w2}  {w2,w3}  {w1,w3}
-w1        1        0        1
-w2        1        1        0
-w3        0        1        1
+    v1  v2  v3
+w1   1   0   1
+w2   1   1   0
+w3   0   1   1
 [permutation-search]
 FAIL
 no ordering passes
@@ -423,8 +448,7 @@ no ordering passes
         },
         "worker-set-matrix": {
             "verdict": "FAIL",
-            "detail": "    {w1,w2}  {w2,w3}  {w1,w3}\nw1        1        0        1\n"
-            "w2        1        1        0\nw3        0        1        1",
+            "detail": "    v1  v2  v3\nw1   1   0   1\nw2   1   1   0\nw3   0   1   1",
         },
         "permutation-search": {"verdict": "FAIL", "detail": "no ordering passes"},
     }
@@ -480,3 +504,120 @@ def test_cli_exit_codes_are_total(tmp_path_factory, case, as_json):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE, EXIT_PARSE), argv
+
+
+README = CORPUS.parent / "README.md"
+
+
+def _readme_argvs():
+    """The argv of every ``balmatch ...`` example in the README."""
+    text = README.read_text().replace("\\\n", " ")
+    return [
+        shlex.split(line.split("#")[0])[1:]
+        for line in text.splitlines()
+        if line.startswith("balmatch ")
+    ]
+
+
+BENCH_ARGVS = (
+    # the argv forms the benchmark sends, one per flag or option value
+    [["check", "a.market", flag, "--json"] for flag, _, _ in cli.CHECKS]
+    + [["tree", "a.tree", mode, "--json"] for mode, _, _ in cli.TREE_MODES]
+    + [["solve", "a.market", "--json"]]
+    + [["solve", "a.market", "--json", "--decompose", how] for how in ("sets", "components")]
+    + [["solve", "a.market", "--strategy", "pipeline", "--fractional", "b.frac", "--json"]]
+)
+
+
+def _same_as_argparse(argv):
+    ours = cli._read_argv(argv)
+    if ours is not None:
+        assert vars(ours) == vars(cli.build_parser().parse_args(argv)), argv
+    return ours
+
+
+class TestReadArgv:
+    """``_read_argv`` returns argparse's namespace, or None to hand the argv
+    to argparse."""
+
+    def test_readme_and_bench_forms_take_the_fast_path(self):
+        readme = _readme_argvs()
+        assert len(readme) >= 9
+        for argv in readme + BENCH_ARGVS:
+            assert _same_as_argparse(argv) is not None, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate", "a.market"],
+            ["--json", "check", "a.market", "--balanced"],
+            ["check", "-h"],
+            ["check", "a.market", "--help"],
+            ["check", "a.market", "--bal"],
+            ["check", "a.market", "--balanced", "--cap=3"],
+            ["check", "a.market", "--", "--balanced"],
+            ["check", "-", "--balanced"],
+            ["check", "a.market", "--cap", "-1"],
+            ["check", "a.market", "--cap", "²"],
+            ["check", "a.market", "b.market"],
+            ["check", "--balanced"],
+            ["solve", "a.market", "--strategy"],
+            ["solve", "a.market", "--strategy", "scarf"],
+            ["solve", "a.market", "--fractional", "--json"],
+            ["solve", "a.market", "--balanced"],
+            ["tree", "a.tree", "--decompose", "sets"],
+        ],
+    )
+    def test_refused_argv_goes_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
+
+    def test_last_value_wins_and_flags_go_anywhere(self):
+        argv = ["check", "--cap", "3", "--tu", "a.market", "--cap", " 4", "--tu"]
+        ns = _same_as_argparse(argv)
+        assert (ns.path, ns.cap, ns.tu, ns.balanced) == ("a.market", 4, True, False)
+
+    def test_main_reads_sys_argv_on_both_paths(self, monkeypatch, capsys):
+        argv = ["balmatch", "check", corpus("two_firms.market"), "--balanced", "--json"]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert cli._read_argv(argv[1:]) is not None
+        assert main() == EXIT_PASS
+        assert list(json.loads(capsys.readouterr().out)) == ["balanced"]
+        monkeypatch.setattr(sys, "argv", ["balmatch", "check", "--help"])
+        assert cli._read_argv(["check", "--help"]) is None
+        assert main() == EXIT_PASS
+        assert capsys.readouterr().out.startswith("usage: balmatch check ")
+
+
+ARGV_FLAGS = {flag for _, _, options in cli.COMMANDS.values() for flag in options}
+ARGV_VALUES = {"-1", "+3", " 4", "٣", "²", "1_0", "0x1", "0", "12", "direct", "pipeline", "sets", "components"}
+ARGV_PATHS = ["a.market", "b.frac"]
+ARGV_TOKENS = sorted(
+    set(cli.COMMANDS) | ARGV_FLAGS | ARGV_VALUES | set(ARGV_PATHS)
+    | {"--bal", "--t", "--to", "--c", "--str", "--frac", "--dec", "--js", "--val", "--m"}
+    | {"--cap=3", "-h", "--help", "--", "-", "", "-a b"}
+)
+COMMAND_TOKENS = sorted(ARGV_FLAGS | ARGV_VALUES | {""})
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+        # a command and a path among flags and values: argvs the reader often accepts
+        st.builds(
+            lambda command, path, rest, at: [command, *rest[:at], path, *rest[at:]],
+            st.sampled_from(sorted(cli.COMMANDS)),
+            st.sampled_from(ARGV_PATHS),
+            st.lists(st.sampled_from(COMMAND_TOKENS), max_size=6),
+            st.integers(0, 6),
+        ),
+        st.builds(
+            lambda command, rest: [command, *rest],
+            st.sampled_from(sorted(cli.COMMANDS)),
+            st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+        ),
+    )
+)
+@settings(max_examples=1500, deadline=None)
+def test_read_argv_equals_argparse(argv):
+    _same_as_argparse(argv)

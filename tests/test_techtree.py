@@ -140,8 +140,15 @@ class TestPermutationSearch:
 class TestWorkerSetMatrix:
     def test_ladder_matrix(self, ladder):
         mat = worker_set_matrix(ladder)
-        assert mat.cols == ("{w1,w2}", "{w2,w3}", "{w3,w4}", "{w3,w4,w5}")
+        assert mat.cols == ("v1", "v2", "v3", "v5")
         assert is_totally_balanced(mat).ok
+
+    def test_repeated_set_is_labelled_by_its_first_vertex(self):
+        t = parse_tree("v0: {}\n  a: {w2}\n    b: {w1,w2}\n  c: {w1,w2}\n  d: {w2}\n")
+        mat = worker_set_matrix(t)
+        assert mat.cols == ("a", "b")
+        assert mat.rows == ("w2", "w1")
+        assert mat.entries == ((1, 1), (0, 1))
 
     def test_triangle_matrix_fails(self, triangle):
         assert not is_totally_balanced(worker_set_matrix(triangle)).ok
