@@ -57,6 +57,7 @@ from .techtree import (
     TechnologyTree,
     check_neighbour_condition,
     engagement,
+    engagements,
     find_neighbour_ordering,
     profile_from_tree,
     sets_from_tree,

@@ -37,7 +37,7 @@ from .market import Market, MarketError, acceptable_set_family
 from .matrices import DEFAULT_CAP, FAIL, INCONCLUSIVE, PASS, is_balanced, is_totally_balanced, is_totally_unimodular, matrix_of_sets
 from .prefs import complementarity_witness, decompose_by_components, decompose_by_sets, is_additive
 from .solve import market_certificates, solve
-from .techtree import TreeError, check_neighbour_condition, engagement, find_neighbour_ordering, worker_set_matrix
+from .techtree import TreeError, check_neighbour_condition, engagements, find_neighbour_ordering, worker_set_matrix
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -84,10 +84,6 @@ def _emit(reports: list[tuple[str, object]], as_json: bool) -> int:
     return EXIT_PASS
 
 
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
-
-
 def _complementary(m: Market) -> _Plain:
     lines = [
         _witness_line(f, m, *w)
@@ -125,7 +121,7 @@ CHECKS = (
 
 def cmd_check(args) -> int:
     m = _load_market(args.path)
-    chosen = [check for check in CHECKS if getattr(args, _dest(check[0]))]
+    chosen = [check for check in CHECKS if getattr(args, _DESTS[check[0]])]
     if not chosen:
         print("error: no check selected", file=sys.stderr)
         return EXIT_USAGE
@@ -200,14 +196,14 @@ def cmd_tree(args) -> int:
         t = formats.tree_from_json(text)
     else:
         t = formats.parse_tree(text)
-    chosen = [mode for mode in TREE_MODES if getattr(args, _dest(mode[0]))] or TREE_MODES[:1]
+    chosen = [mode for mode in TREE_MODES if getattr(args, _DESTS[mode[0]])] or TREE_MODES[:1]
     reports = [(name, build(t, args)) for _, name, build in chosen]
     # in text mode the neighbour condition's engagement lines print first,
     # once every report is built, so a usage error leaves stdout empty
     if not args.json and TREE_MODES[0] in chosen:
         print("# engagements:")
-        for w in t.workers():
-            edges = ", ".join(f"{a}->{b}" for a, b in engagement(w, t))
+        for w, eng in engagements(t).items():
+            edges = ", ".join(f"{a}->{b}" for a, b in eng)
             print(f"#   {w}: {edges}")
     return _emit(reports, args.json)
 
@@ -243,6 +239,13 @@ COMMANDS = {
         **{flag: _SWITCH for flag, _, _ in TREE_MODES}, "--cap": _CAP, "--json": _SWITCH,
     }),
 }
+# Each flag's namespace attribute, and per command the namespace's defaults,
+# derived from COMMANDS once rather than on every argv.
+_DESTS = {flag: flag[2:].replace("-", "_") for _, _, options in COMMANDS.values() for flag in options}
+_DEFAULTS = {
+    command: {_DESTS[flag]: keywords.get("default") for flag, keywords in options.items()}
+    for command, (_, _, options) in COMMANDS.items()
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,7 +276,7 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     if not argv or argv[0] not in COMMANDS:
         return None
     _, func, options = COMMANDS[argv[0]]
-    values = {_dest(flag): keywords.get("default") for flag, keywords in options.items()}
+    values = dict(_DEFAULTS[argv[0]])
     path = None
     tokens = iter(argv[1:])
     for token in tokens:
@@ -283,7 +286,7 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
                 return None
             path = token
         elif "action" in keywords:
-            values[_dest(token)] = True
+            values[_DESTS[token]] = True
         else:
             value = next(tokens, "-")  # a missing value is refused like "-"
             if value.startswith("-"):
@@ -296,7 +299,7 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
             choices = keywords.get("choices")
             if choices is not None and value not in choices:
                 return None
-            values[_dest(token)] = value
+            values[_DESTS[token]] = value
     if path is None:
         return None
     return argparse.Namespace(command=argv[0], path=path, func=func, **values)

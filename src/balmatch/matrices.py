@@ -9,11 +9,15 @@ in their column filter (two 1s on the row subset for balanced and totally
 balanced, a positive even number for totally unimodular), their orders
 (odd ones for balanced) and the parity rule of total unimodularity, which
 is decided by Camion's criterion, so a determinant is evaluated only for
-the FAIL witness. For balanced and totally balanced the search skips row
-subsets holding two rows with nested column sets, which no first witness
-holds. Searches are exhaustive up to a size cap (on the reduced
-matrix for balanced and totally balanced, on the matrix itself for totally
-unimodular); beyond the cap the verdict is INCONCLUSIVE, never a guess.
+the FAIL witness. The search keeps the column counts of its chosen rows
+as bit-planes, so a row subset's candidate columns are one bitmask, and it
+cuts a branch once a chosen row can no longer lie on two candidates,
+which every row of a first witness does. For balanced and totally
+balanced it also skips row subsets holding two rows with nested column
+sets, which no first witness holds. Searches are exhaustive up to a size
+cap (on the reduced matrix for balanced and totally balanced, on the
+matrix itself for totally unimodular); beyond the cap the verdict is
+INCONCLUSIVE, never a guess.
 """
 
 from __future__ import annotations
@@ -188,10 +192,10 @@ def _row_subset_search(
 
     Enumerates orders ascending, then row subsets lexicographically. For each
     row subset the candidates are the first column of each distinct mask on
-    it with two 1s, or with ``tu`` a positive even number of 1s; ``_pick``
-    returns the lexicographically first k of them whose masks XOR to zero,
-    holding an odd number of columns of weight 2 (mod 4) when ``tu``. The
-    first hit is returned.
+    it with exactly two 1s, or with ``tu`` a positive even number of 1s;
+    ``_pick`` returns the lexicographically first k of them whose masks XOR
+    to zero, holding an odd number of columns of weight 2 (mod 4) when
+    ``tu``. The first hit is returned.
 
     Keeping one column per mask loses no first witness. A minimal witness
     never holds two equal columns (for total unimodularity its determinant
@@ -207,63 +211,116 @@ def _row_subset_search(
     only odd orders are searched), and every hit at that order is a single
     cycle through all its rows.
 
+    Column counts as bit-planes. Each row carries the bitmask of its columns
+    (bit p for the p-th of ``cols``), and the depth-first search carries the
+    column counts of the chosen rows as three such masks: the columns with
+    at least one, at least two and at least three 1s, or with ``tu`` at
+    least one, at least two and an odd number. Adding a row updates them
+    with three int operations, and the candidate columns are one mask:
+    exactly two 1s (at least two and not three), or with ``tu`` a positive
+    even number (at least two and not odd). A leaf reads only those
+    columns, in index order, so the first column per mask is unchanged.
+
+    Degree cut. Every hit at the smallest order puts each of its rows on two
+    of its columns: without ``tu`` it is a single cycle through all its
+    rows, and with ``tu`` it is minimally non-TU, so each of its lines holds
+    at least two of its 1s. Smaller orders have no hit at all. So a branch
+    of row subsets sharing its chosen rows holds no first hit once a chosen
+    row lies on fewer than two columns that can still end as candidates:
+    those that are candidates now and, while rows remain to add, those
+    holding one 1 (with ``tu``, an odd number) that meet a row above the
+    last chosen one. Each row's union of the columns of the rows above it
+    is built once, so the test costs one AND and one bit count per chosen
+    row. A leaf reaches ``_pick`` only when each of its rows lies on two
+    candidates, and the first hit is unchanged.
+
     Dead row pairs. Without ``tu``, two rows whose column sets are nested
     (one holds every column of the other) never lie together on a hit at
     the smallest order: the row a with the smaller set meets the cycle in
     two columns whose masks on the hit's rows are distinct, yet both hold
-    a and the other row b, so both are {a, b}. Smaller orders have no hit
-    at all. So the search enumerates only the row subsets free of dead
-    pairs, depth first over ascending indices, which meets them in the
-    lexicographic order of ``itertools.combinations``, and the first hit
-    is unchanged. With ``tu`` every pair is live: no pair table is built,
-    and the same search visits every row subset.
+    a and the other row b, so both are {a, b}. So the search enumerates only
+    the row subsets free of dead pairs, depth first over ascending indices,
+    which meets them in the lexicographic order of
+    ``itertools.combinations``, and the first hit is unchanged. With ``tu``
+    every pair is live: no pair table is built.
     """
     if not orders:
         return None
-    ok = [w > 0 and w % 2 == 0 if tu else w == 2 for w in range(rows.bit_count() + 1)]
+    col_list = list(cols.items())
+    # each kept row's bit, with the bitmask of its columns (bit p for col_list[p])
+    row_cols: dict[int, int] = {}
+    for p, (_, x) in enumerate(col_list):
+        while x:
+            low = x & -x
+            x ^= low
+            row_cols[low] = row_cols.get(low, 0) | 1 << p
+    # above[bit of row a]: the columns of the kept rows above row a
+    above: dict[int, int] = {}
+    x = 0
+    for low in sorted(row_cols, reverse=True):
+        above[low] = x
+        x |= row_cols[low]
     if not tu:
-        # each kept row's bit, with the bitmask of its columns (bit p for cols' p-th)
-        row_cols: dict[int, int] = {}
-        for p, x in enumerate(cols.values()):
-            while x:
-                low = x & -x
-                x ^= low
-                row_cols[low] = row_cols.get(low, 0) | 1 << p
         # live[bit of row a]: the rows that may share a hit with row a
         live = {
             a: sum(b for b, y in row_cols.items() if (x | y) not in (x, y))
             for a, x in row_cols.items()
         }
 
-    def search(chosen: int, cand: int, need: int):
+    def search(chosen: int, chosen_cols: tuple[int, ...], one: int, two: int, three: int, cand: int, need: int):
         """First hit of order ``k`` among ``chosen`` plus ``need`` rows of
         ``cand``; every row of ``cand`` is above the chosen ones and live
-        with each of them."""
+        with each of them. ``chosen_cols`` holds the chosen rows' column
+        masks, and ``one``, ``two``, ``three`` the bit-planes of their
+        column counts."""
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
-            sub = chosen | low
-            if need > 1:
-                hit = search(sub, cand if tu else cand & live[low], need - 1)
+            x = row_cols[low]
+            t1, t2, t3 = one | x, two | one & x, three ^ x if tu else three | two & x
+            ok = t2 & ~t3
+            # the columns that can still end as candidates: those that are, and
+            # while rows remain to add, those one more 1 from a row above low makes one
+            could = ok if need == 1 else ok | (t3 if tu else t1 & ~t2) & above[low]
+            if (x & could).bit_count() < 2:
+                continue
+            for y in chosen_cols:
+                if (y & could).bit_count() < 2:
+                    break
+            else:
+                sub = chosen | low
+                if need > 1:
+                    hit = search(sub, chosen_cols + (x,), t1, t2, t3, cand if tu else cand & live[low], need - 1)
+                else:
+                    hit = _leaf(sub, ok, col_list, k, tu)
                 if hit is not None:
                     return hit
-                continue
-            first: dict[int, int] = {}
-            for j, x in cols.items():
-                x &= sub
-                if x not in first and ok[x.bit_count()]:
-                    first[x] = j
-            if len(first) >= k:
-                hit = _pick(list(first.values()), list(first), k, tu)
-                if hit is not None:
-                    return tuple(i for i in range(sub.bit_length()) if sub >> i & 1), hit
         return None
 
     for k in orders:
-        hit = search(0, rows, k)
+        hit = search(0, (), 0, 0, 0, rows, k)
         if hit is not None:
             return hit
     return None
+
+
+def _leaf(sub, ok, col_list, k, tu):
+    """``_pick`` on the first column of each distinct mask among the
+    candidate columns ``ok`` (bit p for col_list[p]) of row subset ``sub``."""
+    first: dict[int, int] = {}
+    while ok:
+        low = ok & -ok
+        ok ^= low
+        j, x = col_list[low.bit_length() - 1]
+        x &= sub
+        if x not in first:
+            first[x] = j
+    if len(first) < k:
+        return None
+    hit = _pick(list(first.values()), list(first), k, tu)
+    if hit is None:
+        return None
+    return tuple(i for i in range(sub.bit_length()) if sub >> i & 1), hit
 
 
 def _pick(cand, masks, k, odd_twos):

@@ -98,9 +98,19 @@ def upgrade_workers(e: Edge, t: TechnologyTree) -> frozenset[str]:
     return t.worker_sets[c] - t.worker_sets[v]
 
 
+def engagements(t: TechnologyTree) -> dict[str, list[Edge]]:
+    """Every worker's upgrades, in outline order, keyed in ``t.workers()``
+    order; one walk over the edges, so the table is built once per tree."""
+    table: dict[str, list[Edge]] = {w: [] for w in t.workers()}
+    for v, c in t.edges():
+        for w in t.worker_sets[c] - t.worker_sets[v]:
+            table[w].append((v, c))
+    return table
+
+
 def engagement(w: str, t: TechnologyTree) -> list[Edge]:
     """All upgrades the worker takes part in, in outline order."""
-    return [e for e in t.edges() if w in upgrade_workers(e, t)]
+    return engagements(t).get(w, [])
 
 
 @dataclass(frozen=True)
@@ -122,10 +132,9 @@ class NeighbourCertificate:
         return {"verdict": self.verdict, "worker": self.worker, "detail": self.detail}
 
 
-def _engaged(w: str, t: TechnologyTree) -> tuple[list[str], list[int]]:
-    """The sorted vertices the worker's upgrades leave and, when there is
-    exactly one, the sorted positions of its engaged children there."""
-    eng = engagement(w, t)
+def _engaged(eng: list[Edge], t: TechnologyTree) -> tuple[list[str], list[int]]:
+    """The sorted vertices a worker's upgrades ``eng`` leave and, when there
+    is exactly one, the sorted positions of its engaged children there."""
     sources = sorted({v for v, _ in eng})
     if len(sources) != 1:
         return sources, []
@@ -144,8 +153,8 @@ def _first_gap(positions: list[int]) -> Optional[tuple[int, int, int]]:
 
 def check_neighbour_condition(t: TechnologyTree) -> NeighbourCertificate:
     """Every worker's upgrades come from one vertex and are contiguous there."""
-    for w in t.workers():
-        sources, positions = _engaged(w, t)
+    for w, eng in engagements(t).items():
+        sources, positions = _engaged(eng, t)
         if len(sources) > 1:
             a, b = sources[:2]
             return NeighbourCertificate(
@@ -180,8 +189,8 @@ def find_neighbour_ordering(t: TechnologyTree) -> Optional[TechnologyTree]:
     vertex is solved independently.
     """
     per_vertex: dict[str, list[list[int]]] = {}
-    for w in t.workers():
-        sources, positions = _engaged(w, t)
+    for eng in engagements(t).values():
+        sources, positions = _engaged(eng, t)
         if len(sources) > 1:
             return None
         if len(positions) > 1:

@@ -9,6 +9,7 @@ from balmatch.hypergraphs import (
     check_hypergraph_balanced,
     firm_worker_hypergraph,
 )
+from balmatch import matrices
 from balmatch.market import acceptable_set_family
 from balmatch.matrices import (
     DEFAULT_CAP,
@@ -23,6 +24,7 @@ from balmatch.matrices import (
     is_totally_balanced,
     is_totally_unimodular,
     matrix_of_sets,
+    set_label,
 )
 from balmatch.oracle import cyclic_market
 from conftest import MARKET_FILES, interval_market, load_market, nested_market
@@ -80,8 +82,9 @@ def reference_reduce(m):
 
 
 def unpruned_search(m, rows, cols, orders, keep, odd_twos):
-    """The row-subset search without dead row pairs: every row subset of
-    the reduced matrix, orders ascending, then itertools.combinations."""
+    """The row-subset search without dead row pairs or the degree cut: every
+    row subset of the reduced matrix, orders ascending, then
+    itertools.combinations, each scanning every column."""
     colmask = {j: sum(1 << i for i, r in enumerate(rows) if m.entries[r][j]) for j in cols}
     ok = [keep(w) for w in range(len(rows) + 1)]
     for k in orders:
@@ -567,10 +570,21 @@ FAMILY_IDS = (
 )
 
 
+def cycle_matrix(n):
+    """The incidence matrix of a cycle of length n."""
+    return matrix_of_sets([{f"x{i}", f"x{(i + 1) % n}"} for i in range(n)], [f"x{i}" for i in range(n)])
+
+
+def window_matrix(n, width):
+    """n x n interval matrix: column j holds rows j .. j + width - 1, cut off at the last row."""
+    return labelled([[int(j <= i < j + width) for j in range(n)] for i in range(n)])
+
+
 class TestPrunedSearchMatchesUnpruned:
-    """Skipping row subsets that hold a nested (dead) row pair changes no
-    certificate: verdicts, witnesses and renderings equal the search over
-    every row subset."""
+    """Skipping row subsets that hold a nested (dead) row pair, and cutting
+    a branch once a chosen row can no longer lie on two candidate columns,
+    change no certificate: verdicts, witnesses and renderings equal the
+    search over every row subset."""
 
     def test_random_matrices(self):
         rng = random.Random(13)
@@ -595,6 +609,43 @@ class TestPrunedSearchMatchesUnpruned:
         assert_same_as_unpruned(market_matrix(market))
         for mat in hypergraph_matrices(market):
             assert_same_as_unpruned(mat, cap=max(mat.shape))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycles_and_intervals(self, n):
+        for mat in (cycle_matrix(n), window_matrix(n, 2), window_matrix(n, 3)):
+            assert_same_as_unpruned(mat)
+
+    @pytest.mark.parametrize("name", MARKET_FILES)
+    def test_corpus_hypergraph_matrices(self, name):
+        for mat in hypergraph_matrices(load_market(name)):
+            assert_same_as_unpruned(mat, cap=max(mat.shape))
+
+    def test_only_the_whole_cycle_reaches_the_picker(self, monkeypatch):
+        # a proper row subset of a cycle has a row on at most one of the
+        # cycle's columns inside it, so the degree cut stops it before _pick
+        seen = []
+        leaf = matrices._leaf
+        monkeypatch.setattr(matrices, "_leaf", lambda sub, *rest: seen.append(sub) or leaf(sub, *rest))
+        for n in range(3, 13):
+            for check in (is_balanced, is_totally_balanced, is_totally_unimodular):
+                seen.clear()
+                cert = check(cycle_matrix(n))
+                searched = check is not is_balanced or n % 2
+                assert seen == ([(1 << n) - 1] if searched else [])
+                assert cert.verdict == (PASS if n % 2 == 0 and check is not is_totally_balanced else FAIL)
+
+    def test_cyclic_21_firm_worker_fails_on_the_whole_cycle(self):
+        # seconds without the degree cut, which skips the smaller odd orders
+        cert = check_hypergraph_balanced(firm_worker_hypergraph(cyclic_market(21)))
+        assert cert.as_dict() == {
+            "verdict": FAIL,
+            "cycle_vertices": [f"w{i}" for i in range(1, 22)],
+            "cycle_edges": [f"f{i}:" + set_label({f"w{i}", f"w{i % 21 + 1}"}) for i in range(1, 22)],
+        }
+
+    def test_cyclic_20_balanced_passes_at_cap_21(self):
+        # seconds without the degree cut, which stops every odd row subset early
+        assert is_balanced(market_matrix(cyclic_market(20)), cap=21).verdict == PASS
 
     def test_nested_chain_of_24_passes_both_hypergraph_checks(self):
         # every row pair of a nested chain is dead, so nothing is enumerated;

@@ -10,6 +10,7 @@ from balmatch.techtree import (
     TreeError,
     check_neighbour_condition,
     engagement,
+    engagements,
     find_neighbour_ordering,
     market_sets_from_tree,
     profile_from_tree,
@@ -91,6 +92,38 @@ class TestEngagement:
         assert engagement("w2", ladder) == [("v0", "v1"), ("v0", "v2")]
         assert engagement("w3", ladder) == [("v0", "v2"), ("v0", "v3")]
         assert engagement("w5", ladder) == [("v3", "v5")]
+
+    def test_engagement_table_matches_per_worker_walk(self):
+        # random trees whose upgrades draw from one shared worker pool, so a
+        # worker may engage at several vertices, and neighbour-condition trees
+        rng = random.Random(21)
+        for k in range(400):
+            if k % 2:
+                t = random_neighbour_tree(rng, max_vertices=9, max_workers=8)
+            else:
+                t = random_shared_pool_tree(rng)
+            table = engagements(t)
+            assert list(table) == t.workers()
+            for w in t.workers():
+                assert table[w] == [e for e in t.edges() if w in upgrade_workers(e, t)]
+                assert engagement(w, t) == table[w]
+        assert engagement("nobody", t) == []
+
+
+def random_shared_pool_tree(rng):
+    """Each vertex below the root adds one to three workers of w1..w6 to its
+    parent's set, and its children come in a shuffled order."""
+    sets, children = {"v0": frozenset()}, {"v0": []}
+    for i in range(1, rng.randint(2, 10)):
+        parent = rng.choice([v for v, s in sets.items() if len(s) < 6])
+        pool = sorted({f"w{j}" for j in range(1, 7)} - sets[parent])
+        name = f"v{i}"
+        sets[name] = sets[parent] | set(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        children[name] = []
+        children[parent].append(name)
+    for kids in children.values():
+        rng.shuffle(kids)
+    return TechnologyTree("v0", sets, {v: tuple(kids) for v, kids in children.items()})
 
 
 class TestNeighbourCondition:
