@@ -125,7 +125,14 @@ def cmd_check(args) -> int:
     if not chosen:
         print("error: no check selected", file=sys.stderr)
         return EXIT_USAGE
-    sets = functools.cache(lambda: matrix_of_sets(acceptable_set_family(m), m.workers))
+    matrix = None
+
+    def sets():
+        nonlocal matrix
+        if matrix is None:
+            matrix = matrix_of_sets(acceptable_set_family(m), m.workers)
+        return matrix
+
     return _emit([(name, build(m, sets, args.cap)) for _, name, build in chosen], args.json)
 
 
@@ -143,8 +150,7 @@ def cmd_solve(args) -> int:
             print("error: pipeline strategy needs --fractional", file=sys.stderr)
             return EXIT_USAGE
         d = decompose_by_sets(m)
-        with open(args.fractional, encoding="utf-8") as fh:
-            fm = formats.parse_fractional(fh.read(), d)
+        fm = formats.parse_fractional(_read_text(args.fractional), d)
         try:
             matching, cert = round_fractional(fm, d)
         except IntegralExtractionError as e:
@@ -190,8 +196,7 @@ TREE_MODES = (
 
 
 def cmd_tree(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.path)
     if args.path.endswith(".json"):
         t = formats.tree_from_json(text)
     else:
@@ -208,9 +213,20 @@ def cmd_tree(args) -> int:
     return _emit(reports, args.json)
 
 
+def _read_text(path: str) -> str:
+    """The file's text as ``open(path, encoding="utf-8").read()`` gives it,
+    universal newlines included, or the same ``UnicodeDecodeError``: the
+    bytes are decoded whole, and ``\r\n`` and lone ``\r`` become ``\n``
+    only when a ``\r`` is present. A BOM is kept, as that read keeps it."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_market(path: str) -> Market:
-    with open(path, encoding="utf-8") as fh:
-        return formats.parse_market(fh.read())
+    return formats.parse_market(_read_text(path))
 
 
 def non_negative_int(text: str) -> int:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fractional import FractionalMatching, split_sets
-from .market import Market, MarketError, Matching
+from .market import FirmPreference, Market, MarketError, Matching
 from .prefs import DecomposedMarket
 from .techtree import TechnologyTree, TreeError
 
@@ -35,13 +35,23 @@ def _object(value, what: str) -> dict:
 
 def _names(value, what: str) -> list[str]:
     """A JSON list of strings; a bare string is rejected, not split."""
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list):
         raise ParseError(f"{what} must be a list of strings")
+    for x in value:
+        if not isinstance(x, str):
+            raise ParseError(f"{what} must be a list of strings")
     return value
 
 
 def parse_market(text: str) -> Market:
-    """JSON market: workers list, firm chains (best first), worker lists."""
+    """JSON market: workers list, firm chains (best first), worker lists.
+
+    Every JSON-shape error (the firms, then the worker lists, then the
+    workers) is raised before any check of the market itself. Those are
+    set-level checks: each firm's chain, in firm order, for empty and
+    repeated sets (``FirmPreference``), then ``Market``'s identifiers,
+    each chain set against the workers and each worker list against the
+    firms. Each chain set is built as a frozenset once."""
     data = _object(_load_json(text), "market")
     for key in ("workers", "firms", "worker_prefs"):
         if key not in data:
@@ -50,16 +60,19 @@ def parse_market(text: str) -> Market:
     for f, chain in _object(data["firms"], "firms").items():
         if not isinstance(chain, list):
             raise ParseError(f"chain of firm {f} must be a list of worker lists")
-        chains[f] = [set(_names(s, f"a set in the chain of firm {f}")) for s in chain]
+        what = f"a set in the chain of firm {f}"
+        chains[f] = tuple([frozenset(_names(s, what)) for s in chain])
     worker_prefs = {
         w: tuple(_names(lst, f"preference list of {w}"))
         for w, lst in _object(data["worker_prefs"], "worker_prefs").items()
     }
+    workers = tuple(_names(data["workers"], "workers"))
     try:
-        return Market.build(
-            workers=_names(data["workers"], "workers"),
-            firm_chains=chains,
+        return Market(
+            workers=workers,
+            firms=tuple(chains),
             worker_prefs=worker_prefs,
+            firm_prefs={f: FirmPreference(chain) for f, chain in chains.items()},
         )
     except MarketError as e:
         raise ParseError(str(e)) from e

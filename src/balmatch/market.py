@@ -25,6 +25,13 @@ class FirmPreference:
     sets s with ``choose(f, s) == s``. It depends on the chain alone, so
     every market sharing this preference reads it without recomputing.
     It takes no part in ``==``, ``hash`` or ``repr``.
+
+    Construction checks the chain at set level, in one pass that also
+    builds ``acceptable``: the first set, in chain order, that is empty or
+    repeats an earlier set is rejected. Each set is tested for inclusion
+    only against the earlier *acceptable* sets, and that is exact: an
+    earlier chain set inside s is either acceptable or, by induction along
+    the chain, holds an earlier acceptable set, which then lies inside s.
     """
 
     chain: tuple[frozenset[str], ...]
@@ -33,19 +40,19 @@ class FirmPreference:
     )
 
     def __post_init__(self):
-        seen = set()
+        seen, acceptable = set(), []
         for s in self.chain:
             if not s:
                 raise MarketError("empty set in preference chain")
             if s in seen:
                 raise MarketError(f"duplicate set in preference chain: {sorted(s)}")
             seen.add(s)
-        acceptable = tuple(
-            s
-            for i, s in enumerate(self.chain)
-            if not any(earlier <= s for earlier in self.chain[:i])
-        )
-        object.__setattr__(self, "acceptable", acceptable)
+            for a in acceptable:
+                if a <= s:
+                    break
+            else:
+                acceptable.append(s)
+        object.__setattr__(self, "acceptable", tuple(acceptable))
 
     @staticmethod
     def of(*sets: Iterable[str]) -> "FirmPreference":
@@ -82,34 +89,43 @@ class Market:
         self._check_worker_side()
 
     def _check_firm_side(self):
-        """Identifiers, firm keys and every chain's workers."""
-        if len(set(self.workers)) != len(self.workers):
-            raise MarketError("duplicate worker identifiers")
-        if len(set(self.firms)) != len(self.firms):
-            raise MarketError("duplicate firm identifiers")
-        if set(self.workers) & set(self.firms):
-            raise MarketError("identifier used as both worker and firm")
-        if set(self.firm_prefs) != set(self.firms):
-            raise MarketError("firm_prefs keys must match firms")
+        """Identifiers, firm keys and every chain's workers.
+
+        Each chain set is checked whole, with one ``s <= workers``; only a
+        set that fails is read element by element, to name its smallest
+        unknown worker, so the message does not depend on set iteration
+        order (``PYTHONHASHSEED``)."""
         wset = set(self.workers)
+        if len(wset) != len(self.workers):
+            raise MarketError("duplicate worker identifiers")
+        fset = set(self.firms)
+        if len(fset) != len(self.firms):
+            raise MarketError("duplicate firm identifiers")
+        if not wset.isdisjoint(fset):
+            raise MarketError("identifier used as both worker and firm")
+        if set(self.firm_prefs) != fset:
+            raise MarketError("firm_prefs keys must match firms")
         for f, pref in self.firm_prefs.items():
             for s in pref.chain:
-                for w in s:
-                    if w not in wset:
-                        raise MarketError(f"unknown worker {w} in chain of firm {f}")
+                if not s <= wset:
+                    raise MarketError(f"unknown worker {min(s - wset)} in chain of firm {f}")
         object.__setattr__(self, "_bit", {f: 1 << i for i, f in enumerate(self.firms)})
 
     def _check_worker_side(self):
-        """Worker keys and lists, then each worker's ranking table."""
+        """Worker keys and lists, then each worker's ranking table. Each
+        list's set, built once for the duplicate test, is checked whole with
+        one ``<= firms``; only a list that fails is read in order, to name
+        its first unknown firm."""
         if set(self.worker_prefs) != set(self.workers):
             raise MarketError("worker_prefs keys must match workers")
         fset = set(self.firms)
         for w, lst in self.worker_prefs.items():
-            if len(set(lst)) != len(lst):
+            listed = set(lst)
+            if len(listed) != len(lst):
                 raise MarketError(f"duplicate firm in preference list of {w}")
-            for f in lst:
-                if f not in fset:
-                    raise MarketError(f"unknown firm {f} in preference list of {w}")
+            if not listed <= fset:
+                f = next(f for f in lst if f not in fset)
+                raise MarketError(f"unknown firm {f} in preference list of {w}")
         tables = {w: self.ranking_table(lst) for w, lst in self.worker_prefs.items()}
         object.__setattr__(self, "_prefers", tables)
 
@@ -160,10 +176,12 @@ class Market:
         if f not in self.firm_prefs:
             raise MarketError(f"unknown firm: {f}")
 
-    def require_workers(self, s: Iterable[str]):
+    def require_workers(self, s: frozenset[str]):
+        """Raise naming the smallest worker of s not in the market, so the
+        message does not depend on set iteration order."""
         for w in s:
             if w not in self._prefers:
-                raise MarketError(f"unknown worker: {w}")
+                raise MarketError(f"unknown worker: {min(s - self._prefers.keys())}")
 
     def worker_weakly_prefers(self, w: str, f: Optional[str], g: Optional[str]) -> bool:
         """True iff worker w weakly prefers f to g (None is the null firm)."""

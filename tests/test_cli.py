@@ -30,6 +30,57 @@ def corpus(name):
     return str(CORPUS / name)
 
 
+def _outcome_of_read(read, path):
+    try:
+        return read(path)
+    except UnicodeDecodeError as e:
+        return type(e), str(e)
+
+
+def _text_mode_read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+_INVALID_UTF8 = {
+    "invalid-at-0": b'\xff{"workers": []}\n',
+    "invalid-past-8k": b"{" + b" " * 9000 + b"\xff}\r\n",
+    "truncated-multibyte": '{"workers": ["w\u00e9", "w\u20ac'.encode()[:-1],
+}
+
+
+_READ_CASES = {
+    "empty": b"",
+    "lf": b'{"workers": []}\n',
+    "crlf": b"v0: {}\r\n  v1: {w1}\r\n",
+    "lone-cr": b"v0: {}\r  v1: {w1}\r",
+    "mixed-endings": b"a\r\nb\rc\nd\r\r\n\n\re\r",
+    "crlf-across-8k": b"x" * 8191 + b"\r\n" + b"y" * 8192 + b"\r",
+    "bom": b"\xef\xbb\xbf{\"workers\": []}\r\n",
+    "multibyte": "w\u00e9 \u20ac\r\n\U0001f600\r".encode(),
+    **_INVALID_UTF8,
+}
+
+
+class TestReadText:
+    """``cli._read_text`` reads what a text-mode read gives, or raises what
+    it raises."""
+
+    @pytest.mark.parametrize("name", sorted(_READ_CASES))
+    def test_equals_text_mode_read(self, tmp_path, name):
+        path = tmp_path / "input"
+        path.write_bytes(_READ_CASES[name])
+        assert _outcome_of_read(cli._read_text, path) == _outcome_of_read(_text_mode_read, path)
+
+    @pytest.mark.parametrize("name", sorted(_INVALID_UTF8))
+    def test_invalid_utf8_market_exits_65_with_the_decoder_message(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.market"
+        path.write_bytes(_INVALID_UTF8[name])
+        _, message = _outcome_of_read(_text_mode_read, path)
+        assert main(["check", str(path), "--balanced"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -59,6 +110,12 @@ class TestUsage:
             bad.write_bytes(b'{"workers": ["w\xff"]}')
             assert main(argv[:1] + [str(bad)] + argv[1:]) == EXIT_PARSE
             assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_bom_market_is_a_parse_error(self, tmp_path, capsys):
+        bom = tmp_path / "bom.market"
+        bom.write_bytes(b"\xef\xbb\xbf" + (CORPUS / "two_firms.market").read_bytes())
+        assert main(["check", str(bom), "--balanced"]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error: line 1, column 1: Unexpected UTF-8 BOM")
 
     def test_negative_cap_is_a_usage_error(self, capsys):
         assert main(["check", corpus("cyclic3.market"), "--tu", "--cap", "-1"]) == EXIT_USAGE

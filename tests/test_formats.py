@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balmatch import formats
 from balmatch.fractional import FractionalMatching
@@ -79,6 +80,219 @@ class TestMarketFormat:
         text = '{"workers": ["w1"], "firms": {"f1": [["w9"]]}, "worker_prefs": {"w1": []}}'
         with pytest.raises(formats.ParseError):
             formats.parse_market(text)
+
+
+def _reference_names(value, what):
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise formats.ParseError(f"{what} must be a list of strings")
+    return value
+
+
+def reference_load(text):
+    """The market loader checked element by element: ``parse_market``,
+    ``FirmPreference`` and ``Market`` as separate passes, each chain set
+    tested against every earlier chain set, every worker of every chain set
+    and every firm of every list looked up one at a time. It returns the
+    loaded market's fields, or raises ``ParseError``. An unknown chain
+    worker is the first of its set in sorted order."""
+    data = formats._object(formats._load_json(text), "market")
+    for key in ("workers", "firms", "worker_prefs"):
+        if key not in data:
+            raise formats.ParseError(f"missing key: {key}")
+    sets = {}
+    for f, chain in formats._object(data["firms"], "firms").items():
+        if not isinstance(chain, list):
+            raise formats.ParseError(f"chain of firm {f} must be a list of worker lists")
+        sets[f] = [set(_reference_names(s, f"a set in the chain of firm {f}")) for s in chain]
+    worker_prefs = {
+        w: tuple(_reference_names(lst, f"preference list of {w}"))
+        for w, lst in formats._object(data["worker_prefs"], "worker_prefs").items()
+    }
+    workers = tuple(_reference_names(data["workers"], "workers"))
+    firms = tuple(sets)
+    chains, acceptable = {}, {}
+    for f in firms:
+        chain = tuple(frozenset(s) for s in sets[f])
+        seen = set()
+        for s in chain:
+            if not s:
+                raise formats.ParseError("empty set in preference chain")
+            if s in seen:
+                raise formats.ParseError(f"duplicate set in preference chain: {sorted(s)}")
+            seen.add(s)
+        chains[f] = chain
+        acceptable[f] = tuple(
+            s for i, s in enumerate(chain) if not any(earlier <= s for earlier in chain[:i])
+        )
+    if len(set(workers)) != len(workers):
+        raise formats.ParseError("duplicate worker identifiers")
+    if set(workers) & set(firms):
+        raise formats.ParseError("identifier used as both worker and firm")
+    for f in firms:
+        for s in chains[f]:
+            for w in sorted(s):
+                if w not in workers:
+                    raise formats.ParseError(f"unknown worker {w} in chain of firm {f}")
+    bit = {f: 1 << i for i, f in enumerate(firms)}
+    if set(worker_prefs) != set(workers):
+        raise formats.ParseError("worker_prefs keys must match workers")
+    for w, lst in worker_prefs.items():
+        if len(set(lst)) != len(lst):
+            raise formats.ParseError(f"duplicate firm in preference list of {w}")
+        for f in lst:
+            if f not in firms:
+                raise formats.ParseError(f"unknown firm {f} in preference list of {w}")
+    prefers = []
+    for w, lst in worker_prefs.items():
+        table, mask = [], 0
+        for f in lst:
+            mask |= bit[f]
+            table.append((f, mask))
+        prefers.append((w, table + [(None, mask)]))
+    return (
+        workers, firms, list(worker_prefs.items()), list(chains.items()),
+        list(acceptable.items()), prefers, list(bit.items()),
+    )
+
+
+def _loaded(m):
+    return (
+        m.workers, m.firms, list(m.worker_prefs.items()),
+        [(f, p.chain) for f, p in m.firm_prefs.items()],
+        [(f, p.acceptable) for f, p in m.firm_prefs.items()],
+        [(w, list(table.items())) for w, table in m._prefers.items()],
+        list(m._bit.items()),
+    )
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except formats.ParseError as e:
+        return str(e)
+
+
+def _assert_loads_as_reference(text):
+    got = _outcome(lambda t: _loaded(formats.parse_market(t)), text)
+    assert got == _outcome(reference_load, text), text
+
+
+# Identifier pools small enough to collide: "x" is both a worker and a firm,
+# w0, w8, w9, f8 and f9 are never declared.
+_WORKERS = ("w1", "w2", "w3", "w4", "x")
+_FIRMS = ("f1", "f2", "f3", "x")
+_JUNK = (None, 0, 1.5, True, "w1", {}, {"w1": []}, ["w1", 2], [["w1"]])
+
+
+def _fuzz_market_text(rng):
+    """A market text with, at a few percent each, a wrong type at every
+    level, a missing key, an empty, repeated or unknown-worker chain set, a
+    repeated or unknown firm in a list, a repeated or shared identifier and
+    a missing or extra worker list; about one text in five loads."""
+
+    def maybe(value):
+        return rng.choice(_JUNK) if rng.random() < 0.03 else value
+
+    def names(pool, unknown):
+        out = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        if out and rng.random() < 0.05:
+            out.append(rng.choice(out))
+        if rng.random() < 0.05:
+            for name in rng.sample(unknown, rng.randint(1, 2)):
+                out.insert(rng.randint(0, len(out)), name)
+        return maybe(out)
+
+    workers = rng.sample(_WORKERS[:4], rng.randint(1, 4))
+    if rng.random() < 0.05:
+        workers.append(rng.choice(workers))
+    if rng.random() < 0.05:
+        workers.append("x")
+    firms = {}
+    for f in rng.sample(_FIRMS[:3], rng.randint(0, 3)) + (["x"] if rng.random() < 0.05 else []):
+        chain = [names(workers, ("w9", "w8", "w0")) or workers[:1] for _ in range(rng.randint(0, 3))]
+        if chain and rng.random() < 0.05:
+            chain.insert(rng.randint(0, len(chain)), [])
+        if chain and rng.random() < 0.05:
+            chain.append(rng.choice(chain))
+        firms[f] = maybe(chain)
+    keys = list(dict.fromkeys(workers))
+    if rng.random() < 0.05:
+        keys.pop(rng.randrange(len(keys)))
+    if rng.random() < 0.05:
+        keys.append("w9")
+    worker_prefs = {w: names(list(firms), ("f9", "f8")) for w in keys}
+    data = {"workers": maybe(workers), "firms": maybe(firms), "worker_prefs": maybe(worker_prefs)}
+    for key in list(data):
+        if rng.random() < 0.02:
+            del data[key]
+    text = json.dumps(maybe(data))
+    if rng.random() < 0.01:
+        text = text[: rng.randint(0, len(text))]
+    return text
+
+
+class TestLoaderMatchesReference:
+    def test_fuzzed_texts(self):
+        rng = random.Random(2024)
+        loads = 0
+        for _ in range(20_000):
+            text = _fuzz_market_text(rng)
+            want = _outcome(reference_load, text)
+            assert _outcome(lambda t: _loaded(formats.parse_market(t)), text) == want, text
+            loads += not isinstance(want, str)
+        assert loads > 2_000
+
+    def test_corpus_and_random_markets(self, corpus_dir):
+        rng = random.Random(11)
+        texts = [p.read_text() for p in sorted(corpus_dir.glob("*.market"))]
+        texts += [formats.serialize_market(random_market(rng)) for _ in range(200)]
+        for text in texts:
+            _assert_loads_as_reference(text)
+
+    def test_error_precedence(self):
+        # an empty chain set, a repeated worker and an unknown firm all lose
+        # to a worker list of the wrong type
+        market = {"workers": ["w1", "w1"], "firms": {"f1": [[]]}, "worker_prefs": {"w1": ["f9"]}}
+        assert _outcome(reference_load, json.dumps(market)) == "empty set in preference chain"
+        market["worker_prefs"] = {"w1": "f1"}
+        text = json.dumps(market)
+        assert _outcome(reference_load, text) == "preference list of w1 must be a list of strings"
+        _assert_loads_as_reference(text)
+
+    def test_acceptable_tests_earlier_acceptable_sets(self):
+        # {w1,w2,w3} holds the acceptable {w1} only through {w1,w2}
+        text = json.dumps({
+            "workers": ["w1", "w2", "w3"],
+            "firms": {"f1": [["w1"], ["w1", "w2"], ["w1", "w2", "w3"], ["w2"]]},
+            "worker_prefs": {"w1": ["f1"], "w2": [], "w3": []},
+        })
+        _assert_loads_as_reference(text)
+        m = formats.parse_market(text)
+        assert m.firm_prefs["f1"].acceptable == (frozenset({"w1"}), frozenset({"w2"}))
+
+
+_NAME = st.sampled_from(_WORKERS + _FIRMS + ("w9", "f9"))
+_NAMES = st.one_of(st.lists(_NAME, max_size=4), st.sampled_from(_JUNK))
+_MARKET = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "workers": _NAMES,
+        "firms": st.one_of(
+            st.dictionaries(st.sampled_from(_FIRMS), st.one_of(st.lists(_NAMES, max_size=3), st.sampled_from(_JUNK)), max_size=3),
+            st.sampled_from(_JUNK),
+        ),
+        "worker_prefs": st.one_of(
+            st.dictionaries(st.sampled_from(_WORKERS + ("w9",)), _NAMES, max_size=5),
+            st.sampled_from(_JUNK),
+        ),
+    }),
+    st.sampled_from(_JUNK),
+)
+
+
+@given(_MARKET)
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_reference_on_generated_markets(market):
+    _assert_loads_as_reference(json.dumps(market))
 
 
 class TestFractionalFormat:

@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +177,32 @@ class TestMarketValidation:
     def test_unknown_worker_in_chain(self):
         with pytest.raises(MarketError):
             Market.build(["w1"], {"f1": [{"w2"}]}, {"w1": []})
+
+    def test_unknown_workers_named_in_sorted_order(self):
+        # the chain set and the available set hold several unknown workers;
+        # each error names the smallest whatever the hash seed, so it runs
+        # in fresh processes
+        script = (
+            "from balmatch.market import Market, MarketError, choose\n"
+            "try:\n"
+            "    Market.build(['w1'], {'f1': [['w7', 'w8', 'w9', 'w5']]}, {'w1': []})\n"
+            "except MarketError as e:\n"
+            "    print(e)\n"
+            "m = Market.build(['w1'], {'f1': [['w1']]}, {'w1': ['f1']})\n"
+            "try:\n"
+            "    choose('f1', ['w9', 'w1', 'w8', 'w70'], m)\n"
+            "except MarketError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for seed in range(5):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+            )
+            outputs.add(proc.stdout)
+        assert outputs == {"unknown worker w5 in chain of firm f1\nunknown worker: w70\n"}
 
     def test_duplicate_firm_in_worker_list(self):
         with pytest.raises(MarketError):
