@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Optional
@@ -43,21 +44,39 @@ def _names(value, what: str) -> list[str]:
     return value
 
 
+_sets = itertools.chain.from_iterable
+
+
+def _reject_repeated_worker(chains: dict, lists: dict):
+    """Raise for the first chain set, in firm order and then chain order,
+    whose frozenset is shorter than its list, after the set-level errors
+    of the chain sets before it."""
+    for f, chain in chains.items():
+        for i, (s, names) in enumerate(zip(chain, lists[f])):
+            if len(s) < len(names):
+                FirmPreference(chain[:i])
+                raise MarketError(f"duplicate worker in a set in the chain of firm {f}")
+        FirmPreference(chain)
+
+
 def parse_market(text: str) -> Market:
     """JSON market: workers list, firm chains (best first), worker lists.
 
     Every JSON-shape error (the firms, then the worker lists, then the
     workers) is raised before any check of the market itself. Those are
-    set-level checks: each firm's chain, in firm order, for empty and
-    repeated sets (``FirmPreference``), then ``Market``'s identifiers,
-    each chain set against the workers and each worker list against the
-    firms. Each chain set is built as a frozenset once."""
+    set-level checks: each firm's chain, in firm order and then chain
+    order, for empty sets, sets that repeat a worker and repeated sets
+    (``FirmPreference``), then ``Market``'s identifiers, each chain set
+    against the workers and each worker list against the firms. Each
+    chain set is built as a frozenset once, and a set that repeats a
+    worker is found as one whose frozenset is shorter than its list."""
     data = _object(_load_json(text), "market")
     for key in ("workers", "firms", "worker_prefs"):
         if key not in data:
             raise ParseError(f"missing key: {key}")
+    lists = _object(data["firms"], "firms")
     chains = {}
-    for f, chain in _object(data["firms"], "firms").items():
+    for f, chain in lists.items():
         if not isinstance(chain, list):
             raise ParseError(f"chain of firm {f} must be a list of worker lists")
         what = f"a set in the chain of firm {f}"
@@ -68,6 +87,9 @@ def parse_market(text: str) -> Market:
     }
     workers = tuple(_names(data["workers"], "workers"))
     try:
+        # no set is longer than its list, so a repeated worker shows in the totals
+        if sum(map(len, _sets(chains.values()))) != sum(map(len, _sets(lists.values()))):
+            _reject_repeated_worker(chains, lists)
         return Market(
             workers=workers,
             firms=tuple(chains),

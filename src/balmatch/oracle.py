@@ -68,8 +68,8 @@ def worker_pref_space(m: Market) -> list[list[tuple[str, ...]]]:
 class SweepResult:
     """Outcome of an exhaustive sweep: ``checked`` of ``total`` profiles,
     the first one without a stable matching (if any), and ``solved``, the
-    profiles no earlier matching settled, so ``solve`` ran. ``sampled`` is
-    always False: every sweep is exhaustive."""
+    profiles no earlier matching settled, so the sweep searched.
+    ``sampled`` is always False: every sweep is exhaustive."""
 
     ok: bool
     total: int
@@ -79,53 +79,128 @@ class SweepResult:
     solved: int = 0
 
 
-# A stored matching, compiled for the sweep. Its candidate coalitions,
-# each acceptable set its firm ranks above the set it holds, are the bits
-# 1, 2, 4, ... ``keep[i][k]`` is None when worker i's firm is unlisted on
-# her option k (worker IR fails), else ``~kill``, where kill masks the
-# coalitions holding i whose firm bit is missing from option k's ranking
-# table at i's firm: those she kills. ``fin[i]`` masks the coalitions
-# whose last member is i.
-_Compiled = tuple[list[list[Optional[int]]], list[int]]
+class _Coalitions:
+    """One sweep's coalition numbering, its keep rows, and its search.
 
+    Each (firm, acceptable set) is one bit, 1, 2, 4, ... in firm order and
+    then chain order, and ``fin[i]`` masks the coalitions whose last
+    member is worker i. A firm selection gives each firm one acceptable
+    set or nothing, the sets pairwise disjoint. Its candidate coalitions
+    are, per firm, the sets ranked above the one it holds, or all of them
+    if it holds none: one mask, ``cand``. ``choices[j]`` lists firm j's
+    choices in ``solve``'s order, its acceptable sets in chain order and
+    then nothing, each as (its part of ``cand``, member bitmask, member
+    indices).
 
-def _stored(mu: Matching, base: Market, tables: list[list[dict[Optional[str], int]]]) -> _Compiled:
-    """Compile ``mu`` against each worker's option tables; ``mu`` must be
-    stable on some market with the firm side and workers of ``base``, so
-    its candidate coalitions are the acceptable sets each firm ranks
-    above the set it holds."""
-    index = {w: i for i, w in enumerate(base.workers)}
-    inv = mu.inverse()
-    held: list[list[tuple[int, int]]] = [[] for _ in base.workers]  # (firm bit, coalition) holding i
-    fin = [0] * len(base.workers)
-    c = 1
-    for f in base.firms:
-        bit = base._bit[f]
-        current = inv.get(f)
-        for s in base.firm_prefs[f].acceptable:
-            if s == current:
-                break
-            members = [index[w] for w in s]
-            for i in members:
-                held[i].append((bit, c))
-            fin[max(members)] |= c
-            c <<= 1
-    keep = []
-    for w, own, opts in zip(base.workers, held, tables):
-        g = mu.assignment[w]
-        row = []
-        for table in opts:
-            mask = table.get(g)
-            if mask is None:
-                row.append(None)
+    ``row(i, g)`` is worker i's keep row when she holds firm g (None for
+    the null firm), one entry per option in ``tables[i]``: None when the
+    option does not list g (worker IR fails), else ``~kill``, where kill
+    masks the coalitions holding i whose firm the option does not weakly
+    prefer to g. A selection is stable on the profile with option indices
+    ks iff no ``row(i, g_i)[k_i]`` is None and ``cand`` ANDed with all of
+    them is 0. Each row is built on first use, once per (i, g) per sweep.
+    """
+
+    def __init__(self, base: Market, tables: list[list[dict[Optional[str], int]]]):
+        index = {w: i for i, w in enumerate(base.workers)}
+        self.firms = base.firms
+        self.tables = tables
+        self.fin = [0] * len(base.workers)
+        self.choices: list[list[tuple[int, int, list[int]]]] = []
+        self._held: list[list[tuple[int, int]]] = [[] for _ in base.workers]  # (firm bit, coalition)
+        self._rows: list[dict[Optional[str], list[Optional[int]]]] = [{} for _ in base.workers]
+        self._kept: list[dict[int, int]] = [{} for _ in base.workers]  # ranking mask -> ~kill
+        c = 1
+        for f in base.firms:
+            bit, first, choices = base._bit[f], c, []
+            for s in base.firm_prefs[f].acceptable:
+                members = sorted(index[w] for w in s)
+                for i in members:
+                    self._held[i].append((bit, c))
+                self.fin[members[-1]] |= c
+                choices.append((c - first, sum(1 << i for i in members), members))
+                c <<= 1
+            choices.append((c - first, 0, []))
+            self.choices.append(choices)
+
+    def row(self, i: int, g: Optional[str]) -> list[Optional[int]]:
+        row = self._rows[i].get(g)
+        if row is None:
+            row = self._rows[i][g] = []
+            kept = self._kept[i]
+            for table in self.tables[i]:
+                mask = table.get(g)
+                if mask is None:
+                    row.append(None)
+                    continue
+                keep = kept.get(mask)
+                if keep is None:
+                    kill = 0
+                    for bit, coalition in self._held[i]:
+                        if not bit & mask:
+                            kill |= coalition
+                    keep = kept[mask] = ~kill
+                row.append(keep)
+        return row
+
+    def search(self, ks: list[int]) -> Optional[tuple[list[Optional[str]], int]]:
+        """The first stable selection on the profile with option indices
+        ks, as each worker's firm and the selection's ``cand``, or None.
+
+        The order is ``solve``'s. ``solve`` leaves out the sets a member
+        does not list, so it only skips selections that fail the row IR
+        test, and the row test is ``is_stable``: the result is the
+        matching of ``solve(market)``. Like ``solve``, it is a loop over
+        one choice index per firm.
+        """
+        # a worker's row at a firm lies inside her row at the null firm, so
+        # every worker's null row is ANDed in once, before the walk
+        row = self.row
+        alone = -1
+        for i, k in enumerate(ks):
+            alone &= row(i, None)[k]
+        # per firm, its IR choices: (part of cand, member bitmask, AND of
+        # the members' rows, member indices)
+        options = []
+        for f, choices in zip(self.firms, self.choices):
+            acc = []
+            for above, people, members in choices:
+                joined = -1
+                for i in members:
+                    mask = row(i, f)[ks[i]]
+                    if mask is None:
+                        break
+                    joined &= mask
+                else:
+                    acc.append((above, people, joined, members))
+            options.append(acc)
+        n = len(options)
+        pick = [-1] * n  # index into acc, -1 untried
+        taken, keep, cand = [0] * (n + 1), [alone] * (n + 1), [0] * (n + 1)
+        j = 0
+        while j >= 0:
+            if j == n:
+                if not cand[n] & keep[n]:
+                    held: list[Optional[str]] = [None] * len(ks)
+                    for f, acc, t in zip(self.firms, options, pick):
+                        for i in acc[t][3]:
+                            held[i] = f
+                    return held, cand[n]
+                j -= 1
                 continue
-            kill = 0
-            for bit, coalition in own:
-                if not bit & mask:
-                    kill |= coalition
-            row.append(~kill)
-        keep.append(row)
-    return keep, fin
+            acc = options[j]
+            t = pick[j] + 1
+            while t < len(acc) and acc[t][1] & taken[j]:
+                t += 1
+            if t == len(acc):  # every choice tried: back up
+                pick[j] = -1
+                j -= 1
+                continue
+            pick[j] = t
+            above, people, mask, _ = acc[t]
+            taken[j + 1], keep[j + 1], cand[j + 1] = taken[j] | people, keep[j] & mask, cand[j] | above
+            j += 1
+        return None
 
 
 def exists_for_all_worker_prefs(
@@ -142,27 +217,28 @@ def exists_for_all_worker_prefs(
 
     ``BudgetError`` if there are more than ``SWEEP_BUDGET`` profiles.
 
-    The firm side is checked once, in a base market, and each option's
-    ranking table is built once. The profiles are walked in
+    The firm side is checked once, in a base market, each option's
+    ranking table is built once, and the coalitions are numbered once
+    (``_Coalitions``): every stable matching found is kept as its workers'
+    shared keep rows and its candidate mask. The profiles are walked in
     ``itertools.product`` order as an odometer: workers 0..n-2 are its
-    digits and the last worker is the innermost loop. Each stable
-    matching found so far is stored compiled (``_stored``): per worker
-    and option, whether her firm is listed (worker IR) and which of the
-    matching's candidate coalitions she kills, and per worker the
-    coalitions whose last member she is. Depth d keeps a list of the
-    stored matchings still possible after workers 0..d-1, each with its
-    live coalitions, those every member seen so far would join. Moving a
-    digit rebuilds the lists below it: a matching is dropped when the
-    worker is not IR or a coalition ending at her stays live, since it
-    blocks on every completion. A profile then reads only its last
-    worker against the deepest list, and a matching settles it exactly
-    when it is ``is_stable`` on the profile's market. Only when none
-    does is that market built, with ``Market.with_worker_prefs``, and
-    ``solve`` called; the matching it returns is re-checked with
-    ``is_stable``, compiled and appended to every depth's list through
-    the current prefix, and None is the counterexample. So every settled
-    profile is backed by a matching stable on it, and a profile without
-    one still reaches ``solve``.
+    digits and the last worker is the innermost loop. Depth d keeps a
+    list of the found matchings still possible after workers 0..d-1, each
+    with its live coalitions, those every member seen so far would join;
+    live starts at the matching's ``cand``. Moving a digit rebuilds the
+    lists below it: a matching is dropped when the worker is not IR or a
+    coalition ending at her stays live, since it blocks on every
+    completion. A profile then reads only its last worker against the
+    deepest list, and a matching settles it exactly when it is
+    ``is_stable`` on the profile's market. When none does, the sweep
+    searches the firm selections in ``solve``'s order for the first
+    stable one; its matching is re-checked with ``is_stable`` on the
+    profile's market (``Market.with_worker_prefs``) and appended to every
+    depth's list through the current prefix. A profile the search finds
+    nothing for still goes to ``solve``, whose None is the
+    counterexample; a disagreement raises ``RuntimeError``, never a
+    verdict. So every settled profile is backed by a matching stable on
+    it, and ``solve`` confirms every counterexample.
     """
     workers = list(workers)
     base = Market(
@@ -178,33 +254,51 @@ def exists_for_all_worker_prefs(
             f"{total} worker preference profiles exceed the budget of {SWEEP_BUDGET}"
         )
     by_ranking = {r: base.ranking_table(r) for opts in options for r in opts}
-    tables = [[by_ranking[r] for r in opts] for opts in options]
+    coalitions = _Coalitions(base, [[by_ranking[r] for r in opts] for opts in options])
+
+    def found(ks: list[int]) -> tuple[Optional[tuple[int, list[list[Optional[int]]]]], Market]:
+        """The profile's market, and the ``cand`` and keep rows of the
+        search's matching on it, re-checked, or None when it has no stable
+        matching."""
+        market = base.with_worker_prefs(
+            {w: opts[k] for w, opts, k in zip(workers, options, ks)}
+        )
+        hit = coalitions.search(ks)
+        if hit is None:
+            if solve(market) is not None:
+                raise RuntimeError(f"the sweep's search missed solve's matching on {market.worker_prefs}")
+            return None, market
+        held, cand = hit
+        if not is_stable(Matching(dict(zip(workers, held))), market):
+            raise RuntimeError(f"the sweep's search returned an unstable matching on {market.worker_prefs}")
+        return (cand, [coalitions.row(i, g) for i, g in enumerate(held)]), market
+
     if not workers:  # no worker to walk: the one profile is the base market
-        mu = solve(base)
-        ok = mu is not None and is_stable(mu, base)
-        return SweepResult(ok=ok, total=1, checked=1, solved=1,
-                           counterexample=None if ok else {})
+        entry, market = found([])
+        return SweepResult(ok=entry is not None, total=1, checked=1, solved=1,
+                           counterexample=None if entry is not None else market.worker_prefs)
+    fin = coalitions.fin
     checked = solved = 0
     last = len(workers) - 1
     digits = [0] * last
-    # levels[d]: (keep, fin, live) of each stored matching still possible
-    # after workers 0..d-1 of the current prefix
-    levels: list[list[tuple[list, list[int], int]]] = [[] for _ in workers]
+    # levels[d]: (rows, live) of each found matching still possible after
+    # workers 0..d-1 of the current prefix
+    levels: list[list[tuple[list[list[Optional[int]]], int]]] = [[] for _ in workers]
     d = 0  # the shallowest digit that moved: the lists below it are stale
     while True:
         for depth in range(d, last):
-            k, below = digits[depth], []
-            for keep, fin, live in levels[depth]:
-                mask = keep[depth][k]
+            k, ending, below = digits[depth], fin[depth], []
+            for rows, live in levels[depth]:
+                mask = rows[depth][k]
                 if mask is not None:
                     live &= mask
-                    if not live & fin[depth]:
-                        below.append((keep, fin, live))
+                    if not live & ending:
+                        below.append((rows, live))
             levels[depth + 1] = below
         # the last worker: a matching settles option k iff it is IR there
         # and she kills every live coalition ending at her
-        leaf = [(keep[last], live & fin[last]) for keep, fin, live in levels[last]]
-        for k, ranking in enumerate(options[last]):
+        leaf = [(rows[last], live & fin[last]) for rows, live in levels[last]]
+        for k in range(len(options[last])):
             checked += 1
             for row, ending in leaf:
                 mask = row[k]
@@ -212,23 +306,20 @@ def exists_for_all_worker_prefs(
                     break
             else:
                 solved += 1
-                profile = [opts[j] for opts, j in zip(options, digits)] + [ranking]
-                market = base.with_worker_prefs(dict(zip(workers, profile)))
-                mu = solve(market)
-                if mu is None or not is_stable(mu, market):
+                entry, market = found(digits + [k])
+                if entry is None:
                     return SweepResult(
                         ok=False, total=total, checked=checked,
                         counterexample=market.worker_prefs, solved=solved,
                     )
                 if checked == total:  # no profile is left for it to settle
                     continue
-                keep, fin = _stored(mu, base, tables)
-                live = -1
+                live, rows = entry
                 for depth, j in enumerate(digits):
-                    levels[depth].append((keep, fin, live))
-                    live &= keep[depth][j]
-                levels[last].append((keep, fin, live))
-                leaf.append((keep[last], live & fin[last]))
+                    levels[depth].append((rows, live))
+                    live &= rows[depth][j]
+                levels[last].append((rows, live))
+                leaf.append((rows[last], live & fin[last]))
         d = last - 1
         while d >= 0 and digits[d] == len(options[d]) - 1:
             digits[d] = 0

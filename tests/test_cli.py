@@ -142,6 +142,12 @@ class TestUsage:
         bad.write_text(text)
         assert main(["check", str(bad), "--complementary"]) == EXIT_PARSE
 
+    def test_worker_repeated_in_a_chain_set_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.market"
+        bad.write_text('{"workers": ["w1"], "firms": {"f1": [["w1", "w1"]]}, "worker_prefs": {"w1": []}}')
+        assert main(["solve", str(bad)]) == EXIT_PARSE
+        assert "duplicate worker in a set in the chain of firm f1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "tree",
         [

@@ -93,8 +93,9 @@ def reference_load(text):
     ``FirmPreference`` and ``Market`` as separate passes, each chain set
     tested against every earlier chain set, every worker of every chain set
     and every firm of every list looked up one at a time. It returns the
-    loaded market's fields, or raises ``ParseError``. An unknown chain
-    worker is the first of its set in sorted order."""
+    loaded market's fields, or raises ``ParseError``. A chain set that
+    repeats a worker is rejected in the chain's pass, in chain order, and
+    an unknown chain worker is the first of its set in sorted order."""
     data = formats._object(formats._load_json(text), "market")
     for key in ("workers", "firms", "worker_prefs"):
         if key not in data:
@@ -103,7 +104,7 @@ def reference_load(text):
     for f, chain in formats._object(data["firms"], "firms").items():
         if not isinstance(chain, list):
             raise formats.ParseError(f"chain of firm {f} must be a list of worker lists")
-        sets[f] = [set(_reference_names(s, f"a set in the chain of firm {f}")) for s in chain]
+        sets[f] = [_reference_names(s, f"a set in the chain of firm {f}") for s in chain]
     worker_prefs = {
         w: tuple(_reference_names(lst, f"preference list of {w}"))
         for w, lst in formats._object(data["worker_prefs"], "worker_prefs").items()
@@ -114,9 +115,11 @@ def reference_load(text):
     for f in firms:
         chain = tuple(frozenset(s) for s in sets[f])
         seen = set()
-        for s in chain:
+        for s, names in zip(chain, sets[f]):
             if not s:
                 raise formats.ParseError("empty set in preference chain")
+            if len(set(names)) != len(names):
+                raise formats.ParseError(f"duplicate worker in a set in the chain of firm {f}")
             if s in seen:
                 raise formats.ParseError(f"duplicate set in preference chain: {sorted(s)}")
             seen.add(s)
@@ -248,6 +251,30 @@ class TestLoaderMatchesReference:
         texts += [formats.serialize_market(random_market(rng)) for _ in range(200)]
         for text in texts:
             _assert_loads_as_reference(text)
+
+    def test_worker_repeated_in_a_chain_set(self):
+        # rejected like a firm repeated in a worker list, not loaded as {w1}
+        market = {"workers": ["w1", "w2"], "firms": {"f1": [["w1", "w1"]]}, "worker_prefs": {"w1": [], "w2": []}}
+        want = "duplicate worker in a set in the chain of firm f1"
+        assert _outcome(lambda t: _loaded(formats.parse_market(t)), json.dumps(market)) == want
+        cases = [
+            # with the chain's set-level checks, in chain order
+            ({"f1": [["w2"], ["w1", "w2", "w1"], ["w2"]]}, want),
+            ({"f1": [["w2"], ["w2"], ["w1", "w1"]]}, "duplicate set in preference chain: ['w2']"),
+            ({"f1": [[], ["w1", "w1"]]}, "empty set in preference chain"),
+            # in firm order, and before Market's unknown-worker check
+            ({"f0": [["w9"]], "f1": [["w1", "w1"]]}, want),
+            ({"f0": [["w2", "w2"]], "f1": [["w1", "w1"]]}, "duplicate worker in a set in the chain of firm f0"),
+        ]
+        for firms, error in cases:
+            market["firms"] = firms
+            market["worker_prefs"] = {"w1": [], "w2": []}
+            text = json.dumps(market)
+            assert _outcome(formats.parse_market, text) == error
+            _assert_loads_as_reference(text)
+            # after every JSON-shape error
+            market["worker_prefs"] = {"w1": "f1", "w2": []}
+            assert _outcome(formats.parse_market, json.dumps(market)) == "preference list of w1 must be a list of strings"
 
     def test_error_precedence(self):
         # an empty chain set, a repeated worker and an unknown firm all lose

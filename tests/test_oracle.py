@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from balmatch import formats
+from balmatch.cli import EXIT_FAIL, main
 from balmatch.genrandom import (
     MarketGenConfig,
     random_complementary_balanced_profile,
@@ -14,7 +16,7 @@ from balmatch.oracle import (
     BudgetError,
     SWEEP_BUDGET,
     SweepResult,
-    _stored,
+    _Coalitions,
     all_stable_matchings,
     cyclic_market,
     exists_for_all_worker_prefs,
@@ -22,6 +24,7 @@ from balmatch.oracle import (
     worker_pref_space,
 )
 from balmatch.solve import solve
+from conftest import MARKET_FILES, load_market
 
 TRIANGLE = {
     "f1": FirmPreference.of({"w1", "w2"}),
@@ -134,21 +137,46 @@ def _assert_sweep_matches_reference(firm_prefs, workers):
     return r
 
 
-def _option_tables(base):
-    """Each worker's option ranking tables, in ``worker_pref_space`` order."""
-    return [[base.ranking_table(r) for r in opts] for opts in worker_pref_space(base)]
+def _coalitions(base):
+    """The sweep's coalition numbering of ``base``, over each worker's
+    option ranking tables in ``worker_pref_space`` order."""
+    return _Coalitions(base, [[base.ranking_table(r) for r in opts] for opts in worker_pref_space(base)])
 
 
-def _walk(compiled, ks):
-    """Read a compiled matching through every worker of the profile whose
-    option indices are ``ks``: each worker is IR, and no coalition is
-    still live once its last member is read."""
-    keep, fin = compiled
-    live = -1
+def _kept(coalitions, mu, base):
+    """What the sweep keeps of a matching: its candidate mask (per firm,
+    the ``cand`` part of the choice it holds) and each worker's keep row
+    at the firm she holds."""
+    index = {w: i for i, w in enumerate(base.workers)}
+    inv = mu.inverse()
+    cand = 0
+    for f, choices in zip(base.firms, coalitions.choices):
+        held = sum(1 << index[w] for w in inv.get(f, ()))  # 0 when f holds nothing
+        cand |= next(above for above, people, _ in choices if people == held)
+    return cand, [coalitions.row(i, mu.assignment[w]) for i, w in enumerate(base.workers)]
+
+
+def _settles(kept, ks):
+    """The search's test of a selection on the profile with option indices
+    ``ks``: every worker is IR, and ``cand`` ANDed with her rows is 0."""
+    cand, rows = kept
+    masks = [row[k] for row, k in zip(rows, ks)]
+    if None in masks:
+        return False
+    for mask in masks:
+        cand &= mask
+    return not cand
+
+
+def _walk(kept, fin, ks):
+    """The odometer's reading of a kept matching through every worker of
+    the profile ``ks``: each worker is IR, and no coalition is still live
+    once its last member is read."""
+    live, rows = kept
     for i, k in enumerate(ks):
-        if keep[i][k] is None:
+        if rows[i][k] is None:
             return False
-        live &= keep[i][k]
+        live &= rows[i][k]
         if live & fin[i]:
             return False
     return True
@@ -326,16 +354,21 @@ class TestSweepMatchesReference:
         assert not all_stable_matchings(late_market)
         r = _assert_sweep_matches_reference(prefs, workers)
         assert (r.ok, r.checked, r.counterexample) == (False, 35, late)
-        # the compiled mu fails the late profile for the same reason: w2's
-        # option () does not list f2, and no coalition stays live
+        # the kept mu fails the late profile for the same reason: w2's
+        # option () does not list f2, and no candidate coalition survives
         opts = worker_pref_space(early)
-        compiled = _stored(mu, early, _option_tables(early))
+        coalitions = _coalitions(early)
+        kept = _kept(coalitions, mu, early)
+        early_ks = [o.index(early.worker_prefs[w]) for o, w in zip(opts, workers)]
         late_ks = [o.index(late[w]) for o, w in zip(opts, workers)]
-        assert _walk(compiled, [o.index(early.worker_prefs[w]) for o, w in zip(opts, workers)])
-        assert not _walk(compiled, late_ks)
-        assert compiled[0][1][late_ks[1]] is None
-        live = compiled[0][0][late_ks[0]] & compiled[0][2][late_ks[2]]
-        assert not any(live & fin for fin in compiled[1])
+        assert _settles(kept, early_ks) and _walk(kept, coalitions.fin, early_ks)
+        assert not _settles(kept, late_ks) and not _walk(kept, coalitions.fin, late_ks)
+        cand, rows = kept
+        assert rows[1][late_ks[1]] is None
+        assert not cand & rows[0][late_ks[0]] & rows[2][late_ks[2]]
+        # the search returns solve's mu on the early profile, nothing on the late
+        assert coalitions.search(early_ks) == ([None, "f2", "f1"], cand)
+        assert coalitions.search(late_ks) is None
 
     def test_solved_counts_only_misses(self):
         prefs = {"f1": FirmPreference.of({"w1", "w2"})}
@@ -346,9 +379,10 @@ class TestSweepMatchesReference:
 
 
 class TestCompiledMatchesIsStable:
-    """A stored matching, compiled against the option tables (``_stored``)
-    and walked through all n workers of a profile, settles it iff it is
-    ``is_stable`` on the profile's market, the IR-only rejection included."""
+    """A matching kept on the sweep's coalition numbering (its ``cand``
+    and its workers' shared keep rows) settles a profile iff it is
+    ``is_stable`` on the profile's market, the IR-only rejection included,
+    whether read as the search reads it or walked as the odometer does."""
 
     def test_every_stored_matching_on_every_profile(self):
         rng = random.Random(19)
@@ -357,26 +391,27 @@ class TestCompiledMatchesIsStable:
         for _ in range(120):
             base = random_market(rng, cfg)
             base = base.with_worker_prefs({w: () for w in base.workers})
-            tables = _option_tables(base)
+            coalitions = _coalitions(base)
             space = worker_pref_space(base)
             indices = list(itertools.product(*map(range, map(len, space))))
             markets = [
                 base.with_worker_prefs({w: o[k] for w, o, k in zip(base.workers, space, ks)})
                 for ks in indices
             ]
-            # what a sweep may store: solve's matchings, stable on their own market
+            # what a sweep may keep: solve's matchings, stable on their own market
             stored = {}
             for market in markets:
                 mu = solve(market)
                 if mu is not None and is_stable(mu, market):
-                    stored.setdefault(tuple(mu.assignment.items()), (mu, _stored(mu, base, tables)))
+                    stored.setdefault(tuple(mu.assignment.items()), (mu, _kept(coalitions, mu, base)))
             for ks, market in zip(indices, markets):
-                for mu, compiled in stored.values():
-                    settles = _walk(compiled, ks)
+                for mu, kept in stored.values():
+                    settles = _settles(kept, ks)
                     assert settles == is_stable(mu, market)
+                    assert _walk(kept, coalitions.fin, ks) == settles
                     pairs += 1
                     settled += settles
-                    not_ir += any(compiled[0][i][k] is None for i, k in enumerate(ks))
+                    not_ir += any(kept[1][i][k] is None for i, k in enumerate(ks))
         assert 0 < settled < pairs
         assert not_ir  # worker IR rejects some of them
 
@@ -388,6 +423,69 @@ class TestCompiledMatchesIsStable:
         }
         base = Market(("w1", "w2", "w3"), ("f1", "f2"), {w: () for w in ("w1", "w2", "w3")}, prefs)
         mu = Matching({"w1": "f2", "w2": "f2", "w3": None})
-        keep, fin = _stored(mu, base, _option_tables(base))
-        assert fin == [0, 0b10, 0b01]  # {w2} ends at w2, {w1,w3} at w3
-        assert [len(row) for row in keep] == [len(o) for o in worker_pref_space(base)]
+        coalitions = _coalitions(base)
+        cand, rows = _kept(coalitions, mu, base)
+        # bits: f1 {w1,w3}, f1 {w2}, f2 {w1,w2}; {w2} and {w1,w2} end at w2
+        assert coalitions.fin == [0, 0b110, 0b001]
+        assert cand == 0b011
+        assert [cand & fin for fin in coalitions.fin] == [0, 0b10, 0b01]
+        assert [len(row) for row in rows] == [len(o) for o in worker_pref_space(base)]
+        # one row per (worker, held firm), shared by every matching of the sweep
+        assert coalitions.row(0, "f2") is rows[0]
+
+
+class TestSearchMatchesSolve:
+    """The in-sweep search walks the firm selections in solve's order: on
+    every profile it returns solve's matching, or None exactly where solve
+    does."""
+
+    def test_every_profile_of_random_firm_sides(self):
+        rng = random.Random(23)
+        cfg = MarketGenConfig(max_workers=3, max_firms=3, max_chain=3, max_set=3)
+        found = missing = 0
+        for _ in range(200):
+            base = random_market(rng, cfg)
+            base = base.with_worker_prefs({w: () for w in base.workers})
+            coalitions = _coalitions(base)
+            space = worker_pref_space(base)
+            for ks in itertools.product(*map(range, map(len, space))):
+                market = base.with_worker_prefs({w: o[k] for w, o, k in zip(base.workers, space, ks)})
+                hit = coalitions.search(list(ks))
+                mu = solve(market)
+                if mu is None:
+                    assert hit is None
+                    missing += 1
+                else:
+                    held, cand = hit
+                    assert mu == Matching(dict(zip(base.workers, held)))
+                    assert cand == _kept(coalitions, mu, base)[0]
+                    found += 1
+        assert (found, missing) == (25602, 219)
+
+
+class TestCorpusSweeps:
+    """Every corpus market's firm side, swept: the two whose firm sides
+    admit a worker profile without a stable matching FAIL, and ``balmatch
+    solve`` prints no matching on that profile; the others check every
+    profile."""
+
+    FAILING = {"cyclic3.market", "singleton_clash.market"}
+
+    def test_corpus_has_eleven_markets(self):
+        assert len(MARKET_FILES) == 11
+        assert self.FAILING <= set(MARKET_FILES)
+
+    @pytest.mark.parametrize("name", MARKET_FILES)
+    def test_verdict(self, name, tmp_path, capsys):
+        m = load_market(name)
+        r = exists_for_all_worker_prefs(m.firm_prefs, m.workers)
+        assert r.ok == (name not in self.FAILING)
+        if r.ok:
+            assert r.checked == r.total
+            return
+        counter = m.with_worker_prefs(r.counterexample)
+        assert solve(counter) is None
+        path = tmp_path / name
+        path.write_text(formats.serialize_market(counter))
+        assert main(["solve", str(path)]) == EXIT_FAIL
+        assert "NONE" in capsys.readouterr().out
