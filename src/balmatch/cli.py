@@ -67,11 +67,33 @@ class _Plain:
         return {"verdict": self.verdict, "detail": self.detail}
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json(x, pad: str = "\n") -> str:
+    """The text of ``json.dumps(x, indent=2)``, nested after ``pad``. The
+    reports' dicts with string keys, lists, strings, ints and None are
+    written here, strings by the C encoder (``json.dumps`` with an indent
+    encodes in Python); any other value is left to ``json.dumps``."""
+    if isinstance(x, str):
+        return _string(x)
+    if x is None:
+        return "null"
+    if type(x) is int:
+        return int.__repr__(x)
+    inner = pad + "  "
+    if type(x) is dict and x and all(isinstance(k, str) for k in x):
+        return "{" + ",".join(inner + _string(k) + ": " + _json(v, inner) for k, v in x.items()) + pad + "}"
+    if type(x) is list and x:
+        return "[" + ",".join(inner + _json(v, inner) for v in x) + pad + "]"
+    return json.dumps(x, indent=2).replace("\n", pad)
+
+
 def _emit(reports: list[tuple[str, object]], as_json: bool) -> int:
     """Print the reports, as one JSON object or as ``[name]`` blocks, and
     return the exit code: FAIL before INCONCLUSIVE before PASS."""
     if as_json:
-        print(json.dumps({name: cert.as_dict() for name, cert in reports}, indent=2))
+        print(_json({name: cert.as_dict() for name, cert in reports}))
     else:
         for name, cert in reports:
             print(f"[{name}]")
@@ -167,7 +189,7 @@ def cmd_solve(args) -> int:
             "matching": None if matching is None else dict(matching.assignment),
             "certificates": certs,
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print(formats.render_matching(matching, m))
         for name, verdict in certs.items():

@@ -19,9 +19,28 @@ class ParseError(ValueError):
 
 # -- markets -----------------------------------------------------------------
 
+def _object_without_repeats(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key in a JSON object: {key}")
+            seen.add(key)
+    return obj
+
+
+# one decoder for every file: json.loads with a hook builds one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
+
+
 def _load_json(text: str):
+    """``json.loads(text)``, except that a key repeated in any object is a
+    ``ParseError`` naming the key, raised as that object is decoded."""
     try:
-        return json.loads(text)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError as e:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional
 
 from .market import Matching
@@ -205,7 +205,7 @@ def build_constraint_system(
     frac_null = [w for w in m.workers if ZERO < fm.null_assignment[w] < ONE]
     columns += [(("null", w), "null:" + w, frozenset([w])) for w in frac_null]
     if not columns:
-        return ConstraintSystem(ZeroOneMatrix(rows=(), cols=(), entries=()), (), (), ())
+        return ConstraintSystem(ZeroOneMatrix(rows=(), cols=(), masks=()), (), (), ())
     meanings, labels, column_sets = zip(*columns)
     matrix = matrix_of_sets(column_sets, frac_firms + list(m.workers))
     rhs = [1] * len(frac_firms)
@@ -239,12 +239,13 @@ def extract_integral_solution(cs: ConstraintSystem) -> tuple[int, ...]:
     if cs.empty:
         return ()
     n = len(cs.column_meaning)
-    rows = cs.matrix.entries
     # the rows each column enters
-    col_rows = [[i for i, row in enumerate(rows) if row[j]] for j in range(n)]
+    col_rows = [[i for i in range(x.bit_length()) if x >> i & 1] for x in cs.matrix.masks]
     need = list(cs.rhs)
     # columns that can still contribute to each row
-    pending = [sum(row) for row in rows]
+    pending = [0] * len(cs.matrix.rows)
+    for i in chain.from_iterable(col_rows):
+        pending[i] += 1
     assign: list[Optional[int]] = [None] * n  # None: column j is untried
     j = 0
     while j >= 0:
@@ -286,8 +287,8 @@ def apply_stable_transformations(
     fractional unmatched share to its selected quantity."""
     if len(z) != len(cs.column_meaning):
         raise FractionalError("solution length does not match the system")
-    for row, target in zip(cs.matrix.entries, cs.rhs):
-        if sum(a * b for a, b in zip(row, z)) != target:
+    for i, target in zip(range(len(cs.matrix.rows)), cs.rhs):
+        if sum(b for x, b in zip(cs.matrix.masks, z) if x >> i & 1) != target:
             raise FractionalError("vector does not solve the constraint system")
     levels = dict(fm.levels)
     null_assignment = dict(fm.null_assignment)

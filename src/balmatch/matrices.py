@@ -1,5 +1,12 @@
 """Exact certification of 0-1 matrices: balanced, totally unimodular, totally balanced.
 
+A matrix is its row and column labels plus one bitmask per column, bit i
+for row i. ``matrix_of_sets`` builds the masks straight from the sets and
+``ZeroOneMatrix.from_rows`` from 0/1 rows, the one constructor that checks
+entries. The search starts from the masks, and the 0/1 rows
+(``entries``), witness submatrices, renderings and the TU witness's
+determinant are read off them.
+
 All verdicts come with re-checkable witnesses (row/column index lists into
 the original matrix) and never use floating point. The three properties
 share one search and one column picker: orders ascending, row subsets
@@ -34,31 +41,50 @@ DEFAULT_CAP = 12
 
 @dataclass(frozen=True)
 class ZeroOneMatrix:
-    """A labelled 0-1 matrix; columns are usually indicator vectors of sets."""
+    """A labelled 0-1 matrix, one bitmask per column (bit i for row i);
+    columns are usually indicator vectors of sets."""
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.entries) != len(self.rows):
+        if len(self.masks) != len(self.cols):
+            raise ValueError("column count does not match column labels")
+        if any(x >> len(self.rows) for x in self.masks):
+            raise ValueError("column mask sets a bit past the last row")
+
+    @classmethod
+    def from_rows(
+        cls, rows: Iterable[str], cols: Iterable[str], entries: Iterable[Iterable[int]]
+    ) -> "ZeroOneMatrix":
+        """The matrix with the 0/1 rows ``entries``; the one check of entries."""
+        rows, cols, entries = tuple(rows), tuple(cols), [tuple(r) for r in entries]
+        if len(entries) != len(rows):
             raise ValueError("row count does not match row labels")
-        for row in self.entries:
-            if len(row) != len(self.cols):
+        for row in entries:
+            if len(row) != len(cols):
                 raise ValueError("column count does not match column labels")
             if any(x not in (0, 1) for x in row):
                 raise ValueError("entries must be 0 or 1")
+        masks = [sum(1 << i for i, row in enumerate(entries) if row[j]) for j in range(len(cols))]
+        return cls(rows, cols, tuple(masks))
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The 0/1 rows."""
+        return tuple(tuple(x >> i & 1 for x in self.masks) for i in range(len(self.rows)))
 
     def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "ZeroOneMatrix":
         rows, cols = list(rows), list(cols)
         return ZeroOneMatrix(
             rows=tuple(self.rows[i] for i in rows),
             cols=tuple(self.cols[j] for j in cols),
-            entries=tuple(tuple(self.entries[i][j] for j in cols) for i in rows),
+            masks=tuple(sum(1 << p for p, i in enumerate(rows) if self.masks[j] >> i & 1) for j in cols),
         )
 
     def render(self) -> str:
@@ -68,11 +94,11 @@ class ZeroOneMatrix:
             c.rjust(w) for c, w in zip(self.cols, colw)
         )
         lines = [head.rstrip()]
-        for label, row in zip(self.rows, self.entries):
+        for i, label in enumerate(self.rows):
             lines.append(
                 label.rjust(width)
                 + "  "
-                + "  ".join(str(x).rjust(w) for x, w in zip(row, colw))
+                + "  ".join(str(x >> i & 1).rjust(w) for x, w in zip(self.masks, colw))
             )
         return "\n".join(lines)
 
@@ -85,22 +111,19 @@ def matrix_of_sets(
     sets: Iterable[Iterable[str]], ground: Iterable[str]
 ) -> ZeroOneMatrix:
     """Indicator-vector matrix: one row per ground element, one column per set."""
-    ground = list(ground)
-    gset = set(ground)
-    cols, entries_by_col = [], []
+    ground = tuple(ground)
+    bit: dict[str, int] = {}
+    for i, g in enumerate(ground):
+        bit[g] = bit.get(g, 0) | 1 << i
+    cols, masks = [], []
     for s in sets:
         fs = frozenset(s)
-        if not fs <= gset:
-            raise ValueError(f"set element outside ground set: {sorted(fs - gset)}")
+        try:
+            masks.append(sum(map(bit.__getitem__, fs)))
+        except KeyError:
+            raise ValueError(f"set element outside ground set: {sorted(fs - bit.keys())}") from None
         cols.append(set_label(fs))
-        entries_by_col.append(fs)
-    return ZeroOneMatrix(
-        rows=tuple(ground),
-        cols=tuple(cols),
-        entries=tuple(
-            tuple(1 if g in fs else 0 for fs in entries_by_col) for g in ground
-        ),
-    )
+    return ZeroOneMatrix(rows=ground, cols=tuple(cols), masks=tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -171,10 +194,9 @@ def _reduce(m: ZeroOneMatrix) -> tuple[int, dict[int, int]]:
     the kept rows as a bitmask (bit i for row i) and the kept columns, in
     index order, each with the bitmask of its 1s on the kept rows.
     """
-    col_masks = [sum(1 << i for i, x in enumerate(col) if x) for col in zip(*m.entries)]
     rows = (1 << len(m.rows)) - 1
     while True:
-        cols = {j: y for j, x in enumerate(col_masks) if (y := x & rows).bit_count() >= 2}
+        cols = {j: y for j, x in enumerate(m.masks) if (y := x & rows).bit_count() >= 2}
         once = twice = 0  # rows with at least one, at least two 1s in cols
         for x in cols.values():
             twice |= once & x
@@ -411,5 +433,5 @@ def is_totally_unimodular(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCer
     if cert.verdict != FAIL:
         return cert
     wr, wc = cert.witness_rows, cert.witness_cols
-    det = integer_determinant([[m.entries[i][j] for j in wc] for i in wr])
+    det = integer_determinant([[m.masks[j] >> i & 1 for j in wc] for i in wr])
     return replace(cert, determinant=det, detail=f"submatrix of order {len(wr)} has determinant {det}")

@@ -224,7 +224,7 @@ def test_criterion_7_matrix_certificates():
     tri = load_market("triangle_tu.market")
     assert is_totally_unimodular(_market_matrix(tri)).ok
 
-    cycle = ZeroOneMatrix(
+    cycle = ZeroOneMatrix.from_rows(
         rows=("r1", "r2", "r3"),
         cols=("c1", "c2", "c3"),
         entries=((1, 1, 0), (0, 1, 1), (1, 0, 1)),

@@ -149,6 +149,26 @@ class TestUsage:
         assert "duplicate worker in a set in the chain of firm f1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name, text, key",
+        [
+            # a firm key: json.loads would keep the last chain
+            ("bad.market", '{"workers": ["w1"], "firms": {"f1": [["w1"]], "f1": [["w9"]]}, "worker_prefs": {"w1": []}}', "f1"),
+            # a worker list key, and a top-level key
+            ("bad.market", '{"workers": ["w1"], "firms": {}, "worker_prefs": {"w1": [], "w1": []}}', "w1"),
+            ("bad.market", '{"workers": ["w1"], "workers": [], "firms": {}, "worker_prefs": {}}', "workers"),
+            # before every other error: the market below also has no firms key
+            ("bad.market", '{"workers": [1], "worker_prefs": {"w1": [], "w1": 0}}', "w1"),
+            ("bad.json", '{"name": "v0", "workers": [], "children": [{"name": "v1", "name": "v2"}]}', "name"),
+        ],
+    )
+    def test_repeated_json_key_is_a_parse_error(self, tmp_path, capsys, name, text, key):
+        bad = tmp_path / name
+        bad.write_text(text)
+        argv = ["check", str(bad), "--balanced"] if name.endswith(".market") else ["tree", str(bad)]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"parse error: duplicate key in a JSON object: {key}\n")
+
+    @pytest.mark.parametrize(
         "tree",
         [
             {"workers": [], "children": []},
@@ -525,6 +545,83 @@ no ordering passes
     def test_json(self, capsys, which):
         assert main(getattr(self, which + "_ARGV") + ["--json"]) == EXIT_FAIL
         assert capsys.readouterr().out == json.dumps(getattr(self, which + "_JSON"), indent=2) + "\n"
+
+
+class TestJsonWriter:
+    FAIL_CHECK = """\
+{
+  "balanced": {
+    "property": "balanced",
+    "verdict": "FAIL",
+    "witness_rows": [
+      0,
+      1,
+      2
+    ],
+    "witness_cols": [
+      0,
+      1,
+      2
+    ],
+    "determinant": null,
+    "detail": "odd-order submatrix with two 1s per row and column, order 3"
+  },
+  "totally-unimodular": {
+    "property": "totally unimodular",
+    "verdict": "FAIL",
+    "witness_rows": [
+      0,
+      1,
+      2
+    ],
+    "witness_cols": [
+      0,
+      1,
+      2
+    ],
+    "determinant": 2,
+    "detail": "submatrix of order 3 has determinant 2"
+  }
+}
+"""
+    NONE_SOLVE = """\
+{
+  "matching": null,
+  "certificates": {
+    "complementary": "True",
+    "additive": "True",
+    "acceptable_sets_balanced": "FAIL",
+    "primitive_sets_balanced": "FAIL"
+  }
+}
+"""
+
+    def test_fail_check(self, capsys):
+        assert main(["check", corpus("cyclic3.market"), "--balanced", "--tu", "--json"]) == EXIT_FAIL
+        assert capsys.readouterr() == (self.FAIL_CHECK, "")
+
+    def test_none_solve(self, capsys):
+        assert main(["solve", corpus("cyclic3.market"), "--json"]) == EXIT_FAIL
+        assert capsys.readouterr() == (self.NONE_SOLVE, "")
+
+    def test_other_values_are_left_to_json_dumps(self):
+        for x in (True, 1.5, (1, "a"), {"k": [False, 2.0]}, {1: None}, {"k": {"n": (1,)}}, []):
+            assert cli._json(x) == json.dumps(x, indent=2), x
+
+
+# quotes, backslashes, control characters, non-ASCII, a lone surrogate, non-BMP
+_JSON_TEXT = st.text(st.sampled_from('ab"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028\ud7ff\ud800\U0001F600\U00010000'), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.integers(-(2**70), 2**70) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_equals_json_dumps(x):
+    assert cli._json(x) == json.dumps(x, indent=2)
 
 
 ALL_CHECKS =["--balanced", "--tu", "--totally-balanced", "--odd-cycles", "--firm-worker", "--complementary", "--additive"]

@@ -88,6 +88,24 @@ def _reference_names(value, what):
     return value
 
 
+def _reference_pairs(pairs):
+    keys = [k for k, _ in pairs]
+    for i, k in enumerate(keys):
+        if k in keys[:i]:
+            raise formats.ParseError(f"duplicate key in a JSON object: {k}")
+    return dict(pairs)
+
+
+def _reference_json(text):
+    """``json.loads`` with a hook per call that rejects a repeated key."""
+    try:
+        return json.loads(text, object_pairs_hook=_reference_pairs)
+    except json.JSONDecodeError as e:
+        raise formats.ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise formats.ParseError("JSON nested too deeply") from e
+
+
 def reference_load(text):
     """The market loader checked element by element: ``parse_market``,
     ``FirmPreference`` and ``Market`` as separate passes, each chain set
@@ -96,7 +114,7 @@ def reference_load(text):
     loaded market's fields, or raises ``ParseError``. A chain set that
     repeats a worker is rejected in the chain's pass, in chain order, and
     an unknown chain worker is the first of its set in sorted order."""
-    data = formats._object(formats._load_json(text), "market")
+    data = formats._object(_reference_json(text), "market")
     for key in ("workers", "firms", "worker_prefs"):
         if key not in data:
             raise formats.ParseError(f"missing key: {key}")
@@ -187,11 +205,25 @@ _FIRMS = ("f1", "f2", "f3", "x")
 _JUNK = (None, 0, 1.5, True, "w1", {}, {"w1": []}, ["w1", 2], [["w1"]])
 
 
+def _dumps(rng, value):
+    """``json.dumps(value)``, except that now and then an object repeats
+    one of its keys, with that key's value or another one's."""
+    if isinstance(value, dict):
+        pairs = [(json.dumps(k), _dumps(rng, v)) for k, v in value.items()]
+        if pairs and rng.random() < 0.02:
+            pairs.insert(rng.randint(0, len(pairs)), (rng.choice(pairs)[0], rng.choice(pairs)[1]))
+        return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dumps(rng, v) for v in value) + "]"
+    return json.dumps(value)
+
+
 def _fuzz_market_text(rng):
     """A market text with, at a few percent each, a wrong type at every
-    level, a missing key, an empty, repeated or unknown-worker chain set, a
-    repeated or unknown firm in a list, a repeated or shared identifier and
-    a missing or extra worker list; about one text in five loads."""
+    level, a missing key, a key repeated in an object, an empty, repeated
+    or unknown-worker chain set, a repeated or unknown firm in a list, a
+    repeated or shared identifier and a missing or extra worker list; about
+    one text in five loads."""
 
     def maybe(value):
         return rng.choice(_JUNK) if rng.random() < 0.03 else value
@@ -228,7 +260,7 @@ def _fuzz_market_text(rng):
     for key in list(data):
         if rng.random() < 0.02:
             del data[key]
-    text = json.dumps(maybe(data))
+    text = _dumps(rng, maybe(data))
     if rng.random() < 0.01:
         text = text[: rng.randint(0, len(text))]
     return text
@@ -237,13 +269,14 @@ def _fuzz_market_text(rng):
 class TestLoaderMatchesReference:
     def test_fuzzed_texts(self):
         rng = random.Random(2024)
-        loads = 0
+        loads = repeats = 0
         for _ in range(20_000):
             text = _fuzz_market_text(rng)
             want = _outcome(reference_load, text)
             assert _outcome(lambda t: _loaded(formats.parse_market(t)), text) == want, text
             loads += not isinstance(want, str)
-        assert loads > 2_000
+            repeats += isinstance(want, str) and want.startswith("duplicate key")
+        assert loads > 2_000 and repeats > 500
 
     def test_corpus_and_random_markets(self, corpus_dir):
         rng = random.Random(11)

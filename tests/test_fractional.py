@@ -51,11 +51,12 @@ def half_half(split):
 def brute_solutions(cs):
     """Reference: all 0/1 vectors solving the system, in canonical order."""
     n = len(cs.column_meaning)
+    rows = cs.matrix.entries
     out = []
     for bits in itertools.product((1, 0), repeat=n):
         if all(
             sum(a * b for a, b in zip(row, bits)) == t
-            for row, t in zip(cs.matrix.entries, cs.rhs)
+            for row, t in zip(rows, cs.rhs)
         ):
             out.append(bits)
     return out
@@ -93,7 +94,7 @@ def reference_constraint_system(fm, d):
             labels.append("null:" + w)
     if not meanings:
         return ConstraintSystem(
-            matrix=ZeroOneMatrix(rows=(), cols=(), entries=()),
+            matrix=ZeroOneMatrix.from_rows(rows=(), cols=(), entries=()),
             column_meaning=(),
             row_meaning=(),
             rhs=(),
@@ -126,7 +127,7 @@ def reference_constraint_system(fm, d):
             integral += 1
         rhs.append(1 - integral)
     return ConstraintSystem(
-        matrix=ZeroOneMatrix(
+        matrix=ZeroOneMatrix.from_rows(
             rows=tuple(who for _, who in row_meaning),
             cols=tuple(labels),
             entries=tuple(rows),
@@ -497,7 +498,7 @@ class TestExtraction:
         rows = [tuple(int(j in (i, i + 1)) for j in range(n)) for i in range(n - 1)]
         rows.append(tuple(int(j == n - 1) for j in range(n)))
         cs = ConstraintSystem(
-            matrix=ZeroOneMatrix(
+            matrix=ZeroOneMatrix.from_rows(
                 rows=tuple(f"r{i}" for i in range(n)),
                 cols=tuple(f"c{j}" for j in range(n)),
                 entries=tuple(rows),
@@ -514,7 +515,7 @@ class TestExtraction:
         from balmatch.matrices import ZeroOneMatrix
 
         cs = ConstraintSystem(
-            matrix=ZeroOneMatrix(
+            matrix=ZeroOneMatrix.from_rows(
                 rows=("w1", "w2", "w3"),
                 cols=("a", "b", "c"),
                 entries=((1, 1, 0), (0, 1, 1), (1, 0, 1)),

@@ -54,7 +54,7 @@ def random_01(rng, n, m):
 
 
 def labelled(entries):
-    return ZeroOneMatrix(
+    return ZeroOneMatrix.from_rows(
         rows=tuple(f"r{i}" for i in range(len(entries))),
         cols=tuple(f"c{j}" for j in range(len(entries[0]) if entries else 0)),
         entries=tuple(tuple(r) for r in entries),
@@ -67,15 +67,16 @@ def market_matrix(m):
 
 def reference_reduce(m):
     """Drop rows/columns with at most one 1, to fixpoint, as index lists."""
+    e = m.entries
     rows = list(range(len(m.rows)))
     cols = list(range(len(m.cols)))
     changed = True
     while changed:
         changed = False
-        keep_rows = [i for i in rows if sum(m.entries[i][j] for j in cols) >= 2]
+        keep_rows = [i for i in rows if sum(e[i][j] for j in cols) >= 2]
         if len(keep_rows) != len(rows):
             rows, changed = keep_rows, True
-        keep_cols = [j for j in cols if sum(m.entries[i][j] for i in rows) >= 2]
+        keep_cols = [j for j in cols if sum(e[i][j] for i in rows) >= 2]
         if len(keep_cols) != len(cols):
             cols, changed = keep_cols, True
     return rows, cols
@@ -85,7 +86,8 @@ def unpruned_search(m, rows, cols, orders, keep, odd_twos):
     """The row-subset search without dead row pairs or the degree cut: every
     row subset of the reduced matrix, orders ascending, then
     itertools.combinations, each scanning every column."""
-    colmask = {j: sum(1 << i for i, r in enumerate(rows) if m.entries[r][j]) for j in cols}
+    e = m.entries
+    colmask = {j: sum(1 << i for i, r in enumerate(rows) if e[r][j]) for j in cols}
     ok = [keep(w) for w in range(len(rows) + 1)]
     for k in orders:
         for rsub in itertools.combinations(range(len(rows)), k):
@@ -167,9 +169,10 @@ def brute_totally_unimodular(m, cap=DEFAULT_CAP):
             verdict=INCONCLUSIVE,
             detail=f"matrix is {nr}x{nc}, cap is {cap}",
         )
+    e = m.entries
     for k in range(2, min(nr, nc) + 1):
         for rsub in itertools.combinations(range(nr), k):
-            block = [m.entries[i] for i in rsub]
+            block = [e[i] for i in rsub]
             for csub in itertools.combinations(range(nc), k):
                 det = integer_determinant([[row[j] for j in csub] for row in block])
                 if abs(det) >= 2:
@@ -196,13 +199,13 @@ def assert_same_as_all_minors(m):
     return cert
 
 
-CYCLE3 = ZeroOneMatrix(
+CYCLE3 = ZeroOneMatrix.from_rows(
     rows=("r1", "r2", "r3"),
     cols=("c1", "c2", "c3"),
     entries=((1, 1, 0), (0, 1, 1), (1, 0, 1)),
 )
 
-CYCLE4 = ZeroOneMatrix(
+CYCLE4 = ZeroOneMatrix.from_rows(
     rows=("r1", "r2", "r3", "r4"),
     cols=("c1", "c2", "c3", "c4"),
     entries=((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)),
@@ -224,24 +227,68 @@ class TestDeterminant:
         assert integer_determinant([list(r) for r in CYCLE3.entries]) == 2
 
 
+def reference_matrix_of_sets(sets, ground):
+    """The indicator matrix built entry by entry, as 0/1 rows."""
+    sets = [frozenset(s) for s in sets]
+    return ZeroOneMatrix.from_rows(
+        ground, [set_label(s) for s in sets], [[int(g in s) for s in sets] for g in ground]
+    )
+
+
 class TestZeroOneMatrix:
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            ZeroOneMatrix(rows=("r",), cols=("c",), entries=((2,),))
+        with pytest.raises(ValueError, match="^entries must be 0 or 1$"):
+            ZeroOneMatrix.from_rows(rows=("r",), cols=("c",), entries=((2,),))
 
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            ZeroOneMatrix(rows=("r",), cols=("c", "d"), entries=((1,),))
+        with pytest.raises(ValueError, match="^column count does not match column labels$"):
+            ZeroOneMatrix.from_rows(rows=("r",), cols=("c", "d"), entries=((1,),))
+        with pytest.raises(ValueError, match="^column count does not match column labels$"):
+            ZeroOneMatrix.from_rows(rows=("r", "s"), cols=("c",), entries=((1,), (1, 0)))
+
+    def test_rejects_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="^row count does not match row labels$"):
+            ZeroOneMatrix.from_rows(rows=("r", "s"), cols=("c",), entries=((1,),))
+        # checked before the rows themselves
+        with pytest.raises(ValueError, match="^row count does not match row labels$"):
+            ZeroOneMatrix.from_rows(rows=(), cols=("c",), entries=((2, 2),))
+
+    def test_masks_are_checked_against_the_labels(self):
+        with pytest.raises(ValueError, match="^column count does not match column labels$"):
+            ZeroOneMatrix(rows=("r",), cols=("c", "d"), masks=(1,))
+        for bad in (0b10, -1):
+            with pytest.raises(ValueError, match="^column mask sets a bit past the last row$"):
+                ZeroOneMatrix(rows=("r",), cols=("c",), masks=(bad,))
+
+    @given(st.integers(0, 6).flatmap(
+        lambda k: st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), max_size=6).map(lambda r: (k, r))
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_from_rows_round_trips(self, case):
+        k, rows = case
+        m = ZeroOneMatrix.from_rows([f"r{i}" for i in range(len(rows))], [f"c{j}" for j in range(k)], rows)
+        assert m.entries == tuple(map(tuple, rows))
+        assert m.masks == tuple(sum(row[j] << i for i, row in enumerate(rows)) for j in range(k))
 
     def test_matrix_of_sets_layout(self):
         m = matrix_of_sets([{"a", "b"}, {"b"}], ["a", "b", "c"])
         assert m.rows == ("a", "b", "c")
         assert m.cols == ("{a,b}", "{b}")
+        assert m.masks == (0b011, 0b010)
         assert m.entries == ((1, 0), (1, 1), (0, 0))
 
+    def test_matrix_of_sets_matches_reference(self):
+        rng = random.Random(13)
+        for _ in range(500):
+            ground = rng.sample(["a", "b", "c", "d", "e", "f", "g"], rng.randint(0, 7))
+            sets = [rng.sample(ground, rng.randint(0, len(ground))) for _ in range(rng.randint(0, 6))]
+            m = matrix_of_sets(sets, ground)
+            assert m == reference_matrix_of_sets(sets, ground)
+            assert m.render() == reference_matrix_of_sets(sets, ground).render()
+
     def test_matrix_of_sets_rejects_stray_element(self):
-        with pytest.raises(ValueError):
-            matrix_of_sets([{"z"}], ["a"])
+        with pytest.raises(ValueError, match=r"^set element outside ground set: \['y', 'z'\]$"):
+            matrix_of_sets([{"a"}, {"z", "a", "y"}], ["a"])
 
 
 class TestBalanced:
@@ -258,7 +305,7 @@ class TestBalanced:
         rng = random.Random(2)
         for _ in range(200):
             n, m = rng.randint(1, 6), rng.randint(1, 6)
-            mat = ZeroOneMatrix(
+            mat = ZeroOneMatrix.from_rows(
                 rows=tuple(f"r{i}" for i in range(n)),
                 cols=tuple(f"c{j}" for j in range(m)),
                 entries=tuple(tuple(row) for row in random_01(rng, n, m)),
@@ -282,7 +329,7 @@ class TestBalanced:
 
     def test_reduction_drops_thin_lines(self):
         # a pendant column cannot hide or create a two-per-line witness
-        padded = ZeroOneMatrix(
+        padded = ZeroOneMatrix.from_rows(
             rows=CYCLE3.rows + ("r4",),
             cols=CYCLE3.cols + ("c4",),
             entries=tuple(row + (0,) for row in CYCLE3.entries) + ((0, 0, 0, 1),),
@@ -294,7 +341,7 @@ class TestBalanced:
         for _ in range(100):
             n, m = rng.randint(2, 5), rng.randint(2, 5)
             entries = random_01(rng, n, m)
-            mat = ZeroOneMatrix(
+            mat = ZeroOneMatrix.from_rows(
                 rows=tuple(f"r{i}" for i in range(n)),
                 cols=tuple(f"c{j}" for j in range(m)),
                 entries=tuple(tuple(r) for r in entries),
@@ -333,7 +380,7 @@ class TestTotallyBalanced:
             [0, 0, 0, 0, 1, 1],
             [0, 0, 0, 1, 0, 1],
         ]
-        mat = ZeroOneMatrix(
+        mat = ZeroOneMatrix.from_rows(
             rows=tuple(f"r{i}" for i in range(6)),
             cols=tuple(f"c{j}" for j in range(6)),
             entries=tuple(tuple(r) for r in entries),
@@ -387,7 +434,7 @@ class TestTotallyUnimodular:
         rng = random.Random(4)
         for _ in range(200):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
-            mat = ZeroOneMatrix(
+            mat = ZeroOneMatrix.from_rows(
                 rows=tuple(f"r{i}" for i in range(n)),
                 cols=tuple(f"c{j}" for j in range(m)),
                 entries=tuple(tuple(r) for r in random_01(rng, n, m)),
@@ -399,7 +446,7 @@ class TestTotallyUnimodular:
         rng = random.Random(6)
         for _ in range(200):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
-            mat = ZeroOneMatrix(
+            mat = ZeroOneMatrix.from_rows(
                 rows=tuple(f"r{i}" for i in range(n)),
                 cols=tuple(f"c{j}" for j in range(m)),
                 entries=tuple(tuple(r) for r in random_01(rng, n, m)),
@@ -434,12 +481,13 @@ def brute_two_per_line(m, cap, prop, step, cycle_only, detail):
         )
     nr, nc = m.shape
     # each row of such a submatrix holds two 1s, each column two on its rows
-    live = [i for i in range(nr) if sum(m.entries[i]) >= 2]
+    e = m.entries
+    live = [i for i in range(nr) if sum(e[i]) >= 2]
     for k in range(3, min(nr, nc) + 1, step):
         for rsub in itertools.combinations(live, k):
-            two = [j for j in range(nc) if sum(m.entries[i][j] for i in rsub) == 2]
+            two = [j for j in range(nc) if sum(e[i][j] for i in rsub) == 2]
             for csub in itertools.combinations(two, k):
-                sub = [[m.entries[i][j] for j in csub] for i in rsub]
+                sub = [[e[i][j] for j in csub] for i in rsub]
                 if all(sum(r) == 2 for r in sub) and (not cycle_only or one_cycle(sub)):
                     return MatrixCertificate(
                         property=prop,
