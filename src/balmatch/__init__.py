@@ -56,7 +56,6 @@ from .solve import solve
 from .techtree import (
     TechnologyTree,
     check_neighbour_condition,
-    engagement,
     engagements,
     find_neighbour_ordering,
     profile_from_tree,

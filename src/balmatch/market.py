@@ -69,8 +69,9 @@ class Market:
 
     ``worker_prefs[w]`` lists acceptable firms best-first; ``firm_prefs[f]``
     is the firm's chain. Immutable after construction. Each worker's list
-    is also kept as its ``ranking_table``, which every stability test of
-    the package reads.
+    is also kept as its ``ranking_table``, which ``is_stable`` and
+    ``worker_weakly_prefers`` read; ``solve`` reads coalition tables of
+    its own.
     """
 
     workers: tuple[str, ...]

@@ -1,4 +1,10 @@
-"""Brute-force ground truth: enumerate matchings and sweep preference space."""
+"""Brute-force ground truth: enumerate matchings and sweep preference space.
+
+The sweep runs ``solve``'s firm-selection search (``solve._Coalitions``)
+on each profile it must search; it confirms a counterexample with
+``all_matchings`` and ``is_stable`` alone, so no verdict rests on the
+search it checks.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .market import FirmPreference, Market, Matching, is_stable
-from .solve import solve
+from .solve import _Coalitions
 
 MAX_WORKERS = 10
 MAX_FIRMS = 8
@@ -57,11 +63,16 @@ def worker_pref_options(firms: list[str]) -> list[tuple[str, ...]]:
 def worker_pref_space(m: Market) -> list[list[tuple[str, ...]]]:
     """Per worker, in market order, the rankings a sweep tries: every
     ranking of the firms with her in some acceptable set, the only firms
-    whose place on her list can matter."""
-    return [
-        worker_pref_options([f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)])
-        for w in m.workers
-    ]
+    whose place on her list can matter. Workers with the same firms share
+    one list, which callers only read."""
+    by_firms: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    space = []
+    for w in m.workers:
+        firms = tuple(f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable))
+        if firms not in by_firms:
+            by_firms[firms] = worker_pref_options(list(firms))
+        space.append(by_firms[firms])
+    return space
 
 
 @dataclass
@@ -79,130 +90,6 @@ class SweepResult:
     solved: int = 0
 
 
-class _Coalitions:
-    """One sweep's coalition numbering, its keep rows, and its search.
-
-    Each (firm, acceptable set) is one bit, 1, 2, 4, ... in firm order and
-    then chain order, and ``fin[i]`` masks the coalitions whose last
-    member is worker i. A firm selection gives each firm one acceptable
-    set or nothing, the sets pairwise disjoint. Its candidate coalitions
-    are, per firm, the sets ranked above the one it holds, or all of them
-    if it holds none: one mask, ``cand``. ``choices[j]`` lists firm j's
-    choices in ``solve``'s order, its acceptable sets in chain order and
-    then nothing, each as (its part of ``cand``, member bitmask, member
-    indices).
-
-    ``row(i, g)`` is worker i's keep row when she holds firm g (None for
-    the null firm), one entry per option in ``tables[i]``: None when the
-    option does not list g (worker IR fails), else ``~kill``, where kill
-    masks the coalitions holding i whose firm the option does not weakly
-    prefer to g. A selection is stable on the profile with option indices
-    ks iff no ``row(i, g_i)[k_i]`` is None and ``cand`` ANDed with all of
-    them is 0. Each row is built on first use, once per (i, g) per sweep.
-    """
-
-    def __init__(self, base: Market, tables: list[list[dict[Optional[str], int]]]):
-        index = {w: i for i, w in enumerate(base.workers)}
-        self.firms = base.firms
-        self.tables = tables
-        self.fin = [0] * len(base.workers)
-        self.choices: list[list[tuple[int, int, list[int]]]] = []
-        self._held: list[list[tuple[int, int]]] = [[] for _ in base.workers]  # (firm bit, coalition)
-        self._rows: list[dict[Optional[str], list[Optional[int]]]] = [{} for _ in base.workers]
-        self._kept: list[dict[int, int]] = [{} for _ in base.workers]  # ranking mask -> ~kill
-        c = 1
-        for f in base.firms:
-            bit, first, choices = base._bit[f], c, []
-            for s in base.firm_prefs[f].acceptable:
-                members = sorted(index[w] for w in s)
-                for i in members:
-                    self._held[i].append((bit, c))
-                self.fin[members[-1]] |= c
-                choices.append((c - first, sum(1 << i for i in members), members))
-                c <<= 1
-            choices.append((c - first, 0, []))
-            self.choices.append(choices)
-
-    def row(self, i: int, g: Optional[str]) -> list[Optional[int]]:
-        row = self._rows[i].get(g)
-        if row is None:
-            row = self._rows[i][g] = []
-            kept = self._kept[i]
-            for table in self.tables[i]:
-                mask = table.get(g)
-                if mask is None:
-                    row.append(None)
-                    continue
-                keep = kept.get(mask)
-                if keep is None:
-                    kill = 0
-                    for bit, coalition in self._held[i]:
-                        if not bit & mask:
-                            kill |= coalition
-                    keep = kept[mask] = ~kill
-                row.append(keep)
-        return row
-
-    def search(self, ks: list[int]) -> Optional[tuple[list[Optional[str]], int]]:
-        """The first stable selection on the profile with option indices
-        ks, as each worker's firm and the selection's ``cand``, or None.
-
-        The order is ``solve``'s. ``solve`` leaves out the sets a member
-        does not list, so it only skips selections that fail the row IR
-        test, and the row test is ``is_stable``: the result is the
-        matching of ``solve(market)``. Like ``solve``, it is a loop over
-        one choice index per firm.
-        """
-        # a worker's row at a firm lies inside her row at the null firm, so
-        # every worker's null row is ANDed in once, before the walk
-        row = self.row
-        alone = -1
-        for i, k in enumerate(ks):
-            alone &= row(i, None)[k]
-        # per firm, its IR choices: (part of cand, member bitmask, AND of
-        # the members' rows, member indices)
-        options = []
-        for f, choices in zip(self.firms, self.choices):
-            acc = []
-            for above, people, members in choices:
-                joined = -1
-                for i in members:
-                    mask = row(i, f)[ks[i]]
-                    if mask is None:
-                        break
-                    joined &= mask
-                else:
-                    acc.append((above, people, joined, members))
-            options.append(acc)
-        n = len(options)
-        pick = [-1] * n  # index into acc, -1 untried
-        taken, keep, cand = [0] * (n + 1), [alone] * (n + 1), [0] * (n + 1)
-        j = 0
-        while j >= 0:
-            if j == n:
-                if not cand[n] & keep[n]:
-                    held: list[Optional[str]] = [None] * len(ks)
-                    for f, acc, t in zip(self.firms, options, pick):
-                        for i in acc[t][3]:
-                            held[i] = f
-                    return held, cand[n]
-                j -= 1
-                continue
-            acc = options[j]
-            t = pick[j] + 1
-            while t < len(acc) and acc[t][1] & taken[j]:
-                t += 1
-            if t == len(acc):  # every choice tried: back up
-                pick[j] = -1
-                j -= 1
-                continue
-            pick[j] = t
-            above, people, mask, _ = acc[t]
-            taken[j + 1], keep[j + 1], cand[j + 1] = taken[j] | people, keep[j] & mask, cand[j] | above
-            j += 1
-        return None
-
-
 def exists_for_all_worker_prefs(
     firm_prefs: dict[str, FirmPreference],
     workers: Iterable[str],
@@ -217,10 +104,11 @@ def exists_for_all_worker_prefs(
 
     ``BudgetError`` if there are more than ``SWEEP_BUDGET`` profiles.
 
-    The firm side is checked once, in a base market, each option's
-    ranking table is built once, and the coalitions are numbered once
-    (``_Coalitions``): every stable matching found is kept as its workers'
-    shared keep rows and its candidate mask. The profiles are walked in
+    The firm side is checked once, in a base market, its coalitions are
+    numbered once (``solve._Coalitions``), each option's coalition table
+    is built once, and each worker's keep row at a firm on first use.
+    Every stable matching found is kept as its workers' shared keep rows
+    and its candidate mask. The profiles are walked in
     ``itertools.product`` order as an odometer: workers 0..n-2 are its
     digits and the last worker is the innermost loop. Depth d keeps a
     list of the found matchings still possible after workers 0..d-1, each
@@ -230,15 +118,14 @@ def exists_for_all_worker_prefs(
     coalition ending at her stays live, since it blocks on every
     completion. A profile then reads only its last worker against the
     deepest list, and a matching settles it exactly when it is
-    ``is_stable`` on the profile's market. When none does, the sweep
-    searches the firm selections in ``solve``'s order for the first
-    stable one; its matching is re-checked with ``is_stable`` on the
-    profile's market (``Market.with_worker_prefs``) and appended to every
-    depth's list through the current prefix. A profile the search finds
-    nothing for still goes to ``solve``, whose None is the
-    counterexample; a disagreement raises ``RuntimeError``, never a
-    verdict. So every settled profile is backed by a matching stable on
-    it, and ``solve`` confirms every counterexample.
+    ``is_stable`` on the profile's market. When none does, ``solve``'s
+    search runs on the profile's tables; its matching is re-checked with
+    ``is_stable`` on the profile's market (``Market.with_worker_prefs``)
+    and appended to every depth's list through the current prefix. A
+    profile the search finds nothing for is the counterexample once no
+    assignment of ``all_matchings`` is ``is_stable``: at most ``total``
+    assignments, since a list of L firms is one of at least L + 1
+    options. A disagreement raises ``RuntimeError``, never a verdict.
     """
     workers = list(workers)
     base = Market(
@@ -253,8 +140,17 @@ def exists_for_all_worker_prefs(
         raise BudgetError(
             f"{total} worker preference profiles exceed the budget of {SWEEP_BUDGET}"
         )
-    by_ranking = {r: base.ranking_table(r) for opts in options for r in opts}
-    coalitions = _Coalitions(base, [[by_ranking[r] for r in opts] for opts in options])
+    coalitions = _Coalitions(base)
+    by_ranking = {r: coalitions.table(r) for opts in options for r in opts}
+    tables = [[by_ranking[r] for r in opts] for opts in options]
+    keeps: list[dict[Optional[str], list[Optional[int]]]] = [{} for _ in workers]
+
+    def keep_row(i: int, g: Optional[str]) -> list[Optional[int]]:
+        """Worker i's keep row at firm g across her options, built once."""
+        keep = keeps[i].get(g)
+        if keep is None:
+            keep = keeps[i][g] = coalitions.row(i, tables[i], g)
+        return keep
 
     def found(ks: list[int]) -> tuple[Optional[tuple[int, list[list[Optional[int]]]]], Market]:
         """The profile's market, and the ``cand`` and keep rows of the
@@ -263,15 +159,15 @@ def exists_for_all_worker_prefs(
         market = base.with_worker_prefs(
             {w: opts[k] for w, opts, k in zip(workers, options, ks)}
         )
-        hit = coalitions.search(ks)
+        hit = coalitions.search([t[k] for t, k in zip(tables, ks)])
         if hit is None:
-            if solve(market) is not None:
-                raise RuntimeError(f"the sweep's search missed solve's matching on {market.worker_prefs}")
+            if any(is_stable(mu, market) for mu in all_matchings(market)):
+                raise RuntimeError(f"the sweep's search missed a stable matching on {market.worker_prefs}")
             return None, market
         held, cand = hit
         if not is_stable(Matching(dict(zip(workers, held))), market):
             raise RuntimeError(f"the sweep's search returned an unstable matching on {market.worker_prefs}")
-        return (cand, [coalitions.row(i, g) for i, g in enumerate(held)]), market
+        return (cand, [keep_row(i, g) for i, g in enumerate(held)]), market
 
     if not workers:  # no worker to walk: the one profile is the base market
         entry, market = found([])

@@ -108,11 +108,6 @@ def engagements(t: TechnologyTree) -> dict[str, list[Edge]]:
     return table
 
 
-def engagement(w: str, t: TechnologyTree) -> list[Edge]:
-    """All upgrades the worker takes part in, in outline order."""
-    return engagements(t).get(w, [])
-
-
 @dataclass(frozen=True)
 class NeighbourCertificate:
     verdict: str  # PASS | FAIL

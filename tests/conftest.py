@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from balmatch import formats
-from balmatch.market import Market
+from balmatch.market import Market, Matching, _first_block
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -16,6 +16,48 @@ def load_market(name: str):
 
 def load_tree(name: str):
     return formats.parse_tree((CORPUS / name).read_text())
+
+
+def reference_solve(m: Market):
+    """The direct search before the coalition numbering: firms in market
+    order, each with its individually rational sets in chain order and
+    then empty, every leaf tested with the frozenset blocking scan. It
+    shares no code with ``solve``, which the tests compare against it."""
+    options = []
+    for f in m.firms:
+        acc = [s for s in m.firm_prefs[f].acceptable if all(f in m._prefers[w] for w in s)]
+        options.append((f, acc))
+    assignment = {w: None for w in m.workers}
+    inv = {}
+    taken = set()
+    pick = [-1] * len(options)  # index into acc; len(acc) is empty, -1 untried
+    i = 0
+    while i >= 0:
+        if i == len(options):
+            if _first_block(m, assignment, inv) is None:
+                return Matching(dict(assignment))
+            i -= 1
+            continue
+        f, acc = options[i]
+        k = pick[i]
+        if 0 <= k < len(acc):  # release the set firm i holds
+            taken.difference_update(acc[k])
+            assignment.update(dict.fromkeys(acc[k]))
+            del inv[f]
+        k += 1
+        while k < len(acc) and acc[k] & taken:
+            k += 1
+        if k > len(acc):  # every choice tried: back up
+            pick[i] = -1
+            i -= 1
+            continue
+        pick[i] = k
+        if k < len(acc):
+            taken.update(acc[k])
+            assignment.update(dict.fromkeys(acc[k], f))
+            inv[f] = acc[k]
+        i += 1
+    return None
 
 
 def interval_market(n: int) -> Market:

@@ -14,17 +14,17 @@ from balmatch.genrandom import (
 from balmatch.market import FirmPreference, Market, Matching, _first_block, acceptable_sets, is_stable
 from balmatch.oracle import (
     BudgetError,
+    MAX_WORKERS,
     SWEEP_BUDGET,
     SweepResult,
-    _Coalitions,
     all_stable_matchings,
     cyclic_market,
     exists_for_all_worker_prefs,
     worker_pref_options,
     worker_pref_space,
 )
-from balmatch.solve import solve
-from conftest import MARKET_FILES, load_market
+from balmatch.solve import _Coalitions, solve
+from conftest import MARKET_FILES, load_market, reference_solve
 
 TRIANGLE = {
     "f1": FirmPreference.of({"w1", "w2"}),
@@ -34,8 +34,8 @@ TRIANGLE = {
 
 
 def reference_sweep(firm_prefs, workers):
-    """The sweep as it was: a fresh Market and a complete solve for every
-    profile, its result re-checked with is_stable."""
+    """The sweep as it was: a fresh Market and a complete reference solve
+    for every profile, its result re-checked with is_stable."""
     workers = list(workers)
     options = []
     for w in workers:
@@ -57,7 +57,7 @@ def reference_sweep(firm_prefs, workers):
         checked += 1
         prefs = dict(zip(workers, profile))
         market = Market(tuple(workers), tuple(firm_prefs), prefs, firm_prefs)
-        mu = solve(market)
+        mu = reference_solve(market)
         if mu is None or not is_stable(mu, market):
             return SweepResult(False, total, checked, False, prefs)
     return SweepResult(True, total, checked, False)
@@ -118,7 +118,7 @@ def stored_first_sweep(firm_prefs, workers):
         else:
             solved += 1
             market = base.with_worker_prefs(dict(zip(workers, profile)))
-            mu = solve(market)
+            mu = reference_solve(market)
             if mu is None or not is_stable(mu, market):
                 return SweepResult(False, total, checked, False, market.worker_prefs, solved)
             found.insert(0, _record(mu, base))
@@ -138,12 +138,18 @@ def _assert_sweep_matches_reference(firm_prefs, workers):
 
 
 def _coalitions(base):
-    """The sweep's coalition numbering of ``base``, over each worker's
-    option ranking tables in ``worker_pref_space`` order."""
-    return _Coalitions(base, [[base.ranking_table(r) for r in opts] for opts in worker_pref_space(base)])
+    """The sweep's coalition numbering of ``base``, and each worker's
+    option coalition tables in ``worker_pref_space`` order."""
+    coalitions = _Coalitions(base)
+    return coalitions, [[coalitions.table(r) for r in opts] for opts in worker_pref_space(base)]
 
 
-def _kept(coalitions, mu, base):
+def _search(coalitions, tables, ks):
+    """The search on the profile with option indices ``ks``."""
+    return coalitions.search([t[k] for t, k in zip(tables, ks)])
+
+
+def _kept(coalitions, tables, mu, base):
     """What the sweep keeps of a matching: its candidate mask (per firm,
     the ``cand`` part of the choice it holds) and each worker's keep row
     at the firm she holds."""
@@ -153,7 +159,7 @@ def _kept(coalitions, mu, base):
     for f, choices in zip(base.firms, coalitions.choices):
         held = sum(1 << index[w] for w in inv.get(f, ()))  # 0 when f holds nothing
         cand |= next(above for above, people, _ in choices if people == held)
-    return cand, [coalitions.row(i, mu.assignment[w]) for i, w in enumerate(base.workers)]
+    return cand, [coalitions.row(i, tables[i], mu.assignment[w]) for i, w in enumerate(base.workers)]
 
 
 def _settles(kept, ks):
@@ -247,6 +253,13 @@ class TestPreferenceSweep:
             firm_prefs=prefs,
         )
         assert not all_stable_matchings(m)
+
+    def test_workers_with_the_same_firms_share_one_option_list(self):
+        workers = ["w1", "w2", "w3"]
+        m = Market.build(workers, {"f1": [{"w1", "w2"}], "f2": [{"w3"}]}, {w: () for w in workers})
+        space = worker_pref_space(m)
+        assert space[0] is space[1]
+        assert space == [worker_pref_options(["f1"])] * 2 + [worker_pref_options(["f2"])]
 
     def test_budget_error_without_sampling(self):
         # seven firms: 13,700 rankings per worker, 1.9e8 profiles, raised
@@ -357,8 +370,8 @@ class TestSweepMatchesReference:
         # the kept mu fails the late profile for the same reason: w2's
         # option () does not list f2, and no candidate coalition survives
         opts = worker_pref_space(early)
-        coalitions = _coalitions(early)
-        kept = _kept(coalitions, mu, early)
+        coalitions, tables = _coalitions(early)
+        kept = _kept(coalitions, tables, mu, early)
         early_ks = [o.index(early.worker_prefs[w]) for o, w in zip(opts, workers)]
         late_ks = [o.index(late[w]) for o, w in zip(opts, workers)]
         assert _settles(kept, early_ks) and _walk(kept, coalitions.fin, early_ks)
@@ -367,8 +380,25 @@ class TestSweepMatchesReference:
         assert rows[1][late_ks[1]] is None
         assert not cand & rows[0][late_ks[0]] & rows[2][late_ks[2]]
         # the search returns solve's mu on the early profile, nothing on the late
-        assert coalitions.search(early_ks) == ([None, "f2", "f1"], cand)
-        assert coalitions.search(late_ks) is None
+        assert _search(coalitions, tables, early_ks) == ([None, "f2", "f1"], cand)
+        assert _search(coalitions, tables, late_ks) is None
+
+    def test_counterexample_past_the_enumeration_budget(self):
+        # the triangle with eight workers in no acceptable set: more workers
+        # than all_stable_matchings takes, while the confirming enumeration
+        # still sees one assignment per idle worker
+        workers = ["w1", "w2", "w3"] + [f"x{i}" for i in range(8)]
+        assert len(workers) > MAX_WORKERS
+        r = _assert_sweep_matches_reference(TRIANGLE, workers)
+        assert (r.ok, r.total) == (False, 125)
+
+    def test_search_miss_is_caught_by_enumeration(self, monkeypatch):
+        # a search that finds nothing: the enumeration finds the empty
+        # matching stable on the first profile, so the sweep raises rather
+        # than report a counterexample
+        monkeypatch.setattr(_Coalitions, "search", lambda self, tables: None)
+        with pytest.raises(RuntimeError, match="missed a stable matching"):
+            exists_for_all_worker_prefs({"f1": FirmPreference.of({"w1", "w2"})}, ["w1", "w2"])
 
     def test_solved_counts_only_misses(self):
         prefs = {"f1": FirmPreference.of({"w1", "w2"})}
@@ -391,7 +421,7 @@ class TestCompiledMatchesIsStable:
         for _ in range(120):
             base = random_market(rng, cfg)
             base = base.with_worker_prefs({w: () for w in base.workers})
-            coalitions = _coalitions(base)
+            coalitions, tables = _coalitions(base)
             space = worker_pref_space(base)
             indices = list(itertools.product(*map(range, map(len, space))))
             markets = [
@@ -401,9 +431,9 @@ class TestCompiledMatchesIsStable:
             # what a sweep may keep: solve's matchings, stable on their own market
             stored = {}
             for market in markets:
-                mu = solve(market)
+                mu = reference_solve(market)
                 if mu is not None and is_stable(mu, market):
-                    stored.setdefault(tuple(mu.assignment.items()), (mu, _kept(coalitions, mu, base)))
+                    stored.setdefault(tuple(mu.assignment.items()), (mu, _kept(coalitions, tables, mu, base)))
             for ks, market in zip(indices, markets):
                 for mu, kept in stored.values():
                     settles = _settles(kept, ks)
@@ -423,21 +453,24 @@ class TestCompiledMatchesIsStable:
         }
         base = Market(("w1", "w2", "w3"), ("f1", "f2"), {w: () for w in ("w1", "w2", "w3")}, prefs)
         mu = Matching({"w1": "f2", "w2": "f2", "w3": None})
-        coalitions = _coalitions(base)
-        cand, rows = _kept(coalitions, mu, base)
+        coalitions, tables = _coalitions(base)
+        cand, rows = _kept(coalitions, tables, mu, base)
         # bits: f1 {w1,w3}, f1 {w2}, f2 {w1,w2}; {w2} and {w1,w2} end at w2
         assert coalitions.fin == [0, 0b110, 0b001]
         assert cand == 0b011
         assert [cand & fin for fin in coalitions.fin] == [0, 0b10, 0b01]
         assert [len(row) for row in rows] == [len(o) for o in worker_pref_space(base)]
-        # one row per (worker, held firm), shared by every matching of the sweep
-        assert coalitions.row(0, "f2") is rows[0]
+        # w1 at f2, over her options (), (f1), (f2), (f1 f2), (f2 f1): not
+        # IR where f2 is unlisted, else f1's {w1,w3} is dropped unless she
+        # ranks f1 above f2
+        assert worker_pref_space(base)[0] == [(), ("f1",), ("f2",), ("f1", "f2"), ("f2", "f1")]
+        assert rows[0] == [None, None, ~0b001, ~0, ~0b001]
 
 
 class TestSearchMatchesSolve:
-    """The in-sweep search walks the firm selections in solve's order: on
-    every profile it returns solve's matching, or None exactly where solve
-    does."""
+    """The search, run on the sweep's option tables, walks the firm
+    selections in the reference solve's order: on every profile it returns
+    that matching, or None exactly where the reference does."""
 
     def test_every_profile_of_random_firm_sides(self):
         rng = random.Random(23)
@@ -446,19 +479,19 @@ class TestSearchMatchesSolve:
         for _ in range(200):
             base = random_market(rng, cfg)
             base = base.with_worker_prefs({w: () for w in base.workers})
-            coalitions = _coalitions(base)
+            coalitions, tables = _coalitions(base)
             space = worker_pref_space(base)
             for ks in itertools.product(*map(range, map(len, space))):
                 market = base.with_worker_prefs({w: o[k] for w, o, k in zip(base.workers, space, ks)})
-                hit = coalitions.search(list(ks))
-                mu = solve(market)
+                hit = _search(coalitions, tables, ks)
+                mu = reference_solve(market)
                 if mu is None:
                     assert hit is None
                     missing += 1
                 else:
                     held, cand = hit
                     assert mu == Matching(dict(zip(base.workers, held)))
-                    assert cand == _kept(coalitions, mu, base)[0]
+                    assert cand == _kept(coalitions, tables, mu, base)[0]
                     found += 1
         assert (found, missing) == (25602, 219)
 

@@ -14,6 +14,7 @@ from balmatch.market import Market, Matching, acceptable_set_family, is_stable
 from balmatch.matrices import is_balanced, matrix_of_sets
 from balmatch.oracle import all_stable_matchings, cyclic_market
 from balmatch.prefs import (
+    decompose_by_components,
     decompose_by_sets,
     is_additive,
     is_complementary,
@@ -21,7 +22,7 @@ from balmatch.prefs import (
 )
 from balmatch.solve import market_certificates, solve
 
-from conftest import MARKET_FILES, interval_market, load_market, nested_market
+from conftest import MARKET_FILES, interval_market, load_market, nested_market, reference_solve
 
 H = Fraction(1, 2)
 Z = Fraction(0)
@@ -117,6 +118,58 @@ class TestDirect:
             _assert_search_matches_reference(m)
             found += solve(m) is not None
         assert 0 < found < 400  # both outcomes occur
+
+
+class TestSolveMatchesReference:
+    """``solve`` returns the reference search's matching, or None exactly
+    where it does."""
+
+    @staticmethod
+    def bench_like_markets():
+        """The solve benchmark's families at its sizes: nested, cyclic, the
+        corpus, random markets and complementary balanced ones."""
+        yield from (nested_market(n) for n in range(8, 13))
+        yield from (cyclic_market(n) for n in range(3, 10))
+        yield from map(load_market, MARKET_FILES)
+        rng = random.Random(4)
+        cfg = MarketGenConfig(max_workers=5, max_firms=3, max_chain=3, max_set=3)
+        yield from (random_market(rng, cfg) for _ in range(40))
+        for _ in range(40):
+            chains = random_complementary_balanced_profile(rng, max_firms=3, max_workers=5)
+            ws = sorted({w for p in chains.values() for s in p.chain for w in s})
+            firms = list(chains)
+            prefs = {w: tuple(rng.sample(firms, rng.randint(1, len(firms)))) for w in ws}
+            yield Market(tuple(ws), tuple(firms), prefs, chains)
+
+    def test_bench_like_markets_and_their_decompositions(self):
+        markets = found = 0
+        for m in self.bench_like_markets():
+            variants = [m, decompose_by_sets(m).market]
+            if all(is_complementary(f, m) for f in m.firms):
+                variants.append(decompose_by_components(m).market)
+            for v in variants:
+                mu = solve(v)
+                assert mu == reference_solve(v)
+                markets += 1
+                found += mu is not None
+        assert 0 < found < markets
+
+    def test_random_markets(self):
+        rng = random.Random(6)
+        cfg = MarketGenConfig(max_workers=8, max_firms=6)
+        missing = 0
+        for _ in range(2000):
+            m = random_market(rng, cfg)
+            mu = solve(m)
+            assert mu == reference_solve(m)
+            missing += mu is None
+        assert missing  # some have no stable matching
+
+    @pytest.mark.parametrize("n", range(3, 18))
+    def test_cyclic_markets(self, n):
+        mu = solve(cyclic_market(n))
+        assert mu == reference_solve(cyclic_market(n))
+        assert (mu is None) == (n % 2 == 1)
 
 
 def reference_certificates(m):
