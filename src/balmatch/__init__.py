@@ -58,9 +58,6 @@ from .techtree import (
     check_neighbour_condition,
     engagements,
     find_neighbour_ordering,
-    profile_from_tree,
-    sets_from_tree,
-    upgrade_workers,
     worker_set_matrix,
 )
 from .oracle import all_stable_matchings, cyclic_market, exists_for_all_worker_prefs

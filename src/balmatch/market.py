@@ -58,44 +58,31 @@ class FirmPreference:
     def of(*sets: Iterable[str]) -> "FirmPreference":
         return FirmPreference(tuple(frozenset(s) for s in sets))
 
-    def rank(self, s: frozenset[str]) -> int:
-        """Chain position of s (0 = best). Raises if s is not on the chain."""
-        return self.chain.index(s)
-
 
 @dataclass(frozen=True)
 class Market:
     """A two-sided many-to-one matching market.
 
     ``worker_prefs[w]`` lists acceptable firms best-first; ``firm_prefs[f]``
-    is the firm's chain. Immutable after construction. Each worker's list
-    is also kept as its ``ranking_table``, which ``is_stable`` and
-    ``worker_weakly_prefers`` read; ``solve`` reads coalition tables of
-    its own.
+    is the firm's chain. Immutable after construction, and nothing but its
+    four fields: the stability checks read the worker lists themselves,
+    and ``solve`` reads coalition tables of its own.
+
+    Construction checks identifiers, firm keys and every chain's workers,
+    then worker keys and lists. Each chain set is checked whole, with one
+    ``s <= workers``; only a set that fails is read element by element, to
+    name its smallest unknown worker, so the message does not depend on
+    set iteration order (``PYTHONHASHSEED``). Each list's set, built once
+    for the duplicate test, is checked whole with one ``<= firms``; only a
+    list that fails is read in order, to name its first unknown firm.
     """
 
     workers: tuple[str, ...]
     firms: tuple[str, ...]
     worker_prefs: dict[str, tuple[str, ...]]
     firm_prefs: dict[str, FirmPreference]
-    _bit: dict[str, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _prefers: dict[str, dict[Optional[str], int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
-        self._check_firm_side()
-        self._check_worker_side()
-
-    def _check_firm_side(self):
-        """Identifiers, firm keys and every chain's workers.
-
-        Each chain set is checked whole, with one ``s <= workers``; only a
-        set that fails is read element by element, to name its smallest
-        unknown worker, so the message does not depend on set iteration
-        order (``PYTHONHASHSEED``)."""
         wset = set(self.workers)
         if len(wset) != len(self.workers):
             raise MarketError("duplicate worker identifiers")
@@ -110,16 +97,8 @@ class Market:
             for s in pref.chain:
                 if not s <= wset:
                     raise MarketError(f"unknown worker {min(s - wset)} in chain of firm {f}")
-        object.__setattr__(self, "_bit", {f: 1 << i for i, f in enumerate(self.firms)})
-
-    def _check_worker_side(self):
-        """Worker keys and lists, then each worker's ranking table. Each
-        list's set, built once for the duplicate test, is checked whole with
-        one ``<= firms``; only a list that fails is read in order, to name
-        its first unknown firm."""
-        if set(self.worker_prefs) != set(self.workers):
+        if set(self.worker_prefs) != wset:
             raise MarketError("worker_prefs keys must match workers")
-        fset = set(self.firms)
         for w, lst in self.worker_prefs.items():
             listed = set(lst)
             if len(listed) != len(lst):
@@ -127,38 +106,6 @@ class Market:
             if not listed <= fset:
                 f = next(f for f in lst if f not in fset)
                 raise MarketError(f"unknown firm {f} in preference list of {w}")
-        tables = {w: self.ranking_table(lst) for w, lst in self.worker_prefs.items()}
-        object.__setattr__(self, "_prefers", tables)
-
-    def ranking_table(self, ranking: Iterable[str]) -> dict[Optional[str], int]:
-        """A worker ranking as a table: each firm g a worker with that
-        ranking may hold (None for the null firm) maps to the bitmask of
-        the firms f she weakly prefers to g, ``f == g`` or f ranked above
-        g, where an unlisted firm ranks below null. A firm missing from
-        the table is one she finds unacceptable. Firm f is bit
-        ``1 << i`` for its index i in ``firms``."""
-        table, mask = {}, 0
-        for f in ranking:
-            mask |= self._bit[f]
-            table[f] = mask
-        table[None] = mask
-        return table
-
-    def with_worker_prefs(self, worker_prefs: dict[str, tuple[str, ...]]) -> "Market":
-        """This market with other worker lists.
-
-        Equal to ``Market(self.workers, self.firms, worker_prefs,
-        self.firm_prefs)`` and rejects the same worker lists, but the firm
-        side, already checked, is shared rather than checked again.
-        """
-        m = object.__new__(Market)
-        object.__setattr__(m, "workers", self.workers)
-        object.__setattr__(m, "firms", self.firms)
-        object.__setattr__(m, "worker_prefs", worker_prefs)
-        object.__setattr__(m, "firm_prefs", self.firm_prefs)
-        object.__setattr__(m, "_bit", self._bit)
-        m._check_worker_side()
-        return m
 
     @staticmethod
     def build(
@@ -181,17 +128,19 @@ class Market:
         """Raise naming the smallest worker of s not in the market, so the
         message does not depend on set iteration order."""
         for w in s:
-            if w not in self._prefers:
-                raise MarketError(f"unknown worker: {min(s - self._prefers.keys())}")
+            if w not in self.worker_prefs:
+                raise MarketError(f"unknown worker: {min(s - self.worker_prefs.keys())}")
 
     def worker_weakly_prefers(self, w: str, f: Optional[str], g: Optional[str]) -> bool:
-        """True iff worker w weakly prefers f to g (None is the null firm)."""
+        """True iff worker w weakly prefers f to g (None is the null firm):
+        f == g, or f is listed and g is not listed before it. The null firm
+        ranks right after the list, and an unlisted firm below null."""
         if f == g:
             return True
-        table = self._prefers[w]
-        if g not in table:  # g is unlisted: below null and every listed firm
-            return f in table
-        return bool(table[g] & self._bit.get(f, 0))
+        lst = self.worker_prefs[w]
+        if f is None:
+            return g not in lst
+        return f in lst and g not in lst[:lst.index(f)]
 
 
 @dataclass(frozen=True)
@@ -268,7 +217,7 @@ def _ir_violations(
     out = []
     for w in m.workers:
         f = mu.firm_of(w)
-        if f is not None and f not in m._prefers[w]:
+        if f is not None and f not in m.worker_prefs[w]:
             out.append((w, f"matched to unacceptable firm {f}"))
     for f in m.firms:
         matched = inv.get(f, frozenset())
@@ -305,16 +254,17 @@ def _first_block(
     """First blocking coalition of a total, individually rational
     assignment in canonical order, or None; ``inv`` maps each firm to
     its matched set (an unmatched firm may be absent)."""
-    prefers = m._prefers
+    prefs = m.worker_prefs
     for f in m.firms:
-        bit = m._bit[f]
         current = inv.get(f, frozenset())
         for s in m.firm_prefs[f].acceptable:
             if s == current:
                 break
-            # s blocks unless a member fails worker_weakly_prefers(w, f, g)
+            # s blocks unless a member fails worker_weakly_prefers(w, f, g):
+            # f is unlisted, or her firm g (listed, by IR) comes before f
             for w in s:
-                if not prefers[w][assignment[w]] & bit:
+                lst = prefs[w]
+                if f not in lst or assignment[w] in lst[:lst.index(f)]:
                     break
             else:
                 return f, s

@@ -1,9 +1,11 @@
 """Brute-force ground truth: enumerate matchings and sweep preference space.
 
 The sweep runs ``solve``'s firm-selection search (``solve._Coalitions``)
-on each profile it must search; it confirms a counterexample with
-``all_matchings`` and ``is_stable`` alone, so no verdict rests on the
-search it checks.
+on each profile it must search; it re-checks each matching found with
+``is_stable`` on the profile's ``Market``, built by the plain constructor,
+and confirms a counterexample with ``all_matchings`` and ``is_stable``
+alone, so no verdict rests on the search it checks. Every enumeration is
+bounded by ``SWEEP_BUDGET`` before it starts.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from typing import Iterable, Optional
 from .market import FirmPreference, Market, Matching, is_stable
 from .solve import _Coalitions
 
-MAX_WORKERS = 10
-MAX_FIRMS = 8
 SWEEP_BUDGET = 10_000_000
 
 
@@ -41,11 +41,20 @@ def all_matchings(m: Market, restrict: bool = True) -> Iterable[Matching]:
 
 
 def all_stable_matchings(m: Market, restrict: bool = True) -> list[Matching]:
-    """All stable matchings by exhaustive enumeration."""
-    if len(m.workers) > MAX_WORKERS or len(m.firms) > MAX_FIRMS:
+    """All stable matchings by exhaustive enumeration.
+
+    ``BudgetError``, before any is enumerated, if ``all_matchings`` would
+    yield more than ``SWEEP_BUDGET`` assignments: the product over workers
+    of her list's length plus one, or (firms + 1) ** workers without
+    ``restrict``."""
+    if restrict:
+        count = math.prod(len(m.worker_prefs[w]) + 1 for w in m.workers)
+    else:
+        count = (len(m.firms) + 1) ** len(m.workers)
+    if count > SWEEP_BUDGET:
         raise BudgetError(
-            f"market of {len(m.workers)} workers / {len(m.firms)} firms "
-            f"exceeds the {MAX_WORKERS}/{MAX_FIRMS} enumeration budget"
+            f"{count} assignments of {len(m.workers)} workers exceed the "
+            f"enumeration budget of {SWEEP_BUDGET}"
         )
     return [mu for mu in all_matchings(m, restrict) if is_stable(mu, m)]
 
@@ -104,7 +113,7 @@ def exists_for_all_worker_prefs(
 
     ``BudgetError`` if there are more than ``SWEEP_BUDGET`` profiles.
 
-    The firm side is checked once, in a base market, its coalitions are
+    The firm side is checked in a base market, its coalitions are
     numbered once (``solve._Coalitions``), each option's coalition table
     is built once, and each worker's keep row at a firm on first use.
     Every stable matching found is kept as its workers' shared keep rows
@@ -120,7 +129,7 @@ def exists_for_all_worker_prefs(
     deepest list, and a matching settles it exactly when it is
     ``is_stable`` on the profile's market. When none does, ``solve``'s
     search runs on the profile's tables; its matching is re-checked with
-    ``is_stable`` on the profile's market (``Market.with_worker_prefs``)
+    ``is_stable`` on the profile's market, built by the plain constructor,
     and appended to every depth's list through the current prefix. A
     profile the search finds nothing for is the counterexample once no
     assignment of ``all_matchings`` is ``is_stable``: at most ``total``
@@ -156,8 +165,10 @@ def exists_for_all_worker_prefs(
         """The profile's market, and the ``cand`` and keep rows of the
         search's matching on it, re-checked, or None when it has no stable
         matching."""
-        market = base.with_worker_prefs(
-            {w: opts[k] for w, opts, k in zip(workers, options, ks)}
+        market = Market(
+            base.workers, base.firms,
+            {w: opts[k] for w, opts, k in zip(workers, options, ks)},
+            base.firm_prefs,
         )
         hit = coalitions.search([t[k] for t, k in zip(tables, ks)])
         if hit is None:

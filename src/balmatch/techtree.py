@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Optional
 
-from .market import FirmPreference, Market, MarketError
 from .matrices import ZeroOneMatrix, matrix_of_sets
-from .prefs import primitive_acceptable_sets
-from .market import acceptable_sets
 
 Edge = tuple[str, str]  # (parent, child)
 
@@ -82,20 +79,16 @@ class TechnologyTree:
         return out
 
     def reordered(self, orders: dict[str, tuple[str, ...]]) -> "TechnologyTree":
+        """This tree with the children of each vertex of ``orders`` in the
+        given order; a vertex missing from ``children`` is childless."""
         new = dict(self.children)
         for v, order in orders.items():
-            if sorted(order) != sorted(self.children[v]):
+            if v not in self.worker_sets:
+                raise TreeError(f"unknown vertex: {v}")
+            if sorted(order) != sorted(self.children.get(v, ())):
                 raise TreeError(f"reordering of {v} is not a permutation")
             new[v] = tuple(order)
         return TechnologyTree(self.root, self.worker_sets, new)
-
-
-def upgrade_workers(e: Edge, t: TechnologyTree) -> frozenset[str]:
-    """The workers an upgrade adds."""
-    v, c = e
-    if c not in t.children.get(v, ()):
-        raise TreeError(f"unknown edge: {v}->{c}")
-    return t.worker_sets[c] - t.worker_sets[v]
 
 
 def engagements(t: TechnologyTree) -> dict[str, list[Edge]]:
@@ -222,42 +215,3 @@ def worker_set_matrix(t: TechnologyTree) -> ZeroOneMatrix:
         if t.worker_sets[v]:
             first.setdefault(t.worker_sets[v], v)
     return replace(matrix_of_sets(first, t.workers()), cols=tuple(first.values()))
-
-
-def profile_from_tree(
-    firm_vertices: dict[str, Iterable[str]], t: TechnologyTree
-) -> dict[str, FirmPreference]:
-    """Firm chains assembled from chosen technology vertices, in given order."""
-    out = {}
-    for f, vertex_chain in firm_vertices.items():
-        sets = []
-        for v in vertex_chain:
-            if v not in t.worker_sets:
-                raise TreeError(f"unknown vertex: {v}")
-            sets.append(t.worker_sets[v])
-        out[f] = FirmPreference(tuple(sets))
-    return out
-
-
-def sets_from_tree(
-    f: str, m: Market, t: TechnologyTree, mode: str = "primitive"
-) -> bool:
-    """Whether f's (primitive) acceptable sets all appear as technology sets.
-
-    Modes: ``primitive`` checks primitive acceptable sets, ``all`` checks
-    every acceptable set.
-    """
-    m.require_firm(f)
-    if mode == "all":
-        targets = acceptable_sets(f, m)
-    elif mode == "primitive":
-        targets = primitive_acceptable_sets(f, m)
-    else:
-        raise ValueError(f"unknown mode: {mode}")
-    tech = set(t.worker_sets.values())
-    return all(s in tech for s in targets)
-
-
-def market_sets_from_tree(m: Market, t: TechnologyTree, mode: str = "primitive") -> bool:
-    """sets_from_tree over every firm of the market."""
-    return all(sets_from_tree(f, m, t, mode) for f in m.firms)

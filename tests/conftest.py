@@ -25,7 +25,7 @@ def reference_solve(m: Market):
     shares no code with ``solve``, which the tests compare against it."""
     options = []
     for f in m.firms:
-        acc = [s for s in m.firm_prefs[f].acceptable if all(f in m._prefers[w] for w in s)]
+        acc = [s for s in m.firm_prefs[f].acceptable if all(f in m.worker_prefs[w] for w in s)]
         options.append((f, acc))
     assignment = {w: None for w in m.workers}
     inv = {}

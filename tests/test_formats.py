@@ -154,7 +154,6 @@ def reference_load(text):
             for w in sorted(s):
                 if w not in workers:
                     raise formats.ParseError(f"unknown worker {w} in chain of firm {f}")
-    bit = {f: 1 << i for i, f in enumerate(firms)}
     if set(worker_prefs) != set(workers):
         raise formats.ParseError("worker_prefs keys must match workers")
     for w, lst in worker_prefs.items():
@@ -163,16 +162,9 @@ def reference_load(text):
         for f in lst:
             if f not in firms:
                 raise formats.ParseError(f"unknown firm {f} in preference list of {w}")
-    prefers = []
-    for w, lst in worker_prefs.items():
-        table, mask = [], 0
-        for f in lst:
-            mask |= bit[f]
-            table.append((f, mask))
-        prefers.append((w, table + [(None, mask)]))
     return (
         workers, firms, list(worker_prefs.items()), list(chains.items()),
-        list(acceptable.items()), prefers, list(bit.items()),
+        list(acceptable.items()),
     )
 
 
@@ -181,8 +173,6 @@ def _loaded(m):
         m.workers, m.firms, list(m.worker_prefs.items()),
         [(f, p.chain) for f, p in m.firm_prefs.items()],
         [(f, p.acceptable) for f, p in m.firm_prefs.items()],
-        [(w, list(table.items())) for w, table in m._prefers.items()],
-        list(m._bit.items()),
     )
 
 

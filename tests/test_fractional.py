@@ -24,7 +24,7 @@ from balmatch.fractional import (
 from balmatch.genrandom import random_market
 from balmatch.market import Market, find_block, is_stable
 from balmatch.matrices import ZeroOneMatrix, set_label
-from balmatch.oracle import MAX_FIRMS, all_stable_matchings, cyclic_market
+from balmatch.oracle import all_stable_matchings, cyclic_market
 from balmatch.prefs import decompose_by_sets
 
 from conftest import CORPUS
@@ -210,7 +210,7 @@ def verified_points():
         for make in [random_market] * 50 + [overlap_market] * 100:
             m = make(rng)
             d = decompose_by_sets(m)
-            if len(d.market.firms) > MAX_FIRMS:
+            if len(d.market.firms) > 8:
                 continue
             stable = [
                 ({f: ONE if f in mu.inverse() else Z for f in d.market.firms},

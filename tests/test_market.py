@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import pathlib
@@ -23,6 +24,7 @@ from balmatch.market import (
     is_stable,
 )
 from balmatch.oracle import all_matchings
+from balmatch.prefs import decompose_by_sets
 
 from conftest import MARKET_FILES, load_market
 
@@ -143,11 +145,6 @@ class TestFirmPreference:
         with pytest.raises(MarketError):
             FirmPreference.of({"w1"}, {"w1"})
 
-    def test_rank_is_chain_position(self):
-        p = FirmPreference.of({"w1", "w2"}, {"w1"})
-        assert p.rank(frozenset({"w1", "w2"})) == 0
-        assert p.rank(frozenset({"w1"})) == 1
-
     @given(st.lists(st.frozensets(st.sampled_from("abcde"), min_size=1), unique=True, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_acceptable_is_self_chosen_chain_sets(self, chain):
@@ -212,82 +209,73 @@ class TestMarketValidation:
         with pytest.raises(MarketError):
             Market.build(["x"], {"x": [{"x"}]}, {"x": []})
 
-
-class TestWithWorkerPrefs:
-    BASE = Market.build(
-        ["w1", "w2"], {"f1": [{"w1", "w2"}, {"w1"}], "f2": [{"w2"}]}, {"w1": ["f1"], "w2": []}
-    )
-
-    def _direct(self, base, prefs):
-        return Market(base.workers, base.firms, prefs, base.firm_prefs)
-
-    @staticmethod
-    def _snapshot(m):
-        return (
-            dict(m.worker_prefs),
-            dict(m._bit),
-            {w: dict(table) for w, table in m._prefers.items()},
-        )
-
-    def test_equals_direct_construction(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            base = random_market(rng)
-            prefs = {
-                w: tuple(rng.sample(base.firms, rng.randint(0, len(base.firms))))
-                for w in base.workers
-            }
-            derived = base.with_worker_prefs(prefs)
-            direct = self._direct(base, prefs)
-            assert derived == direct
-            assert derived._prefers == direct._prefers
-            assert derived.firm_prefs is base.firm_prefs
-            assert derived._bit is base._bit
-
     @pytest.mark.parametrize(
-        "prefs",
+        "prefs, message",
         [
-            {"w1": ("f1",)},  # a worker missing
-            {"w1": ("f1",), "w2": (), "w3": ()},  # an unknown worker
-            {"w1": ("f1", "f1"), "w2": ()},  # a firm listed twice
-            {"w1": ("f9",), "w2": ()},  # an unknown firm
-            {"w1": ("w2",), "w2": ()},  # a worker where a firm belongs
+            ({"w1": ("f1",)}, "worker_prefs keys must match workers"),
+            ({"w1": ("f1",), "w2": (), "w3": ()}, "worker_prefs keys must match workers"),
+            ({"w1": ("f1", "f1"), "w2": ()}, "duplicate firm in preference list of w1"),
+            ({"w1": ("f2", "f9", "f8"), "w2": ()}, "unknown firm f9 in preference list of w1"),
+            ({"w1": ("w2",), "w2": ()}, "unknown firm w2 in preference list of w1"),
         ],
+        ids=["worker-missing", "unknown-worker", "firm-twice", "unknown-firm", "worker-as-firm"],
     )
-    def test_rejects_what_the_constructor_rejects(self, prefs):
-        base = self.BASE
-        before = self._snapshot(base)
-        with pytest.raises(MarketError) as direct:
-            self._direct(base, prefs)
-        with pytest.raises(MarketError) as derived:
-            base.with_worker_prefs(prefs)
-        assert str(derived.value) == str(direct.value)
-        assert self._snapshot(base) == before
+    def test_worker_list_faults_named(self, prefs, message):
+        chains = {"f1": FirmPreference.of({"w1", "w2"}, {"w1"}), "f2": FirmPreference.of({"w2"})}
+        with pytest.raises(MarketError) as e:
+            Market(("w1", "w2"), ("f1", "f2"), prefs, chains)
+        assert str(e.value) == message
 
-    def test_base_left_unchanged(self):
-        base = self.BASE
-        before = self._snapshot(base)
-        derived = base.with_worker_prefs({"w1": ("f2", "f1"), "w2": ("f2",)})
-        assert derived.worker_weakly_prefers("w1", "f2", "f1")
-        assert self._snapshot(base) == before
-        assert base.worker_weakly_prefers("w1", "f1", "f2")
+    def test_firm_side_is_checked_first(self):
+        # a chain with an unknown worker and a list with an unknown firm
+        with pytest.raises(MarketError, match="unknown worker w9 in chain of firm f1"):
+            Market.build(["w1"], {"f1": [{"w9"}]}, {"w1": ["f9"]})
+
+    def test_markets_sharing_a_firm_side_read_their_own_lists(self, two_firms):
+        # w3 ranks f2 first in the corpus market and f1 first in the other
+        other = Market(
+            two_firms.workers, two_firms.firms,
+            dict(two_firms.worker_prefs, w3=("f1", "f2")), two_firms.firm_prefs,
+        )
+        mu = Matching({"w1": "f1", "w2": "f2", "w3": "f2", "w4": "f2"})
+        assert is_stable(mu, two_firms)
+        assert find_block(mu, other).blocking == ("f1", frozenset({"w1", "w2", "w3"}))
+        assert two_firms.worker_weakly_prefers("w3", "f2", "f1")
+        assert not other.worker_weakly_prefers("w3", "f2", "f1")
+
+    def test_a_market_is_its_four_fields(self, two_firms):
+        assert [f.name for f in dataclasses.fields(Market)] == [
+            "workers", "firms", "worker_prefs", "firm_prefs"
+        ]
+        assert set(vars(two_firms)) == {"workers", "firms", "worker_prefs", "firm_prefs"}
 
 
 class TestWorkerWeaklyPrefers:
-    """The ranking table answers as the rank rule does: f == g is True, an
+    """List positions answer as the rank rule does: f == g is True, an
     unlisted firm ranks below null, and null below every listed firm."""
 
-    def test_table_of_a_ranking(self, two_firms):
-        # bit 1 is f1, bit 2 is f2; an unlisted firm has no entry
-        assert two_firms._bit == {"f1": 1, "f2": 2}
-        assert two_firms.ranking_table(("f2", "f1")) == {"f2": 2, "f1": 3, None: 3}
-        assert two_firms.ranking_table(("f1",)) == {"f1": 1, None: 1}
-        assert two_firms.ranking_table(()) == {None: 0}
+    def test_list_positions(self, two_firms):
+        # w3 lists f2 before f1; w4 lists f2 alone
+        assert two_firms.worker_prefs["w3"] == ("f2", "f1")
+        assert two_firms.worker_weakly_prefers("w3", "f2", "f1")
+        assert not two_firms.worker_weakly_prefers("w3", "f1", "f2")
+        assert two_firms.worker_weakly_prefers("w3", "f1", None)
+        assert not two_firms.worker_weakly_prefers("w3", None, "f1")
+        assert two_firms.worker_weakly_prefers("w4", None, "f1")
+        assert not two_firms.worker_weakly_prefers("w4", "f1", None)
+        assert two_firms.worker_weakly_prefers("w4", "f1", "f1")
 
     def test_matches_reference_on_random_markets(self):
         rng = random.Random(23)
         for _ in range(300):
             _assert_weakly_prefers_matches_reference(random_market(rng))
+
+    def test_matches_reference_on_set_split_markets(self):
+        # a firm's siblings share its slot on every list; the fractional
+        # verifier reads worker_weakly_prefers on exactly these markets
+        rng = random.Random(29)
+        for _ in range(300):
+            _assert_weakly_prefers_matches_reference(decompose_by_sets(random_market(rng)).market)
 
     @pytest.mark.parametrize("name", MARKET_FILES)
     def test_matches_reference_on_corpus(self, name):
@@ -393,6 +381,11 @@ class TestStability:
         rng = random.Random(11)
         for _ in range(300):
             _assert_find_block_matches_reference(random_market(rng))
+
+    def test_find_block_matches_reference_on_set_split_markets(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            _assert_find_block_matches_reference(decompose_by_sets(random_market(rng)).market)
 
     @pytest.mark.parametrize("name", MARKET_FILES)
     def test_find_block_matches_reference_on_corpus(self, name):

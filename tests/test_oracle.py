@@ -14,7 +14,6 @@ from balmatch.genrandom import (
 from balmatch.market import FirmPreference, Market, Matching, _first_block, acceptable_sets, is_stable
 from balmatch.oracle import (
     BudgetError,
-    MAX_WORKERS,
     SWEEP_BUDGET,
     SweepResult,
     all_stable_matchings,
@@ -63,7 +62,24 @@ def reference_sweep(firm_prefs, workers):
     return SweepResult(True, total, checked, False)
 
 
-def _record(mu, base):
+def _firm_bits(base):
+    """Firm f is bit ``1 << i`` for its index i in ``base.firms``."""
+    return {f: 1 << i for i, f in enumerate(base.firms)}
+
+
+def _ranking_table(bits, ranking):
+    """A worker ranking as a table: each firm g a worker with that ranking
+    may hold (None for the null firm) maps to the bitmask of the firms she
+    weakly prefers to g; a firm she does not list has no entry."""
+    table, mask = {}, 0
+    for f in ranking:
+        mask |= bits[f]
+        table[f] = mask
+    table[None] = mask
+    return table
+
+
+def _record(mu, base, bits):
     """What the stored-first sweep kept of a matching: each worker's firm
     in market order, and its candidate coalitions (firm bit, member
     indices), every acceptable set its firm ranks above the set it holds."""
@@ -75,7 +91,7 @@ def _record(mu, base):
         for s in base.firm_prefs[f].acceptable:
             if s == current:
                 break
-            coalitions.append((base._bit[f], tuple(index[w] for w in s)))
+            coalitions.append((bits[f], tuple(index[w] for w in s)))
     return tuple(mu.assignment[w] for w in base.workers), tuple(coalitions)
 
 
@@ -106,22 +122,23 @@ def stored_first_sweep(firm_prefs, workers):
     total = math.prod(map(len, options))
     if total > SWEEP_BUDGET:
         raise BudgetError(f"{total} profiles")
+    bits = _firm_bits(base)
     found = []
     checked = solved = 0
     for profile in itertools.product(*options):
         checked += 1
-        row = [base.ranking_table(r) for r in profile]
+        row = [_ranking_table(bits, r) for r in profile]
         for i, record in enumerate(found):
             if _record_settles(record, row):
                 found.insert(0, found.pop(i))
                 break
         else:
             solved += 1
-            market = base.with_worker_prefs(dict(zip(workers, profile)))
+            market = Market(base.workers, base.firms, dict(zip(workers, profile)), firm_prefs)
             mu = reference_solve(market)
             if mu is None or not is_stable(mu, market):
                 return SweepResult(False, total, checked, False, market.worker_prefs, solved)
-            found.insert(0, _record(mu, base))
+            found.insert(0, _record(mu, base, bits))
     return SweepResult(True, total, checked, False, None, solved)
 
 
@@ -135,6 +152,11 @@ def _assert_sweep_matches_reference(firm_prefs, workers):
     assert r == stored_first_sweep(firm_prefs, workers)
     assert 0 < r.solved <= r.checked
     return r
+
+
+def _with_lists(m, worker_prefs):
+    """The market ``m`` with other worker lists."""
+    return Market(m.workers, m.firms, worker_prefs, m.firm_prefs)
 
 
 def _coalitions(base):
@@ -201,10 +223,28 @@ class TestEnumeration:
             assert fast == slow
 
     def test_budget_guard(self):
+        # ten workers who list all eight firms: 9 ** 10 assignments, refused
+        # before the first is enumerated
+        workers = [f"w{i}" for i in range(10)]
+        firms = [f"f{i}" for i in range(8)]
+        m = Market.build(workers, {f: [{w}] for f, w in zip(firms, workers)}, {w: firms for w in workers})
+        assert 9 ** 10 > SWEEP_BUDGET
+        with pytest.raises(BudgetError, match="3486784401 assignments of 10 workers"):
+            all_stable_matchings(m)
+
+    def test_budget_guard_unrestricted(self):
+        # one firm and 24 idle workers: one assignment restricted, 2 ** 24 not
+        workers = [f"w{i}" for i in range(24)]
+        m = Market.build(workers, {"f1": [{"w0"}]}, {w: [] for w in workers})
+        assert len(all_stable_matchings(m)) == 1
+        with pytest.raises(BudgetError, match="16777216 assignments of 24 workers"):
+            all_stable_matchings(m, restrict=False)
+
+    def test_idle_workers_enumerate(self):
+        # eleven workers who list no firm have one assignment: all idle
         workers = [f"w{i}" for i in range(11)]
         m = Market.build(workers, {"f1": [{"w0"}]}, {w: [] for w in workers})
-        with pytest.raises(BudgetError):
-            all_stable_matchings(m)
+        assert all_stable_matchings(m) == [Matching({w: None for w in workers})]
 
 
 class TestCyclicMarkets:
@@ -355,7 +395,7 @@ class TestSweepMatchesReference:
         mu = Matching({"w1": None, "w2": "f2", "w3": "f1"})
         early = Market(workers, tuple(prefs), {"w1": (), "w2": ("f2",), "w3": ("f1",)}, prefs)
         late = {"w1": ("f1", "f2"), "w2": (), "w3": ("f2", "f1")}
-        late_market = early.with_worker_prefs(late)
+        late_market = Market(workers, tuple(prefs), late, prefs)
         # solve finds mu on the early profile, swept before the late one
         assert solve(early) == mu
         assert is_stable(mu, early)
@@ -384,13 +424,14 @@ class TestSweepMatchesReference:
         assert _search(coalitions, tables, late_ks) is None
 
     def test_counterexample_past_the_enumeration_budget(self):
-        # the triangle with eight workers in no acceptable set: more workers
-        # than all_stable_matchings takes, while the confirming enumeration
-        # still sees one assignment per idle worker
+        # the triangle with eight workers in no acceptable set: eleven
+        # workers, past a cap on the worker count, while the confirming
+        # enumeration sees one assignment per idle worker, and so does
+        # all_stable_matchings, whose budget counts assignments
         workers = ["w1", "w2", "w3"] + [f"x{i}" for i in range(8)]
-        assert len(workers) > MAX_WORKERS
         r = _assert_sweep_matches_reference(TRIANGLE, workers)
         assert (r.ok, r.total) == (False, 125)
+        assert all_stable_matchings(Market(tuple(workers), tuple(TRIANGLE), r.counterexample, TRIANGLE)) == []
 
     def test_search_miss_is_caught_by_enumeration(self, monkeypatch):
         # a search that finds nothing: the enumeration finds the empty
@@ -420,12 +461,12 @@ class TestCompiledMatchesIsStable:
         pairs = settled = not_ir = 0
         for _ in range(120):
             base = random_market(rng, cfg)
-            base = base.with_worker_prefs({w: () for w in base.workers})
+            base = _with_lists(base, {w: () for w in base.workers})
             coalitions, tables = _coalitions(base)
             space = worker_pref_space(base)
             indices = list(itertools.product(*map(range, map(len, space))))
             markets = [
-                base.with_worker_prefs({w: o[k] for w, o, k in zip(base.workers, space, ks)})
+                _with_lists(base, {w: o[k] for w, o, k in zip(base.workers, space, ks)})
                 for ks in indices
             ]
             # what a sweep may keep: solve's matchings, stable on their own market
@@ -478,11 +519,11 @@ class TestSearchMatchesSolve:
         found = missing = 0
         for _ in range(200):
             base = random_market(rng, cfg)
-            base = base.with_worker_prefs({w: () for w in base.workers})
+            base = _with_lists(base, {w: () for w in base.workers})
             coalitions, tables = _coalitions(base)
             space = worker_pref_space(base)
             for ks in itertools.product(*map(range, map(len, space))):
-                market = base.with_worker_prefs({w: o[k] for w, o, k in zip(base.workers, space, ks)})
+                market = _with_lists(base, {w: o[k] for w, o, k in zip(base.workers, space, ks)})
                 hit = _search(coalitions, tables, ks)
                 mu = reference_solve(market)
                 if mu is None:
@@ -516,7 +557,7 @@ class TestCorpusSweeps:
         if r.ok:
             assert r.checked == r.total
             return
-        counter = m.with_worker_prefs(r.counterexample)
+        counter = _with_lists(m, r.counterexample)
         assert solve(counter) is None
         path = tmp_path / name
         path.write_text(formats.serialize_market(counter))

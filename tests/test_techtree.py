@@ -11,10 +11,6 @@ from balmatch.techtree import (
     check_neighbour_condition,
     engagements,
     find_neighbour_ordering,
-    market_sets_from_tree,
-    profile_from_tree,
-    sets_from_tree,
-    upgrade_workers,
     worker_set_matrix,
 )
 from conftest import load_tree
@@ -81,12 +77,6 @@ class TestRootOnly:
 
 
 class TestEngagement:
-    def test_upgrade_workers(self, ladder):
-        assert upgrade_workers(("v0", "v1"), ladder) == {"w1", "w2"}
-        assert upgrade_workers(("v3", "v5"), ladder) == {"w5"}
-        with pytest.raises(TreeError):
-            upgrade_workers(("v0", "v5"), ladder)
-
     def test_engagement_lists(self, ladder):
         table = engagements(ladder)
         assert table["w2"] == [("v0", "v1"), ("v0", "v2")]
@@ -105,7 +95,7 @@ class TestEngagement:
             table = engagements(t)
             assert list(table) == t.workers()
             for w in t.workers():
-                assert table[w] == [e for e in t.edges() if w in upgrade_workers(e, t)]
+                assert table[w] == [(v, c) for v, c in t.edges() if w in t.worker_sets[c] - t.worker_sets[v]]
         assert "nobody" not in table
 
 
@@ -163,6 +153,18 @@ class TestPermutationSearch:
         assert check_neighbour_condition(fixed).ok
         assert set(fixed.children["v0"]) == {"v1", "v2", "v3"}
 
+    def test_reordering_a_leaf_missing_from_children(self):
+        t = TechnologyTree("r", {"r": frozenset(), "a": frozenset({"w1"})}, {"r": ("a",)})
+        same = t.reordered({"a": ()})
+        assert same.children == {"r": ("a",), "a": ()}
+        assert same.vertices() == t.vertices()
+        with pytest.raises(TreeError, match="not a permutation"):
+            t.reordered({"a": ("r",)})
+
+    def test_reordering_an_unknown_vertex_rejected(self, ladder):
+        with pytest.raises(TreeError, match="unknown vertex: v9"):
+            ladder.reordered({"v9": ()})
+
     def test_passing_tree_comes_back_passing(self, nested):
         fixed = find_neighbour_ordering(nested)
         assert fixed is not None
@@ -192,40 +194,3 @@ class TestWorkerSetMatrix:
             assert check_neighbour_condition(t).ok
             cert = is_totally_balanced(worker_set_matrix(t))
             assert cert.verdict == "PASS"
-
-
-class TestProfilesFromTrees:
-    def test_profile_from_vertex_chains(self, ladder):
-        profile = profile_from_tree({"f1": ["v5", "v3"]}, ladder)
-        assert profile["f1"].chain == (
-            frozenset({"w3", "w4", "w5"}),
-            frozenset({"w3", "w4"}),
-        )
-        with pytest.raises(TreeError):
-            profile_from_tree({"f1": ["v9"]}, ladder)
-
-    def test_sets_from_tree_modes(self, nested, triangle_tu):
-        # the nested tree's technologies cover every acceptable set of the
-        # triangle market's firms
-        for f in triangle_tu.firms:
-            assert sets_from_tree(f, triangle_tu, nested, mode="all")
-        assert market_sets_from_tree(triangle_tu, nested, mode="all")
-
-    def test_triangle_tree_covers_pair_market(self, triangle, cyclic3):
-        assert sets_from_tree("f1", cyclic3, triangle, mode="all")
-        assert market_sets_from_tree(cyclic3, triangle, mode="all")
-
-    def test_pair_market_not_covered_by_ladder(self, ladder, cyclic3):
-        assert not sets_from_tree("f3", cyclic3, ladder, mode="all")
-        assert not market_sets_from_tree(cyclic3, ladder, mode="all")
-
-    def test_sets_from_tree_default_mode_checks_primitive_sets(self, nested_chains):
-        # f1's primitive sets {w1,w2} and {w3} are technologies, but its
-        # acceptable set {w1,w2,w3} is not
-        t = parse_tree("v0: {}\n  v1: {w1,w2}\n  v2: {w3}\n")
-        assert sets_from_tree("f1", nested_chains, t)
-        assert not sets_from_tree("f1", nested_chains, t, mode="all")
-
-    def test_unknown_mode_rejected(self, nested, triangle_tu):
-        with pytest.raises(ValueError):
-            sets_from_tree("f1", triangle_tu, nested, mode="bogus")
