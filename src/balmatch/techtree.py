@@ -34,6 +34,9 @@ class TechnologyTree:
             raise TreeError("root has no worker set")
         if self.worker_sets[self.root]:
             raise TreeError("the root technology must require no worker")
+        for v in self.children:
+            if v not in self.worker_sets:
+                raise TreeError(f"children key {v} names no vertex")
         seen = {self.root}
         stack = [self.root]
         while stack:

@@ -1,9 +1,12 @@
 import pathlib
+import random
 
 import pytest
 
 from balmatch import formats
-from balmatch.market import Market, Matching, _first_block
+from balmatch.genrandom import MarketGenConfig, random_complementary_balanced_profile, random_market
+from balmatch.market import Market, Matching, _first_block, choose
+from balmatch.oracle import cyclic_market
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -58,6 +61,39 @@ def reference_solve(m: Market):
             inv[f] = acc[k]
         i += 1
     return None
+
+
+def reference_switches(f, m: Market, pairs):
+    """Every (A, D, h) among the given pairs of choice sets such that
+    ``choose((A | D) - {h}) == A``, ``choose(A | D) == D`` and h is in
+    D - A, found with ``choose`` calls: at most |D - A| + 1 per pair, h in
+    sorted order. This is the classification before the acceptable-set
+    masks; it shares no code with ``prefs``, which the tests compare
+    against it."""
+    for a, d in pairs:
+        u = a | d
+        if choose(f, u, m) != d:
+            continue
+        for h in sorted(d - a):
+            if choose(f, u - {h}, m) == a:
+                yield a, d, h
+
+
+def bench_like_markets():
+    """The solve benchmark's families at its sizes: nested, cyclic, the
+    corpus, random markets and complementary balanced ones."""
+    yield from (nested_market(n) for n in range(8, 13))
+    yield from (cyclic_market(n) for n in range(3, 10))
+    yield from map(load_market, MARKET_FILES)
+    rng = random.Random(4)
+    cfg = MarketGenConfig(max_workers=5, max_firms=3, max_chain=3, max_set=3)
+    yield from (random_market(rng, cfg) for _ in range(40))
+    for _ in range(40):
+        chains = random_complementary_balanced_profile(rng, max_firms=3, max_workers=5)
+        ws = sorted({w for p in chains.values() for s in p.chain for w in s})
+        firms = list(chains)
+        prefs = {w: tuple(rng.sample(firms, rng.randint(1, len(firms)))) for w in ws}
+        yield Market(tuple(ws), tuple(firms), prefs, chains)
 
 
 def interval_market(n: int) -> Market:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,17 +8,23 @@ from hypothesis import given, settings, strategies as st
 from balmatch.genrandom import MarketGenConfig, random_market
 from balmatch.market import Market, MarketError, Matching, acceptable_sets, choose, is_stable
 from balmatch.prefs import (
+    ComplementarityGraph,
     complementarity_graph,
     complementarity_witness,
     decompose_by_components,
     decompose_by_sets,
     is_additive,
     is_complementary,
-    potential_employees,
     primitive_acceptable_sets,
 )
 from balmatch.solve import market_certificates, solve
-from conftest import nested_market
+from conftest import (
+    MARKET_FILES,
+    bench_like_markets,
+    load_market,
+    nested_market,
+    reference_switches,
+)
 
 
 def brute_complementary(f, m):
@@ -48,8 +55,9 @@ def brute_expansion_complementary(f, m):
 
 
 def brute_complementarity_graph(f, m):
-    """Reference graph: every subset of f's potential employees, tabulated."""
-    vertices = potential_employees(f, m)
+    """Reference graph: every subset of f's potential employees (the
+    workers of its acceptable sets), tabulated."""
+    vertices = frozenset().union(*acceptable_sets(f, m))
     ws = sorted(vertices)
     choices = {}
     for r in range(len(ws) + 1):
@@ -86,6 +94,80 @@ def random_chain_firm(rng, max_workers=10, max_chain=10):
         if s not in chain:
             chain.append(s)
     return Market.build(ws, {"f": chain}, {w: ["f"] for w in ws})
+
+
+def reference_witness(f, m):
+    """The first switch that drops an acceptable set A not inside D, pairs
+    taken D first in chain order, then A, as ``reference_switches`` finds it."""
+    acc = acceptable_sets(f, m)
+    pairs = ((a, d) for i, d in enumerate(acc) for a in acc[i + 1 :] if not a <= d)
+    for a, d, h in reference_switches(f, m, pairs):
+        return (a | d) - {h}, h
+    return None
+
+
+def reference_graph(f, m):
+    """The complementarity graph from every switch ``reference_switches``
+    finds: D acceptable, A empty or an acceptable set ranked after D."""
+    acc = acceptable_sets(f, m)
+    pairs = ((a, d) for i, d in enumerate(acc) for a in (frozenset(), *acc[i + 1 :]))
+    edges = set()
+    for a, d, h in reference_switches(f, m, pairs):
+        edges.update(frozenset({h, w}) for w in d - a if w != h)
+    return ComplementarityGraph(f, frozenset().union(*acc), frozenset(edges))
+
+
+def reference_primitive(f, m):
+    comps = reference_graph(f, m).components()
+    return [s for s in acceptable_sets(f, m) if any(s <= c for c in comps)]
+
+
+def reference_decomposition(m):
+    """The chains and origins of ``decompose_by_components(m)``, in firm
+    order, from the reference graph's components."""
+    windex = {w: i for i, w in enumerate(m.workers)}
+    chains, origin = {}, {}
+    for f in m.firms:
+        comps = sorted(
+            reference_graph(f, m).components(), key=lambda c: min(windex[w] for w in c)
+        )
+        parts = [tuple(s for s in acceptable_sets(f, m) if s <= c) for c in comps]
+        names = [f] if len(parts) == 1 else [f"{f}#{k}" for k in range(1, len(parts) + 1)]
+        for k, (name, chain) in enumerate(zip(names, parts), start=1):
+            chains[name] = chain
+            origin[name] = (f, k)
+    return chains, origin
+
+
+def classify(m):
+    """Every classification of every firm of m, and the component
+    decomposition (None where it must raise)."""
+    per_firm = {
+        f: (
+            complementarity_witness(f, m),
+            is_complementary(f, m),
+            complementarity_graph(f, m),
+            primitive_acceptable_sets(f, m),
+        )
+        for f in m.firms
+    }
+    try:
+        d = decompose_by_components(m)
+    except MarketError:
+        return per_firm, None
+    chains = {f: d.market.firm_prefs[f].chain for f in d.market.firms}
+    return per_firm, (chains, d.origin)
+
+
+def reference_classify(m):
+    per_firm = {}
+    for f in m.firms:
+        witness = reference_witness(f, m)
+        per_firm[f] = witness, witness is None, reference_graph(f, m), reference_primitive(f, m)
+    decomposable = all(
+        w is None and acceptable_sets(f, m) for f, (w, *_) in per_firm.items()
+    )
+    return per_firm, reference_decomposition(m) if decomposable else None
 
 
 def assert_witness(f, m, witness):
@@ -238,7 +320,7 @@ class TestComplementarityGraph:
     def test_vertices_are_potential_employees(self, any_market):
         for f in any_market.firms:
             g = complementarity_graph(f, any_market)
-            assert g.vertices == potential_employees(f, any_market)
+            assert g.vertices == frozenset().union(*acceptable_sets(f, any_market))
 
 
 class TestPrimitiveSets:
@@ -347,3 +429,42 @@ class TestDecomposeByComponents:
                         s = frozenset(sub)
                         assert choose(new_f, s, d.market) == choose(orig, s, m) & workers
 
+
+
+class TestMatchesReference:
+    """The mask scan classifies every firm as the ``choose``-based switch
+    search does: same witness, graph, primitive sets and decomposition."""
+
+    def test_random_chains(self):
+        rng = random.Random(43)
+        for _ in range(2000):
+            m = random_chain_firm(rng)
+            assert classify(m) == reference_classify(m)
+
+    def test_bench_like_markets(self):
+        decomposed = 0
+        for m in bench_like_markets():
+            got = classify(m)
+            assert got == reference_classify(m)
+            decomposed += got[1] is not None
+        assert decomposed > 20
+
+    @pytest.mark.parametrize("n", range(8, 41))
+    def test_nested_markets(self, n):
+        m = nested_market(n)
+        assert classify(m) == reference_classify(m)
+
+    def test_no_choose_call(self, monkeypatch):
+        expected = {name: reference_classify(load_market(name)) for name in MARKET_FILES}
+
+        def unexpected(*args):
+            raise AssertionError("choose called")
+
+        original = sys.modules["balmatch.market"].choose
+        for name, mod in list(sys.modules.items()):
+            if (name == "balmatch" or name.startswith("balmatch.")) and getattr(
+                mod, "choose", None
+            ) is original:
+                monkeypatch.setattr(mod, "choose", unexpected)
+        for name in MARKET_FILES:
+            assert classify(load_market(name)) == expected[name]

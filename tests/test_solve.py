@@ -22,7 +22,14 @@ from balmatch.prefs import (
 )
 from balmatch.solve import market_certificates, solve
 
-from conftest import MARKET_FILES, interval_market, load_market, nested_market, reference_solve
+from conftest import (
+    MARKET_FILES,
+    bench_like_markets,
+    interval_market,
+    load_market,
+    nested_market,
+    reference_solve,
+)
 
 H = Fraction(1, 2)
 Z = Fraction(0)
@@ -124,26 +131,9 @@ class TestSolveMatchesReference:
     """``solve`` returns the reference search's matching, or None exactly
     where it does."""
 
-    @staticmethod
-    def bench_like_markets():
-        """The solve benchmark's families at its sizes: nested, cyclic, the
-        corpus, random markets and complementary balanced ones."""
-        yield from (nested_market(n) for n in range(8, 13))
-        yield from (cyclic_market(n) for n in range(3, 10))
-        yield from map(load_market, MARKET_FILES)
-        rng = random.Random(4)
-        cfg = MarketGenConfig(max_workers=5, max_firms=3, max_chain=3, max_set=3)
-        yield from (random_market(rng, cfg) for _ in range(40))
-        for _ in range(40):
-            chains = random_complementary_balanced_profile(rng, max_firms=3, max_workers=5)
-            ws = sorted({w for p in chains.values() for s in p.chain for w in s})
-            firms = list(chains)
-            prefs = {w: tuple(rng.sample(firms, rng.randint(1, len(firms)))) for w in ws}
-            yield Market(tuple(ws), tuple(firms), prefs, chains)
-
     def test_bench_like_markets_and_their_decompositions(self):
         markets = found = 0
-        for m in self.bench_like_markets():
+        for m in bench_like_markets():
             variants = [m, decompose_by_sets(m).market]
             if all(is_complementary(f, m) for f in m.firms):
                 variants.append(decompose_by_components(m).market)

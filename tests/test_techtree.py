@@ -56,6 +56,14 @@ class TestTreeShape:
                 children={"v0": (), "v1": ()},
             )
 
+    def test_children_key_must_name_a_vertex(self):
+        with pytest.raises(TreeError, match="children key zz names no vertex"):
+            TechnologyTree(
+                root="r",
+                worker_sets={"r": frozenset(), "a": frozenset({"w1"})},
+                children={"r": ("a",), "zz": ("q",)},
+            )
+
     def test_outline_order(self, ladder):
         assert ladder.vertices() == ["v0", "v1", "v2", "v3", "v5"]
         assert ladder.edges() == [
