@@ -37,7 +37,6 @@ from .matrices import (
     matrix_of_sets,
 )
 from .hypergraphs import (
-    Hypergraph,
     HyperCycle,
     acceptable_set_hypergraph,
     check_hypergraph_balanced,

@@ -33,8 +33,8 @@ from .hypergraphs import (
     check_hypergraph_balanced,
     firm_worker_hypergraph,
 )
-from .market import Market, MarketError, acceptable_set_family
-from .matrices import DEFAULT_CAP, FAIL, INCONCLUSIVE, PASS, is_balanced, is_totally_balanced, is_totally_unimodular, matrix_of_sets
+from .market import Market, MarketError
+from .matrices import DEFAULT_CAP, FAIL, INCONCLUSIVE, PASS, is_balanced, is_totally_balanced, is_totally_unimodular
 from .prefs import complementarity_witness, decompose_by_components, decompose_by_sets, is_additive
 from .solve import market_certificates, solve
 from .techtree import TreeError, check_neighbour_condition, engagements, find_neighbour_ordering, worker_set_matrix
@@ -134,7 +134,7 @@ CHECKS = (
     ("--balanced", "balanced", lambda m, sets, cap: is_balanced(sets(), cap)),
     ("--tu", "totally-unimodular", lambda m, sets, cap: is_totally_unimodular(sets(), cap)),
     ("--totally-balanced", "totally-balanced", lambda m, sets, cap: is_totally_balanced(sets(), cap)),
-    ("--odd-cycles", "odd-cycles", lambda m, sets, cap: check_hypergraph_balanced(acceptable_set_hypergraph(m))),
+    ("--odd-cycles", "odd-cycles", lambda m, sets, cap: check_hypergraph_balanced(sets())),
     ("--firm-worker", "firm-worker", lambda m, sets, cap: check_hypergraph_balanced(firm_worker_hypergraph(m))),
     ("--complementary", "complementary", lambda m, sets, cap: _complementary(m)),
     ("--additive", "additive", lambda m, sets, cap: _additive(m)),
@@ -152,7 +152,7 @@ def cmd_check(args) -> int:
     def sets():
         nonlocal matrix
         if matrix is None:
-            matrix = matrix_of_sets(acceptable_set_family(m), m.workers)
+            matrix = acceptable_set_hypergraph(m)
         return matrix
 
     return _emit([(name, build(m, sets, args.cap)) for _, name, build in chosen], args.json)

@@ -1,30 +1,17 @@
-"""Hypergraph views of a market and odd-cycle balancedness checks."""
+"""Hypergraph views of a market and odd-cycle balancedness checks.
+
+A hypergraph is its incidence matrix: a ``ZeroOneMatrix`` with one row
+per vertex and one labelled column per edge, balanced exactly when the
+matrix is (Berge, "Balanced matrices", Math. Programming 1972).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .market import Market, acceptable_set_family, acceptable_sets
-from .matrices import is_balanced, matrix_of_sets, set_label
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    """Vertices with labelled edges (vertex sets), deduplicated by content."""
-
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, frozenset[str]], ...]
-
-    def __post_init__(self):
-        vs = set(self.vertices)
-        seen: set[frozenset[str]] = set()
-        for label, members in self.edges:
-            if not members <= vs:
-                raise ValueError(f"edge {label} leaves the vertex set")
-            if members in seen:
-                raise ValueError(f"duplicate edge content: {label}")
-            seen.add(members)
+from .matrices import ZeroOneMatrix, is_balanced, matrix_of_sets, set_label
 
 
 @dataclass(frozen=True)
@@ -78,27 +65,30 @@ class HypergraphCertificate:
         return f"{self.verdict}\nodd cycle: ({', '.join(parts)})"
 
 
-def acceptable_set_hypergraph(m: Market) -> Hypergraph:
-    """Workers as vertices; non-singleton acceptable sets as edges."""
-    edges = tuple((set_label(s), s) for s in acceptable_set_family(m) if len(s) >= 2)
-    return Hypergraph(vertices=m.workers, edges=edges)
+def acceptable_set_hypergraph(m: Market) -> ZeroOneMatrix:
+    """Workers as rows; one column per acceptable set, labelled by its set.
+
+    Singleton sets stay: each is a column with one 1, so it lies on no cycle.
+    """
+    return matrix_of_sets(acceptable_set_family(m), m.workers)
 
 
-def firm_worker_hypergraph(m: Market) -> Hypergraph:
-    """Firms and workers as vertices; one edge {f} | S per acceptable set, all
-    distinct since a chain repeats no set and no firm is also a worker."""
-    edges = tuple((f + ":" + set_label(s), s | {f}) for f in m.firms for s in acceptable_sets(f, m))
-    return Hypergraph(vertices=m.firms + m.workers, edges=edges)
+def firm_worker_hypergraph(m: Market) -> ZeroOneMatrix:
+    """Firms then workers as rows; one column {f} | S per acceptable set S
+    of f, labelled ``f:{S}``, all distinct since a chain repeats no set and
+    no firm is also a worker."""
+    pairs = [(f, s) for f in m.firms for s in acceptable_sets(f, m)]
+    h = matrix_of_sets((s | {f} for f, s in pairs), m.firms + m.workers)
+    return replace(h, cols=tuple(f + ":" + set_label(s) for f, s in pairs))
 
 
-def check_hypergraph_balanced(h: Hypergraph) -> HypergraphCertificate:
+def check_hypergraph_balanced(h: ZeroOneMatrix) -> HypergraphCertificate:
     """PASS iff every odd cycle has an edge with three or more cycle vertices.
 
     Decided by ``is_balanced`` on the incidence matrix (Berge), uncapped; a
     FAIL names a shortest bad odd cycle.
     """
-    mat = matrix_of_sets((members for _, members in h.edges), h.vertices)
-    cert = is_balanced(mat, cap=max(mat.shape))
+    cert = is_balanced(h, cap=max(h.shape))
     if cert.ok:
         return HypergraphCertificate(verdict="PASS")
     return HypergraphCertificate(
@@ -106,19 +96,19 @@ def check_hypergraph_balanced(h: Hypergraph) -> HypergraphCertificate:
     )
 
 
-def _cycle(h: Hypergraph, rows: tuple[int, ...], cols: tuple[int, ...]) -> HyperCycle:
+def _cycle(h: ZeroOneMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> HyperCycle:
     """Walk a two-per-line witness as one cycle, from its first row.
 
     The first witness has the smallest odd order, so it is a single
     cycle: an odd component of a larger one would have been found first.
     """
-    on = {h.vertices[i] for i in rows}
-    left = [h.edges[j] for j in cols]
-    cur, vs, es = h.vertices[rows[0]], [], []
+    on = sum(1 << i for i in rows)
+    left = list(cols)
+    cur, vs, es = rows[0], [], []
     while left:
-        edge = next(e for e in left if cur in e[1])
-        left.remove(edge)
-        vs.append(cur)
-        es.append(edge)
-        (cur,) = edge[1] & (on - {cur})
+        j = next(j for j in left if h.masks[j] >> cur & 1)
+        left.remove(j)
+        vs.append(h.rows[cur])
+        es.append((h.cols[j], frozenset(v for i, v in enumerate(h.rows) if h.masks[j] >> i & 1)))
+        cur = (h.masks[j] & on & ~(1 << cur)).bit_length() - 1
     return HyperCycle(vertices=tuple(vs), edges=tuple(es))

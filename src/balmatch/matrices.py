@@ -76,7 +76,8 @@ class ZeroOneMatrix:
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        """The 0/1 rows."""
+        """The 0/1 rows, rebuilt from the masks on each access in
+        O(rows x cols); the search reads ``masks``."""
         return tuple(tuple(x >> i & 1 for x in self.masks) for i in range(len(self.rows)))
 
     def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "ZeroOneMatrix":

@@ -25,38 +25,28 @@ class BudgetError(RuntimeError):
     """Enumeration would exceed the desk-scale budget; failing loudly."""
 
 
-def all_matchings(m: Market, restrict: bool = True) -> Iterable[Matching]:
-    """Every assignment of workers to firms-or-null, in canonical order.
-
-    With ``restrict`` each worker only ranges over her listed firms plus
-    the null firm; assignments outside that range are never individually
-    rational, so no stable matching is lost.
-    """
-    if restrict:
-        options = [list(m.worker_prefs[w]) + [None] for w in m.workers]
-    else:
-        options = [list(m.firms) + [None] for w in m.workers]
+def all_matchings(m: Market) -> Iterable[Matching]:
+    """Every assignment of each worker to a firm on her list or to the null
+    firm, in canonical order. An assignment outside that range is never
+    individually rational, so no stable matching is lost."""
+    options = [list(m.worker_prefs[w]) + [None] for w in m.workers]
     for combo in itertools.product(*options):
         yield Matching(dict(zip(m.workers, combo)))
 
 
-def all_stable_matchings(m: Market, restrict: bool = True) -> list[Matching]:
+def all_stable_matchings(m: Market) -> list[Matching]:
     """All stable matchings by exhaustive enumeration.
 
     ``BudgetError``, before any is enumerated, if ``all_matchings`` would
     yield more than ``SWEEP_BUDGET`` assignments: the product over workers
-    of her list's length plus one, or (firms + 1) ** workers without
-    ``restrict``."""
-    if restrict:
-        count = math.prod(len(m.worker_prefs[w]) + 1 for w in m.workers)
-    else:
-        count = (len(m.firms) + 1) ** len(m.workers)
+    of her list's length plus one."""
+    count = math.prod(len(m.worker_prefs[w]) + 1 for w in m.workers)
     if count > SWEEP_BUDGET:
         raise BudgetError(
             f"{count} assignments of {len(m.workers)} workers exceed the "
             f"enumeration budget of {SWEEP_BUDGET}"
         )
-    return [mu for mu in all_matchings(m, restrict) if is_stable(mu, m)]
+    return [mu for mu in all_matchings(m) if is_stable(mu, m)]
 
 
 def worker_pref_options(firms: list[str]) -> list[tuple[str, ...]]:
@@ -72,16 +62,11 @@ def worker_pref_options(firms: list[str]) -> list[tuple[str, ...]]:
 def worker_pref_space(m: Market) -> list[list[tuple[str, ...]]]:
     """Per worker, in market order, the rankings a sweep tries: every
     ranking of the firms with her in some acceptable set, the only firms
-    whose place on her list can matter. Workers with the same firms share
-    one list, which callers only read."""
-    by_firms: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    space = []
-    for w in m.workers:
-        firms = tuple(f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable))
-        if firms not in by_firms:
-            by_firms[firms] = worker_pref_options(list(firms))
-        space.append(by_firms[firms])
-    return space
+    whose place on her list can matter."""
+    return [
+        worker_pref_options([f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)])
+        for w in m.workers
+    ]
 
 
 @dataclass

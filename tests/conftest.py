@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 
@@ -61,6 +62,13 @@ def reference_solve(m: Market):
             inv[f] = acc[k]
         i += 1
     return None
+
+
+def all_assignments(m: Market):
+    """Every assignment of each worker to any firm or to the null firm: the
+    enumeration ``oracle.all_matchings`` restricts to each worker's list."""
+    for combo in itertools.product(m.firms + (None,), repeat=len(m.workers)):
+        yield Matching(dict(zip(m.workers, combo)))
 
 
 def reference_switches(f, m: Market, pairs):

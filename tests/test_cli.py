@@ -210,6 +210,19 @@ class TestCheck:
         code = main(["check", corpus("singleton_clash.market"), "--firm-worker"])
         assert code == EXIT_FAIL
 
+    def test_acceptable_set_matrix_built_once(self, monkeypatch, capsys):
+        # the three matrix flags and --odd-cycles read one acceptable-set matrix
+        calls = []
+        real = sys.modules["balmatch.matrices"].matrix_of_sets
+        for name, mod in list(sys.modules.items()):
+            if (name == "balmatch" or name.startswith("balmatch.")) and getattr(
+                mod, "matrix_of_sets", None
+            ) is real:
+                monkeypatch.setattr(mod, "matrix_of_sets", lambda *a: calls.append(a) or real(*a))
+        flags = ["--balanced", "--tu", "--totally-balanced", "--odd-cycles"]
+        assert main(["check", corpus("cyclic3.market"), *flags]) == EXIT_FAIL
+        assert len(calls) == 1
+
     def test_classification_flags(self, capsys):
         assert (
             main(["check", corpus("two_firms.market"), "--complementary", "--additive"])

@@ -6,14 +6,21 @@ import pytest
 from balmatch.genrandom import MarketGenConfig, random_market
 from balmatch.hypergraphs import (
     HyperCycle,
-    Hypergraph,
     acceptable_set_hypergraph,
     check_hypergraph_balanced,
     firm_worker_hypergraph,
 )
 from balmatch.market import acceptable_set_family
-from balmatch.matrices import is_balanced, matrix_of_sets
-from conftest import interval_market
+from balmatch.matrices import ZeroOneMatrix, is_balanced, matrix_of_sets
+from conftest import bench_like_markets, interval_market
+
+
+def edges(h):
+    """The hypergraph's edges as (label, set of vertices), one per column."""
+    return [
+        (label, frozenset(v for i, v in enumerate(h.rows) if x >> i & 1))
+        for label, x in zip(h.cols, h.masks)
+    ]
 
 
 def brute_bad_odd_cycle(h):
@@ -24,14 +31,14 @@ def brute_bad_odd_cycle(h):
 def brute_shortest_bad_odd_cycle(h):
     """Reference search: try every vertex sequence and edge assignment,
     shortest first; the length k of the first bad odd cycle, or None."""
-    edges = list(h.edges)
-    for k in range(3, len(h.vertices) + 1, 2):
-        for vs in itertools.permutations(h.vertices, k):
-            for es in itertools.permutations(range(len(edges)), k):
+    edge_list = edges(h)
+    for k in range(3, len(h.rows) + 1, 2):
+        for vs in itertools.permutations(h.rows, k):
+            for es in itertools.permutations(range(len(edge_list)), k):
                 ok = True
                 for i in range(k):
                     a, b = vs[i], vs[(i + 1) % k]
-                    label, members = edges[es[i]]
+                    label, members = edge_list[es[i]]
                     if a not in members or b not in members:
                         ok = False
                         break
@@ -52,16 +59,20 @@ def assert_matches_brute_force(h):
 
 
 class TestHypergraphShape:
-    def test_duplicate_edge_content_rejected(self):
-        with pytest.raises(ValueError):
-            Hypergraph(
-                vertices=("a", "b"),
-                edges=(("e1", frozenset({"a", "b"})), ("e2", frozenset({"a", "b"}))),
-            )
-
     def test_edge_outside_vertices_rejected(self):
         with pytest.raises(ValueError):
-            Hypergraph(vertices=("a",), edges=(("e1", frozenset({"a", "z"})),))
+            matrix_of_sets([{"a", "z"}], ["a"])
+        with pytest.raises(ValueError):
+            ZeroOneMatrix(rows=("a",), cols=("e1",), masks=(0b11,))
+
+    def test_repeated_edge_is_harmless(self):
+        # the search keeps the first column of each mask, so a later copy of an
+        # edge changes no verdict and no witness label
+        pairs = [{"a", "b"}, {"b", "c"}, {"a", "c"}]
+        h = matrix_of_sets(pairs, "abc")
+        dup = ZeroOneMatrix(h.rows, h.cols + ("copy",), h.masks + (h.masks[1],))
+        assert check_hypergraph_balanced(dup) == check_hypergraph_balanced(h)
+        assert check_hypergraph_balanced(h).cycle.length == 3
 
 
 class TestHyperCycle:
@@ -89,17 +100,18 @@ class TestHyperCycle:
 
 
 class TestMarketHypergraphs:
-    def test_acceptable_set_hypergraph_drops_singletons(self, two_firms):
+    def test_acceptable_set_hypergraph_keeps_singletons(self, two_firms):
         h = acceptable_set_hypergraph(two_firms)
-        contents = {members for _, members in h.edges}
-        assert frozenset({"w1"}) not in contents
+        assert h == matrix_of_sets(acceptable_set_family(two_firms), two_firms.workers)
+        contents = {members for _, members in edges(h)}
+        assert frozenset({"w1"}) in contents
         assert frozenset({"w1", "w2", "w3"}) in contents
 
     def test_firm_worker_edges_include_firm(self, singleton_clash):
         h = firm_worker_hypergraph(singleton_clash)
-        contents = {members for _, members in h.edges}
-        assert frozenset({"f1", "w1", "w2"}) in contents
-        assert frozenset({"f2", "w1"}) in contents
+        assert h.rows == singleton_clash.firms + singleton_clash.workers
+        assert dict(edges(h))["f1:{w1,w2}"] == frozenset({"f1", "w1", "w2"})
+        assert dict(edges(h))["f2:{w1}"] == frozenset({"f2", "w1"})
 
 
 class TestOddCycleCondition:
@@ -138,7 +150,7 @@ class TestOddCycleCondition:
         # a 5-cycle with a chord: the triangle it cuts off is the witness
         vs = ("v1", "v2", "v3", "v4", "v5")
         pairs = [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v1"), ("v3", "v5")]
-        h = Hypergraph(vertices=vs, edges=tuple((a + b, frozenset({a, b})) for a, b in pairs))
+        h = matrix_of_sets(pairs, vs)
         cert = check_hypergraph_balanced(h)
         assert not cert.ok
         assert cert.cycle.vertices == ("v3", "v4", "v5")
@@ -169,3 +181,19 @@ class TestOddCycleCondition:
             mat = matrix_of_sets(acceptable_set_family(m), m.workers)
             hyper_ok = check_hypergraph_balanced(acceptable_set_hypergraph(m)).ok
             assert hyper_ok == is_balanced(mat).ok
+
+    def test_singleton_columns_change_no_certificate(self):
+        # each singleton is a column with one 1, so _reduce drops it; the
+        # certificate (verdict, cycle vertices and edge labels) is the same
+        # on the acceptable-set matrix with and without them
+        rng = random.Random(25)
+        markets = list(bench_like_markets()) + [random_market(rng) for _ in range(2000)]
+        fails = singles = 0
+        for m in markets:
+            family = acceptable_set_family(m)
+            pruned = [s for s in family if len(s) >= 2]
+            cert = check_hypergraph_balanced(acceptable_set_hypergraph(m))
+            assert cert == check_hypergraph_balanced(matrix_of_sets(pruned, m.workers))
+            fails += not cert.ok
+            singles += len(pruned) < len(family)
+        assert fails > 100 and singles > 1000

@@ -526,8 +526,8 @@ def assert_same_as_two_per_line_scan(m, cap=DEFAULT_CAP):
 
 
 def hypergraph_matrices(market):
-    for h in (acceptable_set_hypergraph(market), firm_worker_hypergraph(market)):
-        yield matrix_of_sets((members for _, members in h.edges), h.vertices)
+    yield acceptable_set_hypergraph(market)
+    yield firm_worker_hypergraph(market)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
