@@ -1,11 +1,12 @@
 """Brute-force ground truth: enumerate matchings and sweep preference space.
 
 The sweep runs ``solve``'s firm-selection search (``solve._Coalitions``)
-on each profile it must search; it re-checks each matching found with
-``is_stable`` on the profile's ``Market``, built by the plain constructor,
-and confirms a counterexample with ``all_matchings`` and ``is_stable``
-alone, so no verdict rests on the search it checks. Every enumeration is
-bounded by ``SWEEP_BUDGET`` before it starts.
+on each profile that no matching it found settles, reading the last
+worker's options as one bitmask per matching; it re-checks each matching
+found with ``is_stable`` on the profile's ``Market``, built by the plain
+constructor, and confirms a counterexample with ``all_matchings`` and
+``is_stable`` alone, so no verdict rests on the search it checks. Every
+enumeration is bounded by ``SWEEP_BUDGET`` before it starts.
 """
 
 from __future__ import annotations
@@ -84,6 +85,30 @@ class SweepResult:
     solved: int = 0
 
 
+class _Settled(dict):
+    """The last worker's options one found matching settles, keyed by its
+    live coalitions ending at her: those where she is IR at the firm she
+    holds and her keep row there meets none of them. The row's value is
+    fixed by the firms an option ranks at or above that firm, so options
+    are grouped by value once, and a new key costs one step per value."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, row: list[Optional[int]]):
+        self.groups = groups = {}
+        for k, keep in enumerate(row):
+            if keep is not None:
+                groups[keep] = groups.get(keep, 0) | 1 << k
+
+    def __missing__(self, ending: int) -> int:
+        mask = 0
+        for keep, bits in self.groups.items():
+            if not ending & keep:
+                mask |= bits
+        self[ending] = mask
+        return mask
+
+
 def exists_for_all_worker_prefs(
     firm_prefs: dict[str, FirmPreference],
     workers: Iterable[str],
@@ -110,12 +135,13 @@ def exists_for_all_worker_prefs(
     live starts at the matching's ``cand``. Moving a digit rebuilds the
     lists below it: a matching is dropped when the worker is not IR or a
     coalition ending at her stays live, since it blocks on every
-    completion. A profile then reads only its last worker against the
-    deepest list, and a matching settles it exactly when it is
-    ``is_stable`` on the profile's market. When none does, ``solve``'s
-    search runs on the profile's tables; its matching is re-checked with
-    ``is_stable`` on the profile's market, built by the plain constructor,
-    and appended to every depth's list through the current prefix. A
+    completion. Under a prefix, each matching on the deepest list settles
+    a bitmask of the last worker's options (``_Settled``), exactly the
+    profiles on which it is ``is_stable``. Each option left is searched,
+    in option order: ``solve``'s search runs on the profile's tables; its
+    matching is re-checked with ``is_stable`` on the profile's market,
+    built by the plain constructor, appended to every depth's list
+    through the current prefix, and its options leave the bitmask. A
     profile the search finds nothing for is the counterexample once no
     assignment of ``all_matchings`` is ``is_stable``: at most ``total``
     assignments, since a list of L firms is one of at least L + 1
@@ -137,19 +163,22 @@ def exists_for_all_worker_prefs(
     coalitions = _Coalitions(base)
     by_ranking = {r: coalitions.table(r) for opts in options for r in opts}
     tables = [[by_ranking[r] for r in opts] for opts in options]
-    keeps: list[dict[Optional[str], list[Optional[int]]]] = [{} for _ in workers]
+    keeps: list[dict[Optional[str], list]] = [{} for _ in workers]
+    last = len(workers) - 1
 
-    def keep_row(i: int, g: Optional[str]) -> list[Optional[int]]:
-        """Worker i's keep row at firm g across her options, built once."""
+    def keep_row(i: int, g: Optional[str]) -> list:
+        """Worker i's keep row at firm g across her options, built once; the
+        last worker's as the options it settles (``_Settled``)."""
         keep = keeps[i].get(g)
         if keep is None:
-            keep = keeps[i][g] = coalitions.row(i, tables[i], g)
+            keep = coalitions.row(i, tables[i], g)
+            keep = keeps[i][g] = keep if i < last else _Settled(keep)
         return keep
 
-    def found(ks: list[int]) -> tuple[Optional[tuple[int, list[list[Optional[int]]]]], Market]:
-        """The profile's market, and the ``cand`` and keep rows of the
-        search's matching on it, re-checked, or None when it has no stable
-        matching."""
+    def found(ks: list[int]) -> tuple[Optional[tuple[list[Optional[str]], int]], Market]:
+        """The profile's market, and the search's matching on it as each
+        worker's firm and its ``cand``, re-checked, or None when it has no
+        stable matching."""
         market = Market(
             base.workers, base.firms,
             {w: opts[k] for w, opts, k in zip(workers, options, ks)},
@@ -160,22 +189,21 @@ def exists_for_all_worker_prefs(
             if any(is_stable(mu, market) for mu in all_matchings(market)):
                 raise RuntimeError(f"the sweep's search missed a stable matching on {market.worker_prefs}")
             return None, market
-        held, cand = hit
-        if not is_stable(Matching(dict(zip(workers, held))), market):
+        if not is_stable(Matching(dict(zip(workers, hit[0]))), market):
             raise RuntimeError(f"the sweep's search returned an unstable matching on {market.worker_prefs}")
-        return (cand, [keep_row(i, g) for i, g in enumerate(held)]), market
+        return hit, market
 
     if not workers:  # no worker to walk: the one profile is the base market
-        entry, market = found([])
-        return SweepResult(ok=entry is not None, total=1, checked=1, solved=1,
-                           counterexample=None if entry is not None else market.worker_prefs)
+        hit, market = found([])
+        return SweepResult(ok=hit is not None, total=1, checked=1, solved=1,
+                           counterexample=None if hit is not None else market.worker_prefs)
     fin = coalitions.fin
     checked = solved = 0
-    last = len(workers) - 1
+    width, at_last = len(options[last]), fin[last]
     digits = [0] * last
     # levels[d]: (rows, live) of each found matching still possible after
     # workers 0..d-1 of the current prefix
-    levels: list[list[tuple[list[list[Optional[int]]], int]]] = [[] for _ in workers]
+    levels: list[list[tuple[list, int]]] = [[] for _ in workers]
     d = 0  # the shallowest digit that moved: the lists below it are stale
     while True:
         for depth in range(d, last):
@@ -187,31 +215,32 @@ def exists_for_all_worker_prefs(
                     if not live & ending:
                         below.append((rows, live))
             levels[depth + 1] = below
-        # the last worker: a matching settles option k iff it is IR there
-        # and she kills every live coalition ending at her
-        leaf = [(rows[last], live & fin[last]) for rows, live in levels[last]]
-        for k in range(len(options[last])):
-            checked += 1
-            for row, ending in leaf:
-                mask = row[k]
-                if mask is not None and not ending & mask:
-                    break
-            else:
-                solved += 1
-                entry, market = found(digits + [k])
-                if entry is None:
-                    return SweepResult(
-                        ok=False, total=total, checked=checked,
-                        counterexample=market.worker_prefs, solved=solved,
-                    )
-                if checked == total:  # no profile is left for it to settle
-                    continue
-                live, rows = entry
-                for depth, j in enumerate(digits):
-                    levels[depth].append((rows, live))
-                    live &= rows[depth][j]
-                levels[last].append((rows, live))
-                leaf.append((rows[last], live & fin[last]))
+        # the last worker: each option no found matching settles is a
+        # search, in option order
+        free = (1 << width) - 1
+        for rows, live in levels[last]:
+            free &= ~rows[last][live & at_last]
+        while free:
+            k = (free & -free).bit_length() - 1
+            free ^= 1 << k
+            solved += 1
+            hit, market = found(digits + [k])
+            if hit is None:
+                return SweepResult(
+                    ok=False, total=total, checked=checked + k + 1,
+                    counterexample=market.worker_prefs, solved=solved,
+                )
+            if checked + k + 1 == total:  # no profile is left for it to settle
+                break
+            held, live = hit
+            rows = [keep_row(i, g) for i, g in enumerate(held)]
+            for depth, j in enumerate(digits):
+                levels[depth].append((rows, live))
+                live &= rows[depth][j]
+            levels[last].append((rows, live))
+            if free:
+                free &= ~rows[last][live & at_last]
+        checked += width
         d = last - 1
         while d >= 0 and digits[d] == len(options[d]) - 1:
             digits[d] = 0

@@ -174,13 +174,17 @@ class TestOddCycleCondition:
 
     def test_consistent_with_matrix_balancedness(self):
         # a bad odd cycle in the acceptable-set hypergraph is exactly an
-        # odd two-per-line submatrix of the acceptable-set matrix
+        # odd two-per-line submatrix of the acceptable-set matrix; the
+        # exhaustive cycle search shares no code with is_balanced
         rng = random.Random(9)
+        verdicts = set()
         for _ in range(120):
             m = random_market(rng, MarketGenConfig(max_workers=4, max_firms=3))
             mat = matrix_of_sets(acceptable_set_family(m), m.workers)
-            hyper_ok = check_hypergraph_balanced(acceptable_set_hypergraph(m)).ok
-            assert hyper_ok == is_balanced(mat).ok
+            ok = is_balanced(mat).ok
+            assert ok == (not brute_bad_odd_cycle(acceptable_set_hypergraph(m)))
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
     def test_singleton_columns_change_no_certificate(self):
         # each singleton is a column with one 1, so _reduce drops it; the

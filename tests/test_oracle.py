@@ -377,6 +377,44 @@ class TestSweepMatchesReference:
         r = _assert_sweep_matches_reference(m.firm_prefs, m.workers)
         assert not r.ok  # the odd cycle's own worker lists are among the profiles
 
+    @pytest.mark.parametrize("widths, chains, workers", [
+        # w2 is in sets of three firms, then of four; w9 is in none
+        ((5, 16), {"f1": [{"w1", "w2"}, {"w2"}], "f2": [{"w2"}], "f3": [{"w1", "w2"}, {"w1"}]}, ["w1", "w2"]),
+        ((16, 65), {"f1": [{"w1", "w2"}, {"w2"}], "f2": [{"w1", "w2"}], "f3": [{"w2"}],
+                    "f4": [{"w1", "w2"}, {"w1"}]}, ["w1", "w2"]),
+        ((5, 5, 65), {"f1": [{"w1", "w2", "w3"}], "f2": [{"w2", "w3"}], "f3": [{"w3"}], "f4": [{"w1", "w3"}]},
+         ["w1", "w2", "w3"]),
+        ((16, 65, 1), {"f1": [{"w1", "w2"}, {"w2"}], "f2": [{"w1", "w2"}], "f3": [{"w2"}],
+                       "f4": [{"w1", "w2"}, {"w1"}]}, ["w1", "w2", "w9"]),
+    ])
+    def test_wide_and_narrow_last_workers(self, widths, chains, workers):
+        # the last worker's options are settled by bitmask, one row of
+        # them per prefix: 16 or 65 options wide, or a single one
+        prefs = {f: FirmPreference.of(*sets) for f, sets in chains.items()}
+        base = Market(tuple(workers), tuple(prefs), {w: () for w in workers}, prefs)
+        assert tuple(map(len, worker_pref_space(base))) == widths
+        r = _assert_sweep_matches_reference(prefs, workers)
+        assert r.ok and r.solved > 1
+
+    @pytest.mark.parametrize("extra, width, checked, solved", [
+        (["f4"], 16, 310, 7),
+        (["f4", "f5"], 65, 1242, 9),
+    ])
+    def test_counterexample_inside_a_last_worker_row(self, extra, width, checked, solved):
+        # the triangle, with w3 also wanted alone by the extra firms: the
+        # first profile with no stable matching is neither the first nor
+        # the last of w3's options under its prefix
+        prefs = {**TRIANGLE, **{f: FirmPreference.of({"w3"}) for f in extra}}
+        workers = ["w1", "w2", "w3"]
+        r = _assert_sweep_matches_reference(prefs, workers)
+        assert (r.ok, r.checked, r.solved) == (False, checked, solved)
+        base = Market(tuple(workers), tuple(prefs), {w: () for w in workers}, prefs)
+        options = worker_pref_space(base)[-1]
+        assert len(options) == width
+        k = (r.checked - 1) % width
+        assert 0 < k < width - 1
+        assert r.counterexample["w3"] == options[k]
+
     def test_stored_matching_no_longer_ir_is_rejected(self):
         # f1 wants w3, else w1; f2 wants w2, else w1 and w3 together
         prefs = {
