@@ -132,9 +132,18 @@ def serialize_market(m: Market) -> str:
 
 # -- fractional matchings ----------------------------------------------------
 
+class _Rationals(dict):
+    """Each token's ``Fraction``, parsed on its first lookup."""
+
+    def __missing__(self, tok: str) -> Fraction:
+        x = self[tok] = Fraction(tok)
+        return x
+
+
 def parse_fractional(text: str, d: DecomposedMarket) -> FractionalMatching:
     """Whitespace table: header of workers, one row per firm plus a ``null``
-    row, entries as exact rationals ``p/q``."""
+    row, entries as exact rationals ``p/q``. Each distinct token is parsed
+    once per file; a bad one is reported in the first row that has it."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ParseError("empty fractional matching file")
@@ -145,6 +154,7 @@ def parse_fractional(text: str, d: DecomposedMarket) -> FractionalMatching:
             f"header {header} does not list the market's workers {workers}"
         )
     rows: dict[str, dict[str, Fraction]] = {}
+    value = _Rationals().__getitem__
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != len(workers) + 1:
@@ -153,9 +163,7 @@ def parse_fractional(text: str, d: DecomposedMarket) -> FractionalMatching:
         if label in rows:
             raise ParseError(f"duplicate row label: {label}")
         try:
-            rows[label] = {
-                w: Fraction(tok) for w, tok in zip(workers, parts[1:])
-            }
+            rows[label] = dict(zip(workers, map(value, parts[1:])))
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad rational in row {label}: {e}") from e
     if "null" not in rows:
@@ -172,7 +180,7 @@ def parse_fractional(text: str, d: DecomposedMarket) -> FractionalMatching:
         vals = {row[w] for w in target}
         if len(vals) != 1:
             raise ParseError(f"row {f} is not a single scale of its acceptable set")
-        if any(row[w] != 0 for w in workers if w not in target):
+        if any(row[w] for w in workers if w not in target):
             raise ParseError(f"row {f} has mass outside its acceptable set")
         levels[f] = vals.pop()
     return FractionalMatching(levels=levels, null_assignment=null_row)

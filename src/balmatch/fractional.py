@@ -6,9 +6,15 @@ one column per (f, S). ``decompose_by_sets`` indexes them: split firm f#k
 names (f, S_k), ``d.origin`` groups columns by firm and ``split_sets``
 reads their sets. A fractional matching is a level per column (a firm's
 levels sum to at most 1, the rest is its slack) plus an unmatched share
-per worker type, all exact rationals. Rounding goes through a 0-1 system
-whose 0/1 points are the stability-preserving integral re-assignments;
-each column is the set of rows it enters, so ``matrix_of_sets`` builds it.
+per worker type, all exact rationals.
+
+Levels are ``Fraction`` at the surface: in ``FractionalMatching``, in
+every message and in ``StabilityReport.available``. Inside, each check
+reads every level and share once as an int numerator over D, the lcm of
+their denominators, and does all its arithmetic on those ints, exactly
+and with no floating point. Rounding goes through a 0-1 system whose 0/1
+points are the stability-preserving integral re-assignments; each column
+is the set of rows it enters, built directly as a bitmask.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain
+from math import lcm
 from typing import Optional
 
 from .market import Matching
-from .matrices import DEFAULT_CAP, MatrixCertificate, ZeroOneMatrix, is_balanced, matrix_of_sets, set_label
+from .matrices import DEFAULT_CAP, MatrixCertificate, ZeroOneMatrix, is_balanced, set_label
 from .prefs import DecomposedMarket
 
 ZERO = Fraction(0)
@@ -70,24 +77,32 @@ def split_sets(d: DecomposedMarket) -> dict[str, frozenset[str]]:
 
 def _columns_by_firm(d: DecomposedMarket) -> dict[str, list[str]]:
     """Each original firm's columns, in chain order."""
-    return {f: d.siblings(f) for f in dict.fromkeys(f for f, _ in d.origin.values())}
+    groups: dict[str, list[str]] = {}
+    for c in d.market.firms:
+        groups.setdefault(d.origin[c][0], []).append(c)
+    return groups
 
 
-def _validate_shape(fm: FractionalMatching, d: DecomposedMarket):
+def _numerators(
+    fm: FractionalMatching, d: DecomposedMarket
+) -> tuple[int, dict[str, int], dict[str, int]]:
+    """D, the lcm of fm's denominators, and every level and null share as
+    an int numerator over D, once fm covers exactly the columns and the
+    workers of ``d`` and every value lies in [0, 1]."""
     if set(fm.levels) != set(d.market.firms):
         raise FractionalError("levels must cover exactly the decomposed firms")
     if set(fm.null_assignment) != set(d.market.workers):
         raise FractionalError("null assignment must cover exactly the workers")
-    for f, x in fm.levels.items():
-        if not (ZERO <= x <= ONE):
-            raise FractionalError(f"level of {f} outside [0, 1]: {x}")
-    for w, x in fm.null_assignment.items():
-        if not (ZERO <= x <= ONE):
-            raise FractionalError(f"null share of {w} outside [0, 1]: {x}")
-
-
-def _mass(fm: FractionalMatching, sets: dict[str, frozenset[str]], w: str) -> Fraction:
-    return fm.null_assignment[w] + sum(fm.levels[f] for f, s in sets.items() if w in s)
+    den = lcm(*{x.denominator for x in chain(fm.levels.values(), fm.null_assignment.values())})
+    levels = {f: x.numerator * (den // x.denominator) for f, x in fm.levels.items()}
+    null = {w: x.numerator * (den // x.denominator) for w, x in fm.null_assignment.items()}
+    for f, x in levels.items():
+        if not 0 <= x <= den:
+            raise FractionalError(f"level of {f} outside [0, 1]: {fm.levels[f]}")
+    for w, x in null.items():
+        if not 0 <= x <= den:
+            raise FractionalError(f"null share of {w} outside [0, 1]: {fm.null_assignment[w]}")
+    return den, levels, null
 
 
 @dataclass(frozen=True)
@@ -112,52 +127,58 @@ def verify_fractional_stability(
     per-worker mass and per-firm total checks are skipped, so
     intermediate states of a rounding chain can be verified too.
     """
-    _validate_shape(fm, d)
+    den, levels, null = _numerators(fm, d)
     m = d.market
     sets = split_sets(d)
     groups = _columns_by_firm(d)
     held = {}  # each column's firm's levels on its chain up to that column
     for cols in groups.values():
-        held.update(zip(cols, accumulate(fm.levels[c] for c in cols)))
+        held.update(zip(cols, accumulate(levels[c] for c in cols)))
+    covering: dict[str, list[str]] = {w: [] for w in m.workers}  # each worker's columns
+    for f, s in sets.items():
+        for w in s:
+            covering[w].append(f)
     if not pseudo:
-        for w in m.workers:
-            if (mass := _mass(fm, sets, w)) != ONE:
-                raise FractionalError(f"worker {w} mass is {mass}, expected 1")
+        for w, cols in covering.items():
+            if (mass := null[w] + sum(levels[c] for c in cols)) != den:
+                raise FractionalError(f"worker {w} mass is {Fraction(mass, den)}, expected 1")
         for f, cols in groups.items():
-            if (total := held[cols[-1]]) > ONE:
-                raise FractionalError(f"firm {f} levels sum to {total}, above 1")
+            if (total := held[cols[-1]]) > den:
+                raise FractionalError(f"firm {f} levels sum to {Fraction(total, den)}, above 1")
+    # rank[w][g]: g's place on w's list; the null firm ranks right after
+    # the list, and an unlisted firm below it
+    rank = {w: {g: k for k, g in enumerate(lst)} for w, lst in m.worker_prefs.items()}
     # (a) individual rationality: positive level only at firms acceptable
     # to every type they hire; the first offender in market order is named.
     for f, target in sets.items():
-        if fm.levels[f] > 0:
-            for w in m.workers:
-                if w in target and not m.worker_weakly_prefers(w, f, None):
-                    return StabilityReport(
-                        ok=False,
-                        firm=f,
-                        detail=f"type {w} is matched to a firm it finds unacceptable",
-                        available={},
-                    )
-    # (b) no blocking column.
+        if levels[f] and not all(f in rank[w] for w in target):
+            w = next(w for w in m.workers if w in target and f not in rank[w])
+            return StabilityReport(
+                ok=False,
+                firm=f,
+                detail=f"type {w} is matched to a firm it finds unacceptable",
+                available={},
+            )
+    # (b) no blocking column: one blocks when each of its types has positive
+    # mass unmatched or at columns it likes strictly less.
     for f, target in sets.items():
-        if held[f] >= ONE:
+        if held[f] >= den:
             continue
-        avail: dict[str, Fraction] = {}
+        avail: dict[str, int] = {}
         for w in target:
-            if not m.worker_weakly_prefers(w, f, None):
-                avail[w] = ZERO
-                continue
-            mass = fm.null_assignment[w]
-            for g, s in sets.items():
-                if g != f and w in s and m.worker_weakly_prefers(w, f, g):  # g is strictly worse
-                    mass += fm.levels[g]
+            place = rank[w]
+            if (r := place.get(f)) is None:
+                break
+            # g is strictly worse for w: listed after f, or not listed
+            if not (mass := null[w] + sum(levels[g] for g in covering[w] if place.get(g, r + 1) > r)):
+                break
             avail[w] = mass
-        if target and min(avail.values()) > 0:
+        if avail and len(avail) == len(target):
             return StabilityReport(
                 ok=False,
                 firm=f,
                 detail="every needed type has positive mass at strictly worse matches",
-                available=avail,
+                available={w: Fraction(x, den) for w, x in avail.items()},
             )
     return StabilityReport(ok=True)
 
@@ -191,32 +212,43 @@ def build_constraint_system(
     report = verify_fractional_stability(fm, d)
     if not report.ok:
         raise FractionalError(f"fractional input is not stable: {report.detail}")
+    den, levels, null = _numerators(fm, d)
     m = d.market
     sets = split_sets(d)
+    bit = {w: 1 << i for i, w in enumerate(m.workers)}
     frac_firms = []
-    columns: list[tuple[ColumnMeaning, str, frozenset[str]]] = []
+    # (meaning, label, firm-row bit, worker-row mask) per column
+    columns: list[tuple[ColumnMeaning, str, int, int]] = []
     for f, cols in _columns_by_firm(d).items():
-        takes = [c for c in cols if ZERO < fm.levels[c] < ONE]
+        takes = [c for c in cols if 0 < levels[c] < den]
         if takes:
+            row = 1 << len(frac_firms)
             frac_firms.append(f)
-            columns += [(("take", c), c + ":" + set_label(sets[c]), sets[c] | {f}) for c in takes]
-            if sum(fm.levels[c] for c in cols) < ONE:
-                columns.append((("empty", f), f + ":{}", frozenset([f])))
-    frac_null = [w for w in m.workers if ZERO < fm.null_assignment[w] < ONE]
-    columns += [(("null", w), "null:" + w, frozenset([w])) for w in frac_null]
+            columns += [
+                (("take", c), c + ":" + set_label(sets[c]), row, sum(map(bit.__getitem__, sets[c])))
+                for c in takes
+            ]
+            if sum(levels[c] for c in cols) < den:
+                columns.append((("empty", f), f + ":{}", row, 0))
+    columns += [(("null", w), "null:" + w, 0, bit[w]) for w in m.workers if 0 < null[w] < den]
     if not columns:
         return ConstraintSystem(ZeroOneMatrix(rows=(), cols=(), masks=()), (), (), ())
-    meanings, labels, column_sets = zip(*columns)
-    matrix = matrix_of_sets(column_sets, frac_firms + list(m.workers))
-    rhs = [1] * len(frac_firms)
-    for w in m.workers:
-        integral = sum(fm.levels[f] == ONE for f, s in sets.items() if w in s)
-        rhs.append(1 - integral - (fm.null_assignment[w] == ONE))
+    meanings, labels, firm_rows, worker_rows = zip(*columns)
+    k = len(frac_firms)  # the worker rows follow the firm rows
+    integral = dict.fromkeys(m.workers, 0)  # each worker's columns at level 1
+    for c, s in sets.items():
+        if levels[c] == den:
+            for w in s:
+                integral[w] += 1
     return ConstraintSystem(
-        matrix=replace(matrix, cols=labels),
+        matrix=ZeroOneMatrix(
+            rows=(*frac_firms, *m.workers),
+            cols=labels,
+            masks=tuple([r | x << k for r, x in zip(firm_rows, worker_rows)]),
+        ),
         column_meaning=meanings,
         row_meaning=tuple([("firm", f) for f in frac_firms] + [("worker", w) for w in m.workers]),
-        rhs=tuple(rhs),
+        rhs=(1,) * k + tuple([1 - integral[w] - (null[w] == den) for w in m.workers]),
     )
 
 
@@ -284,12 +316,18 @@ def apply_stable_transformations(
     fm: FractionalMatching, z: tuple[int, ...], cs: ConstraintSystem
 ) -> FractionalMatching:
     """Round fm per z: each fractional firm to its selected option, each
-    fractional unmatched share to its selected quantity."""
+    fractional unmatched share to its selected quantity, once z solves
+    B z = rhs (checked column by column, over the 1s of B)."""
     if len(z) != len(cs.column_meaning):
         raise FractionalError("solution length does not match the system")
-    for i, target in zip(range(len(cs.matrix.rows)), cs.rhs):
-        if sum(b for x, b in zip(cs.matrix.masks, z) if x >> i & 1) != target:
-            raise FractionalError("vector does not solve the constraint system")
+    got = [0] * len(cs.matrix.rows)  # B z, row by row
+    for x, b in zip(cs.matrix.masks, z):
+        while x:  # the rows this column enters
+            low = x & -x
+            got[low.bit_length() - 1] += b
+            x ^= low
+    if got != list(cs.rhs):
+        raise FractionalError("vector does not solve the constraint system")
     levels = dict(fm.levels)
     null_assignment = dict(fm.null_assignment)
     for value, (kind, who) in zip(z, cs.column_meaning):
@@ -306,10 +344,13 @@ def integral_to_matching(fm: FractionalMatching, d: DecomposedMarket) -> Matchin
     column at level 1, or stays unmatched at null share 1."""
     if not fm.is_integral():
         raise FractionalError("matching is not integral")
-    sets = split_sets(d)
+    holding: dict[str, list[str]] = {w: [] for w in d.market.workers}
+    for c, s in split_sets(d).items():
+        if fm.levels[c]:
+            for w in s:
+                holding[w].append(c)
     assignment: dict[str, Optional[str]] = {}
-    for w in d.market.workers:
-        held = [f for f, s in sets.items() if w in s and fm.levels[f] == ONE]
+    for w, held in holding.items():
         if len(held) > 1:
             raise FractionalError(f"worker {w} assigned twice")
         if not held and fm.null_assignment[w] != ONE:

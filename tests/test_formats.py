@@ -412,6 +412,70 @@ class TestFractionalFormat:
             formats.parse_fractional(text, d)
 
 
+    def test_equal_tokens_are_one_scale(self, two_firms):
+        # 1/2 and 2/4 are separate tokens of one value
+        d = decompose_by_sets(two_firms)
+        text = (
+            "w1 w2 w3 w4\n"
+            "f1#1 1/2 2/4 1/2 0\n"
+            "f1#2 2/4 0 0 0\n"
+            "f1#3 0 0 0 0\n"
+            "f2 0 1/2 2/4 1/2\n"
+            "null 0 0 0 2/4\n"
+        )
+        fm = formats.parse_fractional(text, d)
+        assert fm.levels == {"f1#1": H, "f1#2": H, "f1#3": Z, "f2": H}
+        assert fm.null_assignment == {"w1": Z, "w2": Z, "w3": Z, "w4": H}
+
+    def test_zero_over_any_denominator_is_zero(self, two_firms):
+        d = decompose_by_sets(two_firms)
+        text = (
+            "w1 w2 w3 w4\n"
+            "f1#1 1/2 1/2 1/2 0/7\n"
+            "f1#2 1/2 0/7 0/3 0\n"
+            "f1#3 0/7 0/7 0/7 0/7\n"
+            "f2 0/7 1/2 1/2 1/2\n"
+            "null 0 0/7 0 1/2\n"
+        )
+        fm = formats.parse_fractional(text, d)
+        assert fm.levels == {"f1#1": H, "f1#2": H, "f1#3": Z, "f2": H}
+        assert fm.null_assignment == {"w1": Z, "w2": Z, "w3": Z, "w4": H}
+
+    @pytest.mark.parametrize(
+        "token, error",
+        [("x", "Invalid literal for Fraction: 'x'"), ("1/0", "Fraction(1, 0)")],
+    )
+    def test_repeated_bad_token_reported_in_its_first_row(self, two_firms, token, error):
+        d = decompose_by_sets(two_firms)
+        text = (
+            "w1 w2 w3 w4\n"
+            "f1#1 1/2 1/2 1/2 0\n"
+            f"f1#2 1/2 0 {token} 0\n"
+            "f1#3 0 0 0 0\n"
+            f"f2 {token} 1/2 1/2 {token}\n"
+            f"null {token} 0 0 1/2\n"
+        )
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_fractional(text, d)
+        assert str(err.value) == f"bad rational in row f1#2: {error}"
+
+    def test_row_shape_error_before_a_bad_token_wins(self, two_firms):
+        d = decompose_by_sets(two_firms)
+        text = (
+            "w1 w2 w3 w4\n"
+            "f1#1 1/2 1/2 1/2 0\n"
+            "f1#2 1/2 0 0\n"
+            "f1#3 0 0 x 0\n"
+            "f1#3 0 0 0 0\n"
+        )
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_fractional(text, d)
+        assert str(err.value) == "bad row (expected 5 fields): 'f1#2 1/2 0 0'"
+        # a repeated label before a bad token wins too
+        with pytest.raises(formats.ParseError, match="^duplicate row label: f1#1$"):
+            formats.parse_fractional(text.replace("f1#2 1/2 0 0", "f1#1 0 0 0 0"), d)
+
+
 class TestTreeFormat:
     def test_round_trip_outline(self):
         rng = random.Random(20)

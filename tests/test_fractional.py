@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,6 +15,7 @@ from balmatch.fractional import (
     FractionalError,
     FractionalMatching,
     IntegralExtractionError,
+    StabilityReport,
     apply_stable_transformations,
     build_constraint_system,
     extract_integral_solution,
@@ -32,6 +35,7 @@ from conftest import CORPUS
 H = Fraction(1, 2)
 Z = Fraction(0)
 ONE = Fraction(1)
+SIXTHS = (Z, Fraction(1, 6), Fraction(1, 3), H, Fraction(2, 3), ONE)
 
 
 @pytest.fixture
@@ -200,6 +204,16 @@ def is_verified(fm, d):
         return False
 
 
+def stable_integral_points(d):
+    """Each stable matching of the set-split market ``d.market`` as its
+    0/1 levels and unmatched shares."""
+    return [
+        ({f: ONE if f in mu.inverse() else Z for f in d.market.firms},
+         {w: ONE if mu.assignment[w] is None else Z for w in d.market.workers})
+        for mu in all_stable_matchings(d.market)
+    ]
+
+
 def verified_points():
     """Stable fractional matchings (m, d, fm): the verified 1/2-1/2 mixes of
     pairs of stable matchings of set-split random and overlap markets m (a
@@ -212,11 +226,7 @@ def verified_points():
             d = decompose_by_sets(m)
             if len(d.market.firms) > 8:
                 continue
-            stable = [
-                ({f: ONE if f in mu.inverse() else Z for f in d.market.firms},
-                 {w: ONE if mu.assignment[w] is None else Z for w in d.market.workers})
-                for mu in all_stable_matchings(d.market)
-            ]
+            stable = stable_integral_points(d)
             for (la, na), (lb, nb) in itertools.combinations_with_replacement(stable, 2):
                 fm = FractionalMatching(
                     levels={f: (la[f] + lb[f]) / 2 for f in la},
@@ -225,19 +235,14 @@ def verified_points():
                 if is_verified(fm, d):
                     yield m, d, fm
     for n in range(3, 11):
-        m = cyclic_market(n)
-        d = decompose_by_sets(m)
-        yield m, d, FractionalMatching(
-            levels={f: H for f in d.market.firms},
-            null_assignment={w: Z for w in d.market.workers},
-        )
+        yield cyclic_half(n)
 
 
-def half_points(count, seed):
+def grid_points(count, seed, values=(Z, H, ONE)):
     """Seeded well-formed points (m, d, fm) on random and overlap markets:
-    in random order each column takes 0, 1/2 or 1, as far as its firm's
-    total and its workers' masses stay within 1; the rest of each worker's
-    mass is unmatched."""
+    in random order each column takes one of ``values`` (0 among them), as
+    far as its firm's total and its workers' masses stay within 1; the
+    rest of each worker's mass is unmatched."""
     rng = random.Random(seed)
     for _ in range(count):
         m = rng.choice((random_market, overlap_market))(rng)
@@ -247,13 +252,80 @@ def half_points(count, seed):
         levels = {}
         for c in rng.sample(d.market.firms, len(d.market.firms)):
             rows = {d.origin[c][0]} | d.market.firm_prefs[c].chain[0]
-            levels[c] = rng.choice([x for x in (Z, H, ONE) if all(x <= room[r] for r in rows)])
+            levels[c] = rng.choice([x for x in values if all(x <= room[r] for r in rows)])
             for r in rows:
                 room[r] -= levels[c]
         yield m, d, FractionalMatching(
             levels={c: levels[c] for c in d.market.firms},
             null_assignment={w: room[w] for w in m.workers},
         )
+
+
+def third_mixes():
+    """Stable points (m, d, fm) over thirds: the verified mixes of two
+    stable matchings of set-split random and overlap markets m, at weights
+    1/3 and 2/3 in both orders."""
+    for seed in range(2):
+        rng = random.Random(100 + seed)
+        for make in [random_market] * 40 + [overlap_market] * 80:
+            m = make(rng)
+            d = decompose_by_sets(m)
+            if len(d.market.firms) > 8:
+                continue
+            stable = stable_integral_points(d)
+            for (la, na), (lb, nb) in itertools.permutations(stable, 2):
+                fm = FractionalMatching(
+                    levels={f: (la[f] + 2 * lb[f]) / 3 for f in la},
+                    null_assignment={w: (na[w] + 2 * nb[w]) / 3 for w in na},
+                )
+                if is_verified(fm, d):
+                    yield m, d, fm
+
+
+def beside(p, q):
+    """Points p and q side by side on the union of their set-split markets,
+    q's workers and columns renamed with a trailing prime. The union is its
+    own set split and stands as the original market too; a worker lists
+    only firms of its own side, so the point is stable iff p and q are."""
+    (_, d1, fm1), (_, d2, fm2) = p, q
+    a, b = d1.market, d2.market
+
+    def r(x):
+        return x + "'"
+
+    m = Market.build(
+        [*a.workers, *map(r, b.workers)],
+        {
+            **{f: a.firm_prefs[f].chain for f in a.firms},
+            **{r(f): [[r(w) for w in s] for s in b.firm_prefs[f].chain] for f in b.firms},
+        },
+        {**a.worker_prefs, **{r(w): [r(f) for f in lst] for w, lst in b.worker_prefs.items()}},
+    )
+    fm = FractionalMatching(
+        levels={**fm1.levels, **{r(c): x for c, x in fm2.levels.items()}},
+        null_assignment={**fm1.null_assignment, **{r(w): x for w, x in fm2.null_assignment.items()}},
+    )
+    return m, decompose_by_sets(m), fm
+
+
+def cyclic_half(n):
+    m = cyclic_market(n)
+    d = decompose_by_sets(m)
+    return m, d, FractionalMatching(
+        levels={f: H for f in d.market.firms},
+        null_assignment={w: Z for w in d.market.workers},
+    )
+
+
+def sixth_points():
+    """Stable points over sixths: each of ``third_mixes`` beside
+    ``cyclic_market(n)`` at 1/2, n from 3 to 6 in turn."""
+    for k, p in enumerate(third_mixes()):
+        yield beside(p, cyclic_half(3 + k % 4))
+
+
+def denominator(fm):
+    return lcm(*(x.denominator for x in [*fm.levels.values(), *fm.null_assignment.values()]))
 
 
 class TestVerification:
@@ -354,11 +426,102 @@ class TestVerification:
 
     def test_agrees_with_reference_on_half_points(self):
         verdicts = []
-        for m, d, fm in half_points(3000, seed=11):
+        for m, d, fm in grid_points(3000, seed=11):
             ok = verify_fractional_stability(fm, d).ok
             assert ok == reference_dominating(fm, m, d)
             verdicts.append(ok)
         assert 300 <= sum(verdicts) <= 2700
+
+
+class TestOtherDenominators:
+    """Points over thirds and sixths, whose common denominator is not 2."""
+
+    def test_mass_error_names_the_reduced_total(self, half_half, split):
+        # w4 holds f2 at 1/2 and an unmatched share of 2/3
+        with pytest.raises(FractionalError, match="^worker w4 mass is 7/6, expected 1$"):
+            verify_fractional_stability(half_half.with_null("w4", Fraction(2, 3)), split)
+
+    def test_firm_total_error_names_the_reduced_total(self):
+        m = Market.build(["w1", "w2"], {"f": [["w1"], ["w2"]]}, {"w1": ["f"], "w2": ["f"]})
+        d = decompose_by_sets(m)
+        fm = FractionalMatching(
+            levels={"f#1": Fraction(2, 3), "f#2": ONE},
+            null_assignment={"w1": Fraction(1, 3), "w2": Z},
+        )
+        with pytest.raises(FractionalError, match="^firm f levels sum to 5/3, above 1$"):
+            verify_fractional_stability(fm, d)
+
+    def test_blocking_report_shows_fractions(self):
+        # k, ranked first by both workers, holds half of each; f blocks by
+        # drawing w1 from g (1/3) and its unmatched 1/6, and w2 from h
+        # (1/6) and its unmatched 1/3: 1/2 of each, over D = 6
+        m = Market.build(
+            ["w1", "w2"],
+            {"f": [["w1", "w2"]], "k": [["w1", "w2"]], "g": [["w1"]], "h": [["w2"]]},
+            {"w1": ["k", "f", "g"], "w2": ["k", "f", "h"]},
+        )
+        d = decompose_by_sets(m)
+        fm = FractionalMatching(
+            levels={"f": Z, "k": H, "g": Fraction(1, 3), "h": Fraction(1, 6)},
+            null_assignment={"w1": Fraction(1, 6), "w2": Fraction(1, 3)},
+        )
+        report = verify_fractional_stability(fm, d)
+        assert report == StabilityReport(
+            ok=False,
+            firm="f",
+            detail="every needed type has positive mass at strictly worse matches",
+            available={"w1": H, "w2": H},
+        )
+        assert {type(x) for x in report.available.values()} == {Fraction}
+
+    def test_verifier_agrees_with_reference(self):
+        verdicts = set()
+        for m, d, fm in itertools.chain(grid_points(2000, seed=13, values=SIXTHS), sixth_points()):
+            ok = verify_fractional_stability(fm, d).ok
+            assert ok == reference_dominating(fm, m, d)
+            verdicts.add((ok, denominator(fm)))
+        assert {(True, 6), (False, 6), (True, 3), (False, 3)} <= verdicts
+
+    def test_pseudo_agrees_with_reference_off_unit_mass(self):
+        # every unmatched share redrawn: masses drift off 1, which only
+        # pseudo mode accepts, while firm totals stay within 1
+        rng = random.Random(15)
+        verdicts = set()
+        for m, d, fm in itertools.chain(grid_points(1000, seed=14, values=SIXTHS), sixth_points()):
+            drifted = replace(fm, null_assignment={w: rng.choice(SIXTHS) for w in m.workers})
+            ok = verify_fractional_stability(drifted, d, pseudo=True).ok
+            assert ok == reference_dominating(drifted, m, d)
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_systems_match_reference(self):
+        points = [*third_mixes(), *sixth_points()]
+        points += [p for p in grid_points(1000, seed=16, values=SIXTHS) if is_verified(p[2], p[1])]
+        built = set()
+        for _, d, fm in points:
+            cs = build_constraint_system(fm, d)
+            assert cs == reference_constraint_system(fm, d)
+            built.add((denominator(fm), cs.empty))
+        assert {(3, False), (6, False)} <= built
+
+    def test_roundings_solve_their_systems(self):
+        # each rounding is a 0/1 point of B z = rhs and stable on the
+        # original market; flipping any one coordinate breaks B z = rhs
+        rounded = 0
+        for m, d, fm in itertools.chain(third_mixes(), sixth_points()):
+            cs = build_constraint_system(fm, d)
+            try:
+                z = extract_integral_solution(cs)
+            except IntegralExtractionError:
+                continue
+            mu = integral_to_matching(apply_stable_transformations(fm, z, cs), d)
+            assert find_block(mu, m).empty
+            for j in range(len(z)):
+                flipped = z[:j] + (1 - z[j],) + z[j + 1 :]
+                with pytest.raises(FractionalError, match="^vector does not solve the constraint system$"):
+                    apply_stable_transformations(fm, flipped, cs)
+            rounded += not cs.empty
+        assert rounded >= 20
 
 
 class TestConstraintSystem:
@@ -460,7 +623,7 @@ class TestExtraction:
 
     def test_roundings_are_stable_on_the_original_market(self):
         points = list(verified_points())
-        points += [p for p in half_points(1000, seed=12) if verify_fractional_stability(p[2], p[1]).ok]
+        points += [p for p in grid_points(1000, seed=12) if verify_fractional_stability(p[2], p[1]).ok]
         rounded = 0
         for m, d, fm in points:
             try:

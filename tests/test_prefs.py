@@ -141,7 +141,7 @@ def reference_decomposition(m):
 
 def classify(m):
     """Every classification of every firm of m, and the component
-    decomposition (None where it must raise)."""
+    decomposition (its error text where it raises)."""
     per_firm = {
         f: (
             complementarity_witness(f, m),
@@ -153,8 +153,8 @@ def classify(m):
     }
     try:
         d = decompose_by_components(m)
-    except MarketError:
-        return per_firm, None
+    except MarketError as e:
+        return per_firm, str(e)
     chains = {f: d.market.firm_prefs[f].chain for f in d.market.firms}
     return per_firm, (chains, d.origin)
 
@@ -164,10 +164,14 @@ def reference_classify(m):
     for f in m.firms:
         witness = reference_witness(f, m)
         per_firm[f] = witness, witness is None, reference_graph(f, m), reference_primitive(f, m)
-    decomposable = all(
-        w is None and acceptable_sets(f, m) for f, (w, *_) in per_firm.items()
-    )
-    return per_firm, reference_decomposition(m) if decomposable else None
+    # the decomposition fails at the first firm, in market order, that is
+    # not complementary or has no acceptable set
+    for f, (w, *_) in per_firm.items():
+        if w is not None:
+            return per_firm, f"firm {f} does not have a complementary preference"
+        if not acceptable_sets(f, m):
+            return per_firm, f"firm {f} has no acceptable set"
+    return per_firm, reference_decomposition(m)
 
 
 def assert_witness(f, m, witness):
@@ -446,7 +450,7 @@ class TestMatchesReference:
         for m in bench_like_markets():
             got = classify(m)
             assert got == reference_classify(m)
-            decomposed += got[1] is not None
+            decomposed += not isinstance(got[1], str)
         assert decomposed > 20
 
     @pytest.mark.parametrize("n", range(8, 41))
