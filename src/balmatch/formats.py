@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -132,18 +133,27 @@ def serialize_market(m: Market) -> str:
 
 # -- fractional matchings ----------------------------------------------------
 
+# the tokens Fraction reads as a decimal with an exponent: 1e10000000 would
+# have it build a ten-million-digit int
+_EXPONENT = re.compile(r"[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?\d+(?:_\d+)*")
+
+
 class _Rationals(dict):
-    """Each token's ``Fraction``, parsed on its first lookup."""
+    """Each token's ``Fraction``, parsed on its first lookup; a token with
+    an exponent is refused unread."""
 
     def __missing__(self, tok: str) -> Fraction:
+        if _EXPONENT.fullmatch(tok):
+            raise ValueError(f"exponent not accepted: {tok!r}")
         x = self[tok] = Fraction(tok)
         return x
 
 
 def parse_fractional(text: str, d: DecomposedMarket) -> FractionalMatching:
     """Whitespace table: header of workers, one row per firm plus a ``null``
-    row, entries as exact rationals ``p/q``. Each distinct token is parsed
-    once per file; a bad one is reported in the first row that has it."""
+    row, entries as exact rationals ``p/q`` or decimals without an
+    exponent. Each distinct token is parsed once per file; a bad one is
+    reported in the first row that has it."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ParseError("empty fractional matching file")

@@ -31,6 +31,10 @@ from .prefs import DecomposedMarket
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# a longer common denominator is refused, so that every value a message
+# prints stays under Python's 4,300-digit limit on int-to-str conversion
+_DIGITS = 4000
+_TOO_LONG = 10**_DIGITS
 
 
 class FractionalError(ValueError):
@@ -88,12 +92,15 @@ def _numerators(
 ) -> tuple[int, dict[str, int], dict[str, int]]:
     """D, the lcm of fm's denominators, and every level and null share as
     an int numerator over D, once fm covers exactly the columns and the
-    workers of ``d`` and every value lies in [0, 1]."""
+    workers of ``d``, D has at most 4,000 digits and every value lies in
+    [0, 1]."""
     if set(fm.levels) != set(d.market.firms):
         raise FractionalError("levels must cover exactly the decomposed firms")
     if set(fm.null_assignment) != set(d.market.workers):
         raise FractionalError("null assignment must cover exactly the workers")
     den = lcm(*{x.denominator for x in chain(fm.levels.values(), fm.null_assignment.values())})
+    if den >= _TOO_LONG:
+        raise FractionalError(f"common denominator has more than {_DIGITS} digits")
     levels = {f: x.numerator * (den // x.denominator) for f, x in fm.levels.items()}
     null = {w: x.numerator * (den // x.denominator) for w, x in fm.null_assignment.items()}
     for f, x in levels.items():

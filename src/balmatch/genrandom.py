@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .market import FirmPreference, Market, acceptable_set_family, acceptable_sets
 from .matrices import is_balanced, matrix_of_sets
-from .oracle import worker_pref_space
+from .oracle import worker_pref_count, worker_pref_firms
 from .prefs import is_complementary
 from .techtree import TechnologyTree
 
@@ -79,7 +79,7 @@ def random_complementary_balanced_profile(
             continue
         if not is_balanced(matrix_of_sets(acceptable_set_family(probe), workers)).ok:
             continue
-        if math.prod(map(len, worker_pref_space(probe))) > SWEEP_CAP:
+        if math.prod(worker_pref_count(len(fs)) for fs in worker_pref_firms(probe)) > SWEEP_CAP:
             continue
         return chains
     raise RuntimeError("could not sample a qualifying profile")

@@ -131,17 +131,6 @@ class Market:
             if w not in self.worker_prefs:
                 raise MarketError(f"unknown worker: {min(s - self.worker_prefs.keys())}")
 
-    def worker_weakly_prefers(self, w: str, f: Optional[str], g: Optional[str]) -> bool:
-        """True iff worker w weakly prefers f to g (None is the null firm):
-        f == g, or f is listed and g is not listed before it. The null firm
-        ranks right after the list, and an unlisted firm below null."""
-        if f == g:
-            return True
-        lst = self.worker_prefs[w]
-        if f is None:
-            return g not in lst
-        return f in lst and g not in lst[:lst.index(f)]
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -260,8 +249,8 @@ def _first_block(
         for s in m.firm_prefs[f].acceptable:
             if s == current:
                 break
-            # s blocks unless a member fails worker_weakly_prefers(w, f, g):
-            # f is unlisted, or her firm g (listed, by IR) comes before f
+            # s blocks unless a member does not weakly prefer f to her firm g:
+            # f is unlisted, or g (listed, by IR) comes before f
             for w in s:
                 lst = prefs[w]
                 if f not in lst or assignment[w] in lst[:lst.index(f)]:

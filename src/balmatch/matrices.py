@@ -21,10 +21,11 @@ as bit-planes, so a row subset's candidate columns are one bitmask, and it
 cuts a branch once a chosen row can no longer lie on two candidates,
 which every row of a first witness does. For balanced and totally
 balanced it also skips row subsets holding two rows with nested column
-sets, which no first witness holds. Searches are exhaustive up to a size
-cap (on the reduced matrix for balanced and totally balanced, on the
-matrix itself for totally unimodular); beyond the cap the verdict is
-INCONCLUSIVE, never a guess.
+sets, which no first witness holds. The search and the picker run depth
+first over explicit stacks, so no recursion limit bounds them. Searches
+are exhaustive up to a size cap (on the reduced matrix for balanced and
+totally balanced, on the matrix itself for totally unimodular); beyond
+the cap the verdict is INCONCLUSIVE, never a guess.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def _row_subset_search(
     it with exactly two 1s, or with ``tu`` a positive even number of 1s;
     ``_pick`` returns the lexicographically first k of them whose masks XOR
     to zero, holding an odd number of columns of weight 2 (mod 4) when
-    ``tu``. The first hit is returned.
+    ``tu``. The first hit is returned. The search runs depth first over
+    explicit stacks, so no recursion limit bounds it.
 
     Keeping one column per mask loses no first witness. A minimal witness
     never holds two equal columns (for total unimodularity its determinant
@@ -267,8 +269,6 @@ def _row_subset_search(
     ``itertools.combinations``, and the first hit is unchanged. With ``tu``
     every pair is live: no pair table is built.
     """
-    if not orders:
-        return None
     col_list = list(cols.items())
     # each kept row's bit, with the bitmask of its columns (bit p for col_list[p])
     row_cols: dict[int, int] = {}
@@ -290,40 +290,39 @@ def _row_subset_search(
             for a, x in row_cols.items()
         }
 
-    def search(chosen: int, chosen_cols: tuple[int, ...], one: int, two: int, three: int, cand: int, need: int):
-        """First hit of order ``k`` among ``chosen`` plus ``need`` rows of
-        ``cand``; every row of ``cand`` is above the chosen ones and live
-        with each of them. ``chosen_cols`` holds the chosen rows' column
-        masks, and ``one``, ``two``, ``three`` the bit-planes of their
-        column counts."""
-        while cand.bit_count() >= need:
-            low = cand & -cand
-            cand ^= low
-            x = row_cols[low]
-            t1, t2, t3 = one | x, two | one & x, three ^ x if tu else three | two & x
-            ok = t2 & ~t3
-            # the columns that can still end as candidates: those that are, and
-            # while rows remain to add, those one more 1 from a row above low makes one
-            could = ok if need == 1 else ok | (t3 if tu else t1 & ~t2) & above[low]
-            if (x & could).bit_count() < 2:
-                continue
-            for y in chosen_cols:
-                if (y & could).bit_count() < 2:
-                    break
-            else:
-                sub = chosen | low
-                if need > 1:
-                    hit = search(sub, chosen_cols + (x,), t1, t2, t3, cand if tu else cand & live[low], need - 1)
-                else:
-                    hit = _leaf(sub, ok, col_list, k, tu)
-                if hit is not None:
-                    return hit
-        return None
-
     for k in orders:
-        hit = search(0, (), 0, 0, 0, rows, k)
-        if hit is not None:
-            return hit
+        # frames: chosen rows, their column masks, bit-planes, rows left to try
+        stack = [(0, (), 0, 0, 0, rows)]
+        while stack:
+            chosen, chosen_cols, one, two, three, cand = stack.pop()
+            need = k - len(chosen_cols)
+            while cand.bit_count() >= need:
+                low = cand & -cand
+                cand ^= low
+                x = row_cols[low]
+                t1, t2, t3 = one | x, two | one & x, three ^ x if tu else three | two & x
+                ok = t2 & ~t3
+                # the columns that can still end as candidates: those that are, and
+                # while rows remain to add, those one more 1 from a row above low makes one
+                could = ok if need == 1 else ok | (t3 if tu else t1 & ~t2) & above[low]
+                if (x & could).bit_count() < 2:
+                    continue
+                for y in chosen_cols:
+                    if (y & could).bit_count() < 2:
+                        break
+                else:
+                    if need == 1:
+                        hit = _leaf(chosen | low, ok, col_list, k, tu)
+                        if hit is not None:
+                            return hit
+                        continue
+                    below = cand if tu else cand & live[low]
+                    if below.bit_count() < need - 1:  # too few rows left to reach order k
+                        continue
+                    # this frame resumes once the child's rows are spent
+                    stack.append((chosen, chosen_cols, one, two, three, cand))
+                    stack.append((chosen | low, chosen_cols + (x,), t1, t2, t3, below))
+                    break
     return None
 
 
@@ -350,28 +349,28 @@ def _pick(cand, masks, k, odd_twos):
     """First k candidate columns, lexicographically, whose masks XOR to zero
     and, with ``odd_twos``, that hold an odd number of weight 2 (mod 4).
 
-    Failed (position, remaining, xor, parity) states are remembered.
+    A state is remembered as failed once expanded: positions only grow, so
+    it comes back only after its whole branch has failed.
     """
     twos = [odd_twos and x.bit_count() % 4 == 2 for x in masks]
     if odd_twos and not any(twos):
         return None
     failed = set()
-
-    def rec(pos: int, remaining: int, xor: int, odd: bool):
+    stack = [(0, k, 0, False, 0)]
+    while stack:
+        pos, remaining, xor, odd, taken = stack.pop()
         if remaining == 0:
-            return () if xor == 0 and odd == odd_twos else None
+            if xor == 0 and odd == odd_twos:
+                return tuple(c for p, c in enumerate(cand) if taken >> p & 1)
+            continue
         state = (pos, remaining, xor, odd)
         if len(cand) - pos < remaining or state in failed:
-            return None
-        hit = rec(pos + 1, remaining - 1, xor ^ masks[pos], odd ^ twos[pos])
-        if hit is not None:
-            return (cand[pos],) + hit
-        hit = rec(pos + 1, remaining, xor, odd)
-        if hit is None:
-            failed.add(state)
-        return hit
-
-    return rec(0, k, 0, False)
+            continue
+        failed.add(state)
+        # "skip" is pushed first, so "take" runs first; taken is a bitmask
+        stack.append((pos + 1, remaining, xor, odd, taken))
+        stack.append((pos + 1, remaining - 1, xor ^ masks[pos], odd ^ twos[pos], taken | 1 << pos))
+    return None
 
 
 def _certificate(

@@ -60,14 +60,22 @@ def worker_pref_options(firms: list[str]) -> list[tuple[str, ...]]:
     return out
 
 
+def worker_pref_count(n: int) -> int:
+    """How many rankings ``worker_pref_options`` gives for n firms,
+    sum over r of n!/(n - r)!, counted without building them."""
+    return sum(math.perm(n, r) for r in range(n + 1))
+
+
+def worker_pref_firms(m: Market) -> list[list[str]]:
+    """Per worker, in market order, the firms with her in some acceptable
+    set, the only firms whose place on her list can matter."""
+    return [[f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)] for w in m.workers]
+
+
 def worker_pref_space(m: Market) -> list[list[tuple[str, ...]]]:
     """Per worker, in market order, the rankings a sweep tries: every
-    ranking of the firms with her in some acceptable set, the only firms
-    whose place on her list can matter."""
-    return [
-        worker_pref_options([f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)])
-        for w in m.workers
-    ]
+    ranking of her ``worker_pref_firms``."""
+    return [worker_pref_options(firms) for firms in worker_pref_firms(m)]
 
 
 @dataclass
@@ -154,12 +162,13 @@ def exists_for_all_worker_prefs(
         worker_prefs={w: () for w in workers},
         firm_prefs=firm_prefs,
     )
-    options = worker_pref_space(base)
-    total = math.prod(map(len, options))
+    firms = worker_pref_firms(base)
+    total = math.prod(worker_pref_count(len(fs)) for fs in firms)
     if total > SWEEP_BUDGET:
         raise BudgetError(
             f"{total} worker preference profiles exceed the budget of {SWEEP_BUDGET}"
         )
+    options = [worker_pref_options(fs) for fs in firms]
     coalitions = _Coalitions(base)
     by_ranking = {r: coalitions.table(r) for opts in options for r in opts}
     tables = [[by_ranking[r] for r in opts] for opts in options]

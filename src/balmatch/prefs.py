@@ -77,9 +77,6 @@ class DecomposedMarket:
     market: Market
     origin: dict[str, tuple[str, int]]  # new firm -> (original firm, 1-based index)
 
-    def siblings(self, original: str) -> list[str]:
-        return [f for f in self.market.firms if self.origin[f][0] == original]
-
 
 def _numbering(acc: list[frozenset[str]]) -> tuple[list[str], list[int]]:
     """The workers of a firm's acceptable sets in sorted-name order, and

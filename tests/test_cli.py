@@ -117,6 +117,25 @@ class TestUsage:
         assert main(["check", str(bom), "--balanced"]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("parse error: line 1, column 1: Unexpected UTF-8 BOM")
 
+    @pytest.mark.parametrize(
+        "level, null, code, message",
+        [
+            ("1e5000", "0", EXIT_PARSE, "parse error: bad rational in row f1: exponent not accepted: '1e5000'"),
+            ("1e10000000", "0", EXIT_PARSE,
+             "parse error: bad rational in row f1: exponent not accepted: '1e10000000'"),
+            (f"1/{10**2500 - 1}", f"1/{10**2500 + 1}", EXIT_USAGE,
+             "error: common denominator has more than 4000 digits"),
+        ],
+        ids=["exponent", "long-exponent", "long-denominator"],
+    )
+    def test_fractional_file_ends_without_a_traceback(self, tmp_path, capsys, level, null, code, message):
+        market = tmp_path / "one.market"
+        market.write_text('{"workers": ["w1"], "firms": {"f1": [["w1"]]}, "worker_prefs": {"w1": ["f1"]}}')
+        frac = tmp_path / "one.frac"
+        frac.write_text(f"w1\nf1 {level}\nnull {null}\n")
+        assert main(["solve", str(market), "--strategy", "pipeline", "--fractional", str(frac)]) == code
+        assert capsys.readouterr() == ("", message + "\n")
+
     def test_negative_cap_is_a_usage_error(self, capsys):
         assert main(["check", corpus("cyclic3.market"), "--tu", "--cap", "-1"]) == EXIT_USAGE
         assert main(["tree", corpus("ladder.tree"), "--matrix", "--cap", "-1"]) == EXIT_USAGE

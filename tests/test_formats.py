@@ -443,7 +443,12 @@ class TestFractionalFormat:
 
     @pytest.mark.parametrize(
         "token, error",
-        [("x", "Invalid literal for Fraction: 'x'"), ("1/0", "Fraction(1, 0)")],
+        [
+            ("x", "Invalid literal for Fraction: 'x'"),
+            ("1/0", "Fraction(1, 0)"),
+            # 1e10000000 would have Fraction build a ten-million-digit int
+            ("1e5000", "exponent not accepted: '1e5000'"),
+        ],
     )
     def test_repeated_bad_token_reported_in_its_first_row(self, two_firms, token, error):
         d = decompose_by_sets(two_firms)
@@ -458,6 +463,28 @@ class TestFractionalFormat:
         with pytest.raises(formats.ParseError) as err:
             formats.parse_fractional(text, d)
         assert str(err.value) == f"bad rational in row f1#2: {error}"
+
+    def test_exactly_the_exponent_tokens_fraction_reads_are_refused(self):
+        # no underscores: Python 3.10's Fraction reads none
+        rng = random.Random(41)
+        refused = 0
+        for _ in range(5000):
+            token = "".join(rng.choice("0123456789.eE+-/ ") for _ in range(rng.randint(1, 6))).strip()
+            try:
+                expected = Fraction(token)
+            except (ValueError, ZeroDivisionError) as e:
+                expected = type(e)
+            try:
+                got = formats._Rationals()[token]
+            except (ValueError, ZeroDivisionError) as e:
+                got = type(e) if "exponent" not in str(e) else "exponent"
+            has_exponent = not isinstance(expected, type) and "e" in token.lower()
+            assert (got == "exponent") == has_exponent, token
+            if has_exponent:
+                refused += 1
+            else:
+                assert got == expected, token
+        assert refused > 150
 
     def test_row_shape_error_before_a_bad_token_wins(self, two_firms):
         d = decompose_by_sets(two_firms)

@@ -436,6 +436,24 @@ class TestVerification:
 class TestOtherDenominators:
     """Points over thirds and sixths, whose common denominator is not 2."""
 
+    def test_common_denominator_of_4000_digits_is_the_longest_read(self):
+        # 1/(10^2500 - 1) and 1/(10^2500 + 1) are coprime: D has 5,000
+        # digits, and a mass message would print past Python's 4,300-digit
+        # limit on int-to-str conversion
+        m = Market.build(["w1"], {"f1": [["w1"]]}, {"w1": ["f1"]})
+        d = decompose_by_sets(m)
+        big = 10**2500
+        fm = FractionalMatching({"f1": Fraction(1, big - 1)}, {"w1": Fraction(1, big + 1)})
+        with pytest.raises(FractionalError, match="^common denominator has more than 4000 digits$"):
+            verify_fractional_stability(fm, d)
+        # 10^3999 has 4,000 digits: read, and its mass message prints
+        fm = FractionalMatching({"f1": Fraction(1, 10**3999)}, {"w1": Z})
+        with pytest.raises(FractionalError, match="^worker w1 mass is 1/1(0{3999}), expected 1$"):
+            verify_fractional_stability(fm, d)
+        fm = FractionalMatching({"f1": Fraction(1, 10**4000)}, {"w1": Z})
+        with pytest.raises(FractionalError, match="^common denominator has more than 4000 digits$"):
+            verify_fractional_stability(fm, d)
+
     def test_mass_error_names_the_reduced_total(self, half_half, split):
         # w4 holds f2 at 1/2 and an unmatched share of 2/3
         with pytest.raises(FractionalError, match="^worker w4 mass is 7/6, expected 1$"):

@@ -41,15 +41,6 @@ def reference_weakly_prefers(m, w, f, g):
     return rf < rg
 
 
-def _assert_weakly_prefers_matches_reference(m):
-    # every firm, the null firm, and a name that is no firm of the market
-    options = list(m.firms) + [None, "not_a_firm"]
-    for w in m.workers:
-        for f in options:
-            for g in options:
-                assert m.worker_weakly_prefers(w, f, g) == reference_weakly_prefers(m, w, f, g)
-
-
 def brute_choose(f, available, m):
     """Reference choice: best chain set among all subsets of the available set."""
     s = frozenset(available)
@@ -238,46 +229,12 @@ class TestMarketValidation:
         mu = Matching({"w1": "f1", "w2": "f2", "w3": "f2", "w4": "f2"})
         assert is_stable(mu, two_firms)
         assert find_block(mu, other).blocking == ("f1", frozenset({"w1", "w2", "w3"}))
-        assert two_firms.worker_weakly_prefers("w3", "f2", "f1")
-        assert not other.worker_weakly_prefers("w3", "f2", "f1")
 
     def test_a_market_is_its_four_fields(self, two_firms):
         assert [f.name for f in dataclasses.fields(Market)] == [
             "workers", "firms", "worker_prefs", "firm_prefs"
         ]
         assert set(vars(two_firms)) == {"workers", "firms", "worker_prefs", "firm_prefs"}
-
-
-class TestWorkerWeaklyPrefers:
-    """List positions answer as the rank rule does: f == g is True, an
-    unlisted firm ranks below null, and null below every listed firm."""
-
-    def test_list_positions(self, two_firms):
-        # w3 lists f2 before f1; w4 lists f2 alone
-        assert two_firms.worker_prefs["w3"] == ("f2", "f1")
-        assert two_firms.worker_weakly_prefers("w3", "f2", "f1")
-        assert not two_firms.worker_weakly_prefers("w3", "f1", "f2")
-        assert two_firms.worker_weakly_prefers("w3", "f1", None)
-        assert not two_firms.worker_weakly_prefers("w3", None, "f1")
-        assert two_firms.worker_weakly_prefers("w4", None, "f1")
-        assert not two_firms.worker_weakly_prefers("w4", "f1", None)
-        assert two_firms.worker_weakly_prefers("w4", "f1", "f1")
-
-    def test_matches_reference_on_random_markets(self):
-        rng = random.Random(23)
-        for _ in range(300):
-            _assert_weakly_prefers_matches_reference(random_market(rng))
-
-    def test_matches_reference_on_set_split_markets(self):
-        # a firm's siblings share its slot on every list; the fractional
-        # verifier reads worker_weakly_prefers on exactly these markets
-        rng = random.Random(29)
-        for _ in range(300):
-            _assert_weakly_prefers_matches_reference(decompose_by_sets(random_market(rng)).market)
-
-    @pytest.mark.parametrize("name", MARKET_FILES)
-    def test_matches_reference_on_corpus(self, name):
-        _assert_weakly_prefers_matches_reference(load_market(name))
 
 
 class TestChoice:

@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -701,3 +705,72 @@ class TestPrunedSearchMatchesUnpruned:
         market = nested_market(24)
         assert check_hypergraph_balanced(acceptable_set_hypergraph(market)).verdict == PASS
         assert check_hypergraph_balanced(firm_worker_hypergraph(market)).verdict == PASS
+
+
+def reference_pick(cand, masks, k, odd_twos):
+    """The first k-combination of positions, in ``itertools.combinations``
+    order, whose masks XOR to zero and, with ``odd_twos``, hold an odd
+    number of masks of weight 2 (mod 4)."""
+    for combo in itertools.combinations(range(len(cand)), k):
+        xor = twos = 0
+        for p in combo:
+            xor ^= masks[p]
+            twos += masks[p].bit_count() % 4 == 2
+        if xor == 0 and (not odd_twos or twos % 2):
+            return tuple(cand[p] for p in combo)
+    return None
+
+
+class TestPickMatchesItsDefinition:
+    def test_random_lists(self):
+        rng = random.Random(31)
+        hits = {False: 0, True: 0}
+        for _ in range(3000):
+            n = rng.randint(0, 9)
+            # mostly weight-2 masks on four rows, so that the parity rule
+            # has triangles to find; masks repeat on purpose
+            pool = [rng.choice((3, 5, 6, 9, 10, 12, 15, rng.randrange(1, 16))) for _ in range(rng.randint(2, 8))]
+            masks = [rng.choice(pool) for _ in range(n)]
+            cand = rng.sample(range(100), n)
+            k = rng.randint(0, n + 2)  # past the list's end too
+            if rng.random() < 0.5:
+                k = min(k, rng.randint(3, 4))
+            for odd_twos in (False, True):
+                hit = _pick(cand, masks, k, odd_twos)
+                assert hit == reference_pick(cand, masks, k, odd_twos), (cand, masks, k, odd_twos)
+                hits[odd_twos] += hit is not None
+        assert hits[False] > 1000 and hits[True] > 80
+
+
+DEEP_CYCLES = """
+import sys
+from balmatch.hypergraphs import acceptable_set_hypergraph, check_hypergraph_balanced, firm_worker_hypergraph
+from balmatch.market import acceptable_set_family
+from balmatch.matrices import is_balanced, is_totally_balanced, is_totally_unimodular, matrix_of_sets
+from balmatch.oracle import cyclic_market
+
+market = cyclic_market(151)
+sys.setrecursionlimit(200)
+for h in (acceptable_set_hypergraph(market), firm_worker_hypergraph(market)):
+    cert = check_hypergraph_balanced(h)
+    print(cert.verdict, len(cert.cycle.vertices), cert.cycle.vertices[0], cert.cycle.vertices[-1])
+mat = matrix_of_sets(acceptable_set_family(market), market.workers)
+for check in (is_balanced, is_totally_balanced, is_totally_unimodular):
+    cert = check(mat, cap=151)
+    print(cert.verdict, len(cert.witness_rows), len(cert.witness_cols), cert.determinant)
+"""
+
+
+def test_deep_cycles_under_a_low_recursion_limit():
+    # the whole 151-worker cycle is each search's first hit; the search and
+    # the picker are loops, so a recursion limit of 200 does not bound them
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", DEEP_CYCLES], capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "FAIL 151 w1 w151",
+        "FAIL 151 w1 w151",
+        "FAIL 151 151 None",
+        "FAIL 151 151 None",
+        "FAIL 151 151 2",
+    ]

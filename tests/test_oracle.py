@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from balmatch import formats
+from balmatch import formats, oracle
 from balmatch.cli import EXIT_FAIL, main
 from balmatch.genrandom import (
     MarketGenConfig,
@@ -19,6 +19,7 @@ from balmatch.oracle import (
     all_stable_matchings,
     cyclic_market,
     exists_for_all_worker_prefs,
+    worker_pref_count,
     worker_pref_options,
     worker_pref_space,
 )
@@ -302,6 +303,30 @@ class TestPreferenceSweep:
         assert len(worker_pref_options(list(prefs))) ** 2 > SWEEP_BUDGET
         with pytest.raises(BudgetError):
             exists_for_all_worker_prefs(prefs, ["w1", "w2"])
+
+    def test_budget_is_checked_before_any_ranking_is_built(self, monkeypatch):
+        # one worker in the sets of 11 firms has 108,505,112 rankings; they
+        # are counted, never built
+        def build(firms):
+            raise AssertionError(f"built the rankings of {len(firms)} firms")
+
+        monkeypatch.setattr(oracle, "worker_pref_options", build)
+        prefs = {f"f{i}": FirmPreference.of({"w1"}) for i in range(1, 12)}
+        with pytest.raises(BudgetError, match="^108505112 worker preference profiles exceed"):
+            exists_for_all_worker_prefs(prefs, ["w1"])
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_count_is_the_number_of_rankings(self, n):
+        assert worker_pref_count(n) == len(worker_pref_options([f"f{i}" for i in range(n)]))
+
+    def test_generator_counts_the_sweep_space_without_building_it(self, monkeypatch):
+        expected = [random_complementary_balanced_profile(random.Random(seed)) for seed in range(20)]
+
+        def build(firms):
+            raise AssertionError("built a worker's rankings")
+
+        monkeypatch.setattr(oracle, "worker_pref_options", build)
+        assert [random_complementary_balanced_profile(random.Random(seed)) for seed in range(20)] == expected
 
 
 class TestSweepMatchesReference:

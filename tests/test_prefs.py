@@ -368,7 +368,6 @@ class TestDecomposeBySets:
             "f1#3": ("f1", 3),
             "f2": ("f2", 1),
         }
-        assert d.siblings("f1") == ["f1#1", "f1#2", "f1#3"]
 
     def test_single_set_firm_keeps_name(self, cyclic3):
         d = decompose_by_sets(cyclic3)
