@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .market import FirmPreference, Market, acceptable_set_family, acceptable_sets
+from .market import FirmPreference, Market, acceptable_set_family
 from .matrices import is_balanced, matrix_of_sets
 from .oracle import worker_pref_count, worker_pref_firms
 from .prefs import is_complementary
@@ -74,8 +74,6 @@ def random_complementary_balanced_profile(
             firm_prefs=chains,
         )
         if not all(is_complementary(f, probe) for f in firms):
-            continue
-        if not all(acceptable_sets(f, probe) for f in firms):
             continue
         if not is_balanced(matrix_of_sets(acceptable_set_family(probe), workers)).ok:
             continue

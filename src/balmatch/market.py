@@ -68,13 +68,14 @@ class Market:
     four fields: the stability checks read the worker lists themselves,
     and ``solve`` reads coalition tables of its own.
 
-    Construction checks identifiers, firm keys and every chain's workers,
-    then worker keys and lists. Each chain set is checked whole, with one
-    ``s <= workers``; only a set that fails is read element by element, to
-    name its smallest unknown worker, so the message does not depend on
-    set iteration order (``PYTHONHASHSEED``). Each list's set, built once
-    for the duplicate test, is checked whole with one ``<= firms``; only a
-    list that fails is read in order, to name its first unknown firm.
+    Construction checks identifiers (no firm may be named ``null``), firm
+    keys and every chain's workers, then worker keys and lists. Each chain
+    set is checked whole, with one ``s <= workers``; only a set that fails
+    is read element by element, to name its smallest unknown worker, so
+    the message does not depend on set iteration order
+    (``PYTHONHASHSEED``). Each list's set, built once for the duplicate
+    test, is checked whole with one ``<= firms``; only a list that fails
+    is read in order, to name its first unknown firm.
     """
 
     workers: tuple[str, ...]
@@ -91,6 +92,8 @@ class Market:
             raise MarketError("duplicate firm identifiers")
         if not wset.isdisjoint(fset):
             raise MarketError("identifier used as both worker and firm")
+        if "null" in fset:  # the unmatched, in the text matching and the .frac table
+            raise MarketError("firm name null is reserved for the unmatched")
         if set(self.firm_prefs) != fset:
             raise MarketError("firm_prefs keys must match firms")
         for f, pref in self.firm_prefs.items():

@@ -171,43 +171,30 @@ def complementarity_graph(f: str, m: Market) -> ComplementarityGraph:
     when, for some set S without h, w is outside ``choose(S)`` but inside
     ``choose(S | {h})``. That happens exactly at a switch (A, D, h) with w
     in D - A, where D is acceptable and A is empty or an acceptable set
-    ranked after D.
-
-    Switches come off the masks by the module's rule, as for
-    ``complementarity_witness``: O(L^3) mask operations over a chain of L
-    acceptable sets, and no ``choose`` call.
+    ranked after D, so the edges are read straight off the full switch
+    scan: O(L^3) mask operations over a chain of L acceptable sets, and no
+    ``choose`` call.
     """
     names, masks = _numbering(acceptable_sets(f, m))
-    gains = [0] * len(names)  # gains[h]: the workers h's arrival can make chosen
-    for _, _, gain, hs in _switches(masks, dropping=False):
-        for h in _bits(hs):
-            gains[h] |= gain
     edges = frozenset(
         frozenset({names[h], names[w]})
-        for h, gain in enumerate(gains)
+        for _, _, gain, hs in _switches(masks, dropping=False)
+        for h in _bits(hs)
         for w in _bits(gain & ~(1 << h))
     )
     return ComplementarityGraph(firm=f, vertices=frozenset(names), edges=edges)
 
 
-def _components(masks: list[int], firm: Optional[str] = None) -> list[int]:
+def _components(masks: list[int]) -> list[int]:
     """The components of the complementarity graph of a firm whose
     acceptable sets are ``masks``, as masks, in no fixed order.
 
     A switch joins its h to every worker of D - A, so D - A lies in one
     component, and no other edge exists. Every vertex lies in some D - A:
     a worker w of A_k switches the choice from A_k - {w} to A_k.
-
-    With ``firm`` named, the same scan checks that the firm is
-    complementary: its first pair with j < L and A_j not inside A_i (the
-    first pair the dropping scan yields) raises the ``MarketError`` that
-    names ``firm``.
     """
-    last = len(masks)
     comps: list[int] = []
-    for i, j, gain, _ in _switches(masks, dropping=False):
-        if firm is not None and j < last and masks[j] & ~masks[i]:
-            raise MarketError(f"firm {firm} does not have a complementary preference")
+    for _, _, gain, _ in _switches(masks, dropping=False):
         rest = []
         for c in comps:
             if c & gain:
@@ -274,17 +261,18 @@ def decompose_by_components(m: Market) -> DecomposedMarket:
     Each new firm's chain holds the original firm's acceptable sets inside
     that component, in the original chain order; components are ordered by
     their smallest worker (market order) so sibling order is deterministic.
-    One switch scan per firm reads both its components and whether it is
-    complementary; the first firm that is not raises ``MarketError``.
+    Each firm is first asked for its ``complementarity_witness``, before
+    its components are read; the first firm, in market order, that has one
+    raises ``MarketError``.
     """
     windex = {w: i for i, w in enumerate(m.workers)}
 
     def parts(f: str) -> list[tuple[frozenset[str], ...]]:
+        if complementarity_witness(f, m) is not None:
+            raise MarketError(f"firm {f} does not have a complementary preference")
         acc = acceptable_sets(f, m)
         names, masks = _numbering(acc)
-        comps = sorted(
-            _components(masks, firm=f), key=lambda c: min(windex[names[k]] for k in _bits(c))
-        )
+        comps = sorted(_components(masks), key=lambda c: min(windex[names[k]] for k in _bits(c)))
         return [tuple(s for s, mask in zip(acc, masks) if not mask & ~c) for c in comps]
 
     return _split_firms(m, parts)

@@ -21,9 +21,22 @@ class TreeError(ValueError):
     """Malformed technology tree."""
 
 
+def _breaks_line(name: str) -> bool:
+    """Whether name holds a character that ``str.splitlines`` splits on."""
+    return "".join(name.splitlines()) != name
+
+
 @dataclass(frozen=True)
 class TechnologyTree:
-    """Rooted ordered tree; ``children`` order is the left-to-right order."""
+    """Rooted ordered tree; ``children`` order is the left-to-right order.
+
+    Construction checks the root, the children keys, that every vertex is
+    reached once by upgrades that strictly enlarge the worker set, and
+    then that every name can be written in the outline ``parse_tree``
+    reads: no vertex name holds ``:`` or a line boundary, starts with
+    ``#`` or has surrounding whitespace, and no worker name is empty,
+    holds ``,`` or a line boundary, or has surrounding whitespace.
+    """
 
     root: str
     worker_sets: dict[str, frozenset[str]]
@@ -54,6 +67,16 @@ class TechnologyTree:
                 stack.append(c)
         if seen != set(self.worker_sets):
             raise TreeError("tree is not connected")
+        for v in self.worker_sets:
+            if ":" in v or v.startswith("#") or v != v.strip() or _breaks_line(v):
+                raise TreeError(f"vertex name {v!r} cannot be written in a tree outline")
+        bad = [
+            w
+            for w in set().union(*self.worker_sets.values())
+            if not w or "," in w or w != w.strip() or _breaks_line(w)
+        ]
+        if bad:
+            raise TreeError(f"worker name {min(bad)!r} cannot be written in a tree outline")
 
     def vertices(self) -> list[str]:
         """Vertices in depth-first outline order."""

@@ -187,18 +187,35 @@ class TestUsage:
         assert main(argv) == EXIT_PARSE
         assert capsys.readouterr() == ("", f"parse error: duplicate key in a JSON object: {key}\n")
 
+    @pytest.mark.parametrize("argv", [["check", "--balanced"], ["solve"]])
+    def test_firm_named_null_is_a_parse_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "null.market"
+        bad.write_text(
+            '{"workers": ["w1", "w2"], "firms": {"null": [["w1", "w2"]], "f2": [["w1"]]},'
+            ' "worker_prefs": {"w1": ["null", "f2"], "w2": ["null"]}}'
+        )
+        assert main([argv[0], str(bad), *argv[1:]]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "parse error: firm name null is reserved for the unmatched\n")
+
     @pytest.mark.parametrize(
         "tree",
         [
             {"workers": [], "children": []},
             {"name": "v0", "workers": [], "children": ["v1"]},
             {"name": "v0", "workers": [], "children": {"name": "v1"}},
+            # a worker name the outline cannot carry: --permute would print
+            # a: {x,y}, which reads back as workers x and y
+            {"name": "r", "workers": [], "children": [
+                {"name": "a", "workers": ["x,y"], "children": []},
+                {"name": "b", "workers": ["x,y", "z"], "children": []},
+            ]},
         ],
     )
     def test_malformed_json_tree_is_a_parse_error(self, tmp_path, capsys, tree):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(tree))
         assert main(["tree", str(bad), "--validate"]) == EXIT_PARSE
+        assert main(["tree", str(bad), "--permute"]) == EXIT_PARSE
 
 
 class TestCheck:

@@ -11,7 +11,7 @@ from balmatch.fractional import FractionalMatching
 from balmatch.genrandom import random_market, random_neighbour_tree
 from balmatch.market import Matching
 from balmatch.prefs import decompose_by_sets
-from balmatch.techtree import TechnologyTree
+from balmatch.techtree import TechnologyTree, TreeError
 
 H = Fraction(1, 2)
 Z = Fraction(0)
@@ -615,6 +615,56 @@ class TestTreeFormat:
     def test_missing_braces_rejected(self):
         with pytest.raises(formats.ParseError):
             formats.parse_tree("v0: w1\n")
+
+
+# letters, and the characters the outline reads as structure or as a line
+# end; names of letters alone are drawn as often, so that trees pass too
+_TREE_NAME = st.one_of(
+    st.text(alphabet="ab", max_size=3), st.text(alphabet="ab ,:#{}\t\n\r\x85\u2028", max_size=3)
+)
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _outline_carries(name: str, vertex: bool) -> bool:
+    if name != name.strip() or any(c in _LINE_BREAKS for c in name):
+        return False
+    if vertex:
+        return ":" not in name and not name.startswith("#")
+    return name != "" and "," not in name
+
+
+@st.composite
+def _named_trees(draw):
+    """A root with no worker, then vertices hung under earlier ones, each
+    adding at least one worker to its parent's set."""
+    vertices = draw(st.lists(_TREE_NAME, min_size=1, max_size=4, unique=True))
+    workers = draw(st.lists(_TREE_NAME, min_size=1, max_size=3, unique=True))
+    worker_sets = {vertices[0]: frozenset()}
+    children: dict[str, list[str]] = {}
+    for v in vertices[1:]:
+        parent = draw(st.sampled_from(list(worker_sets)))
+        more = draw(st.frozensets(st.sampled_from(workers), min_size=1))
+        if not more <= worker_sets[parent]:
+            worker_sets[v] = worker_sets[parent] | more
+            children.setdefault(parent, []).append(v)
+    return vertices[0], worker_sets, {v: tuple(c) for v, c in children.items()}
+
+
+@given(_named_trees())
+@settings(max_examples=400, deadline=None)
+def test_every_accepted_tree_round_trips_through_the_outline(tree):
+    root, worker_sets, children = tree
+    carried = all(_outline_carries(v, True) for v in worker_sets) and all(
+        _outline_carries(w, False) for s in worker_sets.values() for w in s
+    )
+    if not carried:
+        with pytest.raises(TreeError, match="cannot be written in a tree outline"):
+            TechnologyTree(root=root, worker_sets=worker_sets, children=children)
+        return
+    t = TechnologyTree(root=root, worker_sets=worker_sets, children=children)
+    again = formats.parse_tree(formats.serialize_tree(t))
+    assert (again.root, again.worker_sets) == (root, worker_sets)
+    assert again.children == {v: children.get(v, ()) for v in worker_sets}
 
 
 class TestMatchingRendering:

@@ -198,6 +198,13 @@ class TestMarketValidation:
         with pytest.raises(MarketError):
             Market.build(["x"], {"x": [{"x"}]}, {"x": []})
 
+    def test_firm_named_null_rejected(self):
+        # null is the unmatched column of the text matching and the .frac table
+        with pytest.raises(MarketError, match="^firm name null is reserved for the unmatched$"):
+            Market.build(["w1", "w2"], {"null": [{"w1", "w2"}], "f2": [{"w1"}]}, {"w1": [], "w2": []})
+        # a worker may still be named null
+        Market.build(["null"], {"f1": [{"null"}]}, {"null": ["f1"]})
+
     @pytest.mark.parametrize(
         "prefs, message",
         [

@@ -64,6 +64,33 @@ class TestTreeShape:
                 children={"r": ("a",), "zz": ("q",)},
             )
 
+    @pytest.mark.parametrize(
+        "vertex, worker",
+        [
+            ("a:b", "w1"),
+            ("#a", "w1"),
+            (" a", "w1"),
+            ("a\t", "w1"),
+            ("a\nb", "w1"),
+            ("a\x85b", "w1"),
+            ("a\u2028b", "w1"),
+            ("a", ""),
+            ("a", "w1,w2"),
+            ("a", "w1 "),
+            ("a", "w\r1"),
+            ("a", "w\x1c1"),
+        ],
+    )
+    def test_names_the_outline_cannot_carry_rejected(self, vertex, worker):
+        with pytest.raises(TreeError) as e:
+            TechnologyTree(
+                root="r",
+                worker_sets={"r": frozenset(), vertex: frozenset({worker, "w0"})},
+                children={"r": (vertex,)},
+            )
+        named = f"vertex name {vertex!r}" if worker == "w1" else f"worker name {worker!r}"
+        assert str(e.value) == f"{named} cannot be written in a tree outline"
+
     def test_outline_order(self, ladder):
         assert ladder.vertices() == ["v0", "v1", "v2", "v3", "v5"]
         assert ladder.edges() == [
