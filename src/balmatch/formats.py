@@ -83,13 +83,17 @@ def parse_market(text: str) -> Market:
     """JSON market: workers list, firm chains (best first), worker lists.
 
     Every JSON-shape error (the firms, then the worker lists, then the
-    workers) is raised before any check of the market itself. Those are
-    set-level checks: each firm's chain, in firm order and then chain
-    order, for empty sets, sets that repeat a worker and repeated sets
-    (``FirmPreference``), then ``Market``'s identifiers, each chain set
-    against the workers and each worker list against the firms. Each
-    chain set is built as a frozenset once, and a set that repeats a
-    worker is found as one whose frozenset is shorter than its list."""
+    workers) is raised before any check of the market itself. Then each
+    firm key, in file order, and each ``workers`` entry must be a name the
+    printed matching and the ``.frac`` table can carry: not empty, no
+    character ``str.split()`` splits on, no leading ``#``, and no ``,`` in
+    a worker name. Then come set-level checks: each firm's chain, in firm
+    order and then chain order, for empty sets, sets that repeat a worker
+    and repeated sets (``FirmPreference``), then ``Market``'s identifiers,
+    each chain set against the workers and each worker list against the
+    firms. Each chain set is built as a frozenset once, and a set that
+    repeats a worker is found as one whose frozenset is shorter than its
+    list."""
     data = _object(_load_json(text), "market")
     for key in ("workers", "firms", "worker_prefs"):
         if key not in data:
@@ -106,6 +110,12 @@ def parse_market(text: str) -> Market:
         for w, lst in _object(data["worker_prefs"], "worker_prefs").items()
     }
     workers = tuple(_names(data["workers"], "workers"))
+    for what, names in (("firm", lists), ("worker", workers)):
+        for x in names:
+            # both formats split on whitespace and skip lines starting with
+            # #; the matching joins a firm's workers with commas
+            if x.split() != [x] or x.startswith("#") or what == "worker" and "," in x:
+                raise ParseError(f"{what} name {x!r} cannot be written in a matching or a fractional table")
     try:
         # no set is longer than its list, so a repeated worker shows in the totals
         if sum(map(len, _sets(chains.values()))) != sum(map(len, _sets(lists.values()))):
@@ -247,7 +257,7 @@ def parse_tree(text: str) -> TechnologyTree:
         del stack[depth:]
         if stack:
             children[stack[-1]].append(name)
-        elif depth > 0 or len(worker_sets) > 1:
+        elif len(worker_sets) > 1:  # the stack is empty only at depth 0
             raise ParseError(f"vertex {name} is a second root")
         stack.append(name)
     try:

@@ -9,12 +9,14 @@ levels sum to at most 1, the rest is its slack) plus an unmatched share
 per worker type, all exact rationals.
 
 Levels are ``Fraction`` at the surface: in ``FractionalMatching``, in
-every message and in ``StabilityReport.available``. Inside, each check
-reads every level and share once as an int numerator over D, the lcm of
-their denominators, and does all its arithmetic on those ints, exactly
-and with no floating point. Rounding goes through a 0-1 system whose 0/1
-points are the stability-preserving integral re-assignments; each column
-is the set of rows it enters, built directly as a bitmask.
+every message and in ``StabilityReport.available``. Inside, one reader
+serves verification, the constraint system and the matching: each call
+reads its (fm, d) once, as every level and share an int numerator over
+D, the lcm of their denominators, with each firm's and each worker's
+columns, and does all its arithmetic on those ints, exactly and with no
+floating point. Rounding goes through a 0-1 system whose 0/1 points are
+the stability-preserving integral re-assignments; each column is the set
+of rows it enters, built directly as a bitmask.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ class FractionalMatching:
     levels: dict[str, Fraction]
     null_assignment: dict[str, Fraction]
 
-    def is_integral(self) -> bool:
-        vals = list(self.levels.values()) + list(self.null_assignment.values())
-        return all(v in (ZERO, ONE) for v in vals)
-
     def with_level(self, f: str, value: Fraction) -> "FractionalMatching":
         if f not in self.levels:
             raise FractionalError(f"unknown firm: {f}")
@@ -79,21 +77,17 @@ def split_sets(d: DecomposedMarket) -> dict[str, frozenset[str]]:
     return sets
 
 
-def _columns_by_firm(d: DecomposedMarket) -> dict[str, list[str]]:
-    """Each original firm's columns, in chain order."""
-    groups: dict[str, list[str]] = {}
-    for c in d.market.firms:
-        groups.setdefault(d.origin[c][0], []).append(c)
-    return groups
+_Reading = tuple[
+    int, dict[str, int], dict[str, int], dict[str, frozenset[str]], dict[str, list[str]], dict[str, list[str]]
+]
 
 
-def _numerators(
-    fm: FractionalMatching, d: DecomposedMarket
-) -> tuple[int, dict[str, int], dict[str, int]]:
+def _numerators(fm: FractionalMatching, d: DecomposedMarket) -> _Reading:
     """D, the lcm of fm's denominators, and every level and null share as
     an int numerator over D, once fm covers exactly the columns and the
     workers of ``d``, D has at most 4,000 digits and every value lies in
-    [0, 1]."""
+    [0, 1]; then each column's set, each original firm's columns in chain
+    order and each worker's columns, in firm order."""
     if set(fm.levels) != set(d.market.firms):
         raise FractionalError("levels must cover exactly the decomposed firms")
     if set(fm.null_assignment) != set(d.market.workers):
@@ -109,7 +103,14 @@ def _numerators(
     for w, x in null.items():
         if not 0 <= x <= den:
             raise FractionalError(f"null share of {w} outside [0, 1]: {fm.null_assignment[w]}")
-    return den, levels, null
+    sets = split_sets(d)
+    groups: dict[str, list[str]] = {}
+    covering: dict[str, list[str]] = {w: [] for w in d.market.workers}
+    for c, s in sets.items():
+        groups.setdefault(d.origin[c][0], []).append(c)
+        for w in s:
+            covering[w].append(c)
+    return den, levels, null, sets, groups, covering
 
 
 @dataclass(frozen=True)
@@ -134,17 +135,16 @@ def verify_fractional_stability(
     per-worker mass and per-firm total checks are skipped, so
     intermediate states of a rounding chain can be verified too.
     """
-    den, levels, null = _numerators(fm, d)
+    return _stability(_numerators(fm, d), d, pseudo)
+
+
+def _stability(reading: _Reading, d: DecomposedMarket, pseudo: bool) -> StabilityReport:
+    """``verify_fractional_stability`` on the reading of its input."""
+    den, levels, null, sets, groups, covering = reading
     m = d.market
-    sets = split_sets(d)
-    groups = _columns_by_firm(d)
     held = {}  # each column's firm's levels on its chain up to that column
     for cols in groups.values():
         held.update(zip(cols, accumulate(levels[c] for c in cols)))
-    covering: dict[str, list[str]] = {w: [] for w in m.workers}  # each worker's columns
-    for f, s in sets.items():
-        for w in s:
-            covering[w].append(f)
     if not pseudo:
         for w, cols in covering.items():
             if (mass := null[w] + sum(levels[c] for c in cols)) != den:
@@ -216,17 +216,17 @@ def build_constraint_system(
     strictly fractional unmatched share. A firm row picks one of its
     firm's fractional columns or its slack; worker rows restore unit mass
     net of the integral part."""
-    report = verify_fractional_stability(fm, d)
+    reading = _numerators(fm, d)
+    report = _stability(reading, d, False)
     if not report.ok:
         raise FractionalError(f"fractional input is not stable: {report.detail}")
-    den, levels, null = _numerators(fm, d)
+    den, levels, null, sets, groups, covering = reading
     m = d.market
-    sets = split_sets(d)
     bit = {w: 1 << i for i, w in enumerate(m.workers)}
     frac_firms = []
     # (meaning, label, firm-row bit, worker-row mask) per column
     columns: list[tuple[ColumnMeaning, str, int, int]] = []
-    for f, cols in _columns_by_firm(d).items():
+    for f, cols in groups.items():
         takes = [c for c in cols if 0 < levels[c] < den]
         if takes:
             row = 1 << len(frac_firms)
@@ -242,11 +242,6 @@ def build_constraint_system(
         return ConstraintSystem(ZeroOneMatrix(rows=(), cols=(), masks=()), (), (), ())
     meanings, labels, firm_rows, worker_rows = zip(*columns)
     k = len(frac_firms)  # the worker rows follow the firm rows
-    integral = dict.fromkeys(m.workers, 0)  # each worker's columns at level 1
-    for c, s in sets.items():
-        if levels[c] == den:
-            for w in s:
-                integral[w] += 1
     return ConstraintSystem(
         matrix=ZeroOneMatrix(
             rows=(*frac_firms, *m.workers),
@@ -255,7 +250,8 @@ def build_constraint_system(
         ),
         column_meaning=meanings,
         row_meaning=tuple([("firm", f) for f in frac_firms] + [("worker", w) for w in m.workers]),
-        rhs=(1,) * k + tuple([1 - integral[w] - (null[w] == den) for w in m.workers]),
+        # a worker row asks 1 less its columns at level 1 and its null share at 1
+        rhs=(1,) * k + tuple([1 - (null[w] == den) - sum(levels[c] == den for c in covering[w]) for w in m.workers]),
     )
 
 
@@ -323,10 +319,13 @@ def apply_stable_transformations(
     fm: FractionalMatching, z: tuple[int, ...], cs: ConstraintSystem
 ) -> FractionalMatching:
     """Round fm per z: each fractional firm to its selected option, each
-    fractional unmatched share to its selected quantity, once z solves
-    B z = rhs (checked column by column, over the 1s of B)."""
+    fractional unmatched share to its selected quantity, once z is a 0/1
+    vector that solves B z = rhs (checked column by column, over the 1s of
+    B)."""
     if len(z) != len(cs.column_meaning):
         raise FractionalError("solution length does not match the system")
+    if any(b not in (0, 1) for b in z):
+        raise FractionalError("solution entries must be 0 or 1")
     got = [0] * len(cs.matrix.rows)  # B z, row by row
     for x, b in zip(cs.matrix.masks, z):
         while x:  # the rows this column enters
@@ -348,19 +347,17 @@ def apply_stable_transformations(
 def integral_to_matching(fm: FractionalMatching, d: DecomposedMarket) -> Matching:
     """Read an integral fractional matching as a matching of the original
     firms: each worker, in market order, goes to the firm of its one
-    column at level 1, or stays unmatched at null share 1."""
-    if not fm.is_integral():
+    column at level 1, or stays unmatched at null share 1. An fm that
+    misses or adds a column or a worker is a ``FractionalError``."""
+    den, levels, null, _, _, covering = _numerators(fm, d)
+    if den != 1:  # every value lies in [0, 1], so D is 1 iff each is 0 or 1
         raise FractionalError("matching is not integral")
-    holding: dict[str, list[str]] = {w: [] for w in d.market.workers}
-    for c, s in split_sets(d).items():
-        if fm.levels[c]:
-            for w in s:
-                holding[w].append(c)
     assignment: dict[str, Optional[str]] = {}
-    for w, held in holding.items():
+    for w, cols in covering.items():
+        held = [c for c in cols if levels[c]]
         if len(held) > 1:
             raise FractionalError(f"worker {w} assigned twice")
-        if not held and fm.null_assignment[w] != ONE:
+        if not held and not null[w]:
             raise FractionalError(f"worker {w} unaccounted for")
         assignment[w] = d.origin[held[0]][0] if held else None
     return Matching(assignment)

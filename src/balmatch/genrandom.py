@@ -106,7 +106,7 @@ def random_neighbour_tree(
         ok = True
         for v in names:
             kids = children[v]
-            if not kids or v not in worker_sets:
+            if not kids:
                 continue
             k = len(kids)
             edge_workers: list[set[str]] = [set() for _ in range(k)]
@@ -124,7 +124,7 @@ def random_neighbour_tree(
                 break
             for kid, ws in zip(kids, edge_workers):
                 worker_sets[kid] = worker_sets[v] | ws
-        if not ok or len(worker_sets) != n_vertices:
+        if not ok:
             continue
         return TechnologyTree(
             root=names[0],

@@ -197,6 +197,28 @@ class TestUsage:
         assert main([argv[0], str(bad), *argv[1:]]) == EXIT_PARSE
         assert capsys.readouterr() == ("", "parse error: firm name null is reserved for the unmatched\n")
 
+    @pytest.mark.parametrize("argv", [["check", "--balanced"], ["solve"]])
+    @pytest.mark.parametrize(
+        "firms, workers, bad",
+        [
+            (["f 1", "f2"], ["w1", "w2"], "firm name 'f 1'"),
+            (["f1"], ["x,y", "z"], "worker name 'x,y'"),
+            (["f1"], ["#w", "w2"], "worker name '#w'"),
+            (["#f", "f2"], ["w1"], "firm name '#f'"),
+            (["f1"], ["w1", ""], "worker name ''"),
+        ],
+        ids=["space-in-firm", "comma-in-worker", "hash-worker", "hash-firm", "empty-worker"],
+    )
+    def test_names_the_matching_cannot_carry_are_parse_errors(self, tmp_path, capsys, argv, firms, workers, bad):
+        path = tmp_path / "bad.market"
+        path.write_text(json.dumps({
+            "workers": workers,
+            "firms": {f: [workers] for f in firms},
+            "worker_prefs": {w: firms for w in workers},
+        }))
+        assert main([argv[0], str(path), *argv[1:]]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"parse error: {bad} cannot be written in a matching or a fractional table\n")
+
     @pytest.mark.parametrize(
         "tree",
         [
@@ -356,6 +378,30 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["matching"] == {f"w{i}": f"f{i}" for i in range(1, n + 1)}
 
+    @pytest.mark.parametrize(
+        "firms, message",
+        [
+            ({"f1": []}, "firm f1 has no acceptable set"),
+            ({"f": [["w1"], ["w2"]], "f#1": [["w1"]]}, "decomposed firm name collides: f#1"),
+        ],
+        ids=["empty-chain", "name-collision"],
+    )
+    def test_set_decomposition_refusals_are_usage_errors(self, tmp_path, capsys, firms, message):
+        p = tmp_path / "bad.market"
+        p.write_text(json.dumps({"workers": ["w1", "w2"], "firms": firms, "worker_prefs": {"w1": [], "w2": []}}))
+        assert main(["solve", str(p), "--decompose", "sets"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_fractional_table_missing_a_firm_row_is_a_parse_error(self, tmp_path, capsys):
+        frac = tmp_path / "no_f2.frac"
+        lines = (CORPUS / "half_half.frac").read_text().splitlines(keepends=True)
+        frac.write_text("".join(ln for ln in lines if not ln.startswith("f2")))
+        argv = ["solve", corpus("two_firms.market"), "--strategy", "pipeline", "--fractional", str(frac)]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr() == (
+            "", "parse error: row labels ['f1#1', 'f1#2', 'f1#3'] do not match firms ['f1#1', 'f1#2', 'f1#3', 'f2']\n"
+        )
+
     def test_pipeline_needs_fractional(self, capsys):
         code = main(["solve", corpus("two_firms.market"), "--strategy", "pipeline"])
         assert code == EXIT_USAGE
@@ -500,6 +546,31 @@ class TestTree:
         assert main(["tree", str(p), "--validate", "--json"]) == EXIT_PASS
         payload = json.loads(capsys.readouterr().out)
         assert payload["neighbour-condition"]["verdict"] == "PASS"
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("indented.tree", "  a: {}\n", "root must be unindented"),
+            ("repeat.tree", "r: {}\n  a: {w1}\n  a: {w2}\n", "duplicate vertex: a"),
+            ("flat.tree", "r: {}\n  a: {w1}\n    b: {w1}\n", "upgrade a->b must strictly enlarge the worker set"),
+            ("repeat.json", json.dumps({"name": "a", "workers": [], "children": [
+                {"name": "a", "workers": ["w1"], "children": []},
+            ]}), "duplicate vertex: a"),
+        ],
+        ids=["indented-root", "repeated-vertex", "upgrade-adds-no-worker", "json-repeated-vertex"],
+    )
+    def test_malformed_tree_is_a_parse_error(self, tmp_path, capsys, name, text, message):
+        p = tmp_path / name
+        p.write_text(text)
+        assert main(["tree", str(p)]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+    def test_permute_fails_when_a_worker_leaves_two_vertices(self, tmp_path, capsys):
+        # w2's upgrades, a->b and r->c, leave two vertices in any child order
+        p = tmp_path / "split.tree"
+        p.write_text("r: {}\n  a: {w1}\n    b: {w1,w2}\n  c: {w2}\n")
+        assert main(["tree", str(p), "--permute"]) == EXIT_FAIL
+        assert "no ordering passes" in capsys.readouterr().out
 
 
 class TestReportOrderAndText:

@@ -81,6 +81,51 @@ class TestMarketFormat:
         with pytest.raises(formats.ParseError):
             formats.parse_market(text)
 
+    @pytest.mark.parametrize(
+        "firms, workers, bad",
+        [
+            # the header of the printed matching splits on whitespace
+            (["f 1", "f2"], ["w1"], "firm name 'f 1'"),
+            (["f1"], ["w1", "w\u20282"], "worker name 'w\\u20282'"),
+            # the matching's bottom row joins a firm's workers with commas
+            (["f1"], ["x,y", "z"], "worker name 'x,y'"),
+            # a .frac line that starts with # is a comment
+            (["f1"], ["#w", "w2"], "worker name '#w'"),
+            (["#f"], ["w1"], "firm name '#f'"),
+            ([""], ["w1"], "firm name ''"),
+            (["f1"], ["w1", ""], "worker name ''"),
+        ],
+        ids=["space-in-firm", "line-separator-in-worker", "comma-in-worker", "hash-worker", "hash-firm",
+             "empty-firm", "empty-worker"],
+    )
+    def test_names_the_matching_cannot_carry_rejected(self, firms, workers, bad):
+        text = json.dumps({
+            "workers": workers,
+            "firms": {f: [workers[:1]] for f in firms},
+            "worker_prefs": {w: [] for w in workers},
+        })
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_market(text)
+        assert str(err.value) == f"{bad} cannot be written in a matching or a fractional table"
+        _assert_loads_as_reference(text)
+
+    def test_name_errors_come_after_shape_and_before_set_errors(self):
+        # firms in file order, then workers; a comma is fine in a firm name
+        market = {
+            "workers": ["w1", "w 2"],
+            "firms": {"f,1": [[]], "b a": [["w1"]], "#c": [["w1"]]},
+            "worker_prefs": {"w1": [], "w 2": []},
+        }
+        text = json.dumps(market)
+        assert _outcome(formats.parse_market, text) == "firm name 'b a' cannot be written in a matching or a fractional table"
+        _assert_loads_as_reference(text)
+        market["firms"] = {"f,1": [[]]}
+        text = json.dumps(market)
+        assert _outcome(formats.parse_market, text) == "worker name 'w 2' cannot be written in a matching or a fractional table"
+        _assert_loads_as_reference(text)
+        market["worker_prefs"]["w1"] = "f,1"
+        assert _outcome(formats.parse_market, json.dumps(market)) == "preference list of w1 must be a list of strings"
+
 
 def _reference_names(value, what):
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -111,9 +156,10 @@ def reference_load(text):
     ``FirmPreference`` and ``Market`` as separate passes, each chain set
     tested against every earlier chain set, every worker of every chain set
     and every firm of every list looked up one at a time. It returns the
-    loaded market's fields, or raises ``ParseError``. A chain set that
-    repeats a worker is rejected in the chain's pass, in chain order, and
-    an unknown chain worker is the first of its set in sorted order."""
+    loaded market's fields, or raises ``ParseError``. Every firm and worker
+    name is checked character by character before the chains. A chain set
+    that repeats a worker is rejected in the chain's pass, in chain order,
+    and an unknown chain worker is the first of its set in sorted order."""
     data = formats._object(_reference_json(text), "market")
     for key in ("workers", "firms", "worker_prefs"):
         if key not in data:
@@ -129,6 +175,10 @@ def reference_load(text):
     }
     workers = tuple(_reference_names(data["workers"], "workers"))
     firms = tuple(sets)
+    for what, names in (("firm", firms), ("worker", workers)):
+        for x in names:
+            if not x or any(c.isspace() for c in x) or x[0] == "#" or what == "worker" and "," in x:
+                raise formats.ParseError(f"{what} name {x!r} cannot be written in a matching or a fractional table")
     chains, acceptable = {}, {}
     for f in firms:
         chain = tuple(frozenset(s) for s in sets[f])

@@ -632,7 +632,7 @@ class TestExtraction:
         cs = build_constraint_system(half_half, split)
         z = extract_integral_solution(cs)
         integral = apply_stable_transformations(half_half, z, cs)
-        assert integral.is_integral()
+        assert {*integral.levels.values(), *integral.null_assignment.values()} <= {Z, ONE}
         report = verify_fractional_stability(integral, split)
         assert report.ok
         mu = integral_to_matching(integral, split)
@@ -670,6 +670,12 @@ class TestExtraction:
         bad = (1,) * len(cs.column_meaning)
         with pytest.raises(FractionalError):
             apply_stable_transformations(half_half, bad, cs)
+
+    def test_vector_entries_must_be_0_or_1(self, half_half, split):
+        # solves B z = rhs, but would put f1#1, f1#2 and f2 all at level 1
+        cs = build_constraint_system(half_half, split)
+        with pytest.raises(FractionalError, match="solution entries must be 0 or 1"):
+            apply_stable_transformations(half_half, (-1, 2, 2, -1, -1), cs)
 
     def test_system_deeper_than_recursion_limit(self):
         # rows z_i + z_{i+1} = 1 and z_{n-1} = 1 over an even n: the 1-first
@@ -796,3 +802,21 @@ class TestIntegralToMatching:
     def test_non_integral_rejected(self, half_half, split):
         with pytest.raises(FractionalError):
             integral_to_matching(half_half, split)
+
+    @pytest.mark.parametrize(
+        "levels, null, error",
+        [
+            ({"f1#1": ONE, "f1#2": Z, "f2": Z}, {"w1": Z, "w2": Z, "w3": Z, "w4": ONE},
+             "levels must cover exactly the decomposed firms"),
+            ({"f1#1": ONE, "f1#2": Z, "f1#3": Z, "f2": Z, "f3": Z}, {"w1": Z, "w2": Z, "w3": Z, "w4": ONE},
+             "levels must cover exactly the decomposed firms"),
+            ({"f1#1": ONE, "f1#2": Z, "f1#3": Z, "f2": Z}, {"w1": Z, "w2": Z, "w3": Z},
+             "null assignment must cover exactly the workers"),
+            ({"f1#1": ONE, "f1#2": Z, "f1#3": Z, "f2": Z}, {"w1": Z, "w2": Z, "w3": Z, "w4": ONE, "w5": Z},
+             "null assignment must cover exactly the workers"),
+        ],
+        ids=["missing-column", "extra-column", "missing-worker", "extra-worker"],
+    )
+    def test_columns_and_workers_must_match_the_market(self, split, levels, null, error):
+        with pytest.raises(FractionalError, match=error):
+            integral_to_matching(FractionalMatching(levels, null), split)
