@@ -78,7 +78,7 @@ def split_sets(d: DecomposedMarket) -> dict[str, frozenset[str]]:
 
 
 _Reading = tuple[
-    int, dict[str, int], dict[str, int], dict[str, frozenset[str]], dict[str, list[str]], dict[str, list[str]]
+    int, dict[str, int], dict[str, int], dict[str, list[str]], dict[str, list[str]], dict[str, list[str]]
 ]
 
 
@@ -86,8 +86,9 @@ def _numerators(fm: FractionalMatching, d: DecomposedMarket) -> _Reading:
     """D, the lcm of fm's denominators, and every level and null share as
     an int numerator over D, once fm covers exactly the columns and the
     workers of ``d``, D has at most 4,000 digits and every value lies in
-    [0, 1]; then each column's set, each original firm's columns in chain
-    order and each worker's columns, in firm order."""
+    [0, 1]; then each column's workers in market order, each original
+    firm's columns in chain order and each worker's columns, in firm
+    order."""
     if set(fm.levels) != set(d.market.firms):
         raise FractionalError("levels must cover exactly the decomposed firms")
     if set(fm.null_assignment) != set(d.market.workers):
@@ -103,14 +104,17 @@ def _numerators(fm: FractionalMatching, d: DecomposedMarket) -> _Reading:
     for w, x in null.items():
         if not 0 <= x <= den:
             raise FractionalError(f"null share of {w} outside [0, 1]: {fm.null_assignment[w]}")
-    sets = split_sets(d)
     groups: dict[str, list[str]] = {}
     covering: dict[str, list[str]] = {w: [] for w in d.market.workers}
-    for c, s in sets.items():
+    for c, s in split_sets(d).items():
         groups.setdefault(d.origin[c][0], []).append(c)
         for w in s:
             covering[w].append(c)
-    return den, levels, null, sets, groups, covering
+    members: dict[str, list[str]] = {c: [] for c in d.market.firms}
+    for w, cols in covering.items():
+        for c in cols:
+            members[c].append(w)
+    return den, levels, null, members, groups, covering
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ def verify_fractional_stability(
 
 def _stability(reading: _Reading, d: DecomposedMarket, pseudo: bool) -> StabilityReport:
     """``verify_fractional_stability`` on the reading of its input."""
-    den, levels, null, sets, groups, covering = reading
+    den, levels, null, members, groups, covering = reading
     m = d.market
     held = {}  # each column's firm's levels on its chain up to that column
     for cols in groups.values():
@@ -157,18 +161,20 @@ def _stability(reading: _Reading, d: DecomposedMarket, pseudo: bool) -> Stabilit
     rank = {w: {g: k for k, g in enumerate(lst)} for w, lst in m.worker_prefs.items()}
     # (a) individual rationality: positive level only at firms acceptable
     # to every type they hire; the first offender in market order is named.
-    for f, target in sets.items():
-        if levels[f] and not all(f in rank[w] for w in target):
-            w = next(w for w in m.workers if w in target and f not in rank[w])
-            return StabilityReport(
-                ok=False,
-                firm=f,
-                detail=f"type {w} is matched to a firm it finds unacceptable",
-                available={},
-            )
+    for f, target in members.items():
+        if levels[f]:
+            for w in target:
+                if f not in rank[w]:
+                    return StabilityReport(
+                        ok=False,
+                        firm=f,
+                        detail=f"type {w} is matched to a firm it finds unacceptable",
+                        available={},
+                    )
     # (b) no blocking column: one blocks when each of its types has positive
-    # mass unmatched or at columns it likes strictly less.
-    for f, target in sets.items():
+    # mass unmatched or at columns it likes strictly less; its types are
+    # read, and ``available`` keyed, in market order.
+    for f, target in members.items():
         if held[f] >= den:
             continue
         avail: dict[str, int] = {}
@@ -220,7 +226,7 @@ def build_constraint_system(
     report = _stability(reading, d, False)
     if not report.ok:
         raise FractionalError(f"fractional input is not stable: {report.detail}")
-    den, levels, null, sets, groups, covering = reading
+    den, levels, null, members, groups, covering = reading
     m = d.market
     bit = {w: 1 << i for i, w in enumerate(m.workers)}
     frac_firms = []
@@ -232,7 +238,7 @@ def build_constraint_system(
             row = 1 << len(frac_firms)
             frac_firms.append(f)
             columns += [
-                (("take", c), c + ":" + set_label(sets[c]), row, sum(map(bit.__getitem__, sets[c])))
+                (("take", c), c + ":" + set_label(members[c]), row, sum(map(bit.__getitem__, members[c])))
                 for c in takes
             ]
             if sum(levels[c] for c in cols) < den:
@@ -347,8 +353,8 @@ def apply_stable_transformations(
 def integral_to_matching(fm: FractionalMatching, d: DecomposedMarket) -> Matching:
     """Read an integral fractional matching as a matching of the original
     firms: each worker, in market order, goes to the firm of its one
-    column at level 1, or stays unmatched at null share 1. An fm that
-    misses or adds a column or a worker is a ``FractionalError``."""
+    column at level 1 (null share 0) or stays unmatched (null share 1).
+    An fm that misses or adds a column or a worker is a ``FractionalError``."""
     den, levels, null, _, _, covering = _numerators(fm, d)
     if den != 1:  # every value lies in [0, 1], so D is 1 iff each is 0 or 1
         raise FractionalError("matching is not integral")
@@ -359,6 +365,8 @@ def integral_to_matching(fm: FractionalMatching, d: DecomposedMarket) -> Matchin
             raise FractionalError(f"worker {w} assigned twice")
         if not held and not null[w]:
             raise FractionalError(f"worker {w} unaccounted for")
+        if held and null[w]:
+            raise FractionalError(f"worker {w} has a column at level 1 and null share 1")
         assignment[w] = d.origin[held[0]][0] if held else None
     return Matching(assignment)
 

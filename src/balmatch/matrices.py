@@ -26,6 +26,21 @@ first over explicit stacks, so no recursion limit bounds them. Searches
 are exhaustive up to a size cap (on the reduced matrix for balanced and
 totally balanced, on the matrix itself for totally unimodular); beyond
 the cap the verdict is INCONCLUSIVE, never a guess.
+
+Two shapes are decided before the search, after the cap test, on the
+reduced matrix; neither changes a FAIL witness. Consecutive ones: if
+every column's 1s are adjacent among the kept rows, or every kept row's
+1s among the columns, the matrix or its transpose is an interval matrix,
+so totally unimodular, hence balanced, and totally balanced, since each
+column of a k-cycle submatrix, consecutive on its k rows, would join one
+of their k - 1 adjacent pairs: all three are PASS. Graphic: if every
+reduced column has two 1s, the columns are the edges of a graph on the
+kept rows. A cycle submatrix is a cycle of it, and a square submatrix
+with even line sums is an even-degree graph whose entry sum, twice its
+edge count, is 2 (mod 4) only for an odd count, when it holds an odd
+cycle no longer than its order. So the search starts at the odd girth
+(balanced, totally unimodular) or the girth (totally balanced), and a
+graph with no such cycle is a PASS with no search.
 """
 
 from __future__ import annotations
@@ -208,6 +223,67 @@ def _reduce(m: ZeroOneMatrix) -> tuple[int, dict[int, int]]:
         rows = twice
 
 
+def _consecutive_ones(rows: int, cols: dict[int, int]) -> bool:
+    """Whether every column's 1s are adjacent among the kept rows, or every
+    kept row's 1s among the columns; ``rows`` and ``cols`` as from ``_reduce``."""
+    if all(rows & ((1 << y.bit_length()) - (y & -y)) == y for y in cols.values()):
+        return True
+    seen = gone = 0  # rows met in an earlier column; rows a later one has missed
+    for y in cols.values():
+        if y & gone:
+            return False
+        gone |= seen & ~y
+        seen |= y
+    return True
+
+
+def _girth(rows: int, cols: dict[int, int], odd: bool) -> Optional[int]:
+    """Length of the shortest cycle (with ``odd``, shortest odd cycle) of
+    the simple graph on the kept rows whose edges are the reduced columns,
+    each with two 1s; None if there is none.
+
+    A breadth-first search from s meeting an edge inside layer d closes an
+    odd walk of length 2d + 1, and one meeting a vertex with two parents in
+    layer d a walk of 2d + 2; each holds a cycle no longer, odd for the
+    first. By parity some edge of an odd cycle through s lies inside a
+    layer, at most half the cycle deep, and the deepest vertex of any cycle
+    through s shares its layer with a neighbour on it or has both as
+    parents. So the search from s bounds every cycle through s, and s then
+    leaves the graph. A search stops at the first layer that cannot beat
+    the best length so far; a vertex with under two neighbours left is
+    dropped unsearched.
+    """
+    nbr: dict[int, int] = {}
+    for y in cols.values():
+        a = y & -y
+        nbr[a] = nbr.get(a, 0) | y ^ a
+        nbr[y ^ a] = nbr.get(y ^ a, 0) | a
+    best = rows.bit_count() + 1  # longer than any cycle
+    left = rows
+    while left:
+        s = left & -left
+        d, seen, layer = 0, s, s if (nbr[s] & left).bit_count() >= 2 else 0
+        while layer and 2 * d + 1 < best:
+            nxt = twice = inner = 0
+            x = layer
+            while x:
+                u = x & -x
+                x ^= u
+                n = nbr[u] & left
+                inner |= n & layer
+                n &= ~seen
+                twice |= nxt & n
+                nxt |= n
+            if inner or twice and not odd:
+                best = 2 * d + (1 if inner else 2)
+                break
+            seen |= nxt
+            layer = nxt
+            d += 1
+        left ^= s
+    return best if best <= rows.bit_count() else None
+
+
 def _row_subset_search(
     rows: int, cols: dict[int, int], orders: range, tu: bool
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -376,7 +452,8 @@ def _pick(cand, masks, k, odd_twos):
 def _certificate(
     m: ZeroOneMatrix, prop: str, cap: int, step: int, tu: bool, detail: str
 ) -> MatrixCertificate:
-    """Search orders 3, 3 + step, ... of the reduced matrix; ``detail`` takes the order.
+    """Decide the reduced matrix by its shape, or search its orders 3 (or
+    its girth), 3 + step, ...; ``detail`` takes the order.
 
     The cap applies to ``m`` itself when ``tu``, else to the reduced matrix.
     """
@@ -385,7 +462,14 @@ def _certificate(
     if nr > cap or nc > cap:
         what = "matrix" if tu else "reduced matrix"
         return MatrixCertificate(prop, INCONCLUSIVE, detail=f"{what} is {nr}x{nc}, cap is {cap}")
-    orders = range(3, min(rows.bit_count(), len(cols)) + 1, step)
+    if _consecutive_ones(rows, cols):
+        return MatrixCertificate(property=prop, verdict=PASS)
+    low = 3
+    if all(y.bit_count() == 2 for y in cols.values()):
+        low = _girth(rows, cols, odd=tu or step == 2)
+        if low is None:
+            return MatrixCertificate(property=prop, verdict=PASS)
+    orders = range(low, min(rows.bit_count(), len(cols)) + 1, step)
     hit = _row_subset_search(rows, cols, orders, tu)
     if hit is None:
         return MatrixCertificate(property=prop, verdict=PASS)

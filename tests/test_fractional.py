@@ -355,6 +355,30 @@ class TestVerification:
         assert report.firm == "f1#1"
         assert all(x > 0 for x in report.available.values())
 
+    def test_available_is_keyed_in_market_order_under_any_hash_seed(self):
+        # one firm wanting six workers, at level 0 while every worker is
+        # unmatched: it blocks, and each worker's mass is read in market order
+        script = (
+            "from fractions import Fraction\n"
+            "from balmatch.fractional import FractionalMatching, verify_fractional_stability\n"
+            "from balmatch.market import Market\n"
+            "from balmatch.prefs import decompose_by_sets\n"
+            "ws = ['w3', 'w1', 'w6', 'w2', 'w5', 'w4']\n"
+            "m = Market.build(ws, {'f': [ws]}, {w: ['f'] for w in ws})\n"
+            "fm = FractionalMatching({'f': Fraction(0)}, {w: Fraction(1) for w in ws})\n"
+            "report = verify_fractional_stability(fm, decompose_by_sets(m))\n"
+            "print(report.firm, *report.available)\n"
+        )
+        src = str(CORPUS.parent / "src")
+        outputs = set()
+        for seed in (0, 1):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+            )
+            outputs.add(proc.stdout)
+        assert outputs == {"f w3 w1 w6 w2 w5 w4\n"}
+
     def test_unacceptable_firm_fails_ir(self):
         from balmatch.market import Market
 
@@ -790,6 +814,17 @@ class TestIntegralToMatching:
             )
             errors.add(proc.stdout)
         assert errors == {"worker w1 assigned twice\n"}
+
+    def test_matched_worker_with_null_share_rejected(self, split):
+        # f2 at 1 takes w2, w3 and w4, whose null shares are 1 as well
+        fm = FractionalMatching(
+            levels={"f1#1": Z, "f1#2": Z, "f1#3": Z, "f2": ONE},
+            null_assignment={"w1": ONE, "w2": ONE, "w3": ONE, "w4": ONE},
+        )
+        with pytest.raises(FractionalError, match="^worker w2 has a column at level 1 and null share 1$"):
+            integral_to_matching(fm, split)
+        with pytest.raises(FractionalError, match="worker w2 mass is 2, expected 1"):
+            verify_fractional_stability(fm, split)
 
     def test_maps_columns_to_original_firms(self, split):
         fm = FractionalMatching(

@@ -122,8 +122,8 @@ UNPRUNED = {
 }
 
 
-def unpruned_certificate(m, prop, cap=DEFAULT_CAP):
-    """The certificate of ``prop`` from ``unpruned_search``."""
+def unpruned_certificate(m, prop, cap=DEFAULT_CAP, search=unpruned_search):
+    """The certificate of ``prop`` from ``search``, by default ``unpruned_search``."""
     cap_reduced, step, keep, odd_twos, detail = UNPRUNED[prop]
     rows, cols = reference_reduce(m)
     nr, nc = (len(rows), len(cols)) if cap_reduced else m.shape
@@ -131,7 +131,7 @@ def unpruned_certificate(m, prop, cap=DEFAULT_CAP):
         what = "reduced matrix" if cap_reduced else "matrix"
         return MatrixCertificate(prop, INCONCLUSIVE, detail=f"{what} is {nr}x{nc}, cap is {cap}")
     orders = range(3, min(len(rows), len(cols)) + 1, step)
-    hit = unpruned_search(m, rows, cols, orders, keep, odd_twos)
+    hit = search(m, rows, cols, orders, keep, odd_twos)
     if hit is None:
         return MatrixCertificate(property=prop, verdict=PASS)
     wr, wc = hit
@@ -627,6 +627,11 @@ def cycle_matrix(n):
     return matrix_of_sets([{f"x{i}", f"x{(i + 1) % n}"} for i in range(n)], [f"x{i}" for i in range(n)])
 
 
+def path_matrix(n):
+    """The incidence matrix of a path on n vertices."""
+    return matrix_of_sets([{f"x{i}", f"x{i + 1}"} for i in range(n - 1)], [f"x{i}" for i in range(n)])
+
+
 def window_matrix(n, width):
     """n x n interval matrix: column j holds rows j .. j + width - 1, cut off at the last row."""
     return labelled([[int(j <= i < j + width) for j in range(n)] for i in range(n)])
@@ -675,16 +680,31 @@ class TestPrunedSearchMatchesUnpruned:
     def test_only_the_whole_cycle_reaches_the_picker(self, monkeypatch):
         # a proper row subset of a cycle has a row on at most one of the
         # cycle's columns inside it, so the degree cut stops it before _pick
+        # (the search is called directly from order 3, since the girth floor
+        # of a certificate skips every smaller order on a cycle)
         seen = []
         leaf = matrices._leaf
         monkeypatch.setattr(matrices, "_leaf", lambda sub, *rest: seen.append(sub) or leaf(sub, *rest))
         for n in range(3, 13):
+            rows, cols = matrices._reduce(cycle_matrix(n))
+            for step, tu in ((2, False), (1, False), (1, True)):
+                seen.clear()
+                hit = matrices._row_subset_search(rows, cols, range(3, n + 1, step), tu)
+                searched = step == 1 or n % 2
+                assert seen == ([(1 << n) - 1] if searched else [])
+                assert (hit is None) == (not searched or tu and n % 2 == 0)
+        # the certificates: the whole cycle at its girth, and no search at all
+        # where the graph has no cycle of the kind asked for
+        for n in range(3, 13):
             for check in (is_balanced, is_totally_balanced, is_totally_unimodular):
                 seen.clear()
                 cert = check(cycle_matrix(n))
-                searched = check is not is_balanced or n % 2
+                searched = check is is_totally_balanced or n % 2
                 assert seen == ([(1 << n) - 1] if searched else [])
-                assert cert.verdict == (PASS if n % 2 == 0 and check is not is_totally_balanced else FAIL)
+                assert cert.verdict == (FAIL if searched else PASS)
+            seen.clear()
+            assert is_totally_balanced(path_matrix(n)).verdict == PASS
+            assert seen == []
 
     def test_cyclic_21_firm_worker_fails_on_the_whole_cycle(self):
         # seconds without the degree cut, which skips the smaller odd orders
@@ -705,6 +725,112 @@ class TestPrunedSearchMatchesUnpruned:
         market = nested_market(24)
         assert check_hypergraph_balanced(acceptable_set_hypergraph(market)).verdict == PASS
         assert check_hypergraph_balanced(firm_worker_hypergraph(market)).verdict == PASS
+
+
+def search_from_three(m, rows, cols, orders, keep, odd_twos):
+    """``_row_subset_search`` over every order from 3, with no structured
+    route before it: the certificates' path before the routes existed."""
+    kept = sum(1 << i for i in rows)
+    return matrices._row_subset_search(kept, {j: m.masks[j] & kept for j in cols}, orders, odd_twos)
+
+
+BRUTE = {"balanced": brute_balanced, "totally balanced": brute_totally_balanced}
+
+
+def interval_shaped(rng, n, m):
+    """An n x m matrix whose columns (or, half the time, whose rows) are
+    intervals of the other side; half of them with that side shuffled."""
+    a, b = (n, m) if rng.random() < 0.5 else (m, n)
+    lines = []
+    for _ in range(b):
+        lo = rng.randrange(a)
+        lines.append([int(lo <= i < rng.randint(lo + 1, a)) for i in range(a)])
+    entries = [list(r) for r in zip(*lines)]  # a x b, columns are the intervals
+    if rng.random() < 0.5:
+        rng.shuffle(entries)
+    return entries if (a, b) == (n, m) else [list(r) for r in zip(*entries)]
+
+
+def graphic(rng, n, m):
+    """An n x m matrix whose every column holds two 1s, n >= 2."""
+    entries = [[0] * m for _ in range(n)]
+    for j in range(m):
+        for i in rng.sample(range(n), 2):
+            entries[i][j] = 1
+    return entries
+
+
+class TestStructuredRoutes:
+    """Consecutive ones in the reduced matrix's own order decide PASS, and a
+    graphic reduced matrix starts the search at its (odd) girth or passes
+    with no search; each certificate still equals the brute-force reference
+    and the search from order 3."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        taken = {"interval": 0, "graphic": 0, "no cycle": 0, "floor above 3": 0}
+        c1p, girth = matrices._consecutive_ones, matrices._girth
+
+        def on_c1p(rows, cols):
+            ok = c1p(rows, cols)
+            taken["interval"] += ok
+            return ok
+
+        def on_girth(rows, cols, odd):
+            g = girth(rows, cols, odd)
+            taken["graphic"] += 1
+            taken["no cycle"] += g is None
+            taken["floor above 3"] += g is not None and g > 3
+            return g
+
+        monkeypatch.setattr(matrices, "_consecutive_ones", on_c1p)
+        monkeypatch.setattr(matrices, "_girth", on_girth)
+        return taken
+
+    def assert_same_as_references(self, m, cap, brute=True):
+        verdicts = []
+        for check in (is_balanced, is_totally_balanced, is_totally_unimodular):
+            cert = check(m, cap)
+            refs = [unpruned_certificate(m, cert.property, cap, search_from_three)]
+            if brute:
+                refs.append(BRUTE.get(cert.property, brute_totally_unimodular)(m, cap))
+            for ref in refs:
+                assert repr(cert) == repr(ref)
+                assert cert.as_dict() == ref.as_dict()
+                assert cert.render() == ref.render()
+            verdicts.append(cert.verdict)
+        return verdicts
+
+    def test_random_matrices(self, routes):
+        rng = random.Random(17)
+        verdicts = []
+        for t in range(2000):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            kind = t % 5 // 2  # 40% interval-shaped, 40% graphic, 20% plain random
+            if kind == 0:
+                entries = interval_shaped(rng, n, m)
+            elif kind == 1:
+                entries = graphic(rng, max(n, 2), m)
+            else:
+                density = rng.choice((0.3, 0.5, 0.7))
+                entries = [[int(rng.random() < density) for _ in range(m)] for _ in range(n)]
+            verdicts += self.assert_same_as_references(labelled(entries), rng.choice((4, DEFAULT_CAP, DEFAULT_CAP)))
+        assert verdicts.count(FAIL) > 300 and verdicts.count(PASS) > 300
+        assert verdicts.count(INCONCLUSIVE) > 0
+        assert min(routes.values()) > 0, routes
+
+    @pytest.mark.parametrize(
+        "market",
+        [cyclic_market(n) for n in range(3, 22)] + [interval_market(n) for n in range(4, 8)],
+        ids=[f"cyclic{n}" for n in range(3, 22)] + [f"interval{n}" for n in range(4, 8)],
+    )
+    def test_market_families(self, market, routes):
+        mats = [market_matrix(market), *hypergraph_matrices(market)]
+        for mat in mats:
+            cap = max(mat.shape)
+            self.assert_same_as_references(mat, cap, brute=cap <= 7)
+        # every certificate of these families takes one of the routes
+        assert routes["interval"] + routes["graphic"] == 3 * len(mats)
 
 
 def reference_pick(cand, masks, k, odd_twos):
