@@ -6,15 +6,18 @@ Exit codes: 0 pass/found, 1 fail with witness / no stable matching,
 ``check`` and ``tree`` are each driven by one table (``CHECKS``,
 ``TREE_MODES``) of flag, report name and report builder. Every report has
 ``verdict``, ``render()`` and ``as_dict()``, and ``--json`` encodes all of
-a command's reports once.
+a command's reports once, through ``_json``: the text of ``json.dumps``
+with an indent, written with one type test per value.
 
 ``COMMANDS`` is the option table: per command, each flag with its
 validator and default, built from ``CHECKS``, ``TREE_MODES``, ``--cap``,
 ``--json`` and solve's own flags. ``build_parser`` builds the argparse
 subparsers from it, and ``_read_argv`` reads an argv of exact flags and
-plain values from it directly. ``main`` calls argparse only for what the
-reader refuses (help, abbreviations, ``--flag=value``, usage errors), so
-argparse's help, messages and exit codes are unchanged.
+plain values from it directly, into a namespace filled by one update.
+``main`` calls argparse only for what the reader refuses (help,
+abbreviations, ``--flag=value``, usage errors), so argparse's help,
+messages and exit codes are unchanged. Every input file is read by
+``_read_text``, unbuffered and in one read.
 """
 
 from __future__ import annotations
@@ -74,17 +77,27 @@ def _json(x, pad: str = "\n") -> str:
     """The text of ``json.dumps(x, indent=2)``, nested after ``pad``. The
     reports' dicts with string keys, lists, strings, ints and None are
     written here, strings by the C encoder (``json.dumps`` with an indent
-    encodes in Python); any other value is left to ``json.dumps``."""
-    if isinstance(x, str):
+    encodes in Python); any other value is left to ``json.dumps``. The type
+    is read once, and a dict's string and None values are written inline."""
+    t = type(x)
+    if t is str:
         return _string(x)
     if x is None:
         return "null"
-    if type(x) is int:
+    if t is int:
         return int.__repr__(x)
     inner = pad + "  "
-    if type(x) is dict and x and all(isinstance(k, str) for k in x):
-        return "{" + ",".join(inner + _string(k) + ": " + _json(v, inner) for k, v in x.items()) + pad + "}"
-    if type(x) is list and x:
+    if t is dict and x:
+        parts = []
+        for k, v in x.items():
+            if type(k) is not str:
+                break
+            parts.append(inner + _string(k) + (
+                ": " + _string(v) if type(v) is str else ": null" if v is None else ": " + _json(v, inner)
+            ))
+        else:
+            return "{" + ",".join(parts) + pad + "}"
+    elif t is list and x:
         return "[" + ",".join(inner + _json(v, inner) for v in x) + pad + "]"
     return json.dumps(x, indent=2).replace("\n", pad)
 
@@ -239,8 +252,9 @@ def _read_text(path: str) -> str:
     """The file's text as ``open(path, encoding="utf-8").read()`` gives it,
     universal newlines included, or the same ``UnicodeDecodeError``: the
     bytes are decoded whole, and ``\r\n`` and lone ``\r`` become ``\n``
-    only when a ``\r`` is present. A BOM is kept, as that read keeps it."""
-    with open(path, "rb") as fh:
+    only when a ``\r`` is present. A BOM is kept, as that read keeps it.
+    The file is read unbuffered: one whole-file read needs no buffer."""
+    with open(path, "rb", buffering=0) as fh:
         text = fh.read().decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -277,12 +291,16 @@ COMMANDS = {
         **{flag: _SWITCH for flag, _, _ in TREE_MODES}, "--cap": _CAP, "--json": _SWITCH,
     }),
 }
-# Each flag's namespace attribute, and per command the namespace's defaults,
-# derived from COMMANDS once rather than on every argv.
+# Each flag's namespace attribute, and per command the namespace's starting
+# attributes (command, path, handler and each flag's default), derived from
+# COMMANDS once rather than on every argv.
 _DESTS = {flag: flag[2:].replace("-", "_") for _, _, options in COMMANDS.values() for flag in options}
 _DEFAULTS = {
-    command: {_DESTS[flag]: keywords.get("default") for flag, keywords in options.items()}
-    for command, (_, _, options) in COMMANDS.items()
+    command: {
+        "command": command, "path": None, "func": func,
+        **{_DESTS[flag]: keywords.get("default") for flag, keywords in options.items()},
+    }
+    for command, (_, func, options) in COMMANDS.items()
 }
 
 
@@ -313,7 +331,7 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     flag's validator or choices refuse."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, func, options = COMMANDS[argv[0]]
+    options = COMMANDS[argv[0]][2]
     values = dict(_DEFAULTS[argv[0]])
     path = None
     tokens = iter(argv[1:])
@@ -340,7 +358,10 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
             values[_DESTS[token]] = value
     if path is None:
         return None
-    return argparse.Namespace(command=argv[0], path=path, func=func, **values)
+    values["path"] = path
+    ns = argparse.Namespace()
+    vars(ns).update(values)  # one update, where Namespace(**values) sets each in turn
+    return ns
 
 
 def main(argv: Optional[list[str]] = None) -> int:

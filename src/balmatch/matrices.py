@@ -16,16 +16,18 @@ in their column filter (two 1s on the row subset for balanced and totally
 balanced, a positive even number for totally unimodular), their orders
 (odd ones for balanced) and the parity rule of total unimodularity, which
 is decided by Camion's criterion, so a determinant is evaluated only for
-the FAIL witness. The search keeps the column counts of its chosen rows
-as bit-planes, so a row subset's candidate columns are one bitmask, and it
-cuts a branch once a chosen row can no longer lie on two candidates,
-which every row of a first witness does. For balanced and totally
-balanced it also skips row subsets holding two rows with nested column
-sets, which no first witness holds. The search and the picker run depth
-first over explicit stacks, so no recursion limit bounds them. Searches
-are exhaustive up to a size cap (on the reduced matrix for balanced and
-totally balanced, on the matrix itself for totally unimodular); beyond
-the cap the verdict is INCONCLUSIVE, never a guess.
+the FAIL witness: in O(k) off the cycle when that witness is one odd
+cycle, else by Bareiss elimination. The search keeps the column counts of
+its chosen rows as bit-planes, so a row subset's candidate columns are one
+bitmask, and it cuts a branch once a chosen row can no longer lie on two
+candidates, which every row of a first witness does. For balanced and
+totally balanced it also skips row subsets holding two rows with nested
+column sets, which no first witness holds; only rows that share a column
+are tested for nesting. The search and the picker run depth first over
+explicit stacks, so no recursion limit bounds them. Searches are
+exhaustive up to a size cap (on the reduced matrix for balanced and
+totally balanced, on the matrix itself for totally unimodular); beyond the
+cap the verdict is INCONCLUSIVE, never a guess.
 
 Two shapes are decided before the search, after the cap test, on the
 reduced matrix; neither changes a FAIL witness. Consecutive ones: if
@@ -97,12 +99,23 @@ class ZeroOneMatrix:
         return tuple(tuple(x >> i & 1 for x in self.masks) for i in range(len(self.rows)))
 
     def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "ZeroOneMatrix":
+        """Rows ``rows`` and columns ``cols``, in that order; each column's
+        mask is read bit by bit only where it meets the chosen rows."""
         rows, cols = list(rows), list(cols)
-        return ZeroOneMatrix(
-            rows=tuple(self.rows[i] for i in rows),
-            cols=tuple(self.cols[j] for j in cols),
-            masks=tuple(sum(1 << p for p, i in enumerate(rows) if self.masks[j] >> i & 1) for j in cols),
-        )
+        labels = tuple(self.rows[i] for i in rows)
+        to: dict[int, int] = {}  # a chosen row's bit -> its bits in the submatrix
+        for p, i in enumerate(rows):
+            to[1 << i] = to.get(1 << i, 0) | 1 << p
+        kept = sum(to)
+        masks = []
+        for j in cols:
+            x, y = self.masks[j] & kept, 0
+            while x:
+                low = x & -x
+                x ^= low
+                y |= to[low]
+            masks.append(y)
+        return ZeroOneMatrix(labels, tuple(self.cols[j] for j in cols), tuple(masks))
 
     def render(self) -> str:
         width = max([len(r) for r in self.rows] + [1]) if self.rows else 1
@@ -201,6 +214,40 @@ def integer_determinant(rows: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _odd_cycle_determinant(masks: tuple[int, ...]) -> int:
+    """Determinant of a k x k 0-1 matrix, k odd, whose columns (bit i for
+    row i) are the edges of one cycle through all its rows, in O(k).
+
+    Walk the cycle, each column entering the next row. The matrix is
+    P_s + P_t, where the permutation matrix P_s maps each column to the row
+    it enters and P_t to the row it leaves. P_t^-1 P_s steps round the
+    cycle, a k-cycle with determinant (-1)^(k-1) = 1, and det(I + P) over a
+    k-cycle P is 1 - (-1)^k = 2. So the determinant is 2 det(P_t) =
+    2 det(P_s), twice the sign of s.
+    """
+    k = len(masks)
+    at: list[list[int]] = [[] for _ in range(k)]  # each row's two columns
+    for j, x in enumerate(masks):
+        at[(x & -x).bit_length() - 1].append(j)
+        at[x.bit_length() - 1].append(j)
+    enters = [0] * k
+    j, i = 0, masks[0].bit_length() - 1  # column 0 enters its last row
+    for _ in range(k):
+        enters[j] = i
+        a, b = at[i]
+        j = b if a == j else a
+        i = (masks[j] ^ 1 << i).bit_length() - 1
+    # the sign of s is (-1)^(k - number of its cycles)
+    cycles, seen = 0, [False] * k
+    for j in range(k):
+        if not seen[j]:
+            cycles += 1
+            while not seen[j]:
+                seen[j] = True
+                j = enters[j]
+    return 2 if (k - cycles) % 2 == 0 else -2
 
 
 def _reduce(m: ZeroOneMatrix) -> tuple[int, dict[int, int]]:
@@ -342,7 +389,8 @@ def _row_subset_search(
     a and the other row b, so both are {a, b}. So the search enumerates only
     the row subsets free of dead pairs, depth first over ascending indices,
     which meets them in the lexicographic order of
-    ``itertools.combinations``, and the first hit is unchanged. With ``tu``
+    ``itertools.combinations``, and the first hit is unchanged. The pair
+    table (``_live_rows``) tests only rows that share a column. With ``tu``
     every pair is live: no pair table is built.
     """
     col_list = list(cols.items())
@@ -360,11 +408,7 @@ def _row_subset_search(
         above[low] = x
         x |= row_cols[low]
     if not tu:
-        # live[bit of row a]: the rows that may share a hit with row a
-        live = {
-            a: sum(b for b, y in row_cols.items() if (x | y) not in (x, y))
-            for a, x in row_cols.items()
-        }
+        live = _live_rows(row_cols, col_list)
 
     for k in orders:
         # frames: chosen rows, their column masks, bit-planes, rows left to try
@@ -400,6 +444,30 @@ def _row_subset_search(
                     stack.append((chosen | low, chosen_cols + (x,), t1, t2, t3, below))
                     break
     return None
+
+
+def _live_rows(row_cols: dict[int, int], col_list: list[tuple[int, int]]) -> dict[int, int]:
+    """For each row's bit, the rows whose column sets are not nested with
+    its own (``row_cols`` as in ``_row_subset_search``): the rows that may
+    share a hit with it. Nested non-empty column sets share a column, so
+    only the rows met in a column of the row are tested."""
+    every = sum(row_cols)
+    live = {}
+    for a, x in row_cols.items():
+        near, z = 0, x
+        while z:
+            low = z & -z
+            z ^= low
+            near |= col_list[low.bit_length() - 1][1]
+        dead = 0  # the rows nested with a, a itself included
+        while near:
+            b = near & -near
+            near ^= b
+            y = row_cols[b]
+            if x | y == x or x | y == y:
+                dead |= b
+        live[a] = every & ~dead
+    return live
 
 
 def _leaf(sub, ok, col_list, k, tu):
@@ -511,11 +579,19 @@ def is_totally_unimodular(m: ZeroOneMatrix, cap: int = DEFAULT_CAP) -> MatrixCer
     column that is zero on its rows. At that order these submatrices are
     exactly the ones with |det| >= 2, met in the same lexicographic order as
     a scan of all minors, so the witness is the first non-TU minor. Only its
-    determinant is evaluated.
+    determinant is evaluated. When each of its columns holds two 1s, each
+    row, of even sum and at least two 1s, holds two as well: the columns
+    are the edges of cycles through every row, and there is one, odd, since
+    a proper odd cycle is non-TU and even cycles alone give determinant 0.
+    Its determinant is then read off the cycle in O(k); any other witness
+    is evaluated by Bareiss elimination.
     """
     cert = _certificate(m, "totally unimodular", cap, 1, True, "")
     if cert.verdict != FAIL:
         return cert
-    wr, wc = cert.witness_rows, cert.witness_cols
-    det = integer_determinant([[m.masks[j] >> i & 1 for j in wc] for i in wr])
-    return replace(cert, determinant=det, detail=f"submatrix of order {len(wr)} has determinant {det}")
+    masks = cert.witness.masks
+    if all(x.bit_count() == 2 for x in masks):
+        det = _odd_cycle_determinant(masks)
+    else:
+        det = integer_determinant([[x >> i & 1 for x in masks] for i in range(len(masks))])
+    return replace(cert, determinant=det, detail=f"submatrix of order {len(masks)} has determinant {det}")

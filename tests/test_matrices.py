@@ -14,7 +14,7 @@ from balmatch.hypergraphs import (
     firm_worker_hypergraph,
 )
 from balmatch import matrices
-from balmatch.market import acceptable_set_family
+from balmatch.market import Market, acceptable_set_family
 from balmatch.matrices import (
     DEFAULT_CAP,
     FAIL,
@@ -230,6 +230,30 @@ class TestDeterminant:
     def test_cycle3_det(self):
         assert integer_determinant([list(r) for r in CYCLE3.entries]) == 2
 
+    def test_odd_cycle_determinant_matches_bareiss(self):
+        rng = random.Random(5)
+        dets = set()
+        for k in range(3, 16, 2):
+            for _ in range(20):
+                order, cols = rng.sample(range(k), k), rng.sample(range(k), k)
+                entries = [[0] * k for _ in range(k)]
+                for p in range(k):  # edge p joins the cycle's p-th and next vertex
+                    entries[order[p]][cols[p]] = entries[order[(p + 1) % k]][cols[p]] = 1
+                det = matrices._odd_cycle_determinant(labelled(entries).masks)
+                assert det == integer_determinant(entries)
+                dets.add(det)
+        assert dets == {2, -2}
+
+    def test_cyclic_499_tu_witness_needs_no_elimination(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("integer_determinant called")
+
+        monkeypatch.setattr(matrices, "integer_determinant", refuse)
+        cert = is_totally_unimodular(market_matrix(cyclic_market(499)), cap=499)
+        assert (cert.verdict, cert.determinant) == (FAIL, 2)
+        assert cert.witness_rows == tuple(range(499))
+        assert cert.detail == "submatrix of order 499 has determinant 2"
+
 
 def reference_matrix_of_sets(sets, ground):
     """The indicator matrix built entry by entry, as 0/1 rows."""
@@ -273,6 +297,20 @@ class TestZeroOneMatrix:
         m = ZeroOneMatrix.from_rows([f"r{i}" for i in range(len(rows))], [f"c{j}" for j in range(k)], rows)
         assert m.entries == tuple(map(tuple, rows))
         assert m.masks == tuple(sum(row[j] << i for i, row in enumerate(rows)) for j in range(k))
+
+    def test_submatrix_matches_entrywise_reference(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            n, m = rng.randint(1, 9), rng.randint(0, 9)
+            mat = labelled(random_01(rng, n, max(m, 1)))
+            rows = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]  # any order, repeats
+            cols = [rng.randrange(len(mat.cols)) for _ in range(rng.randint(0, m + 2))]
+            sub = mat.submatrix(rows, cols)
+            assert sub.rows == tuple(mat.rows[i] for i in rows)
+            assert sub.cols == tuple(mat.cols[j] for j in cols)
+            assert sub.masks == tuple(
+                sum(1 << p for p, i in enumerate(rows) if mat.masks[j] >> i & 1) for j in cols
+            )
 
     def test_matrix_of_sets_layout(self):
         m = matrix_of_sets([{"a", "b"}, {"b"}], ["a", "b", "c"])
@@ -643,15 +681,35 @@ class TestPrunedSearchMatchesUnpruned:
     change no certificate: verdicts, witnesses and renderings equal the
     search over every row subset."""
 
-    def test_random_matrices(self):
+    @staticmethod
+    def random_matrices():
         rng = random.Random(13)
-        verdicts = []
         for _ in range(2000):
             n, m = rng.randint(1, 12), rng.randint(1, 12)
             density = rng.choice((0.15, 0.3, 0.5, 0.7))
-            mat = labelled([[int(rng.random() < density) for _ in range(m)] for _ in range(n)])
+            yield labelled([[int(rng.random() < density) for _ in range(m)] for _ in range(n)])
+
+    def test_random_matrices(self):
+        verdicts = []
+        for mat in self.random_matrices():
             verdicts += assert_same_as_unpruned(mat)
         assert verdicts.count(FAIL) > 1000 and verdicts.count(PASS) > 1000
+
+    def test_live_rows_match_the_dense_definition(self):
+        # every pair of kept rows tested for nesting, as the table was first built
+        for mat in self.random_matrices():
+            rows, cols = matrices._reduce(mat)
+            col_list = list(cols.items())
+            row_cols = {
+                1 << i: sum(1 << p for p, (_, y) in enumerate(col_list) if y >> i & 1)
+                for i in range(len(mat.rows))
+                if rows >> i & 1
+            }
+            dense = {
+                a: sum(b for b, y in row_cols.items() if (x | y) not in (x, y))
+                for a, x in row_cols.items()
+            }
+            assert matrices._live_rows(row_cols, col_list) == dense
 
     def test_nested_pairs_are_pruned_not_lost(self):
         # rows r0 and r3 are nested (r3's columns lie inside r0's), yet a
@@ -707,7 +765,8 @@ class TestPrunedSearchMatchesUnpruned:
             assert seen == []
 
     def test_cyclic_21_firm_worker_fails_on_the_whole_cycle(self):
-        # seconds without the degree cut, which skips the smaller odd orders
+        # graphic: the odd girth is 21, so only order 21 is searched, and
+        # only the whole cycle reaches the picker
         cert = check_hypergraph_balanced(firm_worker_hypergraph(cyclic_market(21)))
         assert cert.as_dict() == {
             "verdict": FAIL,
@@ -716,15 +775,40 @@ class TestPrunedSearchMatchesUnpruned:
         }
 
     def test_cyclic_20_balanced_passes_at_cap_21(self):
-        # seconds without the degree cut, which stops every odd row subset early
+        # graphic with no odd cycle: PASS with no search
         assert is_balanced(market_matrix(cyclic_market(20)), cap=21).verdict == PASS
 
     def test_nested_chain_of_24_passes_both_hypergraph_checks(self):
-        # every row pair of a nested chain is dead, so nothing is enumerated;
-        # the unpruned search doubles per worker from about 6 ms at 12
+        # consecutive ones in both matrices: PASS with no search; the
+        # unpruned search doubles per worker from about 6 ms at 12
         market = nested_market(24)
         assert check_hypergraph_balanced(acceptable_set_hypergraph(market)).verdict == PASS
         assert check_hypergraph_balanced(firm_worker_hypergraph(market)).verdict == PASS
+
+    def test_chorded_cycle_of_17_takes_neither_route(self, monkeypatch):
+        # cyclic_market(17) and one firm wanting {w1, w6, w11}: a weight-3
+        # column, so not graphic, and no consecutive ones either way. Its
+        # cycles through the chord have 6, 6 and 8 workers, so the only odd
+        # one is the whole cycle: the degree cut and dead pairs carry every
+        # smaller order, where the unpruned search takes about a second
+        c = cyclic_market(17)
+        chord = {"w1", "w6", "w11"}
+        market = Market.build(
+            c.workers,
+            {**{f: c.firm_prefs[f].chain for f in c.firms}, "f18": [chord]},
+            {w: (*fs, "f18") if w in chord else fs for w, fs in c.worker_prefs.items()},
+        )
+        mat = market_matrix(market)
+        decided = []
+        c1p, girth = matrices._consecutive_ones, matrices._girth
+        monkeypatch.setattr(matrices, "_consecutive_ones", lambda *a: decided.append(c1p(*a)) or decided[-1])
+        monkeypatch.setattr(matrices, "_girth", lambda *a: decided.append(girth(*a)) or decided[-1])
+        verdicts = assert_same_as_unpruned(mat, cap=max(mat.shape))
+        assert decided == [False] * 3
+        assert verdicts == [FAIL] * 3
+        assert is_balanced(mat, cap=18).witness_rows == tuple(range(17))
+        assert is_totally_balanced(mat, cap=18).witness_rows == (0, 1, 2, 3, 4, 5)
+        assert is_totally_unimodular(mat, cap=18).determinant == 2
 
 
 def search_from_three(m, rows, cols, orders, keep, odd_twos):
