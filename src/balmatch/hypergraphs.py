@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .market import Market, acceptable_set_family, acceptable_sets
-from .matrices import ZeroOneMatrix, is_balanced, matrix_of_sets, set_label
+from .matrices import MatrixCertificate, ZeroOneMatrix, cycle_walk, is_balanced, matrix_of_sets, set_label
 
 
 @dataclass(frozen=True)
@@ -91,24 +91,25 @@ def check_hypergraph_balanced(h: ZeroOneMatrix) -> HypergraphCertificate:
     cert = is_balanced(h, cap=max(h.shape))
     if cert.ok:
         return HypergraphCertificate(verdict="PASS")
-    return HypergraphCertificate(
-        verdict="FAIL", cycle=_cycle(h, cert.witness_rows, cert.witness_cols)
-    )
+    return HypergraphCertificate(verdict="FAIL", cycle=_cycle(h, cert))
 
 
-def _cycle(h: ZeroOneMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> HyperCycle:
-    """Walk a two-per-line witness as one cycle, from its first row.
+def _cycle(h: ZeroOneMatrix, cert: MatrixCertificate) -> HyperCycle:
+    """Walk a two-per-line FAIL witness as one cycle, from its first row
+    and that row's first column, in O(k) steps; each edge's vertices are
+    read off its mask bits.
 
     The first witness has the smallest odd order, so it is a single
     cycle: an odd component of a larger one would have been found first.
     """
-    on = sum(1 << i for i in rows)
-    left = list(cols)
-    cur, vs, es = rows[0], [], []
-    while left:
-        j = next(j for j in left if h.masks[j] >> cur & 1)
-        left.remove(j)
-        vs.append(h.rows[cur])
-        es.append((h.cols[j], frozenset(v for i, v in enumerate(h.rows) if h.masks[j] >> i & 1)))
-        cur = (h.masks[j] & on & ~(1 << cur)).bit_length() - 1
+    vs, es = [], []
+    for p, q in cycle_walk(cert.witness.masks):
+        j = cert.witness_cols[q]
+        x, members = h.masks[j], []
+        while x:
+            low = x & -x
+            x ^= low
+            members.append(h.rows[low.bit_length() - 1])
+        vs.append(h.rows[cert.witness_rows[p]])
+        es.append((h.cols[j], frozenset(members)))
     return HyperCycle(vertices=tuple(vs), edges=tuple(es))

@@ -20,14 +20,11 @@ the FAIL witness: in O(k) off the cycle when that witness is one odd
 cycle, else by Bareiss elimination. The search keeps the column counts of
 its chosen rows as bit-planes, so a row subset's candidate columns are one
 bitmask, and it cuts a branch once a chosen row can no longer lie on two
-candidates, which every row of a first witness does. For balanced and
-totally balanced it also skips row subsets holding two rows with nested
-column sets, which no first witness holds; only rows that share a column
-are tested for nesting. The search and the picker run depth first over
-explicit stacks, so no recursion limit bounds them. Searches are
-exhaustive up to a size cap (on the reduced matrix for balanced and
-totally balanced, on the matrix itself for totally unimodular); beyond the
-cap the verdict is INCONCLUSIVE, never a guess.
+candidates, which every row of a first witness does. The search and the
+picker run depth first over explicit stacks, so no recursion limit bounds
+them. Searches are exhaustive up to a size cap (on the reduced matrix for
+balanced and totally balanced, on the matrix itself for totally
+unimodular); beyond the cap the verdict is INCONCLUSIVE, never a guess.
 
 Two shapes are decided before the search, after the cap test, on the
 reduced matrix; neither changes a FAIL witness. Consecutive ones: if
@@ -216,37 +213,49 @@ def integer_determinant(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def cycle_walk(masks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Walk a k x k 0-1 matrix whose columns (bit i for row i) are the
+    edges of one cycle through all its rows, in O(k): the pair (i, j) of
+    each row i and the column j that leaves it for the next row, from row 0
+    and its first column."""
+    at: list[list[int]] = [[] for _ in masks]  # each row's two columns, ascending
+    for j, x in enumerate(masks):
+        at[(x & -x).bit_length() - 1].append(j)
+        at[x.bit_length() - 1].append(j)
+    walk = []
+    i, j = 0, at[0][0]
+    for _ in masks:
+        walk.append((i, j))
+        i = (masks[j] ^ 1 << i).bit_length() - 1
+        a, b = at[i]
+        j = b if a == j else a
+    return walk
+
+
 def _odd_cycle_determinant(masks: tuple[int, ...]) -> int:
     """Determinant of a k x k 0-1 matrix, k odd, whose columns (bit i for
     row i) are the edges of one cycle through all its rows, in O(k).
 
-    Walk the cycle, each column entering the next row. The matrix is
-    P_s + P_t, where the permutation matrix P_s maps each column to the row
-    it enters and P_t to the row it leaves. P_t^-1 P_s steps round the
-    cycle, a k-cycle with determinant (-1)^(k-1) = 1, and det(I + P) over a
-    k-cycle P is 1 - (-1)^k = 2. So the determinant is 2 det(P_t) =
-    2 det(P_s), twice the sign of s.
+    Walk the cycle (``cycle_walk``), each column leaving one row for the
+    next. The matrix is P_s + P_t, where the permutation matrix P_s maps
+    each column to the row it enters and P_t to the row it leaves. P_t^-1
+    P_s steps round the cycle, a k-cycle with determinant (-1)^(k-1) = 1,
+    and det(I + P) over a k-cycle P is 1 - (-1)^k = 2. So the determinant
+    is 2 det(P_t) = 2 det(P_s), twice the sign of t, whichever way the walk
+    runs.
     """
     k = len(masks)
-    at: list[list[int]] = [[] for _ in range(k)]  # each row's two columns
-    for j, x in enumerate(masks):
-        at[(x & -x).bit_length() - 1].append(j)
-        at[x.bit_length() - 1].append(j)
-    enters = [0] * k
-    j, i = 0, masks[0].bit_length() - 1  # column 0 enters its last row
-    for _ in range(k):
-        enters[j] = i
-        a, b = at[i]
-        j = b if a == j else a
-        i = (masks[j] ^ 1 << i).bit_length() - 1
-    # the sign of s is (-1)^(k - number of its cycles)
+    leaves = [0] * k
+    for i, j in cycle_walk(masks):
+        leaves[j] = i
+    # the sign of t is (-1)^(k - number of its cycles)
     cycles, seen = 0, [False] * k
     for j in range(k):
         if not seen[j]:
             cycles += 1
             while not seen[j]:
                 seen[j] = True
-                j = enters[j]
+                j = leaves[j]
     return 2 if (k - cycles) % 2 == 0 else -2
 
 
@@ -381,17 +390,6 @@ def _row_subset_search(
     is built once, so the test costs one AND and one bit count per chosen
     row. A leaf reaches ``_pick`` only when each of its rows lies on two
     candidates, and the first hit is unchanged.
-
-    Dead row pairs. Without ``tu``, two rows whose column sets are nested
-    (one holds every column of the other) never lie together on a hit at
-    the smallest order: the row a with the smaller set meets the cycle in
-    two columns whose masks on the hit's rows are distinct, yet both hold
-    a and the other row b, so both are {a, b}. So the search enumerates only
-    the row subsets free of dead pairs, depth first over ascending indices,
-    which meets them in the lexicographic order of
-    ``itertools.combinations``, and the first hit is unchanged. The pair
-    table (``_live_rows``) tests only rows that share a column. With ``tu``
-    every pair is live: no pair table is built.
     """
     col_list = list(cols.items())
     # each kept row's bit, with the bitmask of its columns (bit p for col_list[p])
@@ -407,8 +405,6 @@ def _row_subset_search(
     for low in sorted(row_cols, reverse=True):
         above[low] = x
         x |= row_cols[low]
-    if not tu:
-        live = _live_rows(row_cols, col_list)
 
     for k in orders:
         # frames: chosen rows, their column masks, bit-planes, rows left to try
@@ -436,38 +432,12 @@ def _row_subset_search(
                         if hit is not None:
                             return hit
                         continue
-                    below = cand if tu else cand & live[low]
-                    if below.bit_count() < need - 1:  # too few rows left to reach order k
-                        continue
-                    # this frame resumes once the child's rows are spent
+                    # this frame resumes once the child's rows are spent; the loop
+                    # test left the child at least the need - 1 rows it must add
                     stack.append((chosen, chosen_cols, one, two, three, cand))
-                    stack.append((chosen | low, chosen_cols + (x,), t1, t2, t3, below))
+                    stack.append((chosen | low, chosen_cols + (x,), t1, t2, t3, cand))
                     break
     return None
-
-
-def _live_rows(row_cols: dict[int, int], col_list: list[tuple[int, int]]) -> dict[int, int]:
-    """For each row's bit, the rows whose column sets are not nested with
-    its own (``row_cols`` as in ``_row_subset_search``): the rows that may
-    share a hit with it. Nested non-empty column sets share a column, so
-    only the rows met in a column of the row are tested."""
-    every = sum(row_cols)
-    live = {}
-    for a, x in row_cols.items():
-        near, z = 0, x
-        while z:
-            low = z & -z
-            z ^= low
-            near |= col_list[low.bit_length() - 1][1]
-        dead = 0  # the rows nested with a, a itself included
-        while near:
-            b = near & -near
-            near ^= b
-            y = row_cols[b]
-            if x | y == x or x | y == y:
-                dead |= b
-        live[a] = every & ~dead
-    return live
 
 
 def _leaf(sub, ok, col_list, k, tu):

@@ -119,6 +119,19 @@ def nested_market(n: int) -> Market:
     return Market.build(ws, {"f1": [ws[:k] for k in range(n, 0, -1)]}, {w: ["f1"] for w in ws})
 
 
+def shuffled_nested_market(n: int, seed: int) -> Market:
+    """One firm per nested prefix of n workers, firm k wanting the first k
+    alone, with firms and workers listed in an order shuffled by ``seed``."""
+    rng = random.Random(seed)
+    ws = [f"w{i}" for i in range(1, n + 1)]
+    sets = {f"f{k}": ws[:k] for k in range(1, n + 1)}
+    firms, order = list(sets), ws[:]
+    rng.shuffle(firms)
+    rng.shuffle(order)
+    prefs = {w: [f for f in firms if w in sets[f]] for w in order}
+    return Market.build(order, {f: [sets[f]] for f in firms}, prefs)
+
+
 @pytest.fixture
 def corpus_dir():
     return CORPUS

@@ -12,6 +12,7 @@ from balmatch.hypergraphs import (
 )
 from balmatch.market import acceptable_set_family
 from balmatch.matrices import ZeroOneMatrix, is_balanced, matrix_of_sets
+from balmatch.oracle import cyclic_market
 from conftest import bench_like_markets, interval_market
 
 
@@ -48,6 +49,22 @@ def brute_shortest_bad_odd_cycle(h):
                 if ok:
                     return k
     return None
+
+
+def reference_cycle(h, rows, cols):
+    """The FAIL witness walked as one cycle from its first row, quadratic:
+    each step scans the columns left for one on the current row, and reads
+    the edge's vertices row by row."""
+    on = sum(1 << i for i in rows)
+    left = list(cols)
+    cur, vs, es = rows[0], [], []
+    while left:
+        j = next(j for j in left if h.masks[j] >> cur & 1)
+        left.remove(j)
+        vs.append(h.rows[cur])
+        es.append((h.cols[j], frozenset(v for i, v in enumerate(h.rows) if h.masks[j] >> i & 1)))
+        cur = (h.masks[j] & on & ~(1 << cur)).bit_length() - 1
+    return HyperCycle(vertices=tuple(vs), edges=tuple(es))
 
 
 def assert_matches_brute_force(h):
@@ -185,6 +202,19 @@ class TestOddCycleCondition:
             assert ok == (not brute_bad_odd_cycle(acceptable_set_hypergraph(m)))
             verdicts.add(ok)
         assert verdicts == {True, False}
+
+    def test_walk_matches_the_reference_walk(self):
+        rng = random.Random(26)
+        markets = [*bench_like_markets(), cyclic_market(41), *(random_market(rng) for _ in range(3000))]
+        fails = 0
+        for m in markets:
+            for h in (acceptable_set_hypergraph(m), firm_worker_hypergraph(m)):
+                cert = is_balanced(h, cap=max(h.shape))
+                if not cert.ok:
+                    fails += 1
+                    ref = reference_cycle(h, cert.witness_rows, cert.witness_cols)
+                    assert check_hypergraph_balanced(h).cycle == ref
+        assert fails > 700
 
     def test_singleton_columns_change_no_certificate(self):
         # each singleton is a column with one 1, so _reduce drops it; the

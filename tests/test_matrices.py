@@ -31,7 +31,7 @@ from balmatch.matrices import (
     set_label,
 )
 from balmatch.oracle import cyclic_market
-from conftest import MARKET_FILES, interval_market, load_market, nested_market
+from conftest import MARKET_FILES, interval_market, load_market, nested_market, shuffled_nested_market
 
 
 def permanent_style_det(rows):
@@ -87,9 +87,9 @@ def reference_reduce(m):
 
 
 def unpruned_search(m, rows, cols, orders, keep, odd_twos):
-    """The row-subset search without dead row pairs or the degree cut: every
-    row subset of the reduced matrix, orders ascending, then
-    itertools.combinations, each scanning every column."""
+    """The row-subset search without the degree cut: every row subset of
+    the reduced matrix, orders ascending, then itertools.combinations, each
+    scanning every column."""
     e = m.entries
     colmask = {j: sum(1 << i for i, r in enumerate(rows) if e[r][j]) for j in cols}
     ok = [keep(w) for w in range(len(rows) + 1)]
@@ -676,10 +676,9 @@ def window_matrix(n, width):
 
 
 class TestPrunedSearchMatchesUnpruned:
-    """Skipping row subsets that hold a nested (dead) row pair, and cutting
-    a branch once a chosen row can no longer lie on two candidate columns,
-    change no certificate: verdicts, witnesses and renderings equal the
-    search over every row subset."""
+    """The degree cut, which drops a branch once a chosen row can no longer
+    lie on two candidate columns, changes no certificate: verdicts,
+    witnesses and renderings equal the search over every row subset."""
 
     @staticmethod
     def random_matrices():
@@ -695,25 +694,9 @@ class TestPrunedSearchMatchesUnpruned:
             verdicts += assert_same_as_unpruned(mat)
         assert verdicts.count(FAIL) > 1000 and verdicts.count(PASS) > 1000
 
-    def test_live_rows_match_the_dense_definition(self):
-        # every pair of kept rows tested for nesting, as the table was first built
-        for mat in self.random_matrices():
-            rows, cols = matrices._reduce(mat)
-            col_list = list(cols.items())
-            row_cols = {
-                1 << i: sum(1 << p for p, (_, y) in enumerate(col_list) if y >> i & 1)
-                for i in range(len(mat.rows))
-                if rows >> i & 1
-            }
-            dense = {
-                a: sum(b for b, y in row_cols.items() if (x | y) not in (x, y))
-                for a, x in row_cols.items()
-            }
-            assert matrices._live_rows(row_cols, col_list) == dense
-
-    def test_nested_pairs_are_pruned_not_lost(self):
-        # rows r0 and r3 are nested (r3's columns lie inside r0's), yet a
-        # 3-cycle runs through r1, r2, r3 after the dead subsets
+    def test_witness_is_the_three_cycle_on_rows_1_2_3(self):
+        # r0 holds every column, so each row subset with r0 has under three
+        # columns with two 1s; the first witness is the 3-cycle on r1, r2, r3
         mat = labelled([[1, 1, 1, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1]])
         for check in (is_balanced, is_totally_balanced):
             assert check(mat).witness_rows == (1, 2, 3)
@@ -724,6 +707,15 @@ class TestPrunedSearchMatchesUnpruned:
         assert_same_as_unpruned(market_matrix(market))
         for mat in hypergraph_matrices(market):
             assert_same_as_unpruned(mat, cap=max(mat.shape))
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_nested_families_out_of_order(self, n):
+        # no consecutive ones in either orientation, so unlike nested_market
+        # each matrix reaches the search, which must run every order to PASS
+        market = shuffled_nested_market(n, seed=n)
+        for mat in (market_matrix(market), *hypergraph_matrices(market)):
+            assert not matrices._consecutive_ones(*matrices._reduce(mat))
+            assert assert_same_as_unpruned(mat, cap=max(mat.shape)) == [PASS] * 3
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_cycles_and_intervals(self, n):
@@ -789,8 +781,8 @@ class TestPrunedSearchMatchesUnpruned:
         # cyclic_market(17) and one firm wanting {w1, w6, w11}: a weight-3
         # column, so not graphic, and no consecutive ones either way. Its
         # cycles through the chord have 6, 6 and 8 workers, so the only odd
-        # one is the whole cycle: the degree cut and dead pairs carry every
-        # smaller order, where the unpruned search takes about a second
+        # one is the whole cycle: the degree cut carries every smaller
+        # order, where the unpruned search takes about a second
         c = cyclic_market(17)
         chord = {"w1", "w6", "w11"}
         market = Market.build(
