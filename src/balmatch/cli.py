@@ -378,10 +378,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (formats.ParseError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MarketError, FractionalError, TreeError) as e:
+    except (OSError, MarketError, FractionalError, TreeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

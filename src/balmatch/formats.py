@@ -271,38 +271,26 @@ def parse_tree(text: str) -> TechnologyTree:
 
 
 def serialize_tree(t: TechnologyTree) -> str:
-    """The outline ``parse_tree`` reads; a stack walk, so any depth works."""
-    lines, stack = [], [(t.root, 0)]
-    while stack:
-        v, depth = stack.pop()
-        members = ",".join(sorted(t.worker_sets[v]))
-        lines.append("  " * depth + f"{v}: {{{members}}}")
-        stack.extend((c, depth + 1) for c in reversed(t.children.get(v, ())))
-    return "\n".join(lines) + "\n"
+    """The outline ``parse_tree`` reads, one line per ``t.outline`` entry."""
+    return "".join("  " * d + f"{v}: {{{','.join(sorted(t.worker_sets[v]))}}}\n" for v, d in t.outline)
 
 
 def tree_to_json(t: TechnologyTree) -> str:
     """Nested ``{"name", "workers", "children"}`` objects, the text of
-    ``json.dumps(..., indent=2)``; written by a stack walk, so any depth
-    works."""
-    out, stack = [], [(t.root, "")]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+    ``json.dumps(..., indent=2)``, written from ``t.outline``: each vertex
+    opens its object, and the next entry's depth says how many to close."""
+    out = []
+    for (v, d), e in zip(t.outline, [d for _, d in t.outline[1:]] + [0]):
+        pad = "    " * d
+        workers = json.dumps(sorted(t.worker_sets[v]), indent=2).replace("\n", f"\n{pad}  ")
+        out.append(f'{{\n{pad}  "name": {json.dumps(v)},\n{pad}  "workers": {workers},\n{pad}  "children": ')
+        if e > d:
+            out.append(f"[\n{pad}    ")
             continue
-        v, pad = item
-        inner = pad + "  "
-        workers = json.dumps(sorted(t.worker_sets[v]), indent=2).replace("\n", "\n" + inner)
-        out.append(f'{{\n{inner}"name": {json.dumps(v)},\n{inner}"workers": {workers},\n{inner}"children": ')
-        kids = t.children.get(v, ())
-        if not kids:
-            out.append(f"[]\n{pad}}}")
-            continue
-        stack.append(f"\n{inner}]\n{pad}}}")
-        for i in reversed(range(len(kids))):
-            stack.append((kids[i], inner + "  "))
-            stack.append(("[\n" if i == 0 else ",\n") + inner + "  ")
+        out.append(f"[]\n{pad}}}")
+        out.extend(f"\n{'    ' * a}  ]\n{'    ' * a}}}" for a in range(d - 1, e - 1, -1))
+        if e:
+            out.append(",\n" + "    " * e)
     return "".join(out)
 
 

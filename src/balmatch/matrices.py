@@ -26,8 +26,8 @@ them. Searches are exhaustive up to a size cap (on the reduced matrix for
 balanced and totally balanced, on the matrix itself for totally
 unimodular); beyond the cap the verdict is INCONCLUSIVE, never a guess.
 
-Two shapes are decided before the search, after the cap test, on the
-reduced matrix; neither changes a FAIL witness. Consecutive ones: if
+Three shapes are decided before the search, after the cap test, on the
+reduced matrix; none changes a FAIL witness. Consecutive ones: if
 every column's 1s are adjacent among the kept rows, or every kept row's
 1s among the columns, the matrix or its transpose is an interval matrix,
 so totally unimodular, hence balanced, and totally balanced, since each
@@ -39,7 +39,11 @@ with even line sums is an even-degree graph whose entry sum, twice its
 edge count, is 2 (mod 4) only for an odd count, when it holds an odd
 cycle no longer than its order. So the search starts at the odd girth
 (balanced, totally unimodular) or the girth (totally balanced), and a
-graph with no such cycle is a PASS with no search.
+graph with no such cycle is a PASS with no search. Nested: if the
+reduced columns form a chain under inclusion, order the kept rows by the
+smallest column that holds them; every column is then a prefix, so the
+matrix is an interval matrix in that row order and all three are PASS,
+by the consecutive-ones argument, whatever order the rows come in.
 """
 
 from __future__ import annotations
@@ -293,6 +297,13 @@ def _consecutive_ones(rows: int, cols: dict[int, int]) -> bool:
     return True
 
 
+def _nested(cols: dict[int, int]) -> bool:
+    """Whether the reduced columns form a chain under inclusion: sorted by
+    size, each lies inside the next."""
+    ys = sorted(cols.values(), key=int.bit_count)
+    return all(not a & ~b for a, b in zip(ys, ys[1:]))
+
+
 def _girth(rows: int, cols: dict[int, int], odd: bool) -> Optional[int]:
     """Length of the shortest cycle (with ``odd``, shortest odd cycle) of
     the simple graph on the kept rows whose edges are the reduced columns,
@@ -507,6 +518,8 @@ def _certificate(
         low = _girth(rows, cols, odd=tu or step == 2)
         if low is None:
             return MatrixCertificate(property=prop, verdict=PASS)
+    elif _nested(cols):
+        return MatrixCertificate(property=prop, verdict=PASS)
     orders = range(low, min(rows.bit_count(), len(cols)) + 1, step)
     hit = _row_subset_search(rows, cols, orders, tu)
     if hit is None:

@@ -191,8 +191,13 @@ def _components(masks: list[int]) -> list[int]:
 
     A switch joins its h to every worker of D - A, so D - A lies in one
     component, and no other edge exists. Every vertex lies in some D - A:
-    a worker w of A_k switches the choice from A_k - {w} to A_k.
+    a worker w of A_k switches the choice from A_k - {w} to A_k. The scan
+    stops once one component holds every worker of the chain: each later
+    D - A lies inside it.
     """
+    everyone = 0
+    for x in masks:
+        everyone |= x
     comps: list[int] = []
     for _, _, gain, _ in _switches(masks, dropping=False):
         rest = []
@@ -202,6 +207,8 @@ def _components(masks: list[int]) -> list[int]:
             else:
                 rest.append(c)
         comps = rest + [gain]
+        if gain == everyone:
+            break
     return comps
 
 

@@ -9,7 +9,7 @@ form a contiguous run of that vertex's ordered children.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .matrices import ZeroOneMatrix, matrix_of_sets
@@ -36,11 +36,17 @@ class TechnologyTree:
     reads: no vertex name holds ``:`` or a line boundary, starts with
     ``#`` or has surrounding whitespace, and no worker name is empty,
     holds ``,`` or a line boundary, or has surrounding whitespace.
+
+    That check is the one walk over the tree: a stack walk in outline order
+    (preorder, children left to right), so of several bad upgrades it names
+    the first in that order. It is kept as ``outline``, the (vertex, depth)
+    pairs every reader and writer uses, outside ``==`` and ``repr``.
     """
 
     root: str
     worker_sets: dict[str, frozenset[str]]
     children: dict[str, tuple[str, ...]]
+    outline: tuple[tuple[str, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.root not in self.worker_sets:
@@ -50,11 +56,12 @@ class TechnologyTree:
         for v in self.children:
             if v not in self.worker_sets:
                 raise TreeError(f"children key {v} names no vertex")
-        seen = {self.root}
-        stack = [self.root]
+        outline, seen, stack = [], {self.root}, [(self.root, 0)]
         while stack:
-            v = stack.pop()
-            for c in self.children.get(v, ()):
+            v, depth = stack.pop()
+            outline.append((v, depth))
+            kids = self.children.get(v, ())
+            for c in kids:
                 if c in seen:
                     raise TreeError(f"vertex {c} reachable twice")
                 if c not in self.worker_sets:
@@ -64,9 +71,10 @@ class TechnologyTree:
                         f"upgrade {v}->{c} must strictly enlarge the worker set"
                     )
                 seen.add(c)
-                stack.append(c)
+            stack.extend((c, depth + 1) for c in reversed(kids))
         if seen != set(self.worker_sets):
             raise TreeError("tree is not connected")
+        object.__setattr__(self, "outline", tuple(outline))
         for v in self.worker_sets:
             if ":" in v or v.startswith("#") or v != v.strip() or _breaks_line(v):
                 raise TreeError(f"vertex name {v!r} cannot be written in a tree outline")
@@ -79,13 +87,8 @@ class TechnologyTree:
             raise TreeError(f"worker name {min(bad)!r} cannot be written in a tree outline")
 
     def vertices(self) -> list[str]:
-        """Vertices in depth-first outline order."""
-        out, stack = [], [self.root]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(reversed(self.children.get(v, ())))
-        return out
+        """Vertices in outline order."""
+        return [v for v, _ in self.outline]
 
     def edges(self) -> list[Edge]:
         out = []

@@ -709,13 +709,22 @@ class TestPrunedSearchMatchesUnpruned:
             assert_same_as_unpruned(mat, cap=max(mat.shape))
 
     @pytest.mark.parametrize("n", range(5, 13))
-    def test_nested_families_out_of_order(self, n):
-        # no consecutive ones in either orientation, so unlike nested_market
-        # each matrix reaches the search, which must run every order to PASS
+    def test_nested_families_out_of_order(self, n, monkeypatch):
+        # no consecutive ones in either orientation, but the reduced columns
+        # are a chain, so the nested route decides each matrix with no search;
+        # the search, called from order 3, still runs every order to PASS
         market = shuffled_nested_market(n, seed=n)
         for mat in (market_matrix(market), *hypergraph_matrices(market)):
-            assert not matrices._consecutive_ones(*matrices._reduce(mat))
-            assert assert_same_as_unpruned(mat, cap=max(mat.shape)) == [PASS] * 3
+            rows, cols = matrices._reduce(mat)
+            assert not matrices._consecutive_ones(rows, cols)
+            assert matrices._nested(cols)
+            cap = max(mat.shape)
+            with monkeypatch.context() as mp:
+                mp.setattr(matrices, "_row_subset_search", lambda *a: pytest.fail("searched"))
+                assert assert_same_as_unpruned(mat, cap=cap) == [PASS] * 3
+            # the unpruned search found PASS above; so does the search from 3
+            for prop in UNPRUNED:
+                assert unpruned_certificate(mat, prop, cap, search_from_three).verdict == PASS
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_cycles_and_intervals(self, n):
@@ -837,15 +846,16 @@ def graphic(rng, n, m):
 
 
 class TestStructuredRoutes:
-    """Consecutive ones in the reduced matrix's own order decide PASS, and a
+    """Consecutive ones in the reduced matrix's own order decide PASS, a
     graphic reduced matrix starts the search at its (odd) girth or passes
-    with no search; each certificate still equals the brute-force reference
-    and the search from order 3."""
+    with no search, and reduced columns that form a chain decide PASS; each
+    certificate still equals the brute-force reference and the search from
+    order 3."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        taken = {"interval": 0, "graphic": 0, "no cycle": 0, "floor above 3": 0}
-        c1p, girth = matrices._consecutive_ones, matrices._girth
+        taken = {"interval": 0, "graphic": 0, "no cycle": 0, "floor above 3": 0, "nested": 0}
+        c1p, girth, nested = matrices._consecutive_ones, matrices._girth, matrices._nested
 
         def on_c1p(rows, cols):
             ok = c1p(rows, cols)
@@ -859,8 +869,14 @@ class TestStructuredRoutes:
             taken["floor above 3"] += g is not None and g > 3
             return g
 
+        def on_nested(cols):
+            ok = nested(cols)
+            taken["nested"] += ok
+            return ok
+
         monkeypatch.setattr(matrices, "_consecutive_ones", on_c1p)
         monkeypatch.setattr(matrices, "_girth", on_girth)
+        monkeypatch.setattr(matrices, "_nested", on_nested)
         return taken
 
     def assert_same_as_references(self, m, cap, brute=True):
@@ -894,6 +910,26 @@ class TestStructuredRoutes:
         assert verdicts.count(FAIL) > 300 and verdicts.count(PASS) > 300
         assert verdicts.count(INCONCLUSIVE) > 0
         assert min(routes.values()) > 0, routes
+
+    def test_shuffled_chains(self, routes):
+        # columns that are prefixes of one row order, rows and columns shuffled
+        rng = random.Random(29)
+        verdicts = []
+        for _ in range(500):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            rank = rng.sample(range(n), n)
+            sizes = [rng.randint(0, n) for _ in range(m)]
+            entries = [[int(rank[i] < size) for size in sizes] for i in range(n)]
+            verdicts += self.assert_same_as_references(labelled(entries), rng.choice((4, DEFAULT_CAP)))
+        assert set(verdicts) == {PASS, INCONCLUSIVE}
+        assert routes["nested"] > 50
+
+    def test_equal_sized_columns_are_not_a_chain(self, routes):
+        # {r0,r1,r2} and {r0,r1,r3} have one size and neither holds the other
+        m = labelled([[1, 1, 1], [1, 1, 1], [1, 0, 1], [0, 1, 1]])
+        assert not matrices._nested(matrices._reduce(m)[1])
+        self.assert_same_as_references(m, DEFAULT_CAP)
+        assert routes["nested"] == 0
 
     @pytest.mark.parametrize(
         "market",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from balmatch.genrandom import MarketGenConfig, random_market
 from balmatch.market import Market, MarketError, Matching, acceptable_sets, choose, is_stable
+from balmatch import prefs
 from balmatch.prefs import (
     ComplementarityGraph,
     complementarity_graph,
@@ -471,3 +472,65 @@ class TestMatchesReference:
                 monkeypatch.setattr(mod, "choose", unexpected)
         for name in MARKET_FILES:
             assert classify(load_market(name)) == expected[name]
+
+
+def full_scan_components(masks):
+    """``prefs._components`` without its early stop: every switch merged."""
+    comps = []
+    for _, _, gain, _ in prefs._switches(masks, dropping=False):
+        rest = []
+        for c in comps:
+            if c & gain:
+                gain |= c
+            else:
+                rest.append(c)
+        comps = rest + [gain]
+    return comps
+
+
+def drawn_chains():
+    """(market, firm) for every chain the tests above draw."""
+    for seed in (41, 43):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            yield random_chain_firm(rng), "f"
+    for n in range(8, 41):
+        yield nested_market(n), "f1"
+    for m in itertools.chain(bench_like_markets(), map(load_market, MARKET_FILES)):
+        for f in m.firms:
+            yield m, f
+
+
+class TestComponentScan:
+    """``_components`` stops once one component holds every worker of the
+    chain; it returns what the full scan and the reference graph give."""
+
+    def test_equals_full_scan_and_reference_graph(self):
+        whole = 0
+        for m, f in drawn_chains():
+            names, masks = prefs._numbering(acceptable_sets(f, m))
+            comps = prefs._components(masks)
+            assert comps == full_scan_components(masks)
+            bit = {w: 1 << k for k, w in enumerate(names)}
+            ref = [sum(map(bit.__getitem__, c)) for c in reference_graph(f, m).components()]
+            assert sorted(comps) == sorted(ref)
+            whole += len(comps) == 1
+        assert whole > 1000
+
+    def test_nested_chain_stops_early(self, monkeypatch):
+        # one chain of 40 nested sets is one component after its first switches
+        _, masks = prefs._numbering(acceptable_sets("f1", nested_market(40)))
+        read = []
+        switches = prefs._switches
+
+        def counted(*args, **kwargs):
+            for sw in switches(*args, **kwargs):
+                read.append(sw)
+                yield sw
+
+        monkeypatch.setattr(prefs, "_switches", counted)
+        assert prefs._components(masks) == [(1 << 40) - 1]
+        stopped = len(read)
+        read.clear()
+        full_scan_components(masks)
+        assert stopped < len(read) // 10

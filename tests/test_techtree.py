@@ -91,7 +91,23 @@ class TestTreeShape:
         named = f"vertex name {vertex!r}" if worker == "w1" else f"worker name {worker!r}"
         assert str(e.value) == f"{named} cannot be written in a tree outline"
 
+    def test_first_bad_upgrade_in_outline_order_is_named(self):
+        # a->c and b->d both fail; the walk reaches a before b
+        with pytest.raises(TreeError, match=r"^upgrade a->c must strictly enlarge"):
+            TechnologyTree(
+                root="r",
+                worker_sets={
+                    "r": frozenset(),
+                    "a": frozenset({"w1"}),
+                    "b": frozenset({"w2"}),
+                    "c": frozenset({"w1"}),
+                    "d": frozenset({"w2"}),
+                },
+                children={"r": ("a", "b"), "a": ("c",), "b": ("d",)},
+            )
+
     def test_outline_order(self, ladder):
+        assert ladder.outline == (("v0", 0), ("v1", 1), ("v2", 1), ("v3", 1), ("v5", 2))
         assert ladder.vertices() == ["v0", "v1", "v2", "v3", "v5"]
         assert ladder.edges() == [
             ("v0", "v1"),
