@@ -4,6 +4,11 @@ Firms rank whole worker sets through a finite chain of candidate sets
 (best first); every set not on the chain is worse than the empty set.
 Workers rank firms through a partial list; unlisted firms are worse
 than staying unmatched.
+
+``find_block`` and ``is_stable`` share one individual-rationality scan
+and one block scan: ``find_block`` reports every IR violation, with its
+message, in market order, and ``is_stable`` stops at the first IR
+violation or block.
 """
 
 from __future__ import annotations
@@ -195,31 +200,55 @@ def acceptable_set_family(m: Market) -> list[frozenset[str]]:
     return list(dict.fromkeys(s for f in m.firms for s in acceptable_sets(f, m)))
 
 
-def _check_matching(mu: Matching, m: Market):
-    if set(mu.assignment) != set(m.workers):
+def _check_matching(mu: Matching, m: Market) -> dict[str, set[str]]:
+    """Each firm's matched workers, as a plain set, in one pass over the
+    assignment; a firm that holds nothing is absent. Raises ``MarketError``
+    unless every worker is assigned exactly once, to a firm of the market
+    or to the null firm."""
+    assignment = mu.assignment
+    if assignment.keys() != m.worker_prefs.keys():
         raise MarketError("matching must assign every worker exactly once")
-    for w, f in mu.assignment.items():
+    firms = m.firm_prefs
+    held: dict[str, set[str]] = {}
+    for w, f in assignment.items():
         if f is not None:
-            m.require_firm(f)
+            if f not in firms:
+                m.require_firm(f)
+            s = held.get(f)
+            if s is None:
+                held[f] = {w}
+            else:
+                s.add(w)
+    return held
 
 
 def _ir_violations(
-    mu: Matching, m: Market, inv: dict[Optional[str], frozenset[str]]
-) -> list[tuple[str, str]]:
-    out = []
+    m: Market, assignment: dict[str, Optional[str]], held: dict[str, set[str]], first: bool
+) -> list[tuple[str, str | set[str]]]:
+    """The IR violations of a checked matching in market order, workers
+    then firms: (worker, firm) for a worker at a firm she does not list,
+    (firm, set) for a firm whose matched set is not acceptable to it. With
+    ``first``, the scan stops at the first one."""
+    out: list[tuple[str, str | set[str]]] = []
+    prefs = m.worker_prefs
     for w in m.workers:
-        f = mu.firm_of(w)
-        if f is not None and f not in m.worker_prefs[w]:
-            out.append((w, f"matched to unacceptable firm {f}"))
+        f = assignment[w]
+        if f is not None and f not in prefs[w]:
+            out.append((w, f))
+            if first:
+                return out
+    firm_prefs = m.firm_prefs
     for f in m.firms:
-        matched = inv.get(f, frozenset())
-        if matched and matched not in m.firm_prefs[f].acceptable:
-            out.append((f, f"assignment {sorted(matched)} is not its own choice"))
+        s = held.get(f)
+        if s and s not in firm_prefs[f].acceptable:
+            out.append((f, s))
+            if first:
+                return out
     return out
 
 
 def find_block(mu: Matching, m: Market) -> BlockReport:
-    """First IR violation, else first blocking pair in canonical order.
+    """Every IR violation, else the first blocking pair in canonical order.
 
     Canonical order: firms in market order, each firm's acceptable sets
     best-first. A coalition (f, S) blocks iff S is acceptable to f,
@@ -230,25 +259,28 @@ def find_block(mu: Matching, m: Market) -> BlockReport:
     precomputed ``acceptable`` tuple best-first and stops at its current
     set: no later set is strictly preferred to it.
     """
-    _check_matching(mu, m)
-    inv = mu.inverse()
-    ir = _ir_violations(mu, m, inv)
-    if ir:
-        return BlockReport(ir_violations=tuple(ir))
-    return BlockReport(blocking=_first_block(m, mu.assignment, inv))
+    held = _check_matching(mu, m)
+    ir = _ir_violations(m, mu.assignment, held, False)
+    if ir:  # worker and firm names are disjoint, so the name tells the kind
+        return BlockReport(ir_violations=tuple(
+            (who, f"matched to unacceptable firm {what}") if who in m.worker_prefs
+            else (who, f"assignment {sorted(what)} is not its own choice")
+            for who, what in ir
+        ))
+    return BlockReport(blocking=_first_block(m, mu.assignment, held))
 
 
 def _first_block(
     m: Market,
     assignment: dict[str, Optional[str]],
-    inv: dict[Optional[str], frozenset[str]],
+    held: dict[str, set[str]],
 ) -> Optional[tuple[str, frozenset[str]]]:
     """First blocking coalition of a total, individually rational
-    assignment in canonical order, or None; ``inv`` maps each firm to
-    its matched set (an unmatched firm may be absent)."""
+    assignment in canonical order, or None; ``held`` maps each firm to
+    its matched set (a firm that holds nothing may be absent)."""
     prefs = m.worker_prefs
     for f in m.firms:
-        current = inv.get(f, frozenset())
+        current = held.get(f)
         for s in m.firm_prefs[f].acceptable:
             if s == current:
                 break
@@ -264,4 +296,8 @@ def _first_block(
 
 
 def is_stable(mu: Matching, m: Market) -> bool:
-    return find_block(mu, m).empty
+    """``find_block(mu, m).empty``, by the same two scans, but stopping at
+    the first IR violation or block: no message and no report is built."""
+    held = _check_matching(mu, m)
+    assignment = mu.assignment
+    return not _ir_violations(m, assignment, held, True) and _first_block(m, assignment, held) is None

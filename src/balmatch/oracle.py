@@ -2,7 +2,8 @@
 
 The sweep runs ``solve``'s firm-selection search (``solve._Coalitions``)
 on each profile that no matching it found settles, reading the last
-worker's options as one bitmask per matching; it re-checks each matching
+worker's options as one bitmask per matching and stopping that loop once
+every option is settled; it re-checks each matching
 found with ``is_stable`` on the profile's ``Market``, built by the plain
 constructor, and confirms a counterexample with ``all_matchings`` and
 ``is_stable`` alone, so no verdict rests on the search it checks. Every
@@ -72,12 +73,6 @@ def worker_pref_firms(m: Market) -> list[list[str]]:
     return [[f for f in m.firms if any(w in s for s in m.firm_prefs[f].acceptable)] for w in m.workers]
 
 
-def worker_pref_space(m: Market) -> list[list[tuple[str, ...]]]:
-    """Per worker, in market order, the rankings a sweep tries: every
-    ranking of her ``worker_pref_firms``."""
-    return [worker_pref_options(firms) for firms in worker_pref_firms(m)]
-
-
 @dataclass
 class SweepResult:
     """Outcome of an exhaustive sweep: ``checked`` of ``total`` profiles,
@@ -132,8 +127,9 @@ def exists_for_all_worker_prefs(
     ``BudgetError`` if there are more than ``SWEEP_BUDGET`` profiles.
 
     The firm side is checked in a base market, its coalitions are
-    numbered once (``solve._Coalitions``), each option's coalition table
-    is built once, and each worker's keep row at a firm on first use.
+    numbered once (``solve._Coalitions``), each worker's firms are read
+    off that numbering, each option's coalition table is built once, and
+    each worker's keep row at a firm on first use.
     Every stable matching found is kept as its workers' shared keep rows
     and its candidate mask. The profiles are walked in
     ``itertools.product`` order as an odometer: workers 0..n-2 are its
@@ -143,10 +139,13 @@ def exists_for_all_worker_prefs(
     live starts at the matching's ``cand``. Moving a digit rebuilds the
     lists below it: a matching is dropped when the worker is not IR or a
     coalition ending at her stays live, since it blocks on every
-    completion. Under a prefix, each matching on the deepest list settles
-    a bitmask of the last worker's options (``_Settled``), exactly the
-    profiles on which it is ``is_stable``. Each option left is searched,
-    in option order: ``solve``'s search runs on the profile's tables; its
+    completion. Under a prefix, each matching still possible after the
+    whole prefix settles a bitmask of the last worker's options
+    (``_Settled``), exactly the profiles on which it is ``is_stable``.
+    That bitmask is read in the same loop that walks the deepest digit's
+    list, so the last worker's list is never stored, and the loop stops
+    once every option is settled. Each option left is searched, in
+    option order: ``solve``'s search runs on the profile's tables; its
     matching is re-checked with ``is_stable`` on the profile's market,
     built by the plain constructor, appended to every depth's list
     through the current prefix, and its options leave the bitmask. A
@@ -162,14 +161,17 @@ def exists_for_all_worker_prefs(
         worker_prefs={w: () for w in workers},
         firm_prefs=firm_prefs,
     )
-    firms = worker_pref_firms(base)
+    coalitions = _Coalitions(base)
+    # worker_pref_firms, read off the numbering: the firms with a
+    # coalition that holds her
+    of = coalitions.of
+    firms = [[f for f in base.firms if of[f] & ~out] for out in coalitions.out]
     total = math.prod(worker_pref_count(len(fs)) for fs in firms)
     if total > SWEEP_BUDGET:
         raise BudgetError(
             f"{total} worker preference profiles exceed the budget of {SWEEP_BUDGET}"
         )
     options = [worker_pref_options(fs) for fs in firms]
-    coalitions = _Coalitions(base)
     by_ranking = {r: coalitions.table(r) for opts in options for r in opts}
     tables = [[by_ranking[r] for r in opts] for opts in options]
     keeps: list[dict[Optional[str], list]] = [{} for _ in workers]
@@ -212,10 +214,10 @@ def exists_for_all_worker_prefs(
     digits = [0] * last
     # levels[d]: (rows, live) of each found matching still possible after
     # workers 0..d-1 of the current prefix
-    levels: list[list[tuple[list, int]]] = [[] for _ in workers]
+    levels: list[list[tuple[list, int]]] = [[] for _ in digits]
     d = 0  # the shallowest digit that moved: the lists below it are stale
     while True:
-        for depth in range(d, last):
+        for depth in range(d, last - 1):
             k, ending, below = digits[depth], fin[depth], []
             for rows, live in levels[depth]:
                 mask = rows[depth][k]
@@ -224,11 +226,21 @@ def exists_for_all_worker_prefs(
                     if not live & ending:
                         below.append((rows, live))
             levels[depth + 1] = below
-        # the last worker: each option no found matching settles is a
-        # search, in option order
+        # the deepest digit and the last worker in one pass: each matching
+        # still possible after the whole prefix settles its options, and
+        # once every option is settled the rest of the list is not read
         free = (1 << width) - 1
-        for rows, live in levels[last]:
-            free &= ~rows[last][live & at_last]
+        if digits:
+            k, ending = digits[-1], fin[last - 1]
+            for rows, live in levels[-1]:
+                mask = rows[last - 1][k]
+                if mask is not None:
+                    live &= mask
+                    if not live & ending:
+                        free &= ~rows[last][live & at_last]
+                        if not free:
+                            break
+        # each option no found matching settles is a search, in option order
         while free:
             k = (free & -free).bit_length() - 1
             free ^= 1 << k
@@ -246,7 +258,6 @@ def exists_for_all_worker_prefs(
             for depth, j in enumerate(digits):
                 levels[depth].append((rows, live))
                 live &= rows[depth][j]
-            levels[last].append((rows, live))
             if free:
                 free &= ~rows[last][live & at_last]
         checked += width

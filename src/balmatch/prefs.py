@@ -159,7 +159,7 @@ def is_additive(f: str, m: Market) -> bool:
     acc = acceptable_sets(f, m)
     accset = set(acc)
     for a, b in itertools.combinations(acc, 2):
-        if not (a & b) and (a | b) not in accset:
+        if a.isdisjoint(b) and (a | b) not in accset:
             return False
     return True
 

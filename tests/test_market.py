@@ -122,7 +122,9 @@ def reference_find_block(mu, m):
 
 def _assert_find_block_matches_reference(m):
     for mu in all_assignments(m):
-        assert find_block(mu, m) == reference_find_block(mu, m)
+        report = reference_find_block(mu, m)
+        assert find_block(mu, m) == report
+        assert is_stable(mu, m) == report.empty
 
 
 class TestFirmPreference:
@@ -323,8 +325,18 @@ class TestStability:
         assert find_block(mu, two_firms).ir_violations[0] == ("w4", "matched to unacceptable firm f1")
 
     def test_partial_assignment_rejected(self, two_firms):
-        with pytest.raises(MarketError):
-            is_stable(Matching({"w1": None}), two_firms)
+        # is_stable stops early on a well-formed matching, but makes every
+        # check find_block makes first, with the same text
+        for check in (is_stable, find_block):
+            with pytest.raises(MarketError, match="^matching must assign every worker exactly once$"):
+                check(Matching({"w1": None}), two_firms)
+
+    def test_unknown_firm_rejected(self, two_firms):
+        # the first unknown firm in assignment order is named
+        mu = Matching({"w1": "f1", "w2": "f9", "w3": None, "w4": "f8"})
+        for check in (is_stable, find_block):
+            with pytest.raises(MarketError, match="^unknown firm: f9$"):
+                check(mu, two_firms)
 
     def test_find_block_matches_brute_force(self):
         rng = random.Random(5)

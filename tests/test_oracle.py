@@ -20,8 +20,8 @@ from balmatch.oracle import (
     cyclic_market,
     exists_for_all_worker_prefs,
     worker_pref_count,
+    worker_pref_firms,
     worker_pref_options,
-    worker_pref_space,
 )
 from balmatch.solve import _Coalitions, solve
 from conftest import MARKET_FILES, all_assignments, load_market, reference_solve
@@ -61,6 +61,12 @@ def reference_sweep(firm_prefs, workers):
         if mu is None or not is_stable(mu, market):
             return SweepResult(False, total, checked, False, prefs)
     return SweepResult(True, total, checked, False)
+
+
+def _space(m):
+    """Per worker, in market order, the rankings a sweep tries: every
+    ranking of her ``worker_pref_firms``."""
+    return [worker_pref_options(firms) for firms in worker_pref_firms(m)]
 
 
 def _firm_bits(base):
@@ -119,7 +125,7 @@ def stored_first_sweep(firm_prefs, workers):
     order of the tries."""
     workers = list(workers)
     base = Market(tuple(workers), tuple(firm_prefs), {w: () for w in workers}, firm_prefs)
-    options = worker_pref_space(base)
+    options = _space(base)
     total = math.prod(map(len, options))
     if total > SWEEP_BUDGET:
         raise BudgetError(f"{total} profiles")
@@ -162,9 +168,9 @@ def _with_lists(m, worker_prefs):
 
 def _coalitions(base):
     """The sweep's coalition numbering of ``base``, and each worker's
-    option coalition tables in ``worker_pref_space`` order."""
+    option coalition tables in ``_space`` order."""
     coalitions = _Coalitions(base)
-    return coalitions, [[coalitions.table(r) for r in opts] for opts in worker_pref_space(base)]
+    return coalitions, [[coalitions.table(r) for r in opts] for opts in _space(base)]
 
 
 def _search(coalitions, tables, ks):
@@ -291,7 +297,7 @@ class TestPreferenceSweep:
     def test_workers_with_the_same_firms_share_one_option_list(self):
         workers = ["w1", "w2", "w3"]
         m = Market.build(workers, {"f1": [{"w1", "w2"}], "f2": [{"w3"}]}, {w: () for w in workers})
-        space = worker_pref_space(m)
+        space = _space(m)
         assert space == [worker_pref_options(["f1"])] * 2 + [worker_pref_options(["f2"])]
 
     def test_budget_error_without_sampling(self):
@@ -417,7 +423,7 @@ class TestSweepMatchesReference:
         # them per prefix: 16 or 65 options wide, or a single one
         prefs = {f: FirmPreference.of(*sets) for f, sets in chains.items()}
         base = Market(tuple(workers), tuple(prefs), {w: () for w in workers}, prefs)
-        assert tuple(map(len, worker_pref_space(base))) == widths
+        assert tuple(map(len, _space(base))) == widths
         r = _assert_sweep_matches_reference(prefs, workers)
         assert r.ok and r.solved > 1
 
@@ -434,7 +440,7 @@ class TestSweepMatchesReference:
         r = _assert_sweep_matches_reference(prefs, workers)
         assert (r.ok, r.checked, r.solved) == (False, checked, solved)
         base = Market(tuple(workers), tuple(prefs), {w: () for w in workers}, prefs)
-        options = worker_pref_space(base)[-1]
+        options = _space(base)[-1]
         assert len(options) == width
         k = (r.checked - 1) % width
         assert 0 < k < width - 1
@@ -464,7 +470,7 @@ class TestSweepMatchesReference:
         assert (r.ok, r.checked, r.counterexample) == (False, 35, late)
         # the kept mu fails the late profile for the same reason: w2's
         # option () does not list f2, and no candidate coalition survives
-        opts = worker_pref_space(early)
+        opts = _space(early)
         coalitions, tables = _coalitions(early)
         kept = _kept(coalitions, tables, mu, early)
         early_ks = [o.index(early.worker_prefs[w]) for o, w in zip(opts, workers)]
@@ -518,7 +524,7 @@ class TestCompiledMatchesIsStable:
             base = random_market(rng, cfg)
             base = _with_lists(base, {w: () for w in base.workers})
             coalitions, tables = _coalitions(base)
-            space = worker_pref_space(base)
+            space = _space(base)
             indices = list(itertools.product(*map(range, map(len, space))))
             markets = [
                 _with_lists(base, {w: o[k] for w, o, k in zip(base.workers, space, ks)})
@@ -555,11 +561,11 @@ class TestCompiledMatchesIsStable:
         assert coalitions.fin == [0, 0b110, 0b001]
         assert cand == 0b011
         assert [cand & fin for fin in coalitions.fin] == [0, 0b10, 0b01]
-        assert [len(row) for row in rows] == [len(o) for o in worker_pref_space(base)]
+        assert [len(row) for row in rows] == [len(o) for o in _space(base)]
         # w1 at f2, over her options (), (f1), (f2), (f1 f2), (f2 f1): not
         # IR where f2 is unlisted, else f1's {w1,w3} is dropped unless she
         # ranks f1 above f2
-        assert worker_pref_space(base)[0] == [(), ("f1",), ("f2",), ("f1", "f2"), ("f2", "f1")]
+        assert _space(base)[0] == [(), ("f1",), ("f2",), ("f1", "f2"), ("f2", "f1")]
         assert rows[0] == [None, None, ~0b001, ~0, ~0b001]
 
 
@@ -576,7 +582,7 @@ class TestSearchMatchesSolve:
             base = random_market(rng, cfg)
             base = _with_lists(base, {w: () for w in base.workers})
             coalitions, tables = _coalitions(base)
-            space = worker_pref_space(base)
+            space = _space(base)
             for ks in itertools.product(*map(range, map(len, space))):
                 market = _with_lists(base, {w: o[k] for w, o, k in zip(base.workers, space, ks)})
                 hit = _search(coalitions, tables, ks)
