@@ -6,8 +6,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .market import FirmPreference, Market, acceptable_set_family
-from .matrices import is_balanced, matrix_of_sets
+from .hypergraphs import acceptable_set_hypergraph
+from .market import FirmPreference, Market
+from .matrices import is_balanced
 from .oracle import worker_pref_count, worker_pref_firms
 from .prefs import is_complementary
 from .techtree import TechnologyTree
@@ -75,7 +76,7 @@ def random_complementary_balanced_profile(
         )
         if not all(is_complementary(f, probe) for f in firms):
             continue
-        if not is_balanced(matrix_of_sets(acceptable_set_family(probe), workers)).ok:
+        if not is_balanced(acceptable_set_hypergraph(probe)).ok:
             continue
         if math.prod(worker_pref_count(len(fs)) for fs in worker_pref_firms(probe)) > SWEEP_CAP:
             continue

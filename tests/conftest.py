@@ -1,6 +1,9 @@
 import itertools
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,18 @@ from balmatch.oracle import cyclic_market
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 MARKET_FILES = sorted(p.name for p in CORPUS.glob("*.market"))
+
+
+def run_python(*args, hash_seed=None, timeout=60, cwd=None):
+    """Run ``python ARGS`` in a fresh interpreter that imports balmatch from
+    ``src``: ``"-c", code, ...`` runs code and ``"-m", "balmatch.cli", ...``
+    the CLI. ``hash_seed`` sets PYTHONHASHSEED. Returns the finished
+    process with its output as text; a run past ``timeout`` seconds raises
+    ``subprocess.TimeoutExpired``."""
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout, cwd=cwd)
 
 
 def load_market(name: str):

@@ -1,11 +1,9 @@
 import contextlib
 import io
 import json
-import os
 import pathlib
 import re
 import shlex
-import subprocess
 import sys
 
 import pytest
@@ -21,6 +19,7 @@ from balmatch.cli import (
     EXIT_USAGE,
     main,
 )
+from conftest import run_python
 
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -426,14 +425,9 @@ class TestSolve:
         frac = tmp_path / "full.frac"
         frac.write_text("w1 w2 w3 w4\nf 1 1 1 1\nnull 0 0 0 0\n")
         argv = ["solve", str(market), "--strategy", "pipeline", "--fractional", str(frac)]
-        src = str(CORPUS.parent / "src")
         errors = set()
         for seed in range(4):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
-            proc = subprocess.run(
-                [sys.executable, "-m", "balmatch.cli", *argv],
-                capture_output=True, text=True, env=env, check=False,
-            )
+            proc = run_python("-m", "balmatch.cli", *argv, hash_seed=seed)
             assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
             errors.add(proc.stderr)
         assert errors == {
@@ -790,13 +784,16 @@ README = CORPUS.parent / "README.md"
 
 
 def _readme_argvs():
-    """The argv of every ``balmatch ...`` example in the README."""
+    """The exit code and argv of every ``balmatch ...`` example in the
+    README: the code its ``# exits N`` comment states, or 0 with no comment."""
     text = README.read_text().replace("\\\n", " ")
-    return [
-        shlex.split(line.split("#")[0])[1:]
-        for line in text.splitlines()
-        if line.startswith("balmatch ")
-    ]
+    examples = []
+    for line in text.splitlines():
+        if line.startswith("balmatch "):
+            command, _, comment = line.partition("#")
+            code = int(re.match(r" *exits (\d+)", comment)[1]) if comment else 0
+            examples.append((code, shlex.split(command)[1:]))
+    return examples
 
 
 BENCH_ARGVS = (
@@ -823,7 +820,7 @@ class TestReadArgv:
     def test_readme_and_bench_forms_take_the_fast_path(self):
         readme = _readme_argvs()
         assert len(readme) >= 9
-        for argv in readme + BENCH_ARGVS:
+        for argv in [argv for _, argv in readme] + BENCH_ARGVS:
             assert _same_as_argparse(argv) is not None, argv
 
     @pytest.mark.parametrize(

@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -30,7 +27,7 @@ from balmatch.matrices import ZeroOneMatrix, set_label
 from balmatch.oracle import all_stable_matchings, cyclic_market
 from balmatch.prefs import decompose_by_sets
 
-from conftest import CORPUS
+from conftest import run_python
 
 H = Fraction(1, 2)
 Z = Fraction(0)
@@ -369,15 +366,11 @@ class TestVerification:
             "report = verify_fractional_stability(fm, decompose_by_sets(m))\n"
             "print(report.firm, *report.available)\n"
         )
-        src = str(CORPUS.parent / "src")
         outputs = set()
         for seed in (0, 1):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
-            proc = subprocess.run(
-                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-            )
-            outputs.add(proc.stdout)
-        assert outputs == {"f w3 w1 w6 w2 w5 w4\n"}
+            proc = run_python("-c", script, hash_seed=seed)
+            outputs.add((proc.returncode, proc.stdout))
+        assert outputs == {(0, "f w3 w1 w6 w2 w5 w4\n")}
 
     def test_unacceptable_firm_fails_ir(self):
         from balmatch.market import Market
@@ -805,15 +798,11 @@ class TestIntegralToMatching:
             "except ValueError as e:\n"
             "    print(e)\n"
         )
-        src = str(CORPUS.parent / "src")
         errors = set()
         for seed in range(4):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
-            proc = subprocess.run(
-                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-            )
-            errors.add(proc.stdout)
-        assert errors == {"worker w1 assigned twice\n"}
+            proc = run_python("-c", script, hash_seed=seed)
+            errors.add((proc.returncode, proc.stdout))
+        assert errors == {(0, "worker w1 assigned twice\n")}
 
     def test_matched_worker_with_null_share_rejected(self, split):
         # f2 at 1 takes w2, w3 and w4, whose null shares are 1 as well

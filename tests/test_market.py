@@ -1,10 +1,6 @@
 import dataclasses
 import itertools
-import os
-import pathlib
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +21,7 @@ from balmatch.market import (
 )
 from balmatch.prefs import decompose_by_sets
 
-from conftest import MARKET_FILES, all_assignments, load_market
+from conftest import MARKET_FILES, all_assignments, load_market, run_python
 
 
 def reference_weakly_prefers(m, w, f, g):
@@ -182,15 +178,11 @@ class TestMarketValidation:
             "except MarketError as e:\n"
             "    print(e)\n"
         )
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         outputs = set()
         for seed in range(5):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
-            proc = subprocess.run(
-                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-            )
-            outputs.add(proc.stdout)
-        assert outputs == {"unknown worker w5 in chain of firm f1\nunknown worker: w70\n"}
+            proc = run_python("-c", script, hash_seed=seed)
+            outputs.add((proc.returncode, proc.stdout))
+        assert outputs == {(0, "unknown worker w5 in chain of firm f1\nunknown worker: w70\n")}
 
     def test_duplicate_firm_in_worker_list(self):
         with pytest.raises(MarketError):

@@ -1,13 +1,10 @@
 import itertools
-import os
-import pathlib
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balmatch.formats import serialize_market
 from balmatch.hypergraphs import (
     acceptable_set_hypergraph,
     check_hypergraph_balanced,
@@ -31,7 +28,7 @@ from balmatch.matrices import (
     set_label,
 )
 from balmatch.oracle import cyclic_market
-from conftest import MARKET_FILES, interval_market, load_market, nested_market, shuffled_nested_market
+from conftest import MARKET_FILES, interval_market, load_market, nested_market, run_python, shuffled_nested_market
 
 
 def permanent_style_det(rows):
@@ -981,7 +978,7 @@ class TestPickMatchesItsDefinition:
 
 
 DEEP_CYCLES = """
-import sys
+import contextlib, io, sys
 from balmatch.hypergraphs import acceptable_set_hypergraph, check_hypergraph_balanced, firm_worker_hypergraph
 from balmatch.market import acceptable_set_family
 from balmatch.matrices import is_balanced, is_totally_balanced, is_totally_unimodular, matrix_of_sets
@@ -996,14 +993,21 @@ mat = matrix_of_sets(acceptable_set_family(market), market.workers)
 for check in (is_balanced, is_totally_balanced, is_totally_unimodular):
     cert = check(mat, cap=151)
     print(cert.verdict, len(cert.witness_rows), len(cert.witness_cols), cert.determinant)
+from balmatch.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["check", sys.argv[1], "--balanced", "--odd-cycles", "--firm-worker", "--cap", "151"])
+print("exit", code, "FAIL lines", sum("FAIL" in line for line in out.getvalue().splitlines()))
 """
 
 
-def test_deep_cycles_under_a_low_recursion_limit():
+def test_deep_cycles_under_a_low_recursion_limit(tmp_path):
     # the whole 151-worker cycle is each search's first hit; the search and
-    # the picker are loops, so a recursion limit of 200 does not bound them
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", DEEP_CYCLES], capture_output=True, text=True, env=env, timeout=300)
+    # the picker are loops, so a recursion limit of 200 does not bound them,
+    # nor the CLI that reads the market from a file and runs three of them
+    path = tmp_path / "cyclic151.market"
+    path.write_text(serialize_market(cyclic_market(151)))
+    proc = run_python("-c", DEEP_CYCLES, str(path), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
         "FAIL 151 w1 w151",
@@ -1011,4 +1015,5 @@ def test_deep_cycles_under_a_low_recursion_limit():
         "FAIL 151 151 None",
         "FAIL 151 151 None",
         "FAIL 151 151 2",
+        "exit 1 FAIL lines 3",
     ]
