@@ -13,7 +13,6 @@ from .market import (
     Matching,
     acceptable_set_family,
     acceptable_sets,
-    choose,
     find_block,
     is_stable,
 )

@@ -155,11 +155,11 @@ CHECKS = (
 
 
 def cmd_check(args) -> int:
-    m = _load_market(args.path)
     chosen = [check for check in CHECKS if getattr(args, _DESTS[check[0]])]
     if not chosen:
         print("error: no check selected", file=sys.stderr)
         return EXIT_USAGE
+    m = _load_market(args.path)
     matrix = None
 
     def sets():
@@ -172,8 +172,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.fractional and args.strategy != "pipeline":
-        print("error: --fractional needs --strategy pipeline", file=sys.stderr)
+    if bool(args.fractional) != (args.strategy == "pipeline"):  # each needs the other
+        need = "--fractional needs --strategy pipeline" if args.fractional else "pipeline strategy needs --fractional"
+        print(f"error: {need}", file=sys.stderr)
         return EXIT_USAGE
     m = _load_market(args.path)
     if args.decompose == "sets":
@@ -181,9 +182,6 @@ def cmd_solve(args) -> int:
     elif args.decompose == "components":
         m = decompose_by_components(m).market
     if args.strategy == "pipeline":
-        if not args.fractional:
-            print("error: pipeline strategy needs --fractional", file=sys.stderr)
-            return EXIT_USAGE
         d = decompose_by_sets(m)
         fm = formats.parse_fractional(_read_text(args.fractional), d)
         try:

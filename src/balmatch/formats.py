@@ -35,12 +35,17 @@ def _object_without_repeats(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
 
 
+def _refuse_bom(text: str):
+    """Refuse a leading byte-order mark in any format, as ``json.loads`` does."""
+    if text.startswith("\ufeff"):
+        raise ParseError("line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)")
+
+
 def _load_json(text: str):
     """``json.loads(text)``, except that a key repeated in any object is a
     ``ParseError`` naming the key, raised as that object is decoded."""
+    _refuse_bom(text)
     try:
-        if text.startswith("\ufeff"):  # as json.loads refuses it
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         return _DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
@@ -164,6 +169,7 @@ def parse_fractional(text: str, d: DecomposedMarket) -> FractionalMatching:
     row, entries as exact rationals ``p/q`` or decimals without an
     exponent. Each distinct token is parsed once per file; a bad one is
     reported in the first row that has it."""
+    _refuse_bom(text)
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ParseError("empty fractional matching file")
@@ -223,6 +229,7 @@ def serialize_fractional(fm: FractionalMatching, d: DecomposedMarket) -> str:
 def parse_tree(text: str) -> TechnologyTree:
     """Indented outline, two spaces per depth: ``name: {w1,w2}``; the
     textual order of children is the tree's child order."""
+    _refuse_bom(text)
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):

@@ -132,13 +132,6 @@ class Market:
         if f not in self.firm_prefs:
             raise MarketError(f"unknown firm: {f}")
 
-    def require_workers(self, s: frozenset[str]):
-        """Raise naming the smallest worker of s not in the market, so the
-        message does not depend on set iteration order."""
-        for w in s:
-            if w not in self.worker_prefs:
-                raise MarketError(f"unknown worker: {min(s - self.worker_prefs.keys())}")
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -175,7 +168,8 @@ def choose(f: Optional[str], available: Iterable[str], m: Market) -> frozenset[s
     best-ranked chain set contained in the available set, or nothing.
     """
     s = frozenset(available)
-    m.require_workers(s)
+    if unknown := s - m.worker_prefs.keys():  # the smallest, whatever the hash seed
+        raise MarketError(f"unknown worker: {min(unknown)}")
     if f is None:
         return s
     m.require_firm(f)

@@ -17,33 +17,31 @@ balanced, a positive even number for totally unimodular), their orders
 (odd ones for balanced) and the parity rule of total unimodularity, which
 is decided by Camion's criterion, so a determinant is evaluated only for
 the FAIL witness: in O(k) off the cycle when that witness is one odd
-cycle, else by Bareiss elimination. The search keeps the column counts of
-its chosen rows as bit-planes, so a row subset's candidate columns are one
-bitmask, and it cuts a branch once a chosen row can no longer lie on two
-candidates, which every row of a first witness does. The search and the
-picker run depth first over explicit stacks, so no recursion limit bounds
-them. Searches are exhaustive up to a size cap (on the reduced matrix for
-balanced and totally balanced, on the matrix itself for totally
-unimodular); beyond the cap the verdict is INCONCLUSIVE, never a guess.
+cycle, else by Bareiss elimination. The search keeps its chosen rows'
+column counts as bit-planes and cuts a branch once a chosen row can no
+longer lie on two candidates; it and the picker run over explicit
+stacks, so no recursion limit bounds them. Searches are exhaustive up to
+a size cap (on the reduced matrix for balanced and totally balanced, on
+the matrix itself for totally unimodular); beyond the cap the verdict is
+INCONCLUSIVE, never a guess.
 
-Three shapes are decided before the search, after the cap test, on the
-reduced matrix; none changes a FAIL witness. Consecutive ones: if
-every column's 1s are adjacent among the kept rows, or every kept row's
-1s among the columns, the matrix or its transpose is an interval matrix,
-so totally unimodular, hence balanced, and totally balanced, since each
-column of a k-cycle submatrix, consecutive on its k rows, would join one
-of their k - 1 adjacent pairs: all three are PASS. Graphic: if every
-reduced column has two 1s, the columns are the edges of a graph on the
-kept rows. A cycle submatrix is a cycle of it, and a square submatrix
-with even line sums is an even-degree graph whose entry sum, twice its
-edge count, is 2 (mod 4) only for an odd count, when it holds an odd
-cycle no longer than its order. So the search starts at the odd girth
-(balanced, totally unimodular) or the girth (totally balanced), and a
-graph with no such cycle is a PASS with no search. Nested: if the
-reduced columns form a chain under inclusion, order the kept rows by the
-smallest column that holds them; every column is then a prefix, so the
-matrix is an interval matrix in that row order and all three are PASS,
-by the consecutive-ones argument, whatever order the rows come in.
+One dispatch on the reduced matrix, after the cap test, decides two
+shapes before the search; neither changes a FAIL witness. A graph, each
+column two 1s and so an edge on the kept rows: a cycle submatrix is a
+cycle of it, and a square submatrix with even line sums is an
+even-degree graph whose entry sum, twice its edge count, is 2 (mod 4)
+only for an odd count, when it holds an odd cycle no longer than its
+order. So the search starts at the odd girth (balanced, totally
+unimodular) or the girth (totally balanced), and a graph with no such
+cycle passes unsearched. Any other matrix passes when every column's 1s
+are adjacent among the kept rows, or every kept row's 1s along the
+columns, in their own order or sorted by size: it or its transpose is an
+interval matrix, so totally unimodular, hence balanced, and totally
+balanced, since each column of a k-cycle submatrix, consecutive on its k
+rows, would join one of their k - 1 adjacent pairs. A chain under
+inclusion, sorted by size, puts each row's columns in a suffix; a graph
+with consecutive ones has, by that count, no cycle: it is a forest,
+which its girth passes.
 """
 
 from __future__ import annotations
@@ -285,23 +283,20 @@ def _reduce(m: ZeroOneMatrix) -> tuple[int, dict[int, int]]:
 
 def _consecutive_ones(rows: int, cols: dict[int, int]) -> bool:
     """Whether every column's 1s are adjacent among the kept rows, or every
-    kept row's 1s among the columns; ``rows`` and ``cols`` as from ``_reduce``."""
+    kept row's 1s along the columns, in their own order or sorted by size;
+    ``rows`` and ``cols`` as from ``_reduce``."""
     if all(rows & ((1 << y.bit_length()) - (y & -y)) == y for y in cols.values()):
         return True
-    seen = gone = 0  # rows met in an earlier column; rows a later one has missed
-    for y in cols.values():
-        if y & gone:
-            return False
-        gone |= seen & ~y
-        seen |= y
-    return True
-
-
-def _nested(cols: dict[int, int]) -> bool:
-    """Whether the reduced columns form a chain under inclusion: sorted by
-    size, each lies inside the next."""
-    ys = sorted(cols.values(), key=int.bit_count)
-    return all(not a & ~b for a, b in zip(ys, ys[1:]))
+    for order in (cols.values(), sorted(cols.values(), key=int.bit_count)):
+        seen = gone = 0  # rows met in an earlier column; rows a later one has missed
+        for y in order:
+            if y & gone:
+                break
+            gone |= seen & ~y
+            seen |= y
+        else:
+            return True
+    return False
 
 
 def _girth(rows: int, cols: dict[int, int], odd: bool) -> Optional[int]:
@@ -511,14 +506,12 @@ def _certificate(
     if nr > cap or nc > cap:
         what = "matrix" if tu else "reduced matrix"
         return MatrixCertificate(prop, INCONCLUSIVE, detail=f"{what} is {nr}x{nc}, cap is {cap}")
-    if _consecutive_ones(rows, cols):
-        return MatrixCertificate(property=prop, verdict=PASS)
     low = 3
     if all(y.bit_count() == 2 for y in cols.values()):
         low = _girth(rows, cols, odd=tu or step == 2)
         if low is None:
             return MatrixCertificate(property=prop, verdict=PASS)
-    elif _nested(cols):
+    elif _consecutive_ones(rows, cols):
         return MatrixCertificate(property=prop, verdict=PASS)
     orders = range(low, min(rows.bit_count(), len(cols)) + 1, step)
     hit = _row_subset_search(rows, cols, orders, tu)

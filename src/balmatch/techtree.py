@@ -4,6 +4,14 @@ A tree vertex is a technology carrying the worker set needed to run it;
 an edge is an upgrade to a strictly larger requirement. The certified
 condition is that every worker's upgrades sit under a single vertex and
 form a contiguous run of that vertex's ordered children.
+
+Under it, ``worker_set_matrix`` has consecutive ones along every row in
+its own column order. Sets only grow down the tree from the empty root,
+so a worker's vertices are the subtrees of the run of children its
+upgrades reach: one interval of the outline (preorder, children left to
+right). A column sits at the first vertex carrying its set, so one
+between two of the worker's columns lies in that interval and holds the
+worker. Dropping lines keeps this: the ``matrices`` shapes pass it unsearched.
 """
 
 from __future__ import annotations

@@ -117,6 +117,47 @@ class TestUsage:
         assert capsys.readouterr().err.startswith("parse error: line 1, column 1: Unexpected UTF-8 BOM")
 
     @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("bom.json", ["tree", "{}", "--validate", "--permute", "--json"]),
+            ("bom.tree", ["tree", "{}", "--validate", "--permute", "--json"]),
+            ("bom.frac", ["solve", corpus("two_firms.market"), "--strategy", "pipeline", "--fractional", "{}"]),
+        ],
+        ids=["json-tree", "tree-outline", "frac"],
+    )
+    def test_bom_is_a_parse_error_in_every_format(self, tmp_path, capsys, name, argv):
+        # the market's rule, json.loads's own message, holds in every format,
+        # also where the text would read: as a root vertex named "\ufeffv0",
+        # or as a header comment "\ufeff#" that is no longer a comment
+        if name == "bom.json":
+            text = formats.tree_to_json(formats.parse_tree((CORPUS / "ladder.tree").read_text()))
+        else:
+            text = (CORPUS / {"bom.tree": "ladder.tree", "bom.frac": "half_half.frac"}[name]).read_text()
+        bom = tmp_path / name
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        assert main([a.format(bom) for a in argv]) == EXIT_PARSE
+        assert capsys.readouterr() == (
+            "", "parse error: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "{bad}"], "no check selected"),
+            (["check", "/nonexistent.market"], "no check selected"),
+            (["solve", "{bad}", "--strategy", "pipeline"], "pipeline strategy needs --fractional"),
+            (["solve", corpus("singleton_clash.market"), "--strategy", "pipeline", "--decompose", "components"],
+             "pipeline strategy needs --fractional"),
+        ],
+        ids=["check-malformed", "check-missing", "pipeline-malformed", "pipeline-decompose"],
+    )
+    def test_usage_error_comes_before_the_file_is_read(self, tmp_path, capsys, argv, message):
+        bad = tmp_path / "bad.market"
+        bad.write_text("{not json")
+        assert main([a.format(bad=bad) for a in argv]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "level, null, code, message",
         [
             ("1e5000", "0", EXIT_PARSE, "parse error: bad rational in row f1: exponent not accepted: '1e5000'"),

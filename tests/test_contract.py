@@ -48,8 +48,8 @@ MARKETS = {
     # one firm whose chain is the nested prefixes of 120 workers
     "nested120": lambda: nested_market(120),
     # firm k wants the first k of 48 workers alone, firms and workers
-    # shuffled: no consecutive ones, but the columns form a chain, so each
-    # check passes by the nested route with no search
+    # shuffled: no consecutive ones as listed, but the columns form a chain,
+    # so sorted by size every row is a suffix and each check passes unsearched
     "nested48": lambda: shuffled_nested_market(48, 48),
     # one odd cycle through every worker, and none: the girth decides both
     "cyclic499": lambda: cyclic_market(499),

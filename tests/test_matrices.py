@@ -707,14 +707,15 @@ class TestPrunedSearchMatchesUnpruned:
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_nested_families_out_of_order(self, n, monkeypatch):
-        # no consecutive ones in either orientation, but the reduced columns
-        # are a chain, so the nested route decides each matrix with no search;
+        # no consecutive ones in either orientation as listed, but the reduced
+        # columns are a chain, so with the columns sorted by size every row is
+        # a suffix and the interval shape decides each matrix with no search;
         # the search, called from order 3, still runs every order to PASS
         market = shuffled_nested_market(n, seed=n)
         for mat in (market_matrix(market), *hypergraph_matrices(market)):
             rows, cols = matrices._reduce(mat)
-            assert not matrices._consecutive_ones(rows, cols)
-            assert matrices._nested(cols)
+            assert interval_order(rows, cols) == "size"
+            assert not all(y.bit_count() == 2 for y in cols.values())
             cap = max(mat.shape)
             with monkeypatch.context() as mp:
                 mp.setattr(matrices, "_row_subset_search", lambda *a: pytest.fail("searched"))
@@ -816,6 +817,25 @@ def search_from_three(m, rows, cols, orders, keep, odd_twos):
     return matrices._row_subset_search(kept, {j: m.masks[j] & kept for j in cols}, orders, odd_twos)
 
 
+def runs(lines):
+    """Whether the 1s of every 0/1 line are adjacent."""
+    return all("0" not in "".join(map(str, line)).strip("0") for line in lines)
+
+
+def interval_order(rows, cols):
+    """The order in which the reduced matrix (``rows`` and ``cols`` as from
+    ``_reduce``) has consecutive ones, read off its 0/1 entries: "own" when
+    its columns or its rows have them as listed, "size" when only its rows
+    have them with the columns stably sorted by size, else None."""
+    kept = [i for i in range(rows.bit_length()) if rows >> i & 1]
+    columns = [[y >> i & 1 for i in kept] for y in cols.values()]
+    if runs(columns) or runs(zip(*columns)):
+        return "own"
+    if runs(zip(*sorted(columns, key=sum))):
+        return "size"
+    return None
+
+
 BRUTE = {"balanced": brute_balanced, "totally balanced": brute_totally_balanced}
 
 
@@ -843,20 +863,24 @@ def graphic(rng, n, m):
 
 
 class TestStructuredRoutes:
-    """Consecutive ones in the reduced matrix's own order decide PASS, a
-    graphic reduced matrix starts the search at its (odd) girth or passes
-    with no search, and reduced columns that form a chain decide PASS; each
-    certificate still equals the brute-force reference and the search from
-    order 3."""
+    """One dispatch on the reduced matrix: a graph starts the search at its
+    (odd) girth or passes with no search, and any other matrix with
+    consecutive ones, in its own order or with its columns sorted by size,
+    is a PASS; each certificate still equals the brute-force references and
+    the search from order 3."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        taken = {"interval": 0, "graphic": 0, "no cycle": 0, "floor above 3": 0, "nested": 0}
-        c1p, girth, nested = matrices._consecutive_ones, matrices._girth, matrices._nested
+        taken = {"own order": 0, "size order": 0, "graphic": 0, "no cycle": 0, "floor above 3": 0}
+        c1p, girth = matrices._consecutive_ones, matrices._girth
 
         def on_c1p(rows, cols):
+            assert not all(y.bit_count() == 2 for y in cols.values())  # graphs go to _girth
             ok = c1p(rows, cols)
-            taken["interval"] += ok
+            order = interval_order(rows, cols)
+            assert ok == (order is not None)
+            if ok:
+                taken[f"{order} order"] += 1
             return ok
 
         def on_girth(rows, cols, odd):
@@ -866,14 +890,8 @@ class TestStructuredRoutes:
             taken["floor above 3"] += g is not None and g > 3
             return g
 
-        def on_nested(cols):
-            ok = nested(cols)
-            taken["nested"] += ok
-            return ok
-
         monkeypatch.setattr(matrices, "_consecutive_ones", on_c1p)
         monkeypatch.setattr(matrices, "_girth", on_girth)
-        monkeypatch.setattr(matrices, "_nested", on_nested)
         return taken
 
     def assert_same_as_references(self, m, cap, brute=True):
@@ -919,14 +937,59 @@ class TestStructuredRoutes:
             entries = [[int(rank[i] < size) for size in sizes] for i in range(n)]
             verdicts += self.assert_same_as_references(labelled(entries), rng.choice((4, DEFAULT_CAP)))
         assert set(verdicts) == {PASS, INCONCLUSIVE}
-        assert routes["nested"] > 50
+        assert routes["size order"] > 50
 
     def test_equal_sized_columns_are_not_a_chain(self, routes):
-        # {r0,r1,r2} and {r0,r1,r3} have one size and neither holds the other
+        # {r0,r1,r2} and {r0,r1,r3} have one size and neither holds the other.
+        # The rows have consecutive ones in the column order c0, c2, c1, but
+        # the stable sort by size keeps the listed order c0, c1, c2, where r2
+        # skips c1: no shape decides, and the search passes it
         m = labelled([[1, 1, 1], [1, 1, 1], [1, 0, 1], [0, 1, 1]])
-        assert not matrices._nested(matrices._reduce(m)[1])
-        self.assert_same_as_references(m, DEFAULT_CAP)
-        assert routes["nested"] == 0
+        assert interval_order(*matrices._reduce(m)) is None
+        assert runs(zip(*[[1, 1, 1, 0], [1, 1, 1, 1], [1, 1, 0, 1]]))  # c0, c2, c1
+        assert self.assert_same_as_references(m, DEFAULT_CAP) == [PASS] * 3
+        assert routes["own order"] == routes["size order"] == 0
+
+    @staticmethod
+    def size_ordered(rng, n, m):
+        """An n x m matrix whose rows are intervals of a column order, most of
+        them suffixes, so that column sizes tend to ascend along it; rows and
+        columns then shuffled."""
+        entries = []
+        for _ in range(n):
+            lo = rng.randrange(m)
+            hi = m if rng.random() < 0.6 else rng.randint(lo + 1, m)
+            entries.append([int(lo <= j < hi) for j in range(m)])
+        rng.shuffle(entries)
+        perm = rng.sample(range(m), m)
+        return [[row[j] for j in perm] for row in entries]
+
+    def test_only_size_order_passes(self, routes, monkeypatch):
+        # 1,000 matrices up to 7 x 7 that are no graph and have consecutive
+        # ones only with their columns sorted by size: the interval shape
+        # decides each one with the search patched to fail, and every PASS
+        # equals the brute-force references and the search from order 3
+        rng = random.Random(41)
+        kept = 0
+        while kept < 1000:
+            mat = labelled(self.size_ordered(rng, rng.randint(1, 7), rng.randint(1, 7)))
+            rows, cols = matrices._reduce(mat)
+            if interval_order(rows, cols) != "size" or all(y.bit_count() == 2 for y in cols.values()):
+                continue
+            with monkeypatch.context() as mp:
+                mp.setattr(matrices, "_row_subset_search", lambda *a: pytest.fail("searched"))
+                certs = [check(mat) for check in (is_balanced, is_totally_balanced, is_totally_unimodular)]
+            for cert in certs:
+                assert cert.verdict == PASS
+                for ref in (
+                    unpruned_certificate(mat, cert.property, DEFAULT_CAP, search_from_three),
+                    BRUTE.get(cert.property, brute_totally_unimodular)(mat),
+                ):
+                    assert repr(cert) == repr(ref)
+                    assert cert.as_dict() == ref.as_dict()
+                    assert cert.render() == ref.render()
+            kept += 1
+        assert routes["size order"] == 3 * kept
 
     @pytest.mark.parametrize(
         "market",
@@ -938,8 +1001,8 @@ class TestStructuredRoutes:
         for mat in mats:
             cap = max(mat.shape)
             self.assert_same_as_references(mat, cap, brute=cap <= 7)
-        # every certificate of these families takes one of the routes
-        assert routes["interval"] + routes["graphic"] == 3 * len(mats)
+        # every certificate of these families is decided by one of the shapes
+        assert routes["own order"] + routes["size order"] + routes["graphic"] == 3 * len(mats)
 
 
 def reference_pick(cand, masks, k, odd_twos):

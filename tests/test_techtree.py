@@ -4,7 +4,8 @@ import pytest
 
 from balmatch.formats import parse_tree
 from balmatch.genrandom import random_neighbour_tree
-from balmatch.matrices import is_totally_balanced
+from balmatch import matrices
+from balmatch.matrices import DEFAULT_CAP, is_balanced, is_totally_balanced, is_totally_unimodular
 from balmatch.techtree import (
     TechnologyTree,
     TreeError,
@@ -245,3 +246,29 @@ class TestWorkerSetMatrix:
             assert check_neighbour_condition(t).ok
             cert = is_totally_balanced(worker_set_matrix(t))
             assert cert.verdict == "PASS"
+
+    def test_neighbour_trees_never_reach_the_search(self, monkeypatch):
+        # the paper's class: a tree that passes the neighbour condition has a
+        # worker-set matrix with consecutive ones along every row, in its own
+        # column order, so no certificate of it searches; over the cap (the
+        # reduced matrix for balanced and TB, the matrix for TU) it is
+        # INCONCLUSIVE, as any matrix is
+        monkeypatch.setattr(matrices, "_row_subset_search", lambda *a: pytest.fail("searched"))
+        rng = random.Random(19)
+        verdicts = []
+        for i in range(600):
+            size = (12, 10) if i % 3 else (40, 30)
+            t = random_neighbour_tree(rng, max_vertices=size[0], max_workers=size[1])
+            if not check_neighbour_condition(t).ok:
+                continue
+            mat = worker_set_matrix(t)
+            for row in mat.entries:
+                assert "0" not in "".join(map(str, row)).strip("0")
+            rows, cols = matrices._reduce(mat)
+            for check in (is_balanced, is_totally_balanced, is_totally_unimodular):
+                shape = mat.shape if check is is_totally_unimodular else (rows.bit_count(), len(cols))
+                cert = check(mat)
+                assert cert.verdict == ("INCONCLUSIVE" if max(shape) > DEFAULT_CAP else "PASS")
+                verdicts.append(cert.verdict)
+        assert len(verdicts) > 1500
+        assert verdicts.count("INCONCLUSIVE") > 10 and verdicts.count("PASS") > 1500
