@@ -102,15 +102,14 @@ def _json(x, pad: str = "\n") -> str:
     return json.dumps(x, indent=2).replace("\n", pad)
 
 
-def _emit(reports: list[tuple[str, object]], as_json: bool) -> int:
-    """Print the reports, as one JSON object or as ``[name]`` blocks, and
-    return the exit code: FAIL before INCONCLUSIVE before PASS."""
+def _emit(reports: list[tuple[str, object]], as_json: bool, head: tuple[str, ...] = ()) -> int:
+    """Print the reports in one ``print``, as one JSON object or as
+    ``[name]`` blocks after the ``head`` lines, and return the exit code:
+    FAIL before INCONCLUSIVE before PASS."""
     if as_json:
         print(_json({name: cert.as_dict() for name, cert in reports}))
     else:
-        for name, cert in reports:
-            print(f"[{name}]")
-            print(cert.render())
+        print("\n".join([*head, *(f"[{name}]\n{cert.render()}" for name, cert in reports)]))
     verdicts = {cert.verdict for _, cert in reports}
     if FAIL in verdicts:
         return EXIT_FAIL
@@ -202,9 +201,8 @@ def cmd_solve(args) -> int:
         }
         print(_json(payload))
     else:
-        print(formats.render_matching(matching, m))
-        for name, verdict in certs.items():
-            print(f"# {name}: {verdict}")
+        lines = [f"# {name}: {verdict}" for name, verdict in certs.items()]
+        print("\n".join([formats.render_matching(matching, m), *lines]))
     return EXIT_PASS if matching is not None else EXIT_FAIL
 
 
@@ -236,14 +234,13 @@ def cmd_tree(args) -> int:
         t = formats.parse_tree(text)
     chosen = [mode for mode in TREE_MODES if getattr(args, _DESTS[mode[0]])] or TREE_MODES[:1]
     reports = [(name, build(t, args)) for _, name, build in chosen]
-    # in text mode the neighbour condition's engagement lines print first,
-    # once every report is built, so a usage error leaves stdout empty
+    # in text mode the neighbour condition's engagement lines come first,
+    # in the reports' one print, so a usage error leaves stdout empty
+    head = ()
     if not args.json and TREE_MODES[0] in chosen:
-        print("# engagements:")
-        for w, eng in engagements(t).items():
-            edges = ", ".join(f"{a}->{b}" for a, b in eng)
-            print(f"#   {w}: {edges}")
-    return _emit(reports, args.json)
+        edges = {w: ", ".join(f"{a}->{b}" for a, b in eng) for w, eng in engagements(t).items()}
+        head = ("# engagements:", *(f"#   {w}: {e}" for w, e in edges.items()))
+    return _emit(reports, args.json, head)
 
 
 def _read_text(path: str) -> str:
@@ -376,7 +373,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (formats.ParseError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, MarketError, FractionalError, TreeError) as e:
+    except (OSError, MarketError, FractionalError, TreeError, UnicodeEncodeError) as e:
+        # a name stdout cannot encode fails the command's one print whole
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

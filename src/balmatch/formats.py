@@ -1,4 +1,5 @@
-"""File formats: market JSON, fractional-matching tables, tree outlines."""
+"""File formats: market JSON, fractional-matching tables in ASCII tokens,
+and tree outlines and JSON trees, both read into one outline builder."""
 
 from __future__ import annotations
 
@@ -148,17 +149,22 @@ def serialize_market(m: Market) -> str:
 
 # -- fractional matchings ----------------------------------------------------
 
-# the tokens Fraction reads as a decimal with an exponent: 1e10000000 would
-# have it build a ten-million-digit int
-_EXPONENT = re.compile(r"[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?\d+(?:_\d+)*")
+# the tokens read, in ASCII on every Python: an optional sign, then digits
+# / digits or a decimal; a decimal with an exponent is refused unread, since
+# 1e10000000 would have Fraction build a ten-million-digit int
+_RATIONAL = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?P<exponent>[eE][-+]?[0-9]+)?)")
 
 
 class _Rationals(dict):
-    """Each token's ``Fraction``, parsed on its first lookup; a token with
-    an exponent is refused unread."""
+    """Each token's ``Fraction``, parsed on its first lookup; a token out of
+    the ASCII grammar gets ``Fraction``'s message, and one with an exponent
+    is refused unread."""
 
     def __missing__(self, tok: str) -> Fraction:
-        if _EXPONENT.fullmatch(tok):
+        match = _RATIONAL.fullmatch(tok)
+        if match is None:
+            raise ValueError(f"Invalid literal for Fraction: {tok!r}")
+        if match["exponent"]:
             raise ValueError(f"exponent not accepted: {tok!r}")
         x = self[tok] = Fraction(tok)
         return x
@@ -251,6 +257,12 @@ def parse_tree(text: str) -> TechnologyTree:
         raise ParseError("empty tree file")
     if entries[0][0] != 0:
         raise ParseError("root must be unindented")
+    return _tree(entries)
+
+
+def _tree(entries: list[tuple[int, str, frozenset[str]]]) -> TechnologyTree:
+    """The tree of outline entries ``(depth, vertex, workers)`` in preorder,
+    the first the root: the one builder both tree formats read into."""
     worker_sets: dict[str, frozenset[str]] = {}
     children: dict[str, list[str]] = {}
     stack: list[str] = []
@@ -302,32 +314,22 @@ def tree_to_json(t: TechnologyTree) -> str:
 
 
 def tree_from_json(text: str) -> TechnologyTree:
-    """JSON tree: nested ``{"name", "workers", "children"}`` objects."""
-    worker_sets: dict[str, frozenset[str]] = {}
-    children: dict[str, tuple[str, ...]] = {}
-
-    def walk(node) -> str:
+    """JSON tree: nested ``{"name", "workers", "children"}`` objects, each
+    node's shape checked in preorder by a stack walk that feeds ``_tree``."""
+    entries = []
+    stack = [(0, _load_json(text))]
+    while stack:
+        depth, node = stack.pop()
         node = _object(node, "tree node")
         name = node.get("name")
         if not isinstance(name, str):
             raise ParseError(f"tree node without a string name: {sorted(node)}")
-        if name in worker_sets:
-            raise ParseError(f"duplicate vertex: {name}")
-        worker_sets[name] = frozenset(_names(node.get("workers", []), f"workers of {name}"))
+        entries.append((depth, name, frozenset(_names(node.get("workers", []), f"workers of {name}"))))
         kids = node.get("children", [])
         if not isinstance(kids, list):
             raise ParseError(f"children of {name} must be a list")
-        children[name] = tuple(map(walk, kids))
-        return name
-
-    try:
-        root = walk(_load_json(text))
-    except RecursionError as e:  # json nests deeper than Python calls on some interpreters
-        raise ParseError("JSON nested too deeply") from e
-    try:
-        return TechnologyTree(root=root, worker_sets=worker_sets, children=children)
-    except TreeError as e:
-        raise ParseError(str(e)) from e
+        stack.extend((depth + 1, kid) for kid in reversed(kids))
+    return _tree(entries)
 
 
 # -- matchings ---------------------------------------------------------------

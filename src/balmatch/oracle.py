@@ -2,8 +2,8 @@
 
 The sweep runs ``solve``'s firm-selection search (``solve._Coalitions``)
 on each profile that no matching it found settles, reading the last
-worker's options as one bitmask per matching and stopping that loop once
-every option is settled; it re-checks each matching
+worker's options as one bitmask per matching in its one digit loop,
+which stops once every option is settled; it re-checks each matching
 found with ``is_stable`` on the profile's ``Market``, built by the plain
 constructor, and confirms a counterexample with ``all_matchings`` and
 ``is_stable`` alone, so no verdict rests on the search it checks. Every
@@ -142,9 +142,9 @@ def exists_for_all_worker_prefs(
     completion. Under a prefix, each matching still possible after the
     whole prefix settles a bitmask of the last worker's options
     (``_Settled``), exactly the profiles on which it is ``is_stable``.
-    That bitmask is read in the same loop that walks the deepest digit's
-    list, so the last worker's list is never stored, and the loop stops
-    once every option is settled. Each option left is searched, in
+    One loop filters every digit's list, the deepest included: there a
+    survivor clears its options from that bitmask instead of being
+    stored, and the loop stops once every option is settled. Each option left is searched, in
     option order: ``solve``'s search runs on the profile's tables; its
     matching is re-checked with ``is_stable`` on the profile's market,
     built by the plain constructor, appended to every depth's list
@@ -217,29 +217,25 @@ def exists_for_all_worker_prefs(
     levels: list[list[tuple[list, int]]] = [[] for _ in digits]
     d = 0  # the shallowest digit that moved: the lists below it are stale
     while True:
-        for depth in range(d, last - 1):
-            k, ending, below = digits[depth], fin[depth], []
+        # every digit filters its depth's list; at the deepest a survivor
+        # settles last-worker options instead of being stored, and once
+        # every option is settled the rest of the list is not read
+        free = (1 << width) - 1
+        for depth in range(d, last):
+            k, ending, below, deepest = digits[depth], fin[depth], [], depth == last - 1
             for rows, live in levels[depth]:
                 mask = rows[depth][k]
                 if mask is not None:
                     live &= mask
                     if not live & ending:
-                        below.append((rows, live))
-            levels[depth + 1] = below
-        # the deepest digit and the last worker in one pass: each matching
-        # still possible after the whole prefix settles its options, and
-        # once every option is settled the rest of the list is not read
-        free = (1 << width) - 1
-        if digits:
-            k, ending = digits[-1], fin[last - 1]
-            for rows, live in levels[-1]:
-                mask = rows[last - 1][k]
-                if mask is not None:
-                    live &= mask
-                    if not live & ending:
-                        free &= ~rows[last][live & at_last]
-                        if not free:
-                            break
+                        if not deepest:
+                            below.append((rows, live))
+                        else:
+                            free &= ~rows[last][live & at_last]
+                            if not free:
+                                break
+            if not deepest:
+                levels[depth + 1] = below
         # each option no found matching settles is a search, in option order
         while free:
             k = (free & -free).bit_length() - 1

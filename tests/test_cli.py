@@ -165,16 +165,44 @@ class TestUsage:
              "parse error: bad rational in row f1: exponent not accepted: '1e10000000'"),
             (f"1/{10**2500 - 1}", f"1/{10**2500 + 1}", EXIT_USAGE,
              "error: common denominator has more than 4000 digits"),
+            # Fraction reads "_" from 3.11 on and any Unicode digit on every
+            # version; the table reads neither
+            ("1_0/2_0", "0", EXIT_PARSE, "parse error: bad rational in row f1: Invalid literal for Fraction: '1_0/2_0'"),
+            ("\u0661/\u0662", "0", EXIT_PARSE,
+             "parse error: bad rational in row f1: Invalid literal for Fraction: '\u0661/\u0662'"),
         ],
-        ids=["exponent", "long-exponent", "long-denominator"],
+        ids=["exponent", "long-exponent", "long-denominator", "underscore", "arabic-indic-digits"],
     )
     def test_fractional_file_ends_without_a_traceback(self, tmp_path, capsys, level, null, code, message):
         market = tmp_path / "one.market"
         market.write_text('{"workers": ["w1"], "firms": {"f1": [["w1"]]}, "worker_prefs": {"w1": ["f1"]}}')
         frac = tmp_path / "one.frac"
-        frac.write_text(f"w1\nf1 {level}\nnull {null}\n")
+        frac.write_text(f"w1\nf1 {level}\nnull {null}\n", encoding="utf-8")
         assert main(["solve", str(market), "--strategy", "pipeline", "--fractional", str(frac)]) == code
         assert capsys.readouterr() == ("", message + "\n")
+
+    @pytest.mark.parametrize(
+        "name, text, argv",
+        [
+            ("we.market", '{"workers": ["w\u00e9"], "firms": {"f1": [["w\u00e9"]]}, "worker_prefs": {"w\u00e9": ["f1"]}}',
+             ["solve"]),
+            ("we.tree", "r: {}\n  a: {w\u00e9}\n", ["tree", "--validate"]),
+            ("we.tree", "r: {}\n  a: {w\u00e9}\n", ["tree", "--matrix"]),
+        ],
+        ids=["solve", "tree-validate", "tree-matrix"],
+    )
+    def test_name_stdout_cannot_encode_is_a_usage_error(self, tmp_path, monkeypatch, name, text, argv):
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8")
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        proc = run_python("-m", "balmatch.cli", argv[0], str(p), *argv[1:])
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert re.fullmatch(r"error: 'ascii' codec can't encode character '\\xe9' in position \d+: "
+                            r"ordinal not in range\(128\)\n", proc.stderr), proc.stderr
+        # --json escapes every name, so the same command prints in full
+        proc = run_python("-m", "balmatch.cli", argv[0], str(p), *argv[1:], "--json")
+        assert (proc.returncode, proc.stderr) == (EXIT_PASS, "")
+        json.loads(proc.stdout)
 
     def test_negative_cap_is_a_usage_error(self, capsys):
         assert main(["check", corpus("cyclic3.market"), "--tu", "--cap", "-1"]) == EXIT_USAGE

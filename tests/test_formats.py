@@ -498,6 +498,10 @@ class TestFractionalFormat:
             ("1/0", "Fraction(1, 0)"),
             # 1e10000000 would have Fraction build a ten-million-digit int
             ("1e5000", "exponent not accepted: '1e5000'"),
+            # outside the ASCII grammar on every Python, though Fraction reads "_"
+            # from 3.11 on and any Unicode digit on every version
+            ("1_0/2_0", "Invalid literal for Fraction: '1_0/2_0'"),
+            ("\u0661/\u0662", "Invalid literal for Fraction: '\u0661/\u0662'"),
         ],
     )
     def test_repeated_bad_token_reported_in_its_first_row(self, two_firms, token, error):
@@ -521,7 +525,8 @@ class TestFractionalFormat:
         for _ in range(5000):
             token = "".join(rng.choice("0123456789.eE+-/ ") for _ in range(rng.randint(1, 6))).strip()
             try:
-                expected = Fraction(token)
+                # a table token holds no space, and the grammar none
+                expected = Fraction(token) if " " not in token else ValueError
             except (ValueError, ZeroDivisionError) as e:
                 expected = type(e)
             try:
@@ -535,6 +540,21 @@ class TestFractionalFormat:
             else:
                 assert got == expected, token
         assert refused > 150
+
+    def test_tokens_out_of_the_ascii_grammar_are_invalid_literals(self):
+        # Fraction reads "_" from 3.11 on and any Unicode digit on every
+        # version; the table reads neither, on every Python
+        rng = random.Random(42)
+        outside = 0
+        for _ in range(3000):
+            token = "".join(rng.choice("0123456789.eE+-/_\u0661\u0662") for _ in range(rng.randint(1, 6)))
+            if token.isascii() and "_" not in token:
+                continue
+            outside += 1
+            with pytest.raises(ValueError) as err:
+                formats._Rationals()[token]
+            assert str(err.value) == f"Invalid literal for Fraction: {token!r}", token
+        assert outside > 1000
 
     def test_row_shape_error_before_a_bad_token_wins(self, two_firms):
         d = decompose_by_sets(two_firms)
@@ -626,6 +646,34 @@ class TestTreeFormat:
         text = '{"name": "v0", "children": [' * 3000 + "]}" * 3000
         with pytest.raises(formats.ParseError):
             formats.tree_from_json(text)
+
+    def test_json_tree_reads_as_deep_as_the_decoder(self):
+        # the deepest path the decoder takes on this interpreter, probed by
+        # doubling (3.11 takes about 500 levels, 3.13 about 5,000), read to
+        # its last vertex, which repeats the root's name
+        def path(levels):
+            names = ["v", *(f"u{k}" for k in range(1, levels - 1)), "v"]
+            return "".join(f'{{"name": "{v}", "children": [' for v in names) + "]}" * levels
+
+        deepest, levels = None, 256
+        while levels <= 8192:
+            try:
+                formats._load_json(path(levels))
+            except formats.ParseError:
+                break
+            deepest, levels = levels, 2 * levels
+        assert deepest is not None
+        with pytest.raises(formats.ParseError, match="^duplicate vertex: v$"):
+            formats.tree_from_json(path(deepest))
+
+    def test_shape_faults_are_named_before_a_repeated_vertex(self):
+        # every node's shape is checked, in preorder, before the outline
+        # builder meets the repeated v
+        text = '{"name": "v", "children": [{"name": "v"}, {"name": "u", "workers": "w1"}]}'
+        with pytest.raises(formats.ParseError, match="^workers of u must be a list of strings$"):
+            formats.tree_from_json(text)
+        with pytest.raises(formats.ParseError, match="^duplicate vertex: v$"):
+            formats.tree_from_json(text.replace('"w1"', '["w1"]'))
 
     def test_corpus_trees_round_trip(self, corpus_dir):
         for path in sorted(corpus_dir.glob("*.tree")):
